@@ -319,13 +319,15 @@ def _add_oracle_flags(parser: argparse.ArgumentParser) -> None:
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="support-set search budget for vertex enumeration",
+        help="vertex enumeration budget: search nodes when every multiplicity"
+        " is at most two, candidate supports otherwise",
     )
     parser.add_argument(
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for vertex enumeration (output unchanged)",
+        help="worker processes for vertex enumeration on families with a"
+        " multiplicity above two (output unchanged)",
     )
 
 

@@ -65,7 +65,7 @@ class EvenCyclePresentError(PreconditionError):
 
 
 class InstanceTooLargeError(BudgetError):
-    """The candidate space exceeds the enumeration budget."""
+    """A vertex enumeration exceeds its search budget."""
 
 
 class DepthExceededError(BudgetError):

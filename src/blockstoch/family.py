@@ -11,7 +11,7 @@ family.  All arithmetic is exact, via ``fractions.Fraction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -32,17 +32,23 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class Block:
-    """One block of a family: a stable index and its sorted members."""
+    """One block of a family: a stable index and its sorted members.
+
+    ``member_set`` is built once, with the block, because membership
+    tests run in inner loops.  It is an ordinary attribute rather than a
+    lazily filled cache: adding an attribute to a constructed instance
+    slows every later attribute read on it in CPython 3.11.
+    """
 
     index: int
     members: tuple[int, ...]
+    member_set: frozenset[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "member_set", frozenset(self.members))
 
     def __contains__(self, label: object) -> bool:
         return label in self.member_set
-
-    @property
-    def member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
 
     @property
     def size(self) -> int:

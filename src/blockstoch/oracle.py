@@ -1,12 +1,18 @@
-"""Exhaustive exact enumeration of the vertices of the weight polytope.
+"""Exact enumeration of the vertices of the weight polytope.
 
 The admissible weight functions of a finite family form a bounded
-polytope: one equality per block plus nonnegativity.  Every vertex is
-the unique solution supported inside some linearly independent column
-set whose size equals the rank of the block-sum system, so enumerating
-those column sets finds every vertex.  Everything here runs over exact
-rationals and is deliberately independent of the structural classifier,
-so the two can be validated against each other.
+polytope: one equality per block plus nonnegativity.  A stochastic
+point is a vertex exactly when the block-sum columns of its support are
+linearly independent.
+
+Two enumerations share that definition.  When every multiplicity is at
+most two, the family is a multigraph on its blocks and the vertices are
+read off its exact covers by edges, half-edges and odd cycles (the
+half-integrality of the fractional matching polytope).  Otherwise every
+rank-sized independent column set is solved exactly.  The basis search
+needs no structure at all, so it also serves as the reference the
+multigraph search and the structural classifier are tested against.
+Everything here runs over exact rationals.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ from .family import (
 )
 
 DEFAULT_BUDGET = 1 << 20
+ONE = Fraction(1)
+HALF = Fraction(1, 2)
 
 Matrix = list[list[Fraction]]
 
@@ -132,11 +140,159 @@ def enumerate_vertices(
 ) -> tuple[WeightFunction, ...]:
     """All vertices of the polytope of stochastic weight functions.
 
+    When every multiplicity is at most two, a backtracking search over
+    the block multigraph lists the vertices directly; ``budget`` then
+    bounds the search nodes visited (pieces placed plus cycle-search
+    steps) and ``jobs`` is unused.  Otherwise :func:`basis_vertices`
+    solves every candidate support, and ``budget`` bounds the raw
+    candidate count before any work starts.  Either way an exhausted
+    budget raises ``InstanceTooLargeError``, and the result is sorted
+    and independent of ``jobs``.
+    """
+    if jobs < 1:
+        raise InputError("jobs must be at least 1")
+    if max_multiplicity(family) <= 2:
+        return _CoverSearch(family, budget).vertices()
+    return basis_vertices(family, budget=budget, jobs=jobs)
+
+
+class _CoverSearch:
+    """Vertex enumeration on the block multigraph H of a family with κ ≤ 2.
+
+    The blocks are the nodes of H; an element in two blocks is an edge
+    and an element in one block is a half-edge.  At a vertex the support
+    columns are independent and every block sums to one with positive
+    values.  A support component with k blocks therefore has at most k
+    elements: it is a tree, plus at most one half-edge or one edge
+    closing an odd cycle (an even cycle's columns are dependent).  A
+    block met by a single support element forces it to 1 and every other
+    element at its far end to 0, so a component with such a block is one
+    edge or one half-edge.  Every other component is an odd cycle (length
+    at least three) at 1/2.  Conversely every exact cover of the blocks
+    by such pieces is a vertex.
+
+    The search takes the lowest uncovered block and tries every piece
+    through it over uncovered blocks, so each cover is reached once;
+    cycles are taken in one direction, and are not sought at all when H
+    is bipartite.  Both searches keep explicit stacks, so long rings do
+    not reach the interpreter's recursion limit.
+    """
+
+    def __init__(self, family: SetFamily, budget: int):
+        position = {b.index: p for p, b in enumerate(family.blocks)}
+        self.halves: list[list[int]] = [[] for _ in family.blocks]
+        self.edges: list[list[tuple[int, int]]] = [[] for _ in family.blocks]
+        for g in family.ground:
+            ends = [position[k] for k in family.gamma[g]]
+            if len(ends) == 1:
+                self.halves[ends[0]].append(g)
+            else:
+                p, q = ends
+                self.edges[p].append((g, q))
+                self.edges[q].append((g, p))
+        self.full = (1 << len(family.blocks)) - 1
+        self.odd = not _bipartite(self.edges)
+        self.budget = budget
+        self.nodes = 0
+        self.found: list[WeightFunction] = []
+
+    def _tick(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise InstanceTooLargeError(
+                f"vertex search exceeded the budget of {self.budget} search nodes:"
+                f" {self.nodes} visited, {len(self.found)} found"
+            )
+
+    def vertices(self) -> tuple[WeightFunction, ...]:
+        covered = 0
+        chosen: list[tuple[int, tuple[int, ...], Fraction]] = []
+        stack = [self._pieces(0, 0)]
+        while stack:
+            piece = next(stack[-1], None)
+            if piece is None:
+                stack.pop()
+                if chosen:
+                    covered &= ~chosen.pop()[0]
+                continue
+            self._tick()
+            chosen.append(piece)
+            covered |= piece[0]
+            if covered == self.full:
+                self.found.append(
+                    WeightFunction({g: v for _, gs, v in chosen for g in gs})
+                )
+                covered &= ~chosen.pop()[0]
+            else:
+                lowest = (~covered & (covered + 1)).bit_length() - 1
+                stack.append(self._pieces(lowest, covered))
+        return tuple(sorted(self.found, key=lambda w: w.sort_key()))
+
+    def _pieces(self, b: int, covered: int):
+        """(block mask, elements, value) of every piece through block ``b``."""
+        bit = 1 << b
+        for g in self.halves[b]:
+            yield bit, (g,), ONE
+        for g, q in self.edges[b]:
+            if not covered >> q & 1:
+                yield bit | 1 << q, (g,), ONE
+        if self.odd:
+            yield from self._odd_cycles(b, covered)
+
+    def _odd_cycles(self, b: int, covered: int):
+        """Simple odd cycles through ``b`` avoiding ``covered``, one direction each."""
+        path: list[int] = []
+        blocked = covered | 1 << b
+        stack = [(b, iter(self.edges[b]))]
+        while stack:
+            u, steps = stack[-1]
+            for g, v in steps:
+                if v == b:
+                    if len(path) % 2 == 0 and len(path) >= 2 and path[0] < g:
+                        yield blocked & ~covered, (*path, g), HALF
+                elif not blocked >> v & 1:
+                    self._tick()
+                    path.append(g)
+                    blocked |= 1 << v
+                    stack.append((v, iter(self.edges[v])))
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+                    blocked &= ~(1 << u)
+
+
+def _bipartite(edges: list[list[tuple[int, int]]]) -> bool:
+    """Whether a BFS 2-colouring of the multigraph succeeds."""
+    colour: list[int | None] = [None] * len(edges)
+    for start in range(len(edges)):
+        if colour[start] is not None:
+            continue
+        colour[start] = 0
+        queue = [start]
+        for u in queue:
+            for _, v in edges[u]:
+                if colour[v] is None:
+                    colour[v] = 1 - colour[u]
+                    queue.append(v)
+                elif colour[v] == colour[u]:
+                    return False
+    return True
+
+
+def basis_vertices(
+    family: SetFamily, budget: int = DEFAULT_BUDGET, jobs: int = 1
+) -> tuple[WeightFunction, ...]:
+    """All vertices, by solving every candidate support exactly.
+
     Candidate supports are the rank-sized column subsets that touch
     every block; each is solved exactly and kept when the unique
-    solution is nonnegative.  Raises when the raw candidate count
-    exceeds ``budget``.  The result is sorted and independent of
-    ``jobs``.
+    solution is nonnegative.  Raises ``InstanceTooLargeError`` when the
+    raw candidate count exceeds ``budget``.  ``jobs`` worker processes
+    share the candidates; the result is sorted and independent of
+    ``jobs``.  Works for any family, and is the reference the multigraph
+    search is tested against.
     """
     if jobs < 1:
         raise InputError("jobs must be at least 1")

@@ -118,6 +118,26 @@ class TestVertices:
         assert code == 3
         assert err.startswith("error:")
 
+    def test_budget_message_goes_to_stderr(self, tmp_path, capsys):
+        doc = {"blocks": [[1, 2], [3, 4], [1, 3], [2, 4]]}
+        code = main(["vertices", write(tmp_path, doc), "--budget", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: vertex search exceeded the budget of 2 search nodes:"
+            " 3 visited, 1 found\n"
+        )
+
+    def test_five_by_five_matrix(self, tmp_path, capsys):
+        rows = [[5 * r + c + 1 for c in range(5)] for r in range(5)]
+        cols = [[5 * r + c + 1 for r in range(5)] for c in range(5)]
+        code = main(["vertices", write(tmp_path, {"blocks": rows + cols})])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("vertex count: 120\n")
+        assert len(out.splitlines()) == 121
+
     def test_byte_identical_runs(self, tmp_path, capsys):
         path = write(tmp_path, SEGMENT)
         main(["vertices", path])

@@ -1,5 +1,6 @@
 """Tests for exact vertex enumeration, decomposition, and cross-checks."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,9 @@ from blockstoch.errors import (
     InstanceTooLargeError,
     NotStochasticError,
 )
-from blockstoch.family import WeightFunction, build_family
+from blockstoch.family import WeightFunction, build_family, max_multiplicity
 from blockstoch.oracle import (
+    basis_vertices,
     cross_validate,
     decompose,
     enumerate_vertices,
@@ -27,6 +29,91 @@ def matrix_family(m):
     rows = [[m * r + c + 1 for c in range(m)] for r in range(m)]
     cols = [[m * r + c + 1 for r in range(m)] for c in range(m)]
     return build_family(rows + cols)
+
+
+def ring_family(n):
+    return build_family([(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def complete_block_graph(n):
+    """Blocks are the nodes of K_n; each pair of blocks shares one element."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    label = {pair: pos for pos, pair in enumerate(pairs, start=1)}
+    return build_family([[label[p] for p in pairs if i in p] for i in range(n)])
+
+
+MULTIGRAPH_CASES = {
+    **{f"matrix-{m}": matrix_family(m) for m in (2, 3, 4)},
+    **{f"ring-{n}": ring_family(n) for n in (3, 4, 5, 6, 7, 8)},
+    **{f"K{n}": complete_block_graph(n) for n in (4, 5, 6)},
+    "parallel-pair": build_family([[1, 2], [1, 2, 3]]),
+    "parallel-triangle": build_family([[1, 2, 4], [2, 3], [3, 1, 4]]),
+    "parallel-square": build_family([[1, 2, 5], [3, 4], [1, 3, 5], [2, 4]]),
+    "pinned-segment": build_family([[2, 3], [1, 3], [1, 2], [4, 5]]),
+    "half-edge-path": build_family([[1, 2], [2, 3, 4], [4, 5]]),
+    "half-edge-triangle": build_family([[1, 2, 6], [2, 3], [3, 1, 7]]),
+    "single-block": build_family([[1, 2, 3]]),
+    "bowtie": build_family([[1, 2], [2, 3], [3, 1, 4, 5], [5, 6], [6, 4]]),
+    "infeasible-star": build_family([[1], [1, 2], [2]]),
+    "infeasible-grid": build_family(
+        [[1, 2, 3], [4, 5, 6], [1, 4], [2, 5], [3, 6]]
+    ),
+}
+
+
+class TestMultigraphSearch:
+    @pytest.mark.parametrize(
+        "fam", MULTIGRAPH_CASES.values(), ids=MULTIGRAPH_CASES.keys()
+    )
+    def test_matches_basis_search(self, fam):
+        assert max_multiplicity(fam) <= 2
+        assert enumerate_vertices(fam) == basis_vertices(fam)
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_large_matrices_have_permutation_vertices(self, m):
+        vertices = enumerate_vertices(matrix_family(m))
+        assert len(set(vertices)) == len(vertices) == math.factorial(m)
+        for v in vertices:
+            assert v.zero_one
+            assert len(v.support) == m
+            assert is_vertex(matrix_family(m), v)
+
+    def test_budget_message_reports_progress(self):
+        with pytest.raises(
+            InstanceTooLargeError,
+            match=r"^vertex search exceeded the budget of 4 search nodes:"
+            r" 5 visited, 1 found$",
+        ):
+            enumerate_vertices(matrix_family(3), budget=4)
+
+    def test_budget_counts_cycle_search_steps(self):
+        # Three pieces are placed on the triangle; the other four nodes
+        # are steps of the cycle search, two per direction.
+        fam = ring_family(3)
+        assert len(enumerate_vertices(fam, budget=7)) == 1
+        with pytest.raises(InstanceTooLargeError, match="7 visited, 1 found"):
+            enumerate_vertices(fam, budget=6)
+
+
+class TestBasisPath:
+    """Families with a multiplicity above two keep the basis search."""
+
+    KAPPA3 = build_family(
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 4, 7], [2, 5, 8], [3, 6, 9], [1, 5, 9]]
+    )
+
+    def test_dispatches_to_basis_search(self):
+        assert max_multiplicity(self.KAPPA3) == 3
+        vertices = enumerate_vertices(self.KAPPA3)
+        assert vertices == basis_vertices(self.KAPPA3)
+        assert enumerate_vertices(self.KAPPA3, jobs=2) == vertices
+
+    def test_candidate_budget_precheck(self):
+        with pytest.raises(
+            InstanceTooLargeError,
+            match="^84 candidate supports exceed the budget of 83$",
+        ):
+            enumerate_vertices(self.KAPPA3, budget=83)
 
 
 class TestEnumerateVertices:

@@ -1,9 +1,11 @@
 """Property-based checks over randomly drawn families."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from blockstoch.cli import gen_random
 from blockstoch.extremality import classify_extreme
 from blockstoch.family import (
     WeightFunction,
@@ -14,7 +16,7 @@ from blockstoch.family import (
 )
 from blockstoch.graphs import Path, build_graph, decompose_cycle
 from blockstoch.instance_io import dump_instance, parse_instance
-from blockstoch.oracle import decompose, enumerate_vertices
+from blockstoch.oracle import basis_vertices, decompose, enumerate_vertices
 
 from helpers import assert_cycle_pieces, assert_valid_witness
 
@@ -82,6 +84,22 @@ def test_vertex_values_are_half_integral(fam):
     for vertex in enumerate_vertices(fam):
         values = {value for _, value in vertex.items()}
         assert values <= {F(1, 2), F(1)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_families())
+def test_multigraph_search_matches_basis_search(fam):
+    assert enumerate_vertices(fam) == basis_vertices(fam)
+
+
+def test_multigraph_search_matches_basis_search_on_seeded_sweep():
+    rng = random.Random(2)
+    for i in range(600):
+        elements = rng.randint(2, 10)
+        blocks = rng.randint(1, 8)
+        fam, _ = gen_random(elements, blocks, kappa_max=2, seed=30_000 + i)
+        assert max_multiplicity(fam) <= 2
+        assert enumerate_vertices(fam) == basis_vertices(fam), fam.blocks
 
 
 @settings(max_examples=60, deadline=None)
