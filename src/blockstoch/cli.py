@@ -101,19 +101,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "distinct membership sets: no"
             f" (elements {pair[0]} and {pair[1]} lie in the same blocks)"
         )
-    fresh_m = None
+    # m = len(blocks) always passes: every block then lies in the prefix
     for m in range(len(family.blocks) + 1):
-        if check_freshness(family, m).ok:
-            fresh_m = m
+        verdict = check_freshness(family, m)
+        if verdict.ok:
             break
-    verdict = check_freshness(family, fresh_m if fresh_m is not None else 0)
-    if fresh_m is None:
-        print("fresh elements beyond a prefix: no")
-    else:
-        print(
-            "fresh elements beyond a prefix: yes"
-            f" (m={fresh_m}, mode {verdict.mode})"
-        )
+    print(f"fresh elements beyond a prefix: yes (m={m}, mode {verdict.mode})")
     if instance.weights is not None:
         _print_membership(family, instance.weights)
     return 0

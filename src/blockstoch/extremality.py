@@ -35,6 +35,7 @@ from .family import (
 from .graphs import (
     AssociatedGraph,
     Path,
+    bfs_layers,
     block_vertex_counts,
     build_graph,
     connected_components,
@@ -106,7 +107,10 @@ def construct_two_coloring(
     The subgraph must lie in the support and contain no odd primitive
     cycle.  Each component is two-colored and the full headroom of the
     involved values is added on one color and subtracted on the other,
-    which cancels inside every block.
+    which cancels inside every block.  No block holds more than two of
+    the subgraph's elements, so every cycle of the induced subgraph is
+    primitive, and an edge inside one BFS color class is exactly an odd
+    primitive cycle.
     """
     require_stochastic(family, w)
     verts = tuple(sorted(set(vertices)))
@@ -121,39 +125,18 @@ def construct_two_coloring(
                 "every block must contain zero or exactly two subgraph elements"
             )
     induced = build_graph(family, within=verts)
-    if find_primitive_cycles(induced, family, parity="odd", first_only=True):
+    sign: dict[int, int] = {}
+    for root in verts:
+        if root not in sign:
+            layers = bfs_layers(induced, root)
+            sign.update((v, -1 if d % 2 else 1) for v, d in layers.items())
+    if any(sign[u] == sign[v] for v in verts for u in induced.neighbors_of(v)):
         raise ConditionsViolatedError("the subgraph contains an odd primitive cycle")
     epsilon = _headroom(w, verts)
     if epsilon <= 0:
         raise InternalPropertyError("no headroom despite the block condition")
-    sign: dict[int, int] = {}
-    for comp in connected_components(induced):
-        sign[comp[0]] = 1
-        frontier = [comp[0]]
-        while frontier:
-            v = frontier.pop()
-            for u in induced.neighbors_of(v):
-                if u not in sign:
-                    sign[u] = -sign[v]
-                    frontier.append(u)
-                elif sign[u] == sign[v]:
-                    raise InternalPropertyError("subgraph is not two-colorable")
     deltas = {v: epsilon * sign[v] for v in verts}
     return _finish(family, w, deltas, epsilon, epsilon, "two_coloring")
-
-
-def _bfs_layers(graph: AssociatedGraph, root: int) -> dict[int, int]:
-    layers = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in graph.neighbors_of(v):
-                if u not in layers:
-                    layers[u] = layers[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    return layers
 
 
 def _propagate_factors(
@@ -171,7 +154,7 @@ def _propagate_factors(
     its remaining elements is scaled so the block sum is preserved, and
     the sign alternates with the distance from the root.
     """
-    layers = _bfs_layers(induced, root)
+    layers = bfs_layers(induced, root)
     if set(layers) != set(pool):
         raise InternalPropertyError("the pool is not connected")
     touched: list[tuple[int, int, list[int]]] = []
@@ -228,6 +211,12 @@ def construct_tree_propagation(
     and every multiplicity at most two.  The smallest element is scaled
     by one plus/minus a safe fraction and the change propagates through
     each block so all sums stay exact.
+
+    Under the other conditions the component is a connected subgraph of
+    the block multigraph H without parallel edges, whose primitive
+    cycles are its cycles.  A connected graph is a tree exactly when it
+    has fewer edges than nodes, so counting the elements in two blocks
+    against the blocks met decides the cycle condition.
     """
     require_stochastic(family, w)
     supp = set(w.support)
@@ -255,7 +244,8 @@ def construct_tree_propagation(
     induced = build_graph(family, within=comp)
     if len(connected_components(induced)) != 1:
         raise ConditionsViolatedError("the component is not connected")
-    if find_primitive_cycles(induced, family, first_only=True):
+    edges = sum(len(family.membership(g)) == 2 for g in comp)
+    if edges >= len({k for g in comp for k in family.membership(g)}):
         raise ConditionsViolatedError("the component contains a primitive cycle")
     root = comp[0]
     w0 = w.value(root)

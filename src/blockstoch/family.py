@@ -527,24 +527,20 @@ def check_freshness(family: SetFamily, m: int) -> FreshnessVerdict:
 
     For a finite family, containment in a union of finitely many other
     blocks is equivalent to containment in the union of all other blocks,
-    so the check is a plain subset test per block beyond position ``m``.
+    which holds exactly when each member of the block lies in at least
+    two blocks.  So the check is one multiplicity test per member of
+    every block beyond position ``m``.
     """
     if m < 0 or m > len(family.blocks):
         raise InputError(f"m must lie in [0, {len(family.blocks)}]")
-    first = family.blocks[:m]
-    covered: set[int] = set()
-    for b in first:
-        covered.update(b.members)
-    if covered == set(family.ground):
+    covered = set().union(*(b.members for b in family.blocks[:m]))
+    if len(covered) == len(family.ground):
         return FreshnessVerdict(ok=True, mode="cover", m=m)
-    violations = []
-    for b in family.blocks[m:]:
-        rest: set[int] = set()
-        for other in family.blocks:
-            if other.index != b.index:
-                rest.update(other.members)
-        if b.member_set <= rest:
-            violations.append(b.index)
+    violations = [
+        b.index
+        for b in family.blocks[m:]
+        if all(len(family.gamma[g]) >= 2 for g in b.members)
+    ]
     if violations:
         return FreshnessVerdict(
             ok=False, mode=None, m=m, violations=tuple(violations)

@@ -1,18 +1,25 @@
-"""The adjacency graph of a set family and its primitive paths.
+"""The element graph and the block multigraph of a set family.
 
-Ground elements are vertices; two are adjacent when they share a block,
-so every block induces a complete subgraph.  A path is a vertex sequence
-whose consecutive vertices are adjacent, with pairwise distinct edges;
-it is simple when no vertex repeats.  A simple path or cycle is
-primitive when no block contains more than two of its vertices.
-Primitive cycles and their parities govern which stochastic weight
-functions are extreme, so this module provides exact, deterministic
-enumeration rather than approximate search.
+In the element graph, ground elements are vertices; two are adjacent
+when they share a block, so every block induces a complete subgraph.  A
+path is a vertex sequence whose consecutive vertices are adjacent, with
+pairwise distinct edges; it is simple when no vertex repeats.  A simple
+path or cycle is primitive when no block contains more than two of its
+vertices.  The element graph serves every family: exact, deterministic
+enumeration of primitive paths and cycles, the ``graph`` census and the
+classifier's canonical witness cycle.
+
+When every multiplicity is at most two, the family is also a multigraph
+H on its blocks: an element in two blocks is an edge, an element in one
+block a half-edge, and primitive cycles are the cycles of H of length at
+least three.  Questions that need only bipartiteness (:func:`bipartition`,
+the vertex search) are answered by one BFS two-coloring of H.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -111,23 +118,30 @@ def build_graph(family: SetFamily, within: Iterable[int] | None = None) -> Assoc
     )
 
 
+def bfs_layers(graph: AssociatedGraph, root: int) -> dict[int, int]:
+    """The distance from ``root`` of every vertex reachable from it."""
+    layers = {root: 0}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in graph.neighbors_of(v):
+                if u not in layers:
+                    layers[u] = layers[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return layers
+
+
 def connected_components(graph: AssociatedGraph) -> tuple[tuple[int, ...], ...]:
     """Components as sorted vertex tuples, ordered by smallest member."""
     seen: set[int] = set()
     components = []
     for start in graph.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for u in graph.neighbors_of(v):
-                if u not in comp:
-                    comp.add(u)
-                    frontier.append(u)
-        seen |= comp
-        components.append(tuple(sorted(comp)))
+        if start not in seen:
+            comp = bfs_layers(graph, start)
+            seen.update(comp)
+            components.append(tuple(sorted(comp)))
     return tuple(components)
 
 
@@ -192,16 +206,7 @@ def shortest_primitive_path(
     shortcut.  Returns None when the vertices are disconnected.
     """
     graph.neighbors_of(g)
-    dist = {h: 0}
-    frontier = [h]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in graph.neighbors_of(v):
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
+    dist = bfs_layers(graph, h)
     if g not in dist:
         return None
     walk = [g]
@@ -213,6 +218,59 @@ def shortest_primitive_path(
     if not is_primitive(family, path):
         raise InternalPropertyError("shortest path is not primitive")
     return path
+
+
+def _primitive_walks(
+    graph: AssociatedGraph,
+    family: SetFamily,
+    start: int,
+    floor: int = -1,
+    end: int | None = None,
+) -> Iterator[list[int]]:
+    """Every primitive simple walk from ``start``, depth first.
+
+    The live walk is yielded each time a vertex is appended, neighbors
+    in ascending order.  Only labels above ``floor`` are appended, and a
+    walk reaching ``end`` is not extended.  A vertex that would put a
+    third walk vertex into some block is skipped.  A stack of neighbor
+    iterators stands in for recursion, so long walks are fine.
+    """
+    gamma = family.gamma
+    neighbors = graph.neighbors
+    loads = dict.fromkeys((b.index for b in family.blocks), 0)
+    for k in family.membership(start):
+        loads[k] = 1
+    walk = [start]
+    on_walk = {start}
+    yield walk
+    stack = [iter(graph.neighbors_of(start))]
+    while stack:
+        for u in stack[-1]:
+            if u <= floor or u in on_walk:
+                continue
+            ks = gamma[u]
+            for k in ks:
+                if loads[k] == 2:
+                    break
+            else:
+                for k in ks:
+                    loads[k] += 1
+                walk.append(u)
+                on_walk.add(u)
+                yield walk
+                if u != end:
+                    stack.append(iter(neighbors[u]))
+                    break
+                walk.pop()
+                on_walk.remove(u)
+                for k in ks:
+                    loads[k] -= 1
+        else:
+            stack.pop()
+            v = walk.pop()
+            on_walk.remove(v)
+            for k in gamma[v]:
+                loads[k] -= 1
 
 
 def enumerate_primitive_paths(
@@ -232,44 +290,8 @@ def enumerate_primitive_paths(
     graph.neighbors_of(h)
     if g == h:
         return (Path((g,)),)
-    found: list[Path] = []
-    counts: dict[int, int] = {}
-    walk: list[int] = []
-
-    def push(v: int) -> bool:
-        for k in family.membership(v):
-            if counts.get(k, 0) >= 2:
-                for kk in family.membership(v):
-                    if kk == k:
-                        break
-                    counts[kk] -= 1
-                return False
-            counts[k] = counts.get(k, 0) + 1
-        walk.append(v)
-        return True
-
-    def pop() -> None:
-        v = walk.pop()
-        for k in family.membership(v):
-            counts[k] -= 1
-
-    def search(v: int) -> bool:
-        if v == h:
-            found.append(Path(tuple(walk)))
-            return stop_after is not None and len(found) >= stop_after
-        for u in graph.neighbors_of(v):
-            if u in walk:
-                continue
-            if not push(u):
-                continue
-            if search(u):
-                return True
-            pop()
-        return False
-
-    push(g)
-    search(g)
-    return tuple(found)
+    walks = _primitive_walks(graph, family, g, end=h)
+    return tuple(islice((Path(tuple(w)) for w in walks if w[-1] == h), stop_after))
 
 
 def unique_primitive_paths(
@@ -300,56 +322,18 @@ def find_primitive_cycles(
     if parity not in ("any", "odd", "even"):
         raise InputError(f"parity must be any, odd or even, not {parity!r}")
     want = {"any": (0, 1), "odd": (1,), "even": (0,)}[parity]
-    found: list[Path] = []
-    counts: dict[int, int] = {}
-    walk: list[int] = []
-
-    def push(v: int) -> bool:
-        for k in family.membership(v):
-            if counts.get(k, 0) >= 2:
-                for kk in family.membership(v):
-                    if kk == k:
-                        break
-                    counts[kk] -= 1
-                return False
-            counts[k] = counts.get(k, 0) + 1
-        walk.append(v)
-        return True
-
-    def pop() -> None:
-        v = walk.pop()
-        for k in family.membership(v):
-            counts[k] -= 1
-
-    def search(start: int) -> bool:
-        v = walk[-1]
-        if (
-            len(walk) >= 3
-            and walk[1] < walk[-1]
-            and graph.adjacent(v, start)
-            and len(walk) % 2 in want
-        ):
-            found.append(Path(tuple(walk), is_cycle=True))
-            if first_only:
-                return True
-        for u in graph.neighbors_of(v):
-            if u <= start or u in walk:
-                continue
-            if not push(u):
-                continue
-            if search(start):
-                return True
-            pop()
-        return False
-
-    for start in graph.vertices:
-        counts.clear()
-        walk.clear()
-        push(start)
-        if search(start):
-            break
-    found.sort(key=lambda c: (len(c.vertices), c.vertices))
-    return tuple(found)
+    cycles = (
+        Path(tuple(walk), is_cycle=True)
+        for start in graph.vertices
+        for walk in _primitive_walks(graph, family, start, floor=start)
+        if len(walk) >= 3
+        and walk[1] < walk[-1]
+        and graph.adjacent(walk[-1], start)
+        and len(walk) % 2 in want
+    )
+    if first_only:
+        return tuple(islice(cycles, 1))
+    return tuple(sorted(cycles, key=lambda c: (len(c.vertices), c.vertices)))
 
 
 @dataclass(frozen=True)
@@ -452,42 +436,64 @@ class Bipartition:
     minus: tuple[int, ...]
 
 
-def bipartition(family: SetFamily, graph: AssociatedGraph | None = None) -> Bipartition | None:
+def bipartition(family: SetFamily) -> Bipartition | None:
     """Two-color the blocks so intersecting blocks land on opposite sides.
 
     Possible exactly when every multiplicity is at most two and the
-    adjacency graph has no odd primitive cycle; returns None otherwise.
-    Deterministic: the smallest block index of every component of the
-    block-intersection graph goes to the plus side.
+    block multigraph H is bipartite, that is, when the element graph has
+    no odd primitive cycle; returns None otherwise.  Deterministic: the
+    smallest block index of every component of H goes to the plus side.
     """
     if max_multiplicity(family) > 2:
         return None
-    if graph is None:
-        graph = build_graph(family)
-    if find_primitive_cycles(graph, family, parity="odd", first_only=True):
+    color = two_color(block_multigraph(family)[1])
+    if color is None:
         return None
-    touching: dict[int, set[int]] = {b.index: set() for b in family.blocks}
-    for ks in family.gamma.values():
-        for a in ks:
-            for b in ks:
-                if a != b:
-                    touching[a].add(b)
-    side: dict[int, int] = {}
-    for root in sorted(touching):
-        if root in side:
-            continue
-        side[root] = 0
-        frontier = [root]
-        while frontier:
-            k = frontier.pop()
-            for other in touching[k]:
-                if other not in side:
-                    side[other] = 1 - side[k]
-                    frontier.append(other)
-                elif side[other] == side[k]:
-                    raise InternalPropertyError(
-                        "block graph is not bipartite despite no odd primitive cycle"
-                    )
-    plus = tuple(sorted(k for k, s in side.items() if s == 0))
-    minus = tuple(sorted(k for k, s in side.items() if s == 1))
+    plus = tuple(b.index for b, c in zip(family.blocks, color) if c == 0)
+    minus = tuple(b.index for b, c in zip(family.blocks, color) if c == 1)
     return Bipartition(plus=plus, minus=minus)
+
+
+def block_multigraph(
+    family: SetFamily,
+) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
+    """The block multigraph H of a family whose multiplicities are at most two.
+
+    Nodes are block positions in ``family.blocks``.  Returns, for each
+    position, the elements lying in that block alone (half-edges) and
+    the ``(element, other position)`` pairs of the elements it shares
+    with one other block (edges), both in ascending element order.
+    """
+    position = {b.index: p for p, b in enumerate(family.blocks)}
+    halves: list[list[int]] = [[] for _ in family.blocks]
+    edges: list[list[tuple[int, int]]] = [[] for _ in family.blocks]
+    for g in family.ground:
+        ends = [position[k] for k in family.gamma[g]]
+        if len(ends) == 1:
+            halves[ends[0]].append(g)
+        else:
+            p, q = ends
+            edges[p].append((g, q))
+            edges[q].append((g, p))
+    return halves, edges
+
+
+def two_color(edges: list[list[tuple[int, int]]]) -> list[int] | None:
+    """A BFS two-coloring of H's nodes, or None when H is not bipartite.
+
+    Every component's lowest position gets color 0.
+    """
+    color: list[int | None] = [None] * len(edges)
+    for start in range(len(edges)):
+        if color[start] is not None:
+            continue
+        color[start] = 0
+        queue = [start]
+        for u in queue:
+            for _, v in edges[u]:
+                if color[v] is None:
+                    color[v] = 1 - color[u]
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    return None
+    return color

@@ -6,12 +6,13 @@ point is a vertex exactly when the block-sum columns of its support are
 linearly independent.
 
 Two enumerations share that definition.  When every multiplicity is at
-most two, the family is a multigraph on its blocks and the vertices are
-read off its exact covers by edges, half-edges and odd cycles (the
-half-integrality of the fractional matching polytope).  Otherwise every
-rank-sized independent column set is solved exactly.  The basis search
-needs no structure at all, so it also serves as the reference the
-multigraph search and the structural classifier are tested against.
+most two, the family is the block multigraph H of :mod:`graphs`, shared
+with :func:`graphs.bipartition`, and the vertices are read off its exact
+covers by edges, half-edges and odd cycles (the half-integrality of the
+fractional matching polytope).  Otherwise every rank-sized independent
+column set is solved exactly.  The basis search needs no structure at
+all, so it also serves as the reference the multigraph search and the
+structural classifier are tested against.
 Everything here runs over exact rationals.
 """
 
@@ -38,6 +39,7 @@ from .family import (
     max_multiplicity,
     require_stochastic,
 )
+from .graphs import block_multigraph, two_color
 
 DEFAULT_BUDGET = 1 << 20
 ONE = Fraction(1)
@@ -159,10 +161,10 @@ def enumerate_vertices(
 class _CoverSearch:
     """Vertex enumeration on the block multigraph H of a family with κ ≤ 2.
 
-    The blocks are the nodes of H; an element in two blocks is an edge
-    and an element in one block is a half-edge.  At a vertex the support
-    columns are independent and every block sums to one with positive
-    values.  A support component with k blocks therefore has at most k
+    H is the one built by :func:`graphs.block_multigraph`: the blocks
+    are its nodes, an element in two blocks is an edge and an element in
+    one block is a half-edge.  At a vertex the support columns are
+    independent and every block sums to one with positive values.  A support component with k blocks therefore has at most k
     elements: it is a tree, plus at most one half-edge or one edge
     closing an odd cycle (an even cycle's columns are dependent).  A
     block met by a single support element forces it to 1 and every other
@@ -173,25 +175,16 @@ class _CoverSearch:
 
     The search takes the lowest uncovered block and tries every piece
     through it over uncovered blocks, so each cover is reached once;
-    cycles are taken in one direction, and are not sought at all when H
-    is bipartite.  Both searches keep explicit stacks, so long rings do
-    not reach the interpreter's recursion limit.
+    cycles are taken in one direction, and are not sought at all when
+    :func:`graphs.two_color` shows H bipartite.  Both searches keep
+    explicit stacks, so long rings do not reach the interpreter's
+    recursion limit.
     """
 
     def __init__(self, family: SetFamily, budget: int):
-        position = {b.index: p for p, b in enumerate(family.blocks)}
-        self.halves: list[list[int]] = [[] for _ in family.blocks]
-        self.edges: list[list[tuple[int, int]]] = [[] for _ in family.blocks]
-        for g in family.ground:
-            ends = [position[k] for k in family.gamma[g]]
-            if len(ends) == 1:
-                self.halves[ends[0]].append(g)
-            else:
-                p, q = ends
-                self.edges[p].append((g, q))
-                self.edges[q].append((g, p))
+        self.halves, self.edges = block_multigraph(family)
         self.full = (1 << len(family.blocks)) - 1
-        self.odd = not _bipartite(self.edges)
+        self.odd = two_color(self.edges) is None
         self.budget = budget
         self.nodes = 0
         self.found: list[WeightFunction] = []
@@ -261,24 +254,6 @@ class _CoverSearch:
                 if path:
                     path.pop()
                     blocked &= ~(1 << u)
-
-
-def _bipartite(edges: list[list[tuple[int, int]]]) -> bool:
-    """Whether a BFS 2-colouring of the multigraph succeeds."""
-    colour: list[int | None] = [None] * len(edges)
-    for start in range(len(edges)):
-        if colour[start] is not None:
-            continue
-        colour[start] = 0
-        queue = [start]
-        for u in queue:
-            for _, v in edges[u]:
-                if colour[v] is None:
-                    colour[v] = 1 - colour[u]
-                    queue.append(v)
-                elif colour[v] == colour[u]:
-                    return False
-    return True
 
 
 def basis_vertices(

@@ -88,6 +88,18 @@ class TestClassify:
         assert err == "error: block 2 sums to 5/4\n"
 
 
+    def test_long_even_ring_gets_a_witness(self, tmp_path, capsys):
+        n = 1000
+        doc = {
+            "blocks": [[i, i % n + 1] for i in range(1, n + 1)],
+            "weights": {str(g): "1/2" for g in range(1, n + 1)},
+        }
+        code = main(["classify", write(tmp_path, doc)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "construction: two_coloring" in out
+
+
 class TestWitness:
     def test_square_has_witness(self, tmp_path, capsys):
         code = main(["witness", write(tmp_path, SQUARE)])

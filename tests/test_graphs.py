@@ -1,17 +1,26 @@
 """Tests for the co-membership graph and primitive path machinery."""
 
+from fractions import Fraction
+
 import pytest
 
+from blockstoch import extremality, graphs
 from blockstoch.errors import (
+    ConditionsViolatedError,
     InputError,
     NotSimpleCycleError,
     NotSimpleError,
     UnknownElementError,
 )
-from blockstoch.family import build_family
+from blockstoch.extremality import (
+    construct_tree_propagation,
+    construct_two_coloring,
+)
+from blockstoch.family import WeightFunction, build_family
 from blockstoch.graphs import (
     Path,
     bipartition,
+    block_multigraph,
     block_vertex_counts,
     build_graph,
     connected_components,
@@ -21,9 +30,11 @@ from blockstoch.graphs import (
     is_primitive,
     is_simple,
     shortest_primitive_path,
+    two_color,
     unique_primitive_paths,
     validate_path,
 )
+from blockstoch.oracle import enumerate_vertices
 
 
 def cycle_family(n):
@@ -231,3 +242,85 @@ class TestBipartition:
     def test_high_multiplicity_has_no_bipartition(self):
         fam = build_family([[0, 1, 2], [0, 2, 3], [0, 3, 4]])
         assert bipartition(fam) is None
+
+
+class TestBlockMultigraph:
+    def test_edges_and_half_edges_by_position(self):
+        fam = build_family([[1, 2, 3], [3, 4], [2, 4, 5]])
+        halves, edges = block_multigraph(fam)
+        assert halves == [[1], [], [5]]
+        assert edges == [[(2, 2), (3, 1)], [(3, 0), (4, 2)], [(2, 0), (4, 1)]]
+
+    def test_parallel_edges_stay_separate(self):
+        fam = build_family([[1, 2, 3], [2, 3, 4]])
+        halves, edges = block_multigraph(fam)
+        assert halves == [[1], [4]]
+        assert edges == [[(2, 1), (3, 1)], [(2, 0), (3, 0)]]
+
+    def test_two_color_puts_each_component_root_at_zero(self):
+        fam = build_family([[1, 2], [2, 3], [4, 5], [5, 6], [6, 7]])
+        assert two_color(block_multigraph(fam)[1]) == [0, 1, 0, 1, 0]
+
+    def test_two_color_refuses_odd_ring(self):
+        assert two_color(block_multigraph(cycle_family(5))[1]) is None
+
+
+class TestLongFamilies:
+    """Walks longer than the interpreter's recursion limit."""
+
+    def test_bipartition_of_long_even_ring(self):
+        split = bipartition(cycle_family(1500))
+        assert split.plus == tuple(range(1, 1501, 2))
+        assert split.minus == tuple(range(2, 1501, 2))
+
+    def test_long_odd_ring_has_no_bipartition(self):
+        assert bipartition(cycle_family(1501)) is None
+
+    def test_first_cycle_of_long_ring(self):
+        fam = cycle_family(1500)
+        cycles = find_primitive_cycles(build_graph(fam), fam, first_only=True)
+        assert cycles == (Path(tuple(range(1, 1501)), is_cycle=True),)
+
+    def test_primitive_path_across_long_path_family(self):
+        fam = build_family([[i, i + 1] for i in range(1, 1501)])
+        paths = enumerate_primitive_paths(build_graph(fam), fam, 1, 1501)
+        assert paths == (Path(tuple(range(1, 1502))),)
+
+
+class TestNoCycleSearch:
+    """The structure questions H answers never run the cycle search."""
+
+    def test_structural_paths_do_not_search_cycles(self, monkeypatch):
+        half = Fraction(1, 2)
+        square = cycle_family(4)
+        on_square = WeightFunction({g: half for g in square.ground})
+        chain = build_family([[1, 2], [2, 3]])
+        on_chain = WeightFunction(
+            {1: Fraction(1, 4), 2: Fraction(3, 4), 3: Fraction(1, 4)}
+        )
+        ring = cycle_family(6)
+        on_ring = WeightFunction({g: half for g in ring.ground})
+        calls = [
+            lambda: bipartition(grid_family(3)),
+            lambda: bipartition(cycle_family(5)),
+            lambda: construct_two_coloring(square, on_square, square.ground),
+            lambda: construct_tree_propagation(chain, on_chain),
+            lambda: enumerate_vertices(grid_family(3)),
+            lambda: enumerate_vertices(cycle_family(5)),
+        ]
+        expected = [call() for call in calls]
+        with pytest.raises(ConditionsViolatedError, match="primitive cycle"):
+            construct_tree_propagation(ring, on_ring)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the primitive-cycle search was reached")
+
+        monkeypatch.setattr(graphs, "find_primitive_cycles", refuse)
+        monkeypatch.setattr(extremality, "find_primitive_cycles", refuse)
+        assert [call() for call in calls] == expected
+        with pytest.raises(ConditionsViolatedError, match="primitive cycle"):
+            construct_tree_propagation(ring, on_ring)
+        triangle = cycle_family(3)
+        on_triangle = WeightFunction({g: half for g in triangle.ground})
+        with pytest.raises(ConditionsViolatedError, match="odd primitive cycle"):
+            construct_two_coloring(triangle, on_triangle, triangle.ground)

@@ -1,20 +1,39 @@
 """Property-based checks over randomly drawn families."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockstoch.cli import gen_random
-from blockstoch.extremality import classify_extreme
+from blockstoch.errors import ConditionsViolatedError
+from blockstoch.extremality import (
+    classify_extreme,
+    construct_tree_propagation,
+    construct_two_coloring,
+)
 from blockstoch.family import (
+    FreshnessVerdict,
     WeightFunction,
     build_family,
+    check_freshness,
+    check_injectivity,
     classify_membership,
     max_multiplicity,
     normalize,
 )
-from blockstoch.graphs import Path, build_graph, decompose_cycle
+from blockstoch.graphs import (
+    Path,
+    bipartition,
+    block_vertex_counts,
+    build_graph,
+    connected_components,
+    decompose_cycle,
+    find_primitive_cycles,
+)
 from blockstoch.instance_io import dump_instance, parse_instance
 from blockstoch.oracle import basis_vertices, decompose, enumerate_vertices
 
@@ -189,3 +208,155 @@ def test_normalize_is_idempotent(fam):
     assert twice.blocks == once.blocks
     assert log.removed_blocks == ()
     assert log.removed_elements == ()
+
+
+# Differential checks: the structure questions answered on the block
+# multigraph (a BFS two-coloring, an edge count, a multiplicity test)
+# against the primitive-cycle search and the union definition they
+# replaced.  Each check returns the outcome it saw, so the sweep can
+# show that every outcome occurs.
+
+
+def _block_components(fam):
+    """Blocks grouped by the components of the block-intersection graph."""
+    root = {b.index: b.index for b in fam.blocks}
+
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    for ks in fam.gamma.values():
+        for k in ks[1:]:
+            root[find(k)] = find(ks[0])
+    groups = {}
+    for b in fam.blocks:
+        groups.setdefault(find(b.index), []).append(b.index)
+    return list(groups.values())
+
+
+def _check_bipartition(fam):
+    split = bipartition(fam)
+    odd = max_multiplicity(fam) > 2 or bool(
+        find_primitive_cycles(build_graph(fam), fam, parity="odd", first_only=True)
+    )
+    assert (split is None) == odd
+    if split is None:
+        return "none"
+    assert sorted(split.plus + split.minus) == [b.index for b in fam.blocks]
+    for side in (split.plus, split.minus):
+        for a, b in combinations(side, 2):
+            assert not fam.block(a).member_set & fam.block(b).member_set
+    for comp in _block_components(fam):
+        assert min(comp) in split.plus
+    return "split"
+
+
+def _check_two_coloring(fam, w, outcomes):
+    supp = w.support
+    for r in range(1, len(supp) + 1):
+        for subset in combinations(supp, r):
+            if any(c != 2 for c in block_vertex_counts(fam, subset).values()):
+                continue
+            induced = build_graph(fam, within=subset)
+            if find_primitive_cycles(induced, fam, parity="odd", first_only=True):
+                with pytest.raises(ConditionsViolatedError, match="odd primitive"):
+                    construct_two_coloring(fam, w, subset)
+                outcomes["two_coloring refused"] += 1
+            else:
+                witness = construct_two_coloring(fam, w, subset)
+                assert_valid_witness(fam, w, witness)
+                outcomes["two_coloring built"] += 1
+
+
+def _check_tree_count(fam, w, outcomes):
+    for comp in connected_components(build_graph(fam, within=w.support)):
+        if (
+            len(comp) < 2
+            or any(len(fam.membership(g)) > 2 for g in comp)
+            or check_injectivity(fam, subset=comp) is not None
+        ):
+            continue
+        induced = build_graph(fam, within=comp)
+        if find_primitive_cycles(induced, fam, first_only=True):
+            with pytest.raises(ConditionsViolatedError, match="primitive cycle"):
+                construct_tree_propagation(fam, w, comp)
+            outcomes["tree refused"] += 1
+        else:
+            witness = construct_tree_propagation(fam, w, comp)
+            assert_valid_witness(fam, w, witness)
+            outcomes["tree built"] += 1
+
+
+def _union_freshness(fam, m):
+    """check_freshness by its definition: unions of the other blocks."""
+    covered = set()
+    for b in fam.blocks[:m]:
+        covered |= b.member_set
+    if covered == set(fam.ground):
+        return FreshnessVerdict(ok=True, mode="cover", m=m)
+    violations = tuple(
+        b.index
+        for b in fam.blocks[m:]
+        if b.member_set
+        <= set().union(*(o.member_set for o in fam.blocks if o.index != b.index))
+    )
+    if violations:
+        return FreshnessVerdict(ok=False, mode=None, m=m, violations=violations)
+    return FreshnessVerdict(ok=True, mode="fresh", m=m)
+
+
+def _member_points(fam):
+    """The average of all vertices and the midpoints of vertex pairs."""
+    vertices = enumerate_vertices(fam)
+    if not vertices:
+        return []
+    total = WeightFunction({})
+    for vertex in vertices:
+        total = total + vertex
+    points = [total.scaled(F(1, len(vertices)))]
+    for a, b in list(combinations(vertices, 2))[:12]:
+        points.append((a + b).scaled(F(1, 2)))
+    return points
+
+
+def _check_structure(fam, outcomes):
+    outcomes["bipartition " + _check_bipartition(fam)] += 1
+    for m in range(len(fam.blocks) + 1):
+        verdict = check_freshness(fam, m)
+        assert verdict == _union_freshness(fam, m)
+        outcomes[f"freshness {verdict.mode}"] += 1
+    for w in _member_points(fam):
+        _check_two_coloring(fam, w, outcomes)
+        _check_tree_count(fam, w, outcomes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_families())
+def test_structure_answers_match_cycle_search(fam):
+    _check_structure(fam, Counter())
+
+
+def test_structure_answers_match_cycle_search_on_seeded_sweep():
+    rng = random.Random(3)
+    outcomes = Counter()
+    kappas = Counter()
+    for i in range(600):
+        elements = rng.randint(2, 9)
+        blocks = rng.randint(1, 8)
+        fam, _ = gen_random(elements, blocks, kappa_max=2 + i % 2, seed=50_000 + i)
+        kappas[max_multiplicity(fam)] += 1
+        _check_structure(fam, outcomes)
+    assert kappas[3] >= 100 and kappas[2] >= 100
+    for outcome in (
+        "bipartition none",
+        "bipartition split",
+        "freshness cover",
+        "freshness fresh",
+        "freshness None",
+        "two_coloring built",
+        "two_coloring refused",
+        "tree built",
+        "tree refused",
+    ):
+        assert outcomes[outcome] > 0, outcome
