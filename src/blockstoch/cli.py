@@ -21,10 +21,11 @@ from .family import (
     SetFamily,
     WeightFunction,
     build_family,
-    check_freshness,
     check_injectivity,
     classify_membership,
     counting_identity,
+    fresh_prefix,
+    max_multiplicity,
 )
 from .extension import (
     Truncation,
@@ -91,8 +92,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     family = instance.family
     print(f"blocks: {len(family.blocks)}")
     print(f"ground elements: {len(family.ground)}")
-    kappa = max(len(ks) for ks in family.gamma.values())
-    print(f"max multiplicity: {kappa}")
+    print(f"max multiplicity: {max_multiplicity(family)}")
     pair = check_injectivity(family)
     if pair is None:
         print("distinct membership sets: yes")
@@ -101,12 +101,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "distinct membership sets: no"
             f" (elements {pair[0]} and {pair[1]} lie in the same blocks)"
         )
-    # m = len(blocks) always passes: every block then lies in the prefix
-    for m in range(len(family.blocks) + 1):
-        verdict = check_freshness(family, m)
-        if verdict.ok:
-            break
-    print(f"fresh elements beyond a prefix: yes (m={m}, mode {verdict.mode})")
+    verdict = fresh_prefix(family)
+    print(
+        f"fresh elements beyond a prefix: yes (m={verdict.m}, mode {verdict.mode})"
+    )
     if instance.weights is not None:
         _print_membership(family, instance.weights)
     return 0

@@ -27,7 +27,7 @@ from .errors import (
     NotStochasticError,
 )
 from .family import Block, SetFamily, WeightFunction, build_family
-from .oracle import Decomposition, decompose
+from .oracle import ONE, ZERO, Decomposition, _rank, decompose
 
 
 class FamilyGenerator(Protocol):
@@ -237,20 +237,37 @@ class Truncation:
     w: WeightFunction
 
 
-def _touched_sums(
-    generator: FamilyGenerator, w: WeightFunction
-) -> dict[int, Fraction]:
-    """Block sums of ``w`` over every block meeting its support."""
-    sums: dict[int, Fraction] = {}
-    for g, value in w.items():
+def _touched_members(
+    generator: FamilyGenerator, support: tuple[int, ...]
+) -> dict[int, list[int]]:
+    """The elements of ``support`` in every block meeting it, by block.
+
+    Read from ``gamma_of``; each listed block is cross-checked with
+    ``contains``.
+    """
+    members: dict[int, list[int]] = {}
+    for g in support:
         for k in generator.gamma_of(g):
             if not generator.contains(k, g):
                 raise GeneratorInconsistentError(
                     f"gamma_of({g}) lists block {k} but contains({k}, {g})"
                     " is false"
                 )
-            sums[k] = sums.get(k, Fraction(0)) + value
-    return sums
+            members.setdefault(k, []).append(g)
+    return members
+
+
+def _block_sums(
+    w: WeightFunction, members: dict[int, list[int]]
+) -> dict[int, Fraction]:
+    return {k: sum((w(g) for g in gs), ZERO) for k, gs in members.items()}
+
+
+def _touched_sums(
+    generator: FamilyGenerator, w: WeightFunction
+) -> dict[int, Fraction]:
+    """Block sums of ``w`` over every block meeting its support."""
+    return _block_sums(w, _touched_members(generator, w.support))
 
 
 def validate_truncation(generator: FamilyGenerator, trunc: Truncation) -> None:
@@ -402,7 +419,8 @@ def extend_truncation(
     values = dict(trunc.w.items())
     assigned: set[int] = set()
     steps: list[ChosenStep] = []
-    prior_gammas: list[tuple[int, frozenset[int], str]] = []
+    # block -> (element, pattern) of every chosen element inside it
+    chosen_in: dict[int, list[tuple[int, str]]] = {}
     last_block = horizon
     if generator.block_count is not None:
         last_block = min(horizon, generator.block_count)
@@ -415,9 +433,10 @@ def extend_truncation(
             complete = True
             break
         k_j = cursor
-        need = 1 - delta.get(k_j, Fraction(0))
+        need = 1 - delta.get(k_j, ZERO)
         if need <= 0:
             raise InternalPropertyError("an unsaturated block lacks headroom")
+        bound = 1 - need
         chosen = None
         scanned = 0
         for g in islice(generator.block_elements(k_j), scan_limit):
@@ -430,7 +449,7 @@ def extend_truncation(
             if g in assigned or min(gamma) <= trunc.n:
                 continue
             others = tuple(k for k in gamma if k != k_j)
-            if _eligible(others, delta, 1 - need, claimed):
+            if _eligible(others, delta, bound, claimed):
                 chosen = (g, gamma)
                 break
         if chosen is None:
@@ -443,17 +462,15 @@ def extend_truncation(
                 f"block {k_j} cannot be saturated: {detail}"
             )
         g_j, gamma = chosen
-        overlaps = [
-            (elem, pattern)
-            for elem, gset, pattern in prior_gammas
-            if gset & set(gamma)
-        ]
+        overlaps = {
+            elem: pattern for k in gamma for elem, pattern in chosen_in.get(k, ())
+        }
         if len(overlaps) > 1:
             raise InternalPropertyError(
                 f"element {g_j} meets {len(overlaps)} earlier chosen elements"
             )
         if overlaps:
-            overlap_with, other_pattern = overlaps[0]
+            ((overlap_with, other_pattern),) = overlaps.items()
             pattern = "a" if other_pattern == "b" else "b"
         else:
             overlap_with, pattern = None, "a"
@@ -463,7 +480,7 @@ def extend_truncation(
                     f"gamma_of({g_j}) lists block {k} but contains({k}, {g_j})"
                     " is false"
                 )
-            new_total = delta.get(k, Fraction(0)) + need
+            new_total = delta.get(k, ZERO) + need
             if new_total > 1:
                 raise InternalPropertyError(
                     f"block {k} overflows to {new_total} at element {g_j}"
@@ -471,9 +488,9 @@ def extend_truncation(
             delta[k] = new_total
             if new_total == 1:
                 claimed.add(k)
+            chosen_in.setdefault(k, []).append((g_j, pattern))
         values[g_j] = need
         assigned.add(g_j)
-        prior_gammas.append((g_j, frozenset(gamma), pattern))
         steps.append(
             ChosenStep(
                 element=g_j,
@@ -528,17 +545,9 @@ class ExtensionReport:
         return not self.violations
 
 
-def _support_rank(
-    columns: tuple[int, ...],
-    rows: list[frozenset[int]],
-) -> int:
-    from .oracle import _rank
-
-    matrix = [
-        [Fraction(1) if g in row else Fraction(0) for g in columns]
-        for row in rows
-    ]
-    return _rank(matrix)
+def _support_rank(rows: list[list[int]]) -> int:
+    """Rank of the 0/1 rows, one per block, over the element labels."""
+    return _rank([dict.fromkeys(row, ONE) for row in rows])
 
 
 def verify_extension(
@@ -556,6 +565,14 @@ def verify_extension(
     each 0/1-valued with block sums at most one.  When the truncation is
     extreme in the truncated polytope, the completion must stay extreme
     on the finite sub-family of saturated blocks over its support.
+
+    The overlaps are found through an index from each block to the
+    chosen elements in it, built here from ``gamma_of`` independently of
+    the walk.  The block sums and the rows of the rank checks also come
+    from ``gamma_of`` of each support element, so, like the block sums,
+    they trust the protocol's promise that ``gamma_of`` lists every
+    block containing an element; each listed block is still
+    cross-checked with ``contains``.
     """
     violations: list[str] = []
     base = trunc.w
@@ -580,7 +597,9 @@ def verify_extension(
                 f"chosen element {g} lies outside block {step.block_index}"
             )
 
-    sums = _touched_sums(generator, result.extended)
+    full_support = result.extended.support
+    extended_members = _touched_members(generator, full_support)
+    sums = _block_sums(result.extended, extended_members)
     last_block = result.horizon
     if generator.block_count is not None:
         last_block = min(result.horizon, generator.block_count)
@@ -596,12 +615,13 @@ def verify_extension(
         if total != 1:
             violations.append(f"block {k} sums to {total}, expected 1")
 
-    gammas = [
-        (s.element, frozenset(generator.gamma_of(s.element)))
-        for s in result.steps
-    ]
-    for j, (gj, gset_j) in enumerate(gammas):
-        met = [gi for gi, gset_i in gammas[:j] if gset_i & gset_j]
+    earlier_in: dict[int, list[int]] = {}
+    for step in result.steps:
+        gj = step.element
+        gamma = generator.gamma_of(gj)
+        met = {gi for k in gamma for gi in earlier_in.get(k, ())}
+        for k in gamma:
+            earlier_in.setdefault(k, []).append(gj)
         if len(met) > 1:
             violations.append(f"element {gj} meets {len(met)} earlier elements")
         recorded = chosen[gj].overlap_with
@@ -625,27 +645,20 @@ def verify_extension(
             violations.append(f"added value at {g} exceeds the packing cover")
 
     saturated_rows = [
-        frozenset(
-            g
-            for g in result.extended.support
-            if generator.contains(k, g)
-        )
-        for k, total in sorted(sums.items())
-        if total == 1
-    ]
-    base_rows = [
-        frozenset(g for g in base.support if generator.contains(k, g))
-        for k, total in sorted(_touched_sums(generator, base).items())
-        if total == 1 or k <= trunc.n
+        extended_members[k] for k, total in sorted(sums.items()) if total == 1
     ]
     base_support = base.support
-    vertex_input = _support_rank(base_support, base_rows) == len(base_support)
+    base_members = _touched_members(generator, base_support)
+    base_sums = _block_sums(base, base_members)
+    base_rows = [
+        base_members[k]
+        for k, total in sorted(base_sums.items())
+        if total == 1 or k <= trunc.n
+    ]
+    vertex_input = _support_rank(base_rows) == len(base_support)
     vertex_shadow: bool | None = None
     if vertex_input:
-        full_support = result.extended.support
-        vertex_shadow = (
-            _support_rank(full_support, saturated_rows) == len(full_support)
-        )
+        vertex_shadow = _support_rank(saturated_rows) == len(full_support)
         if not vertex_shadow:
             violations.append(
                 "an extreme truncation completed to a non-extreme function"

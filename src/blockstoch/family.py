@@ -546,3 +546,25 @@ def check_freshness(family: SetFamily, m: int) -> FreshnessVerdict:
             ok=False, mode=None, m=m, violations=tuple(violations)
         )
     return FreshnessVerdict(ok=True, mode="fresh", m=m)
+
+
+def fresh_prefix(family: SetFamily) -> FreshnessVerdict:
+    """The passing verdict of :func:`check_freshness` for the smallest ``m``.
+
+    One pass over the blocks finds both candidates: the cover mode holds
+    from the position by which every element has appeared, the fresh
+    mode from the last block whose members all have multiplicity at
+    least two, and the smaller position wins.  The cover position is at
+    most the number of blocks, so the verdict always passes.
+    """
+    seen: set[int] = set()
+    cover_m = fresh_m = 0
+    for pos, b in enumerate(family.blocks, start=1):
+        if not seen.issuperset(b.members):
+            seen.update(b.members)
+            cover_m = pos
+        if all(len(family.gamma[g]) >= 2 for g in b.members):
+            fresh_m = pos
+    if cover_m <= fresh_m:
+        return FreshnessVerdict(ok=True, mode="cover", m=cover_m)
+    return FreshnessVerdict(ok=True, mode="fresh", m=fresh_m)

@@ -13,7 +13,16 @@ fractional matching polytope).  Otherwise every rank-sized independent
 column set is solved exactly.  The basis search needs no structure at
 all, so it also serves as the reference the multigraph search and the
 structural classifier are tested against.
-Everything here runs over exact rationals.
+
+Everything here runs over exact rationals, through one sparse
+elimination kernel (:func:`_rref`) that the extension code shares.  A
+row is a dict from column to its nonzero value, and a column index
+(column -> rows holding it) lets each pivot touch only the rows that
+hold its column; on the block-incidence matrices of long rings and
+paths the work stays close to the number of nonzeros.  Which row serves
+as a pivot is a matter of fill only: the reduced row echelon form is
+unique, so pivot columns, reduced rows, kernel vectors, vertices and
+decompositions come out the same whatever the choice.
 """
 
 from __future__ import annotations
@@ -42,96 +51,142 @@ from .family import (
 from .graphs import block_multigraph, two_color
 
 DEFAULT_BUDGET = 1 << 20
+ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
-Matrix = list[list[Fraction]]
+Row = dict[int, Fraction]
 
 
-def _block_rows(family: SetFamily, columns: tuple[int, ...]) -> Matrix:
+def _block_rows(family: SetFamily, columns: tuple[int, ...]) -> list[Row]:
+    """One sparse 0/1 row per block over the positions of ``columns``."""
     position = {g: i for i, g in enumerate(columns)}
-    rows = []
-    for b in family.blocks:
-        row = [Fraction(0)] * len(columns)
-        for g in b.members:
-            if g in position:
-                row[position[g]] = Fraction(1)
-        rows.append(row)
-    return rows
+    return [
+        {position[g]: ONE for g in b.members if g in position}
+        for b in family.blocks
+    ]
 
 
-def _rref(aug: Matrix, ncols: int) -> list[int]:
-    """Row-reduce in place over the first ``ncols`` columns; return pivot columns."""
+def _eliminate(rows: list[Row], ncols: int) -> tuple[list[int], list[int], dict]:
+    """Forward elimination in place over the columns below ``ncols``.
+
+    Columns are taken in ascending order, so the pivot columns are the
+    lexicographically first independent ones, the same for every choice
+    of pivot row; the row with the fewest entries is chosen, which keeps
+    the fill small.  Entries at ``ncols`` and beyond (a right-hand side)
+    are carried along but never pivoted on.  Returns the pivot columns,
+    the row holding each pivot and the column index (column -> rows
+    holding it).
+    """
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            if c < ncols:
+                holders.setdefault(c, set()).add(i)
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pivot_row is None:
+    pivot_rows: list[int] = []
+    used: set[int] = set()
+    for c in sorted(holders):
+        free = [i for i in holders[c] if i not in used]
+        if not free:
             continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pv = aug[r][c]
+        p = min(free, key=lambda i: (len(rows[i]), i))
+        used.add(p)
+        pivot = rows[p]
+        pv = pivot[c]
         if pv != 1:
-            aug[r] = [v / pv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+            pivot = rows[p] = {k: v / pv for k, v in pivot.items()}
+        for i in free:
+            if i != p:
+                _subtract(rows[i], i, rows[i][c], pivot, holders, ncols)
         pivots.append(c)
-        r += 1
-        if r == len(aug):
-            break
+        pivot_rows.append(p)
+    return pivots, pivot_rows, holders
+
+
+def _subtract(
+    row: Row, i: int, f: Fraction, pivot: Row, holders: dict, ncols: int
+) -> None:
+    """``row -= f * pivot`` in place, keeping the column index of row ``i``."""
+    for k, v in pivot.items() if f == 1 else ((k, f * v) for k, v in pivot.items()):
+        old = row.get(k)
+        if old is None:
+            row[k] = -v
+            if k < ncols:
+                holders[k].add(i)
+        elif old != v:
+            row[k] = old - v
+        else:
+            del row[k]
+            if k < ncols:
+                holders[k].discard(i)
+
+
+def _rref(rows: list[Row], ncols: int) -> list[int]:
+    """Reduce sparse rows in place to reduced row echelon form; return pivots.
+
+    Each row maps a column to its nonzero value; entries at ``ncols``
+    and beyond are an augmented right-hand side.  Forward elimination
+    (:func:`_eliminate`) is followed by back substitution from the last
+    pivot up, and the column index means each pivot touches only the
+    rows holding its column.  Afterwards ``rows[i]`` is the reduced row
+    of pivot ``i`` and the rows past the pivots are zero below
+    ``ncols``.  The reduced row echelon form of a matrix is unique, so
+    the pivots and reduced rows do not depend on which row served as
+    each pivot (on the right-hand side this holds whenever the system
+    is consistent).
+    """
+    pivots, pivot_rows, holders = _eliminate(rows, ncols)
+    for c, p in zip(reversed(pivots), reversed(pivot_rows)):
+        pivot = rows[p]
+        for i in [i for i in holders[c] if i != p]:
+            _subtract(rows[i], i, rows[i][c], pivot, holders, ncols)
+    used = set(pivot_rows)
+    rows[:] = [rows[p] for p in pivot_rows] + [
+        row for i, row in enumerate(rows) if i not in used
+    ]
     return pivots
 
 
-def _rank(rows: Matrix) -> int:
-    if not rows:
-        return 0
-    return len(_rref([row[:] for row in rows], len(rows[0])))
+def _rank(rows: list[Row]) -> int:
+    """Rank of sparse rows: the pivot count of forward elimination alone."""
+    ncols = 1 + max((c for row in rows for c in row), default=-1)
+    return len(_eliminate([dict(row) for row in rows], ncols)[0])
 
 
-def _solve_all_ones(rows: Matrix) -> list[Fraction] | None:
+def _solve_all_ones(rows: list[Row], ncols: int) -> list[Fraction] | None:
     """Unique solution of ``rows @ x = 1``, or None if absent or non-unique."""
-    ncols = len(rows[0])
-    aug = [row[:] + [Fraction(1)] for row in rows]
+    aug = [{**row, ncols: ONE} for row in rows]
     pivots = _rref(aug, ncols)
-    for i in range(len(pivots), len(aug)):
-        if aug[i][ncols] != 0:
-            return None
-    if len(pivots) < ncols:
+    if len(pivots) < ncols or any(ncols in row for row in aug[len(pivots):]):
         return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][ncols]
-    return x
+    return [row.get(ncols, ZERO) for row in aug[:ncols]]
 
 
-def _kernel_vector(rows: Matrix, ncols: int) -> list[Fraction] | None:
+def _kernel_vector(rows: list[Row], ncols: int) -> list[Fraction] | None:
     """A nonzero exact solution of ``rows @ x = 0``, or None at full column rank."""
-    reduced = [row[:] for row in rows]
+    reduced = [dict(row) for row in rows]
     pivots = _rref(reduced, ncols)
     if len(pivots) == ncols:
         return None
     free = next(c for c in range(ncols) if c not in pivots)
-    x = [Fraction(0)] * ncols
-    x[free] = Fraction(1)
-    for i, c in enumerate(pivots):
-        x[c] = -reduced[i][free]
+    x = [ZERO] * ncols
+    x[free] = ONE
+    for row, c in zip(reduced, pivots):
+        x[c] = -row.get(free, ZERO)
     return x
 
 
 def _solve_chunk(args):
     member_lists, columns, combos = args
-    position = {g: i for i, g in enumerate(columns)}
-    rows: Matrix = []
-    for members in member_lists:
-        row = [Fraction(0)] * len(columns)
-        for g in members:
-            row[position[g]] = Fraction(1)
-        rows.append(row)
     out = []
     for combo in combos:
-        sub = [[row[i] for i in combo] for row in rows]
-        x = _solve_all_ones(sub)
+        position = {columns[i]: j for j, i in enumerate(combo)}
+        rows = [
+            {position[g]: ONE for g in members if g in position}
+            for members in member_lists
+        ]
+        x = _solve_all_ones(rows, len(combo))
         if x is not None and all(v >= 0 for v in x):
             out.append(tuple((columns[i], v) for i, v in zip(combo, x) if v != 0))
     return out
@@ -388,7 +443,7 @@ def decompose(family: SetFamily, w: WeightFunction) -> Decomposition:
     else:
         raise DepthExceededError("vertex peeling did not terminate")
     terms = _merge_duplicates(terms)
-    terms = _prune_affine(terms, family.ground)
+    terms = _prune_affine(terms)
     total = sum(c for c, _ in terms)
     recombined = Decomposition(terms=tuple(terms)).combined()
     if total != 1 or recombined != w or any(c <= 0 for c, _ in terms):
@@ -407,12 +462,15 @@ def _merge_duplicates(
 
 
 def _prune_affine(
-    terms: list[tuple[Fraction, WeightFunction]], columns: tuple[int, ...]
+    terms: list[tuple[Fraction, WeightFunction]]
 ) -> list[tuple[Fraction, WeightFunction]]:
     while len(terms) > 1:
-        rows = [[v.value(g) for _, v in terms] for g in columns]
-        rows.append([Fraction(1)] * len(terms))
-        mu = _kernel_vector(rows, len(terms))
+        rows: dict[int, Row] = {}
+        for j, (_, v) in enumerate(terms):
+            for g, value in v.items():
+                rows.setdefault(g, {})[j] = value
+        ones = dict.fromkeys(range(len(terms)), ONE)
+        mu = _kernel_vector([*rows.values(), ones], len(terms))
         if mu is None:
             return terms
         theta = min(c / m for (c, _), m in zip(terms, mu) if m > 0)

@@ -53,3 +53,72 @@ def assert_cycle_pieces(
                 assert len(shared_edges) == 1
             else:
                 assert len(shared) <= 1
+
+
+# Dense exact elimination, kept as the reference for the sparse kernel in
+# blockstoch.oracle: rows are full lists of Fractions.
+
+
+def dense_rref(aug: list[list[Fraction]], ncols: int) -> list[int]:
+    """Row-reduce in place over the first ``ncols`` columns; return pivot columns."""
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
+        pv = aug[r][c]
+        if pv != 1:
+            aug[r] = [v / pv for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(aug):
+            break
+    return pivots
+
+
+def dense_rank(rows: list[list[Fraction]], ncols: int) -> int:
+    return len(dense_rref([row[:] for row in rows], ncols))
+
+
+def dense_solve_all_ones(rows: list[list[Fraction]], ncols: int):
+    """Unique solution of ``rows @ x = 1``, or None if absent or non-unique."""
+    aug = [row[:] + [Fraction(1)] for row in rows]
+    pivots = dense_rref(aug, ncols)
+    for i in range(len(pivots), len(aug)):
+        if aug[i][ncols] != 0:
+            return None
+    if len(pivots) < ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][ncols]
+    return x
+
+
+def dense_kernel_vector(rows: list[list[Fraction]], ncols: int):
+    """A nonzero exact solution of ``rows @ x = 0``, or None at full column rank."""
+    reduced = [row[:] for row in rows]
+    pivots = dense_rref(reduced, ncols)
+    if len(pivots) == ncols:
+        return None
+    free = next(c for c in range(ncols) if c not in pivots)
+    x = [Fraction(0)] * ncols
+    x[free] = Fraction(1)
+    for i, c in enumerate(pivots):
+        x[c] = -reduced[i][free]
+    return x
+
+
+def sparse_rows(matrix: list[list[Fraction]]) -> list[dict[int, Fraction]]:
+    """The nonzero entries of each dense row, by column."""
+    return [{c: v for c, v in enumerate(row) if v != 0} for row in matrix]
+
+
+def dense_row(row: dict[int, Fraction], width: int) -> list[Fraction]:
+    return [row.get(c, Fraction(0)) for c in range(width)]

@@ -1,10 +1,12 @@
 """Tests for generator-backed families and truncation completion."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from blockstoch.errors import (
+    GeneratorInconsistentError,
     HorizonExhaustedError,
     InputError,
     NotStochasticError,
@@ -191,12 +193,89 @@ class TestVerifyExtension:
         trunc = Truncation(1, WeightFunction({1: F(1)}))
         result = extend_truncation(gen, trunc, horizon=6)
         bumped = result.extended + WeightFunction({result.steps[0].element: F(1, 4)})
-        import dataclasses
-
         broken = dataclasses.replace(result, extended=bumped)
         report = verify_extension(broken, gen, trunc)
         assert not report.ok
         assert report.violations
+
+    def test_phantom_overlap_reported(self):
+        gen = PathGenerator()
+        trunc = Truncation(1, WeightFunction({1: F(1)}))
+        result = extend_truncation(gen, trunc, horizon=8)
+        assert all(step.overlap_with is None for step in result.steps)
+        steps = list(result.steps)
+        steps[1] = dataclasses.replace(steps[1], overlap_with=3)
+        broken = dataclasses.replace(result, steps=tuple(steps))
+        report = verify_extension(broken, gen, trunc)
+        assert report.violations == ("element 5 records a phantom overlap",)
+
+    def test_wrong_overlap_reported(self):
+        gen = PathGenerator()
+        trunc = Truncation(1, WeightFunction({1: HALF, 2: HALF}))
+        result = extend_truncation(gen, trunc, horizon=8)
+        assert result.steps[1].element == 4
+        assert result.steps[1].overlap_with == 3
+        for recorded in (5, None):
+            steps = list(result.steps)
+            steps[1] = dataclasses.replace(steps[1], overlap_with=recorded)
+            broken = dataclasses.replace(result, steps=tuple(steps))
+            report = verify_extension(broken, gen, trunc)
+            assert report.violations == ("element 4 records the wrong overlap",)
+
+    def test_meeting_two_earlier_elements_reported(self):
+        gen = PathGenerator()
+        trunc = Truncation(1, WeightFunction({1: HALF, 2: HALF}))
+        result = extend_truncation(gen, trunc, horizon=8)
+        first, second, third, *rest = result.steps
+        assert [s.element for s in (first, second, third)] == [3, 4, 5]
+        broken = dataclasses.replace(result, steps=(first, third, second, *rest))
+        report = verify_extension(broken, gen, trunc)
+        assert report.violations == (
+            "element 5 records a phantom overlap",
+            "element 4 meets 2 earlier elements",
+        )
+
+
+class _LyingPathGenerator(PathGenerator):
+    """A path whose gamma_of lists one block too many for fresh labels."""
+
+    def gamma_of(self, g):
+        gamma = super().gamma_of(g)
+        return gamma if g < 3 else (*gamma, g + 5)
+
+
+class TestGeneratorConsistency:
+    def test_walk_rejects_a_block_contains_denies(self):
+        gen = _LyingPathGenerator()
+        trunc = Truncation(1, WeightFunction({1: F(1)}))
+        with pytest.raises(GeneratorInconsistentError) as caught:
+            extend_truncation(gen, trunc, horizon=4)
+        assert str(caught.value) == (
+            "gamma_of(3) lists block 8 but contains(8, 3) is false"
+        )
+
+
+class TestLongHorizons:
+    @pytest.mark.parametrize(
+        "gen, n, weights, horizon, steps",
+        [
+            (PathGenerator(), 1, {1: F(1)}, 5000, 2500),
+            (PathGenerator(), 1, {1: HALF, 2: HALF}, 5000, 4999),
+            (GridGenerator(), 2, {1: F(1)}, 600, 299),
+            (GridGenerator(), 2, {1: HALF, 2: HALF, 3: HALF}, 600, 598),
+        ],
+        ids=["path-vertex", "path-split", "grid-vertex", "grid-split"],
+    )
+    def test_completes_and_verifies(self, gen, n, weights, horizon, steps):
+        trunc = Truncation(n, WeightFunction(weights))
+        result = extend_truncation(gen, trunc, horizon)
+        assert result.complete
+        assert len(result.steps) == steps
+        report = verify_extension(result, gen, trunc)
+        assert report.ok
+        vertex = all(v == 1 for v in weights.values())
+        assert report.vertex_input is vertex
+        assert report.vertex_shadow is (True if vertex else None)
 
 
 class TestApproximateByExtremes:

@@ -14,6 +14,7 @@ from blockstoch.errors import (
     UnknownElementError,
 )
 from blockstoch.family import (
+    FreshnessVerdict,
     WeightFunction,
     block_sum,
     build_family,
@@ -22,6 +23,7 @@ from blockstoch.family import (
     classify_membership,
     counting_identity,
     emptiness_test,
+    fresh_prefix,
     max_multiplicity,
     multiplicity,
     normalize,
@@ -257,3 +259,11 @@ class TestStructureConditions:
         verdict = check_freshness(fam, 0)
         assert not verdict.ok
         assert 1 in verdict.violations
+
+    def test_fresh_prefix_modes(self):
+        path = build_family([[1, 2], [2, 3], [3, 4]])
+        assert fresh_prefix(path) == check_freshness(path, 2)
+        assert fresh_prefix(path).mode == "fresh"
+        ring = build_family([[i, i % 151 + 1] for i in range(1, 152)])
+        assert fresh_prefix(ring) == FreshnessVerdict(ok=True, mode="cover", m=150)
+        assert fresh_prefix(triangle()).m == 2

@@ -1,0 +1,195 @@
+"""The sparse exact elimination kernel against dense and sympy references.
+
+The kernel in ``blockstoch.oracle`` stores only nonzero entries and
+picks pivot rows by size, so its row operations differ from the dense
+elimination kept in ``helpers``; the reduced row echelon form is unique,
+so pivots, reduced rows, ranks, solutions and kernel vectors must agree
+all the same.  ``sympy`` is used here only, as a third opinion.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from blockstoch.cli import gen_random
+from blockstoch.oracle import (
+    _block_rows,
+    _kernel_vector,
+    _rank,
+    _rref,
+    _solve_all_ones,
+)
+
+from helpers import (
+    dense_kernel_vector,
+    dense_rank,
+    dense_row,
+    dense_rref,
+    dense_solve_all_ones,
+    sparse_rows,
+)
+
+sympy = pytest.importorskip("sympy")
+
+F = Fraction
+ENTRIES = [F(0)] * 6 + [F(1), F(1), F(-1), F(2), F(1, 2), F(-3, 4), F(5, 3)]
+
+
+def to_sympy(matrix, ncols):
+    flat = [sympy.Rational(v.numerator, v.denominator) for row in matrix for v in row]
+    return sympy.Matrix(len(matrix), ncols, flat)
+
+
+def from_sympy(value):
+    return F(int(value.p), int(value.q))
+
+
+def consistent(rows, pivots, ncols):
+    """Whether no row past the pivots keeps a right-hand side entry."""
+    return all(ncols not in row for row in rows[len(pivots):])
+
+
+def random_matrix(rng, nrows, ncols):
+    matrix = [[rng.choice(ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows and rng.random() < 0.3:
+        matrix[rng.randrange(nrows)] = [F(0)] * ncols
+    if nrows and ncols and rng.random() < 0.3:
+        c = rng.randrange(ncols)
+        for row in matrix:
+            row[c] = F(0)
+    if nrows and rng.random() < 0.3:
+        matrix.append(list(matrix[rng.randrange(nrows)]))
+    return matrix
+
+
+@st.composite
+def matrices(draw):
+    nrows = draw(st.integers(min_value=0, max_value=7))
+    ncols = draw(st.integers(min_value=0, max_value=7))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    return random_matrix(random.Random(seed), nrows, ncols), ncols
+
+
+def check_rref(matrix, ncols):
+    rows = sparse_rows(matrix)
+    pivots = _rref(rows, ncols)
+    dense = [row[:] for row in matrix]
+    assert pivots == dense_rref(dense, ncols)
+    for i, row in enumerate(rows):
+        if i < len(pivots):
+            assert dense_row(row, ncols) == dense[i]
+        else:
+            assert not row
+    reduced, sym_pivots = to_sympy(matrix, ncols).rref()
+    assert tuple(pivots) == sym_pivots
+    for i in range(len(pivots)):
+        assert dense_row(rows[i], ncols) == [from_sympy(v) for v in reduced.row(i)]
+
+
+def check_augmented(matrix, ncols, rhs):
+    aug = [row + [b] for row, b in zip(matrix, rhs)]
+    rows = sparse_rows(aug)
+    pivots = _rref(rows, ncols)
+    dense = [row[:] for row in aug]
+    assert pivots == dense_rref(dense, ncols)
+    ok = consistent(rows, pivots, ncols)
+    assert ok == all(row[ncols] == 0 for row in dense[len(pivots):])
+    for row in rows[len(pivots):]:
+        assert all(c == ncols for c in row)
+    reduced, sym_pivots = to_sympy(aug, ncols + 1).rref()
+    if ok:
+        assert tuple(pivots) == sym_pivots
+        for i in range(len(pivots)):
+            assert dense_row(rows[i], ncols + 1) == dense[i]
+            assert dense[i] == [from_sympy(v) for v in reduced.row(i)]
+    else:
+        assert sym_pivots == (*pivots, ncols)
+
+
+def check_solvers(matrix, ncols):
+    rows = sparse_rows(matrix)
+    rank = _rank(rows)
+    assert rank == dense_rank(matrix, ncols) == to_sympy(matrix, ncols).rank()
+    x = _solve_all_ones(sparse_rows(matrix), ncols)
+    assert x == dense_solve_all_ones(matrix, ncols)
+    if x is not None:
+        assert all(sum(a * b for a, b in zip(row, x)) == 1 for row in matrix)
+    k = _kernel_vector(rows, ncols)
+    assert rows == sparse_rows(matrix), "the kernel vector must not touch its input"
+    assert k == dense_kernel_vector(matrix, ncols)
+    if k is None:
+        assert rank == ncols
+    else:
+        assert any(k)
+        assert all(sum(a * b for a, b in zip(row, k)) == 0 for row in matrix)
+        first = to_sympy(matrix, ncols).nullspace()[0]
+        assert k == [from_sympy(v) for v in first]
+
+
+def check_all(matrix, ncols, rng):
+    check_rref(matrix, ncols)
+    check_augmented(matrix, ncols, [rng.choice(ENTRIES) for _ in matrix])
+    check_augmented(matrix, ncols, [F(1)] * len(matrix))
+    check_solvers(matrix, ncols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.integers(min_value=0, max_value=2**32))
+def test_kernel_matches_dense_and_sympy(drawn, seed):
+    matrix, ncols = drawn
+    check_all(matrix, ncols, random.Random(seed))
+
+
+@pytest.mark.parametrize(
+    "shape", [(0, 0), (0, 4), (3, 0), (12, 3), (3, 12), (10, 10), (16, 6), (6, 16)]
+)
+def test_kernel_matches_dense_and_sympy_on_seeded_shapes(shape):
+    rng = random.Random(7_000 + 100 * shape[0] + shape[1])
+    for _ in range(25):
+        check_all(random_matrix(rng, *shape), shape[1], rng)
+
+
+def test_kernel_on_special_matrices():
+    rng = random.Random(11)
+    one, half = F(1), F(1, 2)
+    cases = [
+        ([[F(0)] * 4 for _ in range(3)], 4),
+        ([[one, one, F(0)], [one, one, F(0)], [one, one, F(0)]], 3),
+        ([[one, F(0), one], [F(0), F(0), F(0)], [F(0), one, one]], 3),
+        ([[half, F(-1, 3)], [F(3, 7), F(5, 2)], [F(-2), F(9, 4)]], 2),
+        ([[F(2)], [F(-4)]], 1),
+    ]
+    for matrix, ncols in cases:
+        check_all(matrix, ncols, rng)
+    assert _solve_all_ones(sparse_rows([[F(2)], [F(-4)]]), 1) is None
+    assert _solve_all_ones(sparse_rows([[F(2)], [F(4)]]), 1) is None
+    assert _solve_all_ones(sparse_rows([[F(2)], [F(2)]]), 1) == [half]
+    assert _kernel_vector(sparse_rows([[one, one, F(0)]]), 3) == [-one, one, F(0)]
+
+
+def test_rref_ignores_row_order():
+    rng = random.Random(5)
+    for _ in range(200):
+        matrix = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
+        ncols = len(matrix[0])
+        first = sparse_rows(matrix)
+        pivots = _rref(first, ncols)
+        shuffled = sparse_rows(matrix)
+        rng.shuffle(shuffled)
+        assert _rref(shuffled, ncols) == pivots
+        assert first[: len(pivots)] == shuffled[: len(pivots)]
+
+
+def test_block_rows_match_dense_on_seeded_families():
+    rng = random.Random(13)
+    for i in range(150):
+        fam, w = gen_random(rng.randint(2, 10), rng.randint(1, 8), 3, seed=70_000 + i)
+        columns = fam.ground if w is None or i % 2 else w.support
+        rows = _block_rows(fam, columns)
+        matrix = [dense_row(row, len(columns)) for row in rows]
+        assert matrix == [
+            [F(1) if g in b.member_set else F(0) for g in columns] for b in fam.blocks
+        ]
+        check_all(matrix, len(columns), rng)

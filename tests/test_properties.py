@@ -22,6 +22,7 @@ from blockstoch.family import (
     check_freshness,
     check_injectivity,
     classify_membership,
+    fresh_prefix,
     max_multiplicity,
     normalize,
 )
@@ -322,10 +323,16 @@ def _member_points(fam):
 
 def _check_structure(fam, outcomes):
     outcomes["bipartition " + _check_bipartition(fam)] += 1
+    first_passing = None
     for m in range(len(fam.blocks) + 1):
         verdict = check_freshness(fam, m)
         assert verdict == _union_freshness(fam, m)
         outcomes[f"freshness {verdict.mode}"] += 1
+        if verdict.ok and first_passing is None:
+            first_passing = verdict
+    prefix = fresh_prefix(fam)
+    assert prefix == first_passing
+    outcomes[f"prefix {prefix.mode}"] += 1
     for w in _member_points(fam):
         _check_two_coloring(fam, w, outcomes)
         _check_tree_count(fam, w, outcomes)
@@ -354,6 +361,8 @@ def test_structure_answers_match_cycle_search_on_seeded_sweep():
         "freshness cover",
         "freshness fresh",
         "freshness None",
+        "prefix cover",
+        "prefix fresh",
         "two_coloring built",
         "two_coloring refused",
         "tree built",
