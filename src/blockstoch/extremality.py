@@ -42,6 +42,7 @@ from .graphs import (
     find_primitive_cycles,
     is_primitive,
     require_simple,
+    shortest_primitive_cycle,
 )
 
 
@@ -318,18 +319,19 @@ def construct_cycle_attachment(
     second odd primitive cycle, perturbed by half steps of the opposite
     net sign.  One of the two always exists because every block must
     sum to one.  The component must contain no even primitive cycle and
-    no two elements with equal membership sets.  An ``attachment``
-    forces the chain's first element.
+    no two elements with equal membership sets.  Without a ``cycle`` the
+    support's shortest odd primitive cycle, lexicographically first
+    among equals, is used (:func:`shortest_primitive_cycle`).  An
+    ``attachment`` forces the chain's first element.
     """
     require_stochastic(family, w)
     supp = tuple(sorted(w.support))
     supp_set = set(supp)
     graph = build_graph(family, within=supp)
     if cycle is None:
-        odd = find_primitive_cycles(graph, family, parity="odd")
-        if not odd:
+        cycle = shortest_primitive_cycle(graph, family, parity="odd")
+        if cycle is None:
             raise ConditionsViolatedError("the support has no odd primitive cycle")
-        cycle = odd[0]
     require_simple(graph, cycle)
     if not cycle.is_cycle or len(cycle.vertices) % 2 == 0:
         raise NotSimpleCycleError("an odd cycle is required")
@@ -528,14 +530,23 @@ def classify_extreme(family: SetFamily, w: WeightFunction) -> Verdict:
 def _witness_for_component(
     family: SetFamily, w: WeightFunction, comp: tuple[int, ...]
 ) -> Witness:
+    """The perturbation witness of one offending support component.
+
+    The canonical cycles are the shortest even and odd primitive cycles
+    of the component, lexicographically first among equals, as
+    :func:`shortest_primitive_cycle` finds them without listing the
+    others.  An even cycle gets a two-coloring; otherwise an
+    equal-membership pair does; otherwise a cycle-free component gets a
+    tree propagation and any other a cycle attachment on the odd cycle.
+    """
     induced = build_graph(family, within=comp)
-    even = find_primitive_cycles(induced, family, parity="even")
-    if even:
-        return construct_two_coloring(family, w, even[0].vertices)
+    even = shortest_primitive_cycle(induced, family, parity="even")
+    if even is not None:
+        return construct_two_coloring(family, w, even.vertices)
     pair = check_injectivity(family, subset=comp)
     if pair is not None:
         return construct_two_coloring(family, w, pair)
-    odd = find_primitive_cycles(induced, family, parity="odd")
-    if not odd:
+    odd = shortest_primitive_cycle(induced, family, parity="odd")
+    if odd is None:
         return construct_tree_propagation(family, w, component=comp)
-    return construct_cycle_attachment(family, w, cycle=odd[0])
+    return construct_cycle_attachment(family, w, cycle=odd)

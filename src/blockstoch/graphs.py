@@ -6,8 +6,10 @@ path is a vertex sequence whose consecutive vertices are adjacent, with
 pairwise distinct edges; it is simple when no vertex repeats.  A simple
 path or cycle is primitive when no block contains more than two of its
 vertices.  The element graph serves every family: exact, deterministic
-enumeration of primitive paths and cycles, the ``graph`` census and the
-classifier's canonical witness cycle.
+enumeration of primitive paths and cycles, and the ``graph`` census,
+which lists every primitive cycle.  The classifier's canonical witness
+cycle, the first cycle of that list, is found by a bounded shortest-cycle
+search (:func:`shortest_primitive_cycle`) that enumerates nothing else.
 
 When every multiplicity is at most two, the family is also a multigraph
 H on its blocks: an element in two blocks is an edge, an element in one
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     InputError,
@@ -118,15 +120,18 @@ def build_graph(family: SetFamily, within: Iterable[int] | None = None) -> Assoc
     )
 
 
-def bfs_layers(graph: AssociatedGraph, root: int) -> dict[int, int]:
-    """The distance from ``root`` of every vertex reachable from it."""
+def bfs_layers(graph: AssociatedGraph, root: int, floor: int = -1) -> dict[int, int]:
+    """The distance from ``root`` of every vertex reachable from it.
+
+    Only the root and labels above ``floor`` are entered.
+    """
     layers = {root: 0}
     frontier = [root]
     while frontier:
         nxt = []
         for v in frontier:
             for u in graph.neighbors_of(v):
-                if u not in layers:
+                if u > floor and u not in layers:
                     layers[u] = layers[v] + 1
                     nxt.append(u)
         frontier = nxt
@@ -226,13 +231,15 @@ def _primitive_walks(
     start: int,
     floor: int = -1,
     end: int | None = None,
+    prune: Callable[[int, int], bool] | None = None,
 ) -> Iterator[list[int]]:
     """Every primitive simple walk from ``start``, depth first.
 
     The live walk is yielded each time a vertex is appended, neighbors
     in ascending order.  Only labels above ``floor`` are appended, and a
     walk reaching ``end`` is not extended.  A vertex that would put a
-    third walk vertex into some block is skipped.  A stack of neighbor
+    third walk vertex into some block is skipped, and so is a vertex
+    ``u`` for which ``prune(len(walk), u)`` holds.  A stack of neighbor
     iterators stands in for recursion, so long walks are fine.
     """
     gamma = family.gamma
@@ -247,6 +254,8 @@ def _primitive_walks(
     while stack:
         for u in stack[-1]:
             if u <= floor or u in on_walk:
+                continue
+            if prune is not None and prune(len(walk), u):
                 continue
             ks = gamma[u]
             for k in ks:
@@ -319,21 +328,84 @@ def find_primitive_cycles(
     "any", "odd" or "even" (by vertex count).  With ``first_only`` the
     search stops at the first match in canonical enumeration order.
     """
-    if parity not in ("any", "odd", "even"):
-        raise InputError(f"parity must be any, odd or even, not {parity!r}")
-    want = {"any": (0, 1), "odd": (1,), "even": (0,)}[parity]
+    want = _parity_classes(parity)
     cycles = (
         Path(tuple(walk), is_cycle=True)
         for start in graph.vertices
         for walk in _primitive_walks(graph, family, start, floor=start)
-        if len(walk) >= 3
-        and walk[1] < walk[-1]
-        and graph.adjacent(walk[-1], start)
-        and len(walk) % 2 in want
+        if _closes_cycle(graph, walk, want)
     )
     if first_only:
         return tuple(islice(cycles, 1))
     return tuple(sorted(cycles, key=lambda c: (len(c.vertices), c.vertices)))
+
+
+def _parity_classes(parity: str) -> tuple[int, ...]:
+    """The vertex counts modulo two that ``parity`` admits."""
+    if parity not in ("any", "odd", "even"):
+        raise InputError(f"parity must be any, odd or even, not {parity!r}")
+    return {"any": (0, 1), "odd": (1,), "even": (0,)}[parity]
+
+
+def _closes_cycle(
+    graph: AssociatedGraph, walk: list[int], want: tuple[int, ...]
+) -> bool:
+    """Whether a walk from its smallest vertex closes a canonical cycle
+    whose vertex count has a wanted parity."""
+    return (
+        len(walk) >= 3
+        and walk[1] < walk[-1]
+        and graph.adjacent(walk[-1], walk[0])
+        and len(walk) % 2 in want
+    )
+
+
+def shortest_primitive_cycle(
+    graph: AssociatedGraph, family: SetFamily, parity: str = "any"
+) -> Path | None:
+    """``find_primitive_cycles(graph, family, parity)[0]``, or None, found alone.
+
+    The least canonical primitive cycle by (vertex count, vertices),
+    found by branch and bound over the same depth-first walks.  Starts
+    run in ascending order and the walks of one length from one start
+    come in lexicographic order, so a later cycle replaces the best one
+    only when it is shorter: by two vertices for "odd" and "even", by
+    one for "any".  Each cut is sound:
+
+    - a start ``s`` with fewer than two neighbors above it is skipped,
+      since a canonical cycle leaves its smallest vertex through two
+      larger ones;
+    - a walk of ``k`` vertices ending at ``u`` is dropped when
+      ``k - 1 + dist(u)`` exceeds the longest length that would still
+      replace the best, ``dist`` being the BFS distance to ``s`` inside
+      the graph induced on ``s`` and the labels above it (the walk
+      itself leads back to ``s`` there, so ``dist(u)`` is defined);
+    - the search stops at the first cycle of the least possible length,
+      three vertices for "odd" and "any", four for "even".
+    """
+    want = _parity_classes(parity)
+    step = 1 if parity == "any" else 2
+    least = 4 if parity == "even" else 3
+    best: Path | None = None
+    # no cycle has more vertices than the graph
+    limit = len(graph.vertices)
+    dist: dict[int, int] = {}
+
+    def prune(n: int, u: int) -> bool:
+        return n + dist[u] > limit
+
+    for start in graph.vertices:
+        if sum(u > start for u in graph.neighbors[start]) < 2:
+            continue
+        dist = bfs_layers(graph, start, floor=start)
+        walks = _primitive_walks(graph, family, start, floor=start, prune=prune)
+        for walk in walks:
+            if _closes_cycle(graph, walk, want):
+                best = Path(tuple(walk), is_cycle=True)
+                limit = len(walk) - step
+                if limit < least:
+                    return best
+    return best
 
 
 @dataclass(frozen=True)

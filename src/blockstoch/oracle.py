@@ -208,6 +208,8 @@ def enumerate_vertices(
     """
     if jobs < 1:
         raise InputError("jobs must be at least 1")
+    if budget < 1:
+        raise InputError("budget must be at least 1")
     if max_multiplicity(family) <= 2:
         return _CoverSearch(family, budget).vertices()
     return basis_vertices(family, budget=budget, jobs=jobs)
@@ -326,6 +328,8 @@ def basis_vertices(
     """
     if jobs < 1:
         raise InputError("jobs must be at least 1")
+    if budget < 1:
+        raise InputError("budget must be at least 1")
     columns = family.ground
     rows = _block_rows(family, columns)
     r = _rank(rows)
@@ -510,6 +514,8 @@ def cross_validate(
     """
     from . import extremality
 
+    if samples < 0:
+        raise InputError("samples must be nonnegative")
     if max_multiplicity(family) > 2:
         raise ConditionsViolatedError(
             "cross validation compares against the classifier,"

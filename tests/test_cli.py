@@ -20,6 +20,35 @@ SEGMENT = {
 }
 
 
+# `classify` on the uniform 6x6 matrix at 1/6, as the full primitive-cycle
+# enumeration chose its witness
+MATRIX_6_CLASSIFY = (
+    "verdict: not_extreme\n"
+    "detail: the support component containing 1 admits a two_coloring perturbation\n"
+    "construction: two_coloring\n"
+    "epsilon: 1/6\n"
+    "slack: 1/6\n"
+    "w_plus: {1=1/3, 3=1/6, 4=1/6, 5=1/6, 6=1/6, 8=1/3, 9=1/6, "
+    "10=1/6, 11=1/6, 12=1/6, 13=1/6, 14=1/6, 15=1/6, 16=1/6, "
+    "17=1/6, 18=1/6, 19=1/6, 20=1/6, 21=1/6, 22=1/6, 23=1/6, "
+    "24=1/6, 25=1/6, 26=1/6, 27=1/6, 28=1/6, 29=1/6, 30=1/6, "
+    "31=1/6, 32=1/6, 33=1/6, 34=1/6, 35=1/6, 36=1/6}\n"
+    "w_minus: {2=1/3, 3=1/6, 4=1/6, 5=1/6, 6=1/6, 7=1/3, 9=1/6, "
+    "10=1/6, 11=1/6, 12=1/6, 13=1/6, 14=1/6, 15=1/6, 16=1/6, "
+    "17=1/6, 18=1/6, 19=1/6, 20=1/6, 21=1/6, 22=1/6, 23=1/6, "
+    "24=1/6, 25=1/6, 26=1/6, 27=1/6, 28=1/6, 29=1/6, 30=1/6, "
+    "31=1/6, 32=1/6, 33=1/6, 34=1/6, 35=1/6, 36=1/6}\n"
+)
+
+
+def matrix_doc(m):
+    rows = [[m * r + c + 1 for c in range(m)] for r in range(m)]
+    cols = [[m * r + c + 1 for r in range(m)] for c in range(m)]
+    weight = f"1/{m}"
+    weights = {str(g): weight for g in range(1, m * m + 1)}
+    return {"blocks": rows + cols, "weights": weights}
+
+
 def write(tmp_path, doc, name="inst.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -100,6 +129,12 @@ class TestClassify:
         assert "construction: two_coloring" in out
 
 
+    def test_six_by_six_matrix_output_is_unchanged(self, tmp_path, capsys):
+        code = main(["classify", write(tmp_path, matrix_doc(6))])
+        assert code == 0
+        assert capsys.readouterr().out == MATRIX_6_CLASSIFY
+
+
 class TestWitness:
     def test_square_has_witness(self, tmp_path, capsys):
         code = main(["witness", write(tmp_path, SQUARE)])
@@ -140,6 +175,17 @@ class TestVertices:
             "error: vertex search exceeded the budget of 2 search nodes:"
             " 3 visited, 1 found\n"
         )
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "blocks", [[[1, 2], [3, 4], [1, 3], [2, 4]], [[1, 2], [1, 3], [1, 4]]]
+    )
+    def test_budget_below_one_is_input_error(self, tmp_path, capsys, blocks, budget):
+        code = main(["vertices", write(tmp_path, {"blocks": blocks}), "--budget", budget])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: budget must be at least 1\n"
 
     def test_five_by_five_matrix(self, tmp_path, capsys):
         rows = [[5 * r + c + 1 for c in range(5)] for r in range(5)]
@@ -234,6 +280,22 @@ class TestValidate:
         code = main(["validate", write(tmp_path, doc)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--budget", "0"], "budget must be at least 1"),
+            (["--budget", "-1"], "budget must be at least 1"),
+            (["--samples", "-1"], "samples must be nonnegative"),
+        ],
+    )
+    def test_nonsensical_counts_are_input_errors(self, tmp_path, capsys, flags, message):
+        doc = {"blocks": [[2, 3], [1, 3], [1, 2]]}
+        code = main(["validate", write(tmp_path, doc), *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestDemo:
     @pytest.mark.parametrize(
@@ -298,6 +360,15 @@ class TestGen:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one(self, capsys, budget):
+        code = main(
+            ["gen", "--elements", "6", "--blocks", "4", "--kappa-max", "2", "--seed", "7"]
+            + ["--budget", budget]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: budget must be at least 1\n"
+
 
 class TestUsage:
     def test_missing_subcommand(self, capsys):
@@ -305,3 +376,31 @@ class TestUsage:
 
     def test_unknown_flag(self, tmp_path, capsys):
         assert main(["check", "--frobnicate"]) == 1
+
+
+class TestRepeatedCalls:
+    """One process may call ``main`` many times; no call leaks into the next."""
+
+    def test_budget_does_not_stick(self, tmp_path, capsys):
+        path = write(tmp_path, {"blocks": [[1, 2], [3, 4], [1, 3], [2, 4]]})
+        assert main(["vertices", path, "--budget", "2"]) == 3
+        capsys.readouterr()
+        assert main(["vertices", path]) == 0
+        assert capsys.readouterr().out.startswith("vertex count: 2\n")
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        assert main(["check", "--frobnicate"]) == 1
+        capsys.readouterr()
+        assert main(["check", write(tmp_path, TRIANGLE)]) == 0
+        assert "blocks: 3" in capsys.readouterr().out
+
+    def test_witness_then_classify_print_as_alone(self, tmp_path, capsys):
+        path = write(tmp_path, SQUARE)
+        main(["witness", path])
+        witness_alone = capsys.readouterr().out
+        main(["classify", path])
+        classify_alone = capsys.readouterr().out
+        assert main(["witness", path]) == 0
+        assert capsys.readouterr().out == witness_alone
+        assert main(["classify", path]) == 0
+        assert capsys.readouterr().out == classify_alone

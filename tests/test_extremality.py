@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from blockstoch import extremality
 from blockstoch.errors import (
     ConditionsViolatedError,
     NotStochasticError,
@@ -164,3 +165,52 @@ class TestVerdictShape:
         w = WeightFunction({1: F(1, 3), 2: F(2, 3)})
         verdict = classify_extreme(fam, w)
         assert verdict.witness.construction in verdict.detail
+
+
+class TestWitnessCycleIsNotEnumerated:
+    """The canonical witness cycle comes from the bounded search."""
+
+    def test_verdicts_without_the_full_census(self, monkeypatch):
+        square = cycle_family(4)
+        on_square = WeightFunction({g: HALF for g in square.ground})
+        rows = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        matrix = build_family(rows + [list(c) for c in zip(*rows)])
+        on_matrix = WeightFunction({g: F(1, 3) for g in matrix.ground})
+        chain = build_family([[1, 2], [2, 3]])
+        on_chain = WeightFunction({1: F(1, 4), 2: F(3, 4), 3: F(1, 4)})
+        pendant = build_family([[1, 2], [2, 3], [3, 1, 4], [4, 5]])
+        on_pendant = WeightFunction(
+            {1: F(1, 4), 2: F(3, 4), 3: F(1, 4), 4: HALF, 5: HALF}
+        )
+        triangles = build_family(
+            [[2, 6, 7, 8], [1, 4, 7], [1, 2, 3, 5], [4, 6], [3, 5, 8]]
+        )
+        on_triangles = WeightFunction(
+            {2: F(1, 4), 5: F(3, 4), 8: F(1, 4), 6: F(1, 4), 7: F(1, 4), 4: F(3, 4)}
+        )
+        calls = [
+            lambda: classify_extreme(square, on_square),
+            lambda: classify_extreme(matrix, on_matrix),
+            lambda: classify_extreme(chain, on_chain),
+            lambda: classify_extreme(pendant, on_pendant),
+            lambda: classify_extreme(triangles, on_triangles),
+            lambda: construct_cycle_attachment(pendant, on_pendant),
+        ]
+        expected = [call() for call in calls]
+        census = extremality.find_primitive_cycles
+
+        def first_only(*args, **kwargs):
+            if not kwargs.get("first_only"):
+                raise AssertionError("the full primitive-cycle census was reached")
+            return census(*args, **kwargs)
+
+        monkeypatch.setattr(extremality, "find_primitive_cycles", first_only)
+        assert [call() for call in calls] == expected
+        constructions = [v.witness.construction for v in expected[:5]]
+        assert constructions == [
+            "two_coloring",
+            "two_coloring",
+            "tree_propagation",
+            "cycle_attachment",
+            "cycle_attachment",
+        ]

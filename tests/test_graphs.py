@@ -29,6 +29,7 @@ from blockstoch.graphs import (
     find_primitive_cycles,
     is_primitive,
     is_simple,
+    shortest_primitive_cycle,
     shortest_primitive_path,
     two_color,
     unique_primitive_paths,
@@ -169,6 +170,87 @@ class TestPrimitiveCycles:
         graph = build_graph(fam)
         with pytest.raises(InputError):
             find_primitive_cycles(graph, fam, parity="prime")
+
+
+class TestShortestPrimitiveCycle:
+    """The bounded search returns the census's first cycle, and only that."""
+
+    @pytest.mark.parametrize(
+        "fam",
+        [grid_family(m) for m in range(2, 6)] + [cycle_family(n) for n in range(3, 13)],
+    )
+    @pytest.mark.parametrize("parity", ["any", "odd", "even"])
+    def test_matches_the_census(self, fam, parity):
+        graph = build_graph(fam)
+        expected = (find_primitive_cycles(graph, fam, parity) or (None,))[0]
+        assert shortest_primitive_cycle(graph, fam, parity) == expected
+
+    def test_long_ring_is_its_own_cycle(self):
+        fam = cycle_family(2000)
+        graph = build_graph(fam)
+        ring = Path(tuple(range(1, 2001)), is_cycle=True)
+        assert shortest_primitive_cycle(graph, fam) == ring
+        assert shortest_primitive_cycle(graph, fam, parity="even") == ring
+        assert shortest_primitive_cycle(graph, fam, parity="odd") is None
+
+    def test_large_matrix_gives_the_first_square(self):
+        fam = grid_family(20)
+        graph = build_graph(fam)
+        square = Path((1, 2, 22, 21), is_cycle=True)
+        assert shortest_primitive_cycle(graph, fam) == square
+        assert shortest_primitive_cycle(graph, fam, parity="even") == square
+
+    @pytest.mark.parametrize(
+        "ring, extra, parity, expected",
+        [
+            (6, [[2, 7], [7, 8], [8, 2]], "any", (2, 7, 8)),
+            (6, [[2, 7], [7, 8], [8, 2]], "even", (1, 2, 3, 4, 5, 6)),
+            (5, [[2, 7], [7, 8], [8, 2]], "odd", (2, 7, 8)),
+            (6, [[2, 7], [7, 8], [8, 9], [9, 2]], "even", (2, 7, 8, 9)),
+            (5, [[2, 7], [7, 8], [8, 9], [9, 2]], "any", (2, 7, 8, 9)),
+        ],
+    )
+    def test_shorter_cycle_at_a_later_start_wins(self, ring, extra, parity, expected):
+        # the ring through 1 comes first in the walk order; a shorter
+        # cycle of the same parity from a later start must replace it
+        fam = build_family([[i, i % ring + 1] for i in range(1, ring + 1)] + extra)
+        graph = build_graph(fam)
+        assert shortest_primitive_cycle(graph, fam, parity).vertices == expected
+
+    @pytest.mark.parametrize(
+        "fam",
+        [
+            grid_family(4),
+            cycle_family(9),
+            build_family([[i, i % 6 + 1] for i in range(1, 7)] + [[2, 7], [7, 8], [8, 2]]),
+            build_family([[1, 2], [2, 3], [3, 4], [4, 5], [5, 1], [1, 3, 6], [6, 4]]),
+        ],
+    )
+    @pytest.mark.parametrize("parity", ["any", "odd", "even"])
+    def test_visits_only_census_walks(self, monkeypatch, fam, parity):
+        graph = build_graph(fam)
+        census_walks = {
+            tuple(walk)
+            for start in graph.vertices
+            for walk in graphs._primitive_walks(graph, fam, start, floor=start)
+        }
+        walks = graphs._primitive_walks
+        visited = []
+
+        def recording(*args, **kwargs):
+            for walk in walks(*args, **kwargs):
+                visited.append(tuple(walk))
+                yield walk
+
+        monkeypatch.setattr(graphs, "_primitive_walks", recording)
+        shortest_primitive_cycle(graph, fam, parity)
+        assert visited
+        assert set(visited) <= census_walks
+
+    def test_bad_parity_rejected(self):
+        fam = cycle_family(3)
+        with pytest.raises(InputError):
+            shortest_primitive_cycle(build_graph(fam), fam, parity="prime")
 
 
 class TestDecomposeCycle:

@@ -7,6 +7,7 @@ import pytest
 
 from blockstoch.errors import (
     ConditionsViolatedError,
+    InputError,
     InstanceTooLargeError,
     NotStochasticError,
 )
@@ -148,6 +149,16 @@ class TestEnumerateVertices:
         with pytest.raises(InstanceTooLargeError):
             enumerate_vertices(fam, budget=4)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    @pytest.mark.parametrize(
+        "fam", [matrix_family(3), build_family([[0, 1, 2], [0, 2, 3], [0, 3, 4]])]
+    )
+    def test_budget_below_one_rejected(self, fam, budget):
+        with pytest.raises(InputError, match="budget must be at least 1"):
+            enumerate_vertices(fam, budget=budget)
+        with pytest.raises(InputError, match="budget must be at least 1"):
+            basis_vertices(fam, budget=budget)
+
     def test_jobs_do_not_change_output(self):
         fam = matrix_family(3)
         serial = enumerate_vertices(fam, jobs=1)
@@ -231,6 +242,15 @@ class TestCrossValidate:
         fam = build_family([[0, 1, 2], [0, 2, 3], [0, 3, 4]])
         with pytest.raises(ConditionsViolatedError):
             cross_validate(fam)
+
+    def test_negative_samples_rejected(self):
+        with pytest.raises(InputError, match="samples must be nonnegative"):
+            cross_validate(matrix_family(3), samples=-1)
+
+    def test_zero_samples_checks_only_vertices(self):
+        report = cross_validate(matrix_family(3), samples=0)
+        assert report.ok
+        assert report.samples_checked == 0
 
 
 class TestNorms:

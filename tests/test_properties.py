@@ -34,6 +34,7 @@ from blockstoch.graphs import (
     connected_components,
     decompose_cycle,
     find_primitive_cycles,
+    shortest_primitive_cycle,
 )
 from blockstoch.instance_io import dump_instance, parse_instance
 from blockstoch.oracle import basis_vertices, decompose, enumerate_vertices
@@ -369,3 +370,44 @@ def test_structure_answers_match_cycle_search_on_seeded_sweep():
         "tree refused",
     ):
         assert outcomes[outcome] > 0, outcome
+
+
+def _check_shortest_cycle(fam, outcomes):
+    """The bounded search against the census, on the element graph and
+    on every support component of the member points."""
+    pool = [build_graph(fam)]
+    for w in _member_points(fam):
+        support = build_graph(fam, within=w.support)
+        pool += [build_graph(fam, within=c) for c in connected_components(support)]
+    for graph in pool:
+        for parity in ("any", "odd", "even"):
+            expected = (find_primitive_cycles(graph, fam, parity) or (None,))[0]
+            assert shortest_primitive_cycle(graph, fam, parity) == expected
+            outcomes[f"{parity} {'none' if expected is None else 'found'}"] += 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_families())
+def test_shortest_cycle_matches_census(fam):
+    _check_shortest_cycle(fam, Counter())
+
+
+@settings(max_examples=100, deadline=None)
+@given(chorded_cycles())
+def test_shortest_cycle_matches_census_on_chorded_cycles(case):
+    _check_shortest_cycle(case[0], Counter())
+
+
+def test_shortest_cycle_matches_census_on_seeded_sweep():
+    rng = random.Random(5)
+    outcomes = Counter()
+    kappas = Counter()
+    for i in range(600):
+        elements = rng.randint(2, 9)
+        blocks = rng.randint(1, 8)
+        fam, _ = gen_random(elements, blocks, kappa_max=2 + i % 2, seed=70_000 + i)
+        kappas[max_multiplicity(fam)] += 1
+        _check_shortest_cycle(fam, outcomes)
+    assert kappas[3] >= 100 and kappas[2] >= 100
+    for parity in ("any", "odd", "even"):
+        assert outcomes[f"{parity} found"] > 0 and outcomes[f"{parity} none"] > 0
