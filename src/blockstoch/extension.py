@@ -27,6 +27,7 @@ from .errors import (
     NotStochasticError,
 )
 from .family import Block, SetFamily, WeightFunction, build_family
+from .graphs import frame_rank
 from .oracle import ONE, ZERO, Decomposition, _rank, decompose
 
 
@@ -546,7 +547,18 @@ class ExtensionReport:
 
 
 def _support_rank(rows: list[list[int]]) -> int:
-    """Rank of the 0/1 rows, one per block, over the element labels."""
+    """Rank of the 0/1 rows, one per block, over the element labels.
+
+    When every label lies in at most two rows the columns are incidence
+    columns of a multigraph on the rows, and the frame matroid core
+    (:func:`graphs.frame_rank`) gives the rank without row reduction.
+    """
+    ends: dict[int, list[int]] = {}
+    for k, row in enumerate(rows):
+        for g in set(row):
+            ends.setdefault(g, []).append(k)
+    if all(len(e) <= 2 for e in ends.values()):
+        return frame_rank(list(ends.values()))
     return _rank([dict.fromkeys(row, ONE) for row in rows])
 
 

@@ -114,6 +114,13 @@ def construct_two_coloring(
     primitive cycle.
     """
     require_stochastic(family, w)
+    return _two_coloring(family, w, vertices)
+
+
+def _two_coloring(
+    family: SetFamily, w: WeightFunction, vertices: Iterable[int]
+) -> Witness:
+    """:func:`construct_two_coloring` for a ``w`` already known to be stochastic."""
     verts = tuple(sorted(set(vertices)))
     if not verts:
         raise ConditionsViolatedError("the subgraph has no vertices")
@@ -220,6 +227,13 @@ def construct_tree_propagation(
     against the blocks met decides the cycle condition.
     """
     require_stochastic(family, w)
+    return _tree_propagation(family, w, component)
+
+
+def _tree_propagation(
+    family: SetFamily, w: WeightFunction, component: Iterable[int] | None = None
+) -> Witness:
+    """:func:`construct_tree_propagation` for a ``w`` already known to be stochastic."""
     supp = set(w.support)
     if component is None:
         comp = tuple(sorted(supp))
@@ -325,6 +339,16 @@ def construct_cycle_attachment(
     ``attachment`` forces the chain's first element.
     """
     require_stochastic(family, w)
+    return _cycle_attachment(family, w, cycle, attachment)
+
+
+def _cycle_attachment(
+    family: SetFamily,
+    w: WeightFunction,
+    cycle: Path | None = None,
+    attachment: int | None = None,
+) -> Witness:
+    """:func:`construct_cycle_attachment` for a ``w`` already known to be stochastic."""
     supp = tuple(sorted(w.support))
     supp_set = set(supp)
     graph = build_graph(family, within=supp)
@@ -542,11 +566,11 @@ def _witness_for_component(
     induced = build_graph(family, within=comp)
     even = shortest_primitive_cycle(induced, family, parity="even")
     if even is not None:
-        return construct_two_coloring(family, w, even.vertices)
+        return _two_coloring(family, w, even.vertices)
     pair = check_injectivity(family, subset=comp)
     if pair is not None:
-        return construct_two_coloring(family, w, pair)
+        return _two_coloring(family, w, pair)
     odd = shortest_primitive_cycle(induced, family, parity="odd")
     if odd is None:
-        return construct_tree_propagation(family, w, component=comp)
-    return construct_cycle_attachment(family, w, cycle=odd)
+        return _tree_propagation(family, w, component=comp)
+    return _cycle_attachment(family, w, cycle=odd)

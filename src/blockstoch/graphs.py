@@ -15,14 +15,18 @@ When every multiplicity is at most two, the family is also a multigraph
 H on its blocks: an element in two blocks is an edge, an element in one
 block a half-edge, and primitive cycles are the cycles of H of length at
 least three.  Questions that need only bipartiteness (:func:`bipartition`,
-the vertex search) are answered by one BFS two-coloring of H.
+the vertex search, the odd cycle search) are answered by one BFS
+two-coloring of H.  Linear algebra on the block-sum columns is the frame
+matroid of H (:func:`frame_rank`, :func:`frame_circuit`): an edge's
+column is e_a + e_b and a half-edge's is e_a.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     InputError,
@@ -382,8 +386,18 @@ def shortest_primitive_cycle(
       itself leads back to ``s`` there, so ``dist(u)`` is defined);
     - the search stops at the first cycle of the least possible length,
       three vertices for "odd" and "any", four for "even".
+
+    When every element of the graph lies in at most two blocks, an odd
+    search first two-colors H on those elements (:func:`two_color`) and
+    returns None at once if H is bipartite, since the primitive cycles
+    are then the cycles of H; the walks would find none only after
+    exhausting every even one.
     """
     want = _parity_classes(parity)
+    if parity == "odd" and all(len(family.gamma[g]) <= 2 for g in graph.vertices):
+        # the primitive cycles are then the cycles of H on these elements
+        if two_color(block_multigraph(family, graph.vertices)[1]) is not None:
+            return None
     step = 1 if parity == "any" else 2
     least = 4 if parity == "even" else 3
     best: Path | None = None
@@ -527,19 +541,21 @@ def bipartition(family: SetFamily) -> Bipartition | None:
 
 
 def block_multigraph(
-    family: SetFamily,
+    family: SetFamily, elements: Iterable[int] | None = None
 ) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
     """The block multigraph H of a family whose multiplicities are at most two.
 
     Nodes are block positions in ``family.blocks``.  Returns, for each
     position, the elements lying in that block alone (half-edges) and
     the ``(element, other position)`` pairs of the elements it shares
-    with one other block (edges), both in ascending element order.
+    with one other block (edges), both in ascending element order.  With
+    ``elements`` only those elements are taken, and only they need lie
+    in at most two blocks.
     """
     position = {b.index: p for p, b in enumerate(family.blocks)}
     halves: list[list[int]] = [[] for _ in family.blocks]
     edges: list[list[tuple[int, int]]] = [[] for _ in family.blocks]
-    for g in family.ground:
+    for g in family.ground if elements is None else sorted(elements):
         ends = [position[k] for k in family.gamma[g]]
         if len(ends) == 1:
             halves[ends[0]].append(g)
@@ -569,3 +585,165 @@ def two_color(edges: list[list[tuple[int, int]]]) -> list[int] | None:
                 elif color[v] == color[u]:
                     return None
     return color
+
+
+class _FrameForest:
+    """Greedy independence in the frame matroid of H, every edge negative.
+
+    A column is given by its ends, the nodes (blocks) it lies in: two
+    for an edge, whose column is e_a + e_b, one for a half-edge, whose
+    column is e_a, none for the zero column.  A set of such columns is
+    linearly independent exactly when each of its components is a tree,
+    a tree plus one edge closing an odd cycle, or a tree plus one
+    half-edge (Zaslavsky, "Signed graphs", 1982).  A union-find over the
+    nodes keeps each node's color parity relative to its root, and each
+    root whose component already holds its one odd cycle or half-edge
+    records that "unbalancing" column in ``extra``.  The union edges
+    form a spanning forest, kept in ``tree`` for :meth:`circuit`.
+    """
+
+    def __init__(self) -> None:
+        self.parent: dict[int, int] = {}
+        self.parity: dict[int, int] = {}
+        self.size: dict[int, int] = {}
+        self.extra: dict[int, tuple[int, Sequence[int]]] = {}
+        self.tree: dict[int, list[tuple[int, int]]] = {}
+
+    def _find(self, v: int) -> tuple[int, int]:
+        """The root of ``v`` and the parity of ``v`` relative to it."""
+        parent = self.parent
+        if v not in parent:
+            parent[v] = v
+            self.parity[v] = 0
+            self.size[v] = 1
+            self.tree[v] = []
+            return v, 0
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        parity = self.parity
+        acc = 0
+        for u in reversed(path):
+            acc ^= parity[u]
+            parity[u] = acc
+            parent[u] = v
+        return v, acc
+
+    def add(self, column: int, ends: Sequence[int]) -> bool:
+        """Take the column if it is independent of those taken; say whether."""
+        if not ends:
+            return False
+        extra = self.extra
+        if len(ends) == 1:
+            root, _ = self._find(ends[0])
+            if root in extra:
+                return False
+            extra[root] = (column, ends)
+            return True
+        a, b = ends
+        ra, pa = self._find(a)
+        rb, pb = self._find(b)
+        if ra == rb:
+            # equal parities close an odd cycle, unequal ones an even cycle
+            if pa != pb or ra in extra:
+                return False
+            extra[ra] = (column, ends)
+            return True
+        if ra in extra and rb in extra:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, pa, rb, pb = rb, pb, ra, pa
+        self.parent[rb] = ra
+        self.parity[rb] = pa ^ pb ^ 1
+        self.size[ra] += self.size[rb]
+        if rb in extra:
+            extra[ra] = extra.pop(rb)
+        self.tree[a].append((column, b))
+        self.tree[b].append((column, a))
+        return True
+
+    def circuit(self, column: int, ends: Sequence[int]) -> dict[int, int]:
+        """The circuit a rejected column closes, with that column at 2.
+
+        The values solve ``sum(x[c] * col_c) = 0`` over the taken columns
+        and this one, which is unique because the taken ones are
+        independent; with the rejected column at 2 they are integers.
+        Each component the column's ends lie in is solved from its
+        leaves up: a tree edge carries what its lower side still lacks,
+        as a constant plus a multiple of the unknown value ``t`` of the
+        component's unbalancing column, and the root's remainder, which
+        must vanish, fixes ``t``.
+        """
+        x = {column: 2}
+        solved: set[int] = set()
+        for start in ends:
+            root, _ = self._find(start)
+            if root in solved:
+                continue
+            solved.add(root)
+            extra = self.extra.get(root)
+            order = [start]
+            up: dict[int, tuple[int, int] | None] = {start: None}
+            for u in order:
+                for c, v in self.tree[u]:
+                    if v not in up:
+                        up[v] = (c, u)
+                        order.append(v)
+            # remainder at each node: (constant, coefficient of t)
+            rest = {v: [0, 0] for v in order}
+            for v in ends:
+                if v in rest:
+                    rest[v][0] -= 2
+            if extra is not None:
+                for v in extra[1]:
+                    rest[v][1] -= 1
+            flows: list[tuple[int, int, int]] = []
+            for v in reversed(order[1:]):
+                c, u = up[v]
+                r0, r1 = rest[v]
+                flows.append((c, r0, r1))
+                rest[u][0] -= r0
+                rest[u][1] -= r1
+            r0, r1 = rest[start]
+            if r1 == 0:
+                if r0 != 0:
+                    raise InternalPropertyError("a balanced component does not close")
+                t = 0
+            else:
+                t, left = divmod(-r0, r1)
+                if left:
+                    raise InternalPropertyError("a circuit value is not integral")
+            if t:
+                x[extra[0]] = t
+            for c, f0, f1 in flows:
+                if f0 + f1 * t:
+                    x[c] = f0 + f1 * t
+        return x
+
+
+def frame_rank(ends: Sequence[Sequence[int]]) -> int:
+    """Rank of the 0/1 matrix whose column ``c`` has ones at ``ends[c]``.
+
+    Every column lies in at most two rows, so this is the rank of those
+    columns in the frame matroid of H (see :class:`_FrameForest`).
+    """
+    forest = _FrameForest()
+    return sum(forest.add(c, e) for c, e in enumerate(ends))
+
+
+def frame_circuit(ends: Sequence[Sequence[int]]) -> dict[int, Fraction] | None:
+    """The nonzero entries of the first dependent column's circuit, or None.
+
+    Columns are taken in ascending order as in ``oracle._eliminate``, so
+    those before the first rejected column are pivots and it is the
+    first free column.  The result is the unique kernel vector supported
+    on them and that column, with that column at 1: the nonzero entries,
+    by column, of the vector ``oracle._kernel_vector`` returns for the
+    same 0/1 matrix.
+    """
+    forest = _FrameForest()
+    for c, e in enumerate(ends):
+        if not forest.add(c, e):
+            return {k: Fraction(v, 2) for k, v in forest.circuit(c, e).items()}
+    return None

@@ -14,15 +14,21 @@ column set is solved exactly.  The basis search needs no structure at
 all, so it also serves as the reference the multigraph search and the
 structural classifier are tested against.
 
-Everything here runs over exact rationals, through one sparse
-elimination kernel (:func:`_rref`) that the extension code shares.  A
-row is a dict from column to its nonzero value, and a column index
-(column -> rows holding it) lets each pivot touch only the rows that
-hold its column; on the block-incidence matrices of long rings and
-paths the work stays close to the number of nonzeros.  Which row serves
-as a pivot is a matter of fill only: the reduced row echelon form is
-unique, so pivot columns, reduced rows, kernel vectors, vertices and
-decompositions come out the same whatever the choice.
+Everything here runs over exact rationals.  When every support element
+lies in at most two blocks, its block-sum column is an incidence column
+of H, and the rank and kernel vectors that :func:`is_vertex`,
+:func:`decompose` and its vertex walk need come from the frame matroid
+core of :mod:`graphs` (:func:`graphs.frame_rank`,
+:func:`graphs.frame_circuit`), with no row reduction.  Otherwise, and
+for the basis search, they come from one sparse elimination kernel
+(:func:`_rref`) that the extension code shares.  A row is a dict from
+column to its nonzero value, and a column index (column -> rows holding
+it) lets each pivot touch only the rows that hold its column; on the
+block-incidence matrices of long rings and paths the work stays close
+to the number of nonzeros.  Which row serves as a pivot is a matter of
+fill only: the reduced row echelon form is unique, so pivot columns,
+reduced rows, kernel vectors, vertices and decompositions come out the
+same whatever the choice, and the same as the frame matroid core's.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from .family import (
     max_multiplicity,
     require_stochastic,
 )
-from .graphs import block_multigraph, two_color
+from .graphs import block_multigraph, frame_circuit, frame_rank, two_color
 
 DEFAULT_BUDGET = 1 << 20
 ZERO = Fraction(0)
@@ -378,32 +384,83 @@ def _or_all(masks: list[int], combo: tuple[int, ...]) -> int:
     return acc
 
 
+def _support_ends(
+    family: SetFamily, supp: tuple[int, ...]
+) -> list[tuple[int, ...]] | None:
+    """The blocks of each support element, or None if one lies in three or more.
+
+    When every element lies in at most two blocks, its block-sum column
+    is an incidence column of the block multigraph H and the frame
+    matroid core of :mod:`graphs` answers rank and kernel questions.
+    """
+    gamma = family.gamma
+    ends = [gamma[g] for g in supp]
+    return ends if max(map(len, ends), default=0) <= 2 else None
+
+
+def _independent(family: SetFamily, supp: tuple[int, ...]) -> bool:
+    """Whether the block-sum columns of ``supp`` are linearly independent."""
+    ends = _support_ends(family, supp)
+    if ends is None:
+        return _rank(_block_rows(family, supp)) == len(supp)
+    return frame_rank(ends) == len(supp)
+
+
+def _support_kernel(
+    family: SetFamily, supp: tuple[int, ...]
+) -> dict[int, Fraction] | None:
+    """The kernel vector of the block-sum columns of ``supp``, or None.
+
+    Its nonzero entries by position in ``supp``: the vector
+    :func:`_kernel_vector` returns, taken from the frame matroid core
+    when every element lies in at most two blocks.
+    """
+    ends = _support_ends(family, supp)
+    if ends is not None:
+        return frame_circuit(ends)
+    x = _kernel_vector(_block_rows(family, supp), len(supp))
+    return None if x is None else {c: v for c, v in enumerate(x) if v}
+
+
 def is_vertex(family: SetFamily, w: WeightFunction) -> bool:
     """Whether a stochastic weight function is a vertex of the polytope.
 
     Holds exactly when the block-sum columns of its support are linearly
-    independent.
+    independent.  When every support element lies in at most two
+    blocks, that is independence in the frame matroid of H
+    (:func:`graphs.frame_rank`), decided by a union-find without any
+    row reduction; otherwise the sparse kernel decides it.
     """
     require_stochastic(family, w)
-    supp = w.support
-    rows = _block_rows(family, supp)
-    return _rank(rows) == len(supp)
+    return _independent(family, w.support)
 
 
 def _vertex_within(family: SetFamily, start: WeightFunction) -> WeightFunction:
-    """Walk from a stochastic point to a vertex without growing the support."""
-    current = start
+    """Walk from a stochastic point to a vertex without growing the support.
+
+    Each step moves along :func:`_support_kernel` of the current support
+    until a value reaches zero, so the support shrinks until its columns
+    are independent.  When every support element lies in at most two
+    blocks that kernel vector is a circuit of the frame matroid of H
+    (:func:`graphs.frame_circuit`), found without row reduction.
+    The walk updates a plain dict, which stays in ascending label order
+    because keys are only updated or deleted, and builds one
+    ``WeightFunction`` at the end.
+    """
+    current = dict(start.items())
     for _ in range(len(family.ground) + 2):
-        supp = current.support
-        rows = _block_rows(family, supp)
-        kernel = _kernel_vector(rows, len(supp))
+        supp = tuple(current)
+        kernel = _support_kernel(family, supp)
         if kernel is None:
-            return current
-        direction = WeightFunction(
-            {g: kv for g, kv in zip(supp, kernel) if kv != 0}
-        )
-        step = min(-current(g) / dv for g, dv in direction.items() if dv < 0)
-        current = current + direction.scaled(step)
+            return WeightFunction(current)
+        moves = [(supp[c], kv) for c, kv in kernel.items()]
+        step = min(-current[g] / kv for g, kv in moves if kv < 0)
+        for g, kv in moves:
+            value = current[g] + step * kv
+            if value:
+                current[g] = value
+            else:
+                del current[g]
     raise DepthExceededError("vertex walk did not terminate")
 
 
@@ -423,18 +480,21 @@ class Decomposition:
 def decompose(family: SetFamily, w: WeightFunction) -> Decomposition:
     """Write a stochastic weight function as a convex combination of vertices.
 
-    Peels off one vertex at a time, shrinking the support at every step,
-    then prunes affine dependencies so the number of terms is at most
-    one more than the dimension of the polytope.  The result recombines
-    to the input exactly.
+    Peels off one vertex at a time, shrinking the support at every step.
+    Each peel removes from the point an element of the peeled vertex's
+    support, and later vertices lie in the point's shrunken support, so
+    every term holds an element that no later term holds.  The terms are
+    therefore distinct and linearly independent, hence affinely
+    independent: their number is at most one more than the dimension of
+    the polytope, and no pruning is needed.  The result recombines to
+    the input exactly.
     """
     require_stochastic(family, w)
     terms: list[tuple[Fraction, WeightFunction]] = []
     coef = Fraction(1)
     current = w
     for _ in range(len(family.ground) + 2):
-        supp = current.support
-        if _rank(_block_rows(family, supp)) == len(supp):
+        if _independent(family, current.support):
             terms.append((coef, current))
             break
         vertex = _vertex_within(family, current)
@@ -446,44 +506,12 @@ def decompose(family: SetFamily, w: WeightFunction) -> Decomposition:
         coef = coef * (Fraction(1) - t)
     else:
         raise DepthExceededError("vertex peeling did not terminate")
-    terms = _merge_duplicates(terms)
-    terms = _prune_affine(terms)
     total = sum(c for c, _ in terms)
     recombined = Decomposition(terms=tuple(terms)).combined()
     if total != 1 or recombined != w or any(c <= 0 for c, _ in terms):
         raise InternalPropertyError("decomposition does not recombine to the input")
     terms.sort(key=lambda cw: (-cw[0], cw[1].sort_key()))
     return Decomposition(terms=tuple(terms))
-
-
-def _merge_duplicates(
-    terms: list[tuple[Fraction, WeightFunction]]
-) -> list[tuple[Fraction, WeightFunction]]:
-    merged: dict[WeightFunction, Fraction] = {}
-    for coef, vertex in terms:
-        merged[vertex] = merged.get(vertex, Fraction(0)) + coef
-    return [(c, v) for v, c in merged.items() if c != 0]
-
-
-def _prune_affine(
-    terms: list[tuple[Fraction, WeightFunction]]
-) -> list[tuple[Fraction, WeightFunction]]:
-    while len(terms) > 1:
-        rows: dict[int, Row] = {}
-        for j, (_, v) in enumerate(terms):
-            for g, value in v.items():
-                rows.setdefault(g, {})[j] = value
-        ones = dict.fromkeys(range(len(terms)), ONE)
-        mu = _kernel_vector([*rows.values(), ones], len(terms))
-        if mu is None:
-            return terms
-        theta = min(c / m for (c, _), m in zip(terms, mu) if m > 0)
-        terms = [
-            (c - theta * m, v)
-            for (c, v), m in zip(terms, mu)
-            if c - theta * m != 0
-        ]
-    return terms
 
 
 @dataclass(frozen=True)

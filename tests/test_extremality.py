@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from blockstoch import extremality
+from blockstoch import extremality, graphs
 from blockstoch.errors import (
     ConditionsViolatedError,
     NotStochasticError,
@@ -16,7 +16,12 @@ from blockstoch.extremality import (
     construct_tree_propagation,
     construct_two_coloring,
 )
-from blockstoch.family import WeightFunction, build_family, classify_membership
+from blockstoch.family import (
+    WeightFunction,
+    build_family,
+    classify_membership,
+    require_stochastic,
+)
 from blockstoch.graphs import Path
 
 F = Fraction
@@ -150,6 +155,21 @@ class TestCycleAttachment:
         witness = construct_cycle_attachment(fam, w, cycle=cycle)
         assert_valid_witness(fam, w, witness)
 
+    def test_uniform_matrix_refused_without_walks(self, monkeypatch):
+        m = 20
+        rows = [[m * r + c + 1 for c in range(m)] for r in range(m)]
+        fam = build_family(rows + [list(c) for c in zip(*rows)])
+        w = WeightFunction({g: F(1, m) for g in fam.ground})
+
+        def no_walks(*args, **kwargs):
+            raise AssertionError("the odd search walked a bipartite H")
+
+        monkeypatch.setattr(graphs, "_primitive_walks", no_walks)
+        with pytest.raises(
+            ConditionsViolatedError, match="the support has no odd primitive cycle"
+        ):
+            construct_cycle_attachment(fam, w)
+
 
 class TestVerdictShape:
     def test_extreme_detail_counts_components(self):
@@ -214,3 +234,48 @@ class TestWitnessCycleIsNotEnumerated:
             "cycle_attachment",
             "cycle_attachment",
         ]
+
+
+class TestStochasticCheckedOnce:
+    """The classifier checks its input once; the public constructors check theirs."""
+
+    CASES = [
+        (cycle_family(3), WeightFunction({1: HALF, 2: HALF, 3: HALF})),
+        (cycle_family(4), WeightFunction({g: HALF for g in range(1, 5)})),
+        (
+            build_family([[1, 2], [2, 3]]),
+            WeightFunction({1: F(1, 4), 2: F(3, 4), 3: F(1, 4)}),
+        ),
+        (
+            build_family([[1, 2], [2, 3], [3, 1, 4], [4, 5]]),
+            WeightFunction({1: F(1, 4), 2: F(3, 4), 3: F(1, 4), 4: HALF, 5: HALF}),
+        ),
+    ]
+
+    def test_classify_checks_once(self, monkeypatch):
+        calls = []
+
+        def counting(family, w):
+            calls.append(w)
+            return require_stochastic(family, w)
+
+        monkeypatch.setattr(extremality, "require_stochastic", counting)
+        kinds = []
+        for fam, w in self.CASES:
+            calls.clear()
+            verdict = classify_extreme(fam, w)
+            assert calls == [w]
+            kinds.append(verdict.witness.construction if verdict.witness else None)
+        assert kinds == [None, "two_coloring", "tree_propagation", "cycle_attachment"]
+
+    def test_public_constructors_reject_non_stochastic(self):
+        fam = cycle_family(4)
+        w = WeightFunction({g: F(1, 3) for g in fam.ground})
+        calls = [
+            lambda: construct_two_coloring(fam, w, fam.ground),
+            lambda: construct_tree_propagation(fam, w),
+            lambda: construct_cycle_attachment(fam, w),
+        ]
+        for call in calls:
+            with pytest.raises(NotStochasticError, match="block 1 sums to 2/3"):
+                call()

@@ -16,7 +16,7 @@ from blockstoch.extremality import (
     construct_tree_propagation,
     construct_two_coloring,
 )
-from blockstoch.family import WeightFunction, build_family
+from blockstoch.family import WeightFunction, build_family, max_multiplicity
 from blockstoch.graphs import (
     Path,
     bipartition,
@@ -244,13 +244,30 @@ class TestShortestPrimitiveCycle:
 
         monkeypatch.setattr(graphs, "_primitive_walks", recording)
         shortest_primitive_cycle(graph, fam, parity)
-        assert visited
+        # an odd search on a bipartite H is answered by the two-coloring
+        # alone and walks nothing; every other search walks something
+        bipartite_h = (
+            max_multiplicity(fam) <= 2 and two_color(block_multigraph(fam)[1]) is not None
+        )
+        assert bool(visited) != (parity == "odd" and bipartite_h)
         assert set(visited) <= census_walks
 
     def test_bad_parity_rejected(self):
         fam = cycle_family(3)
         with pytest.raises(InputError):
             shortest_primitive_cycle(build_graph(fam), fam, parity="prime")
+
+    def test_bipartite_odd_search_walks_nothing(self, monkeypatch):
+        # H of the uniform 20 x 20 matrix joins rows to columns, so it is
+        # bipartite; the exhaustive walks would not finish in reasonable time
+        fam = grid_family(20)
+        graph = build_graph(fam)
+
+        def no_walks(*args, **kwargs):
+            raise AssertionError("the odd search walked a bipartite H")
+
+        monkeypatch.setattr(graphs, "_primitive_walks", no_walks)
+        assert shortest_primitive_cycle(graph, fam, parity="odd") is None
 
 
 class TestDecomposeCycle:

@@ -1,10 +1,13 @@
-"""The sparse exact elimination kernel against dense and sympy references.
+"""The exact kernels against dense and sympy references.
 
 The kernel in ``blockstoch.oracle`` stores only nonzero entries and
 picks pivot rows by size, so its row operations differ from the dense
 elimination kept in ``helpers``; the reduced row echelon form is unique,
 so pivots, reduced rows, ranks, solutions and kernel vectors must agree
-all the same.  ``sympy`` is used here only, as a third opinion.
+all the same.  The frame matroid core in ``blockstoch.graphs`` answers
+rank and kernel questions for 0/1 matrices with at most two ones per
+column without any row reduction, and must agree with both exactly.
+``sympy`` is used here only, as a third opinion.
 """
 
 import random
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockstoch.cli import gen_random
+from blockstoch.graphs import frame_circuit, frame_rank
 from blockstoch.oracle import (
     _block_rows,
     _kernel_vector,
@@ -193,3 +197,123 @@ def test_block_rows_match_dense_on_seeded_families():
             [F(1) if g in b.member_set else F(0) for g in columns] for b in fam.blocks
         ]
         check_all(matrix, len(columns), rng)
+
+
+def random_incidence(rng, nrows, ncols):
+    """Columns with at most two ones: edges, repeated (parallel) edges,
+    half-edges and empty columns, often kept inside one of two row
+    groups so that the matrix splits into several components."""
+    split = rng.randint(0, nrows)
+    groups = [g for g in (list(range(split)), list(range(split, nrows))) if g]
+    ends = []
+    for _ in range(ncols):
+        roll = rng.random()
+        if not nrows or roll < 0.1:
+            ends.append(())
+        elif nrows == 1 or roll < 0.3:
+            ends.append((rng.randrange(nrows),))
+        elif ends and roll < 0.45:
+            ends.append(rng.choice(ends))
+        else:
+            pool = rng.choice(groups) if rng.random() < 0.6 else range(nrows)
+            if len(pool) < 2:
+                pool = range(nrows)
+            ends.append(tuple(sorted(rng.sample(pool, 2))))
+    return ends
+
+
+def incidence_matrix(nrows, ends):
+    return [[F(1) if r in e else F(0) for e in ends] for r in range(nrows)]
+
+
+def check_frame(nrows, ends):
+    matrix = incidence_matrix(nrows, ends)
+    ncols = len(ends)
+    rank = frame_rank(ends)
+    assert rank == _rank(sparse_rows(matrix)) == dense_rank(matrix, ncols)
+    assert rank == to_sympy(matrix, ncols).rank()
+    circuit = frame_circuit(ends)
+    kernel = None if circuit is None else [circuit.get(c, F(0)) for c in range(ncols)]
+    assert kernel == _kernel_vector(sparse_rows(matrix), ncols)
+    assert kernel == dense_kernel_vector(matrix, ncols)
+    if kernel is None:
+        assert rank == ncols
+    else:
+        assert all(v != 0 for v in circuit.values())
+        first = to_sympy(matrix, ncols).nullspace()[0]
+        assert kernel == [from_sympy(v) for v in first]
+
+
+@st.composite
+def incidences(draw):
+    nrows = draw(st.integers(min_value=0, max_value=8))
+    ncols = draw(st.integers(min_value=0, max_value=10))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    return nrows, random_incidence(random.Random(seed), nrows, ncols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(incidences())
+def test_frame_core_matches_sparse_dense_and_sympy(drawn):
+    check_frame(*drawn)
+
+
+def test_frame_core_matches_sparse_and_dense_on_seeded_incidences():
+    rng = random.Random(17)
+    for _ in range(3000):
+        nrows = rng.randint(0, 9)
+        ends = random_incidence(rng, nrows, rng.randint(0, 12))
+        matrix = incidence_matrix(nrows, ends)
+        ncols = len(ends)
+        assert frame_rank(ends) == _rank(sparse_rows(matrix))
+        circuit = frame_circuit(ends)
+        kernel = None if circuit is None else [circuit.get(c, F(0)) for c in range(ncols)]
+        assert kernel == _kernel_vector(sparse_rows(matrix), ncols)
+
+
+@pytest.mark.parametrize(
+    "nrows, ends, circuit",
+    [
+        # an empty column is its own circuit
+        (2, [(0, 1), ()], {1: F(1)}),
+        # parallel edges
+        (2, [(0, 1), (0, 1)], {0: F(-1), 1: F(1)}),
+        # an even cycle alternates
+        (4, [(0, 1), (1, 2), (2, 3), (0, 3)], {0: F(-1), 1: F(1), 2: F(-1), 3: F(1)}),
+        # an odd cycle is independent
+        (3, [(0, 1), (1, 2), (0, 2)], None),
+        # a path between two half-edges
+        (3, [(0,), (0, 1), (1, 2), (2,)], {0: F(-1), 1: F(1), 2: F(-1), 3: F(1)}),
+        # a path from a half-edge to an odd cycle
+        (
+            4,
+            [(0, 1), (1, 2), (0, 2), (2, 3), (3,)],
+            {0: F(-1, 2), 1: F(1, 2), 2: F(1, 2), 3: F(-1), 4: F(1)},
+        ),
+        # two odd cycles, in two components joined by the last edge
+        (
+            6,
+            [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)],
+            {
+                0: F(1, 2), 1: F(-1, 2), 2: F(-1, 2),
+                3: F(-1, 2), 4: F(1, 2), 5: F(-1, 2), 6: F(1),
+            },
+        ),
+        # an even cycle inside a component that already holds a half-edge
+        (
+            4,
+            [(0,), (0, 1), (1, 2), (2, 3), (0, 3)],
+            {1: F(-1), 2: F(1), 3: F(-1), 4: F(1)},
+        ),
+        # an odd cycle closed in such a component, with the path doubled
+        (
+            4,
+            [(0,), (0, 1), (1, 2), (2, 3), (1, 3)],
+            {0: F(2), 1: F(-2), 2: F(1), 3: F(-1), 4: F(1)},
+        ),
+    ],
+)
+def test_frame_circuit_shapes(nrows, ends, circuit):
+    check_frame(nrows, ends)
+    got = frame_circuit(ends)
+    assert got == circuit

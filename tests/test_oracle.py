@@ -1,17 +1,23 @@
 """Tests for exact vertex enumeration, decomposition, and cross-checks."""
 
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from blockstoch import oracle
+from blockstoch.cli import main
 from blockstoch.errors import (
     ConditionsViolatedError,
     InputError,
     InstanceTooLargeError,
     NotStochasticError,
 )
+from blockstoch.extension import _support_rank
 from blockstoch.family import WeightFunction, build_family, max_multiplicity
+from blockstoch.instance_io import dump_instance
 from blockstoch.oracle import (
     basis_vertices,
     cross_validate,
@@ -264,3 +270,87 @@ class TestNorms:
         assert support_width(fam, WeightFunction({1: F(1), 2: F(1)})) == 2
         assert support_width(fam, WeightFunction({4: F(1)})) == 1
         assert support_width(fam, WeightFunction.zero()) == 0
+
+
+def permutation_mean(m, count=20):
+    """The mean of ``count`` permutation matrices drawn from ``random.Random(m)``."""
+    rng = random.Random(m)
+    w = {}
+    for _ in range(count):
+        for r, c in enumerate(rng.sample(range(m), m)):
+            g = m * r + c + 1
+            w[g] = w.get(g, F(0)) + F(1, count)
+    return WeightFunction(w)
+
+
+class TestFrameCore:
+    """κ ≤ 2 rank and kernel questions are answered without row reduction."""
+
+    def test_kappa2_calls_never_eliminate(self, monkeypatch):
+        fam = matrix_family(5)
+        mix = permutation_mean(5, count=4)
+        ring = ring_family(7)
+        on_ring = WeightFunction({g: HALF for g in ring.ground})
+        pendant = build_family([[1, 2], [2, 3], [3, 1, 4], [4, 5, 6]])
+        on_pendant = WeightFunction(
+            {1: F(1, 4), 2: F(3, 4), 3: F(1, 4), 4: HALF, 5: F(1, 4), 6: F(1, 4)}
+        )
+        rows = [list(b.members) for b in fam.blocks]
+        calls = [
+            lambda: decompose(fam, mix),
+            lambda: is_vertex(fam, mix),
+            lambda: [is_vertex(fam, t) for _, t in decompose(fam, mix).terms],
+            lambda: decompose(ring, on_ring),
+            lambda: decompose(pendant, on_pendant),
+            lambda: is_vertex(pendant, on_pendant),
+            lambda: _support_rank(rows),
+            lambda: _support_rank([[1, 2], [2, 3], [3, 1], [4]]),
+        ]
+        expected = [call() for call in calls]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a κ ≤ 2 call reached the sparse elimination")
+
+        monkeypatch.setattr(oracle, "_eliminate", refuse)
+        assert [call() for call in calls] == expected
+        assert len(expected[0].terms) > 1
+        assert expected[1] is False and all(expected[2])
+        assert expected[6] == 9 and expected[7] == 4
+
+    def test_kappa3_support_uses_sparse_kernel(self, monkeypatch):
+        fam = TestBasisPath.KAPPA3
+        first, *_, last = enumerate_vertices(fam)
+        mix = (first + last).scaled(HALF)
+        assert max(len(fam.gamma[g]) for g in mix.support) == 3
+        eliminate = oracle._eliminate
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return eliminate(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_eliminate", counting)
+        assert not is_vertex(fam, mix)
+        assert len(calls) == 1
+        combo = decompose(fam, mix)
+        assert combo.combined() == mix
+        assert len(calls) > 2
+        calls.clear()
+        assert _support_rank([[1, 2], [1, 3], [1, 4]]) == 3
+        assert calls == [5]
+
+    def test_decompose_16x16_permutation_mean_stdout(self, tmp_path, capsys):
+        # the SHA-256 of this stdout as the sparse-kernel vertex walk printed it
+        m = 16
+        rows = [[m * r + c + 1 for c in range(m)] for r in range(m)]
+        fam = build_family(rows + [list(c) for c in zip(*rows)])
+        w = permutation_mean(m)
+        assert len(w.support) == 191
+        path = tmp_path / "mean16.json"
+        path.write_text(dump_instance(fam, w))
+        assert main(["decompose", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("terms: 20\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "29e454891c821ccc98102d4109ed47a604b54441e882472e7a3a462eeef82656"
+        )

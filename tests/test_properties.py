@@ -37,9 +37,17 @@ from blockstoch.graphs import (
     shortest_primitive_cycle,
 )
 from blockstoch.instance_io import dump_instance, parse_instance
-from blockstoch.oracle import basis_vertices, decompose, enumerate_vertices
+from blockstoch.graphs import frame_circuit, frame_rank
+from blockstoch.oracle import (
+    _block_rows,
+    _kernel_vector,
+    _rank,
+    basis_vertices,
+    decompose,
+    enumerate_vertices,
+)
 
-from helpers import assert_cycle_pieces, assert_valid_witness
+from helpers import assert_cycle_pieces, assert_valid_witness, dense_rank
 
 F = Fraction
 
@@ -113,14 +121,45 @@ def test_multigraph_search_matches_basis_search(fam):
     assert enumerate_vertices(fam) == basis_vertices(fam)
 
 
-def test_multigraph_search_matches_basis_search_on_seeded_sweep():
+def kappa2_sweep():
+    """The 600 seeded κ ≤ 2 families the multigraph search is checked on."""
     rng = random.Random(2)
     for i in range(600):
         elements = rng.randint(2, 10)
         blocks = rng.randint(1, 8)
         fam, _ = gen_random(elements, blocks, kappa_max=2, seed=30_000 + i)
+        yield fam
+
+
+def test_multigraph_search_matches_basis_search_on_seeded_sweep():
+    for fam in kappa2_sweep():
         assert max_multiplicity(fam) <= 2
         assert enumerate_vertices(fam) == basis_vertices(fam), fam.blocks
+
+
+def test_frame_core_matches_sparse_kernel_on_seeded_sweep():
+    # on every vertex support, the support of a mixture of up to three
+    # vertices and the whole ground set
+    rng = random.Random(3)
+    checked = 0
+    for fam in kappa2_sweep():
+        vertices = enumerate_vertices(fam)
+        supports = [v.support for v in vertices] + [fam.ground]
+        if len(vertices) >= 2:
+            picked = rng.sample(vertices, min(3, len(vertices)))
+            supports.append(tuple(sorted({g for v in picked for g in v.support})))
+        for supp in supports:
+            rows = _block_rows(fam, supp)
+            ends = [fam.gamma[g] for g in supp]
+            assert frame_rank(ends) == _rank(rows), (fam.blocks, supp)
+            circuit = frame_circuit(ends)
+            kernel = _kernel_vector(rows, len(supp))
+            if circuit is None:
+                assert kernel is None, (fam.blocks, supp)
+            else:
+                assert [circuit.get(c, F(0)) for c in range(len(supp))] == kernel
+            checked += 1
+    assert checked > 1800
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,6 +209,10 @@ def test_decompose_recombines_exactly(fam, data):
     assert sum(coefficients) == 1
     assert all(c > 0 for c in coefficients)
     assert coefficients == sorted(coefficients, reverse=True)
+    # the peeled vertices are linearly independent, so no affine
+    # dependency is left to prune
+    columns = [[v(g) for g in fam.ground] for _, v in result.terms]
+    assert dense_rank(columns, len(fam.ground)) == len(result.terms)
 
 
 @settings(max_examples=60, deadline=None)
