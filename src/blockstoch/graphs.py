@@ -6,19 +6,23 @@ path is a vertex sequence whose consecutive vertices are adjacent, with
 pairwise distinct edges; it is simple when no vertex repeats.  A simple
 path or cycle is primitive when no block contains more than two of its
 vertices.  The element graph serves every family: exact, deterministic
-enumeration of primitive paths and cycles, and the ``graph`` census,
-which lists every primitive cycle.  The classifier's canonical witness
-cycle, the first cycle of that list, is found by a bounded shortest-cycle
-search (:func:`shortest_primitive_cycle`) that enumerates nothing else.
+enumeration of primitive paths by depth-first primitive walks, and the
+same walks list the primitive cycles of graphs with an element in three
+or more blocks, and the first cycle in walk order (``first_only``).  The
+classifier's canonical witness cycle, the first cycle of the sorted
+census, is found by a bounded shortest-cycle search
+(:func:`shortest_primitive_cycle`) that enumerates nothing else.
 
 When every multiplicity is at most two, the family is also a multigraph
 H on its blocks: an element in two blocks is an edge, an element in one
 block a half-edge, and primitive cycles are the cycles of H of length at
-least three.  Questions that need only bipartiteness (:func:`bipartition`,
-the vertex search, the odd cycle search) are answered by one BFS
-two-coloring of H.  Linear algebra on the block-sum columns is the frame
-matroid of H (:func:`frame_rank`, :func:`frame_circuit`): an edge's
-column is e_a + e_b and a half-edge's is e_a.
+least three.  The full census of such a graph lists the cycles of H,
+one biconnected component at a time, by Johnson's blocked search.
+Questions that need only bipartiteness (:func:`bipartition`, the vertex
+search, the odd cycle search) are answered by one BFS two-coloring of H.
+Linear algebra on the block-sum columns is the frame matroid of H
+(:func:`frame_rank`, :func:`frame_circuit`): an edge's column is
+e_a + e_b and a half-edge's is e_a.
 """
 
 from __future__ import annotations
@@ -329,19 +333,130 @@ def find_primitive_cycles(
 
     A cycle is reported once, in canonical form: smallest vertex first,
     then the smaller of its two cycle neighbors.  ``parity`` may be
-    "any", "odd" or "even" (by vertex count).  With ``first_only`` the
-    search stops at the first match in canonical enumeration order.
+    "any", "odd" or "even" (by vertex count).  The full census is sorted
+    by (vertex count, vertices).  When every vertex of the graph lies in
+    at most two blocks it lists the cycles of H on those elements
+    (:func:`_multigraph_cycles`); otherwise it runs the primitive walks
+    from every start (:func:`_walk_cycles`).  With ``first_only`` the
+    walks stop at the first match in their own order, which need not be
+    the first cycle of the sorted census.
     """
     want = _parity_classes(parity)
-    cycles = (
+    if first_only:
+        return tuple(islice(_walk_cycles(graph, family, want), 1))
+    if _on_multigraph(graph, family):
+        cycles = _multigraph_cycles(block_multigraph(family, graph.vertices)[1], want)
+    else:
+        cycles = _walk_cycles(graph, family, want)
+    return tuple(sorted(cycles, key=lambda c: (len(c.vertices), c.vertices)))
+
+
+def _walk_cycles(
+    graph: AssociatedGraph, family: SetFamily, want: tuple[int, ...]
+) -> Iterator[Path]:
+    """Every canonical primitive cycle with a wanted parity, in walk order:
+    starts ascending, then the depth-first walks from each start."""
+    return (
         Path(tuple(walk), is_cycle=True)
         for start in graph.vertices
         for walk in _primitive_walks(graph, family, start, floor=start)
         if _closes_cycle(graph, walk, want)
     )
-    if first_only:
-        return tuple(islice(cycles, 1))
-    return tuple(sorted(cycles, key=lambda c: (len(c.vertices), c.vertices)))
+
+
+def _multigraph_cycles(
+    edges: list[list[tuple[int, int]]], want: tuple[int, ...]
+) -> Iterator[Path]:
+    """Every cycle of H with at least three nodes and a wanted parity, once,
+    as its canonical element cycle.
+
+    ``edges`` is H as :func:`block_multigraph` gives it.  A cycle lies
+    inside one biconnected component, so each component of three or more
+    nodes is searched alone.  A cycle is found from its lowest node
+    ``s``, leaving by the smaller of its two elements at ``s`` and
+    closing by the larger (:func:`_circuits`), so it comes out once and
+    parallel elements give distinct cycles.  A first element whose larger
+    companions at ``s`` all lead to its own other end closes nothing
+    longer than two nodes, so it is skipped; a start with fewer than two
+    neighbors above it therefore runs no search at all.
+    """
+    for nodes in biconnected_components(edges):
+        if len(nodes) < 3:
+            continue
+        arcs = {v: [(e, w) for e, w in edges[v] if w in nodes] for v in nodes}
+        for s in sorted(nodes):
+            above = [(e, v) for e, v in arcs[s] if v > s]
+            for i, (first, v1) in enumerate(above):
+                if all(v == v1 for _, v in above[i + 1 :]):
+                    continue
+                for elements in _circuits(arcs, s, first, v1):
+                    if len(elements) >= 3 and len(elements) % 2 in want:
+                        yield _canonical_cycle(elements)
+
+
+def _circuits(
+    arcs: dict[int, list[tuple[int, int]]], s: int, first: int, v1: int
+) -> Iterator[list[int]]:
+    """The element lists of the circuits that leave ``s`` by the element
+    ``first`` to ``v1``, pass only nodes above ``s`` and close by a
+    larger element.
+
+    Johnson's search ("Finding all the elementary circuits of a directed
+    graph", 1975) with arcs labelled by element: a node stays blocked
+    while every path from it back to ``s`` meets the current path, so a
+    node that cannot close a circuit is not entered again until the path
+    retreats past one that can.  Circuits of two nodes, closed through a
+    parallel of ``first``, come out too.
+    """
+    elements = [first]
+    blocked = {v1}
+    waiting: dict[int, set[int]] = {}
+    stack = [(v1, iter(arcs[v1]))]
+    closed = [False]
+    while stack:
+        for e, w in stack[-1][1]:
+            if w == s:
+                if e > first:
+                    closed[-1] = True
+                    yield elements + [e]
+            elif w > s and w not in blocked:
+                elements.append(e)
+                blocked.add(w)
+                closed.append(False)
+                stack.append((w, iter(arcs[w])))
+                break
+        else:
+            v, _ = stack.pop()
+            elements.pop()
+            if closed.pop():
+                if closed:
+                    closed[-1] = True
+                release = [v]
+                while release:
+                    u = release.pop()
+                    if u in blocked:
+                        blocked.remove(u)
+                        release.extend(waiting.pop(u, ()))
+            else:
+                for _, w in arcs[v]:
+                    if w > s:
+                        waiting.setdefault(w, set()).add(v)
+
+
+def _canonical_cycle(elements: list[int]) -> Path:
+    """The cycle through ``elements`` in order, rotated to its smallest
+    element and turned toward the smaller of that element's neighbors."""
+    i = elements.index(min(elements))
+    seq = elements[i:] + elements[:i]
+    if seq[1] > seq[-1]:
+        seq[1:] = seq[:0:-1]
+    return Path(tuple(seq), is_cycle=True)
+
+
+def _on_multigraph(graph: AssociatedGraph, family: SetFamily) -> bool:
+    """Whether every vertex of the graph lies in at most two blocks, so
+    that its primitive cycles are the cycles of H on those elements."""
+    return all(len(family.gamma[g]) <= 2 for g in graph.vertices)
 
 
 def _parity_classes(parity: str) -> tuple[int, ...]:
@@ -394,8 +509,7 @@ def shortest_primitive_cycle(
     exhausting every even one.
     """
     want = _parity_classes(parity)
-    if parity == "odd" and all(len(family.gamma[g]) <= 2 for g in graph.vertices):
-        # the primitive cycles are then the cycles of H on these elements
+    if parity == "odd" and _on_multigraph(graph, family):
         if two_color(block_multigraph(family, graph.vertices)[1]) is not None:
             return None
     step = 1 if parity == "any" else 2
@@ -585,6 +699,53 @@ def two_color(edges: list[list[tuple[int, int]]]) -> list[int] | None:
                 elif color[v] == color[u]:
                     return None
     return color
+
+
+def biconnected_components(edges: list[list[tuple[int, int]]]) -> list[set[int]]:
+    """The node sets of H's biconnected components, in the order found.
+
+    Every element belongs to exactly one component, and parallel
+    elements make their two nodes one component; a node without
+    elements belongs to none.  Tarjan's depth-first lowpoints, with a
+    stack of nodes and of pending elements in place of recursion.
+    """
+    depth = [-1] * len(edges)
+    low = [0] * len(edges)
+    components: list[set[int]] = []
+    for root in range(len(edges)):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        stack = [(root, -1, iter(edges[root]))]
+        pending: list[tuple[int, int, int]] = []
+        while stack:
+            u, up, arcs = stack[-1]
+            for e, v in arcs:
+                if depth[v] < 0:
+                    depth[v] = low[v] = depth[u] + 1
+                    pending.append((e, u, v))
+                    stack.append((v, e, iter(edges[v])))
+                    break
+                if depth[v] < depth[u] and e != up:
+                    # a back element, met first from its lower end
+                    low[u] = min(low[u], depth[v])
+                    pending.append((e, u, v))
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                p = stack[-1][0]
+                low[p] = min(low[p], low[u])
+                if low[u] >= depth[p]:
+                    # u's subtree hangs off p: its pending elements form a component
+                    nodes = set()
+                    while True:
+                        e, a, b = pending.pop()
+                        nodes.update((a, b))
+                        if e == up:
+                            break
+                    components.append(nodes)
+    return components
 
 
 class _FrameForest:

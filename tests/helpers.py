@@ -1,7 +1,9 @@
 """Shared assertion helpers, independent of the library's internal checks."""
 
+import math
 from fractions import Fraction
 
+from blockstoch import graphs
 from blockstoch.family import SetFamily, WeightFunction, classify_membership
 from blockstoch.graphs import (
     AssociatedGraph,
@@ -53,6 +55,42 @@ def assert_cycle_pieces(
                 assert len(shared_edges) == 1
             else:
                 assert len(shared) <= 1
+
+
+def walk_census(graph: AssociatedGraph, family: SetFamily, parity: str = "any"):
+    """The census as the primitive walks from every start list it: the
+    reference for the census on the block multigraph."""
+    cycles = graphs._walk_cycles(graph, family, graphs._parity_classes(parity))
+    return tuple(sorted(cycles, key=lambda c: (len(c.vertices), c.vertices)))
+
+
+def matrix_cycle_count(m: int) -> int:
+    """Primitive cycles of the uniform m x m matrix family: each alternates
+    k rows and k columns, for k = 2..m."""
+    return sum(
+        math.comb(m, k) ** 2 * math.factorial(k) * math.factorial(k - 1) // 2
+        for k in range(2, m + 1)
+    )
+
+
+def diamond_chain_blocks(k: int) -> list[list[int]]:
+    """A family whose block multigraph is a chain of ``k`` diamonds.
+
+    The blocks are the joints a_0..a_k and the sides b_i, c_i, listed
+    a_0, b_0, c_0, a_1, b_1, ...; diamond i is the 4-cycle
+    a_i b_i a_(i+1) c_i.  Labels run backwards along the chain: diamond
+    i holds 4(k-1-i)+1 .. 4(k-1-i)+4, so a walk from a small label goes
+    down the whole chain.
+    """
+    blocks: list[list[int]] = [[] for _ in range(3 * k + 1)]
+    for i in range(k):
+        label = 4 * (k - 1 - i)
+        a, b, c, a_next = 3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3
+        for ends in ((a, b), (b, a_next), (a, c), (c, a_next)):
+            label += 1
+            for p in ends:
+                blocks[p].append(label)
+    return blocks
 
 
 # Dense exact elimination, kept as the reference for the sparse kernel in

@@ -1,10 +1,14 @@
 """End-to-end tests for the command line interface."""
 
+import hashlib
 import json
 
 import pytest
 
+from blockstoch import graphs
 from blockstoch.cli import main
+
+from helpers import diamond_chain_blocks
 
 TRIANGLE = {
     "blocks": [[2, 3], [1, 3], [1, 2]],
@@ -91,6 +95,49 @@ class TestGraph:
         out = capsys.readouterr().out
         assert code == 0
         assert "primitive cycles: 1 (0 odd, 1 even)" in out
+
+    def test_matrix_5x5_stdout(self, tmp_path, capsys):
+        # the SHA-256 of this stdout as the primitive walks listed the census
+        rows = [[5 * r + c + 1 for c in range(5)] for r in range(5)]
+        blocks = rows + [list(c) for c in zip(*rows)]
+        assert main(["graph", write(tmp_path, {"blocks": blocks})]) == 0
+        out = capsys.readouterr().out
+        assert "primitive cycles: 3940 (0 odd, 3940 even)\n" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e033975c29870f5bc288f0a2930f6314cda2e433b53266ad77b86bbe3d1f0b21"
+        )
+
+    def test_long_ring_without_walks(self, tmp_path, capsys, monkeypatch):
+        blocks = [[i, i % 3000 + 1] for i in range(1, 3001)]
+        path = write(tmp_path, {"blocks": blocks})
+
+        def no_walks(*args, **kwargs):
+            raise AssertionError("the census walked the element graph")
+
+        monkeypatch.setattr(graphs, "_primitive_walks", no_walks)
+        assert main(["graph", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["vertices: 3000", "edges: 3000"]
+        assert lines[-2:] == [
+            "primitive cycles: 1 (0 odd, 1 even)",
+            "  even: (" + ", ".join(map(str, range(1, 3001))) + ")",
+        ]
+
+    def test_diamond_chain_without_walks(self, tmp_path, capsys, monkeypatch):
+        # labels reversed along the chain: the walks from the smallest label
+        # run down every diamond, 2^29 ways
+        path = write(tmp_path, {"blocks": diamond_chain_blocks(30)})
+
+        def no_walks(*args, **kwargs):
+            raise AssertionError("the census walked the element graph")
+
+        monkeypatch.setattr(graphs, "_primitive_walks", no_walks)
+        assert main(["graph", path]) == 0
+        out = capsys.readouterr().out
+        census = out[out.index("primitive cycles:") :].splitlines()
+        assert census == ["primitive cycles: 30 (0 odd, 30 even)"] + [
+            f"  even: ({b + 1}, {b + 2}, {b + 4}, {b + 3})" for b in range(0, 120, 4)
+        ]
 
 
 class TestClassify:

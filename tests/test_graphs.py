@@ -19,6 +19,7 @@ from blockstoch.extremality import (
 from blockstoch.family import WeightFunction, build_family, max_multiplicity
 from blockstoch.graphs import (
     Path,
+    biconnected_components,
     bipartition,
     block_multigraph,
     block_vertex_counts,
@@ -36,6 +37,8 @@ from blockstoch.graphs import (
     validate_path,
 )
 from blockstoch.oracle import enumerate_vertices
+
+from helpers import diamond_chain_blocks, matrix_cycle_count, walk_census
 
 
 def cycle_family(n):
@@ -170,6 +173,154 @@ class TestPrimitiveCycles:
         graph = build_graph(fam)
         with pytest.raises(InputError):
             find_primitive_cycles(graph, fam, parity="prime")
+
+
+def refuse_walks(monkeypatch):
+    def no_walks(*args, **kwargs):
+        raise AssertionError("the census walked the element graph")
+
+    monkeypatch.setattr(graphs, "_primitive_walks", no_walks)
+
+
+class TestMultigraphCensus:
+    """The κ ≤ 2 census lists the cycles of H, as the walks would."""
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_matrix_counts(self, monkeypatch, m):
+        fam = grid_family(m)
+        graph = build_graph(fam)
+        if m <= 5:
+            expected = walk_census(graph, fam)
+        refuse_walks(monkeypatch)
+        cycles = find_primitive_cycles(graph, fam)
+        assert len(cycles) == matrix_cycle_count(m)
+        if m <= 5:
+            assert cycles == expected
+        else:
+            assert len(cycles) == 113_865
+            assert cycles[0].vertices == (1, 2, 8, 7)
+
+    @pytest.mark.parametrize(
+        "blocks, expected",
+        [
+            # parallel elements 2 and 3, half-edges 1 and 4: no cycle
+            ([[1, 2, 3], [2, 3, 4]], []),
+            # a triangle of H with one side doubled: one cycle per parallel
+            ([[1, 2, 3, 5], [1, 2, 4], [3, 4, 6]], [(1, 3, 4), (2, 3, 4)]),
+            # two triangles joined by a bridge, a pendant edge, a half-edge
+            (
+                [[1, 3, 4, 9], [1, 2], [2, 3], [4, 6, 7], [5, 6], [5, 7, 8], [8]],
+                [(1, 2, 3), (5, 6, 7)],
+            ),
+            # parallel elements across a square: 2 x 2 squares
+            (
+                [[1, 2, 5], [1, 2, 3], [3, 4, 6], [4, 5, 6]],
+                [(1, 3, 4, 5), (1, 3, 6, 5), (2, 3, 4, 5), (2, 3, 6, 5)],
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("parity", ["any", "odd", "even"])
+    def test_parallel_and_half_edges(self, monkeypatch, blocks, expected, parity):
+        fam = build_family(blocks)
+        assert max_multiplicity(fam) <= 2
+        graph = build_graph(fam)
+        oracle = walk_census(graph, fam, parity)
+        refuse_walks(monkeypatch)
+        cycles = find_primitive_cycles(graph, fam, parity)
+        assert cycles == oracle
+        wanted = {"any": (0, 1), "odd": (1,), "even": (0,)}[parity]
+        assert [c.vertices for c in cycles] == [
+            c for c in expected if len(c) % 2 in wanted
+        ]
+
+    def test_kappa3_graph_and_first_only_walk(self, monkeypatch):
+        fam = build_family([[0, 1, 2], [0, 2, 3], [0, 3, 4], [1, 4]])
+        grid = grid_family(3)
+        census = find_primitive_cycles(build_graph(fam), fam)
+        first = find_primitive_cycles(build_graph(grid), grid, first_only=True)
+        assert census and first
+        refuse_walks(monkeypatch)
+        with pytest.raises(AssertionError, match="walked"):
+            find_primitive_cycles(build_graph(fam), fam)
+        with pytest.raises(AssertionError, match="walked"):
+            find_primitive_cycles(build_graph(grid), grid, first_only=True)
+        # a κ = 3 family's graph induced on elements in at most two blocks
+        inner = build_graph(fam, within=[1, 2, 3, 4])
+        assert find_primitive_cycles(inner, fam) == (Path((1, 2, 3, 4), is_cycle=True),)
+
+    def test_long_ring_is_one_cycle(self, monkeypatch):
+        refuse_walks(monkeypatch)
+        fam = cycle_family(3000)
+        cycles = find_primitive_cycles(build_graph(fam), fam)
+        assert cycles == (Path(tuple(range(1, 3001)), is_cycle=True),)
+
+    def test_blocked_nodes_are_not_reentered(self):
+        # in one search over the whole chain, leaving a_0 toward b_0 leads
+        # down every diamond before the closing side c_0 is tried; a node
+        # that cannot reach a_0 stays blocked, so each is entered about
+        # once instead of once per path (without blocking: 49,149 lookups)
+        edges = block_multigraph(build_family(diamond_chain_blocks(14)))[1]
+        lookups = []
+
+        class Counting(dict):
+            def __getitem__(self, v):
+                lookups.append(v)
+                return dict.__getitem__(self, v)
+
+        first, b0 = edges[0][0]
+        circuits = list(graphs._circuits(Counting(enumerate(edges)), 0, first, b0))
+        assert circuits == [[53, 54, 56, 55]]
+        assert len(lookups) <= 2 * len(edges)
+
+    def test_tree_parts_are_not_searched(self, monkeypatch):
+        # a hexagon of H with a comb of 1500 teeth hanging off it: only the
+        # hexagon is a component of three or more nodes, and only its
+        # lowest node starts a search (without the split, every spine node
+        # would search the rest of the spine)
+        ring = [[i, i % 6 + 1] for i in range(1, 7)]
+        comb = [[] for _ in range(3000)]
+        for i in range(1500):
+            comb[2 * i] += [100 + i, 2000 + i]
+            comb[2 * i + 1].append(2000 + i)
+            if i:
+                comb[2 * i - 2].append(100 + i)
+        ring[0].append(100)
+        fam = build_family(ring + comb)
+        searches = []
+        circuits = graphs._circuits
+
+        def counting(arcs, s, first, v1):
+            searches.append((s, first))
+            return circuits(arcs, s, first, v1)
+
+        monkeypatch.setattr(graphs, "_circuits", counting)
+        cycles = find_primitive_cycles(build_graph(fam), fam)
+        assert cycles == (Path(tuple(range(1, 7)), is_cycle=True),)
+        assert searches == [(0, 1)]
+
+    def test_diamond_chain(self, monkeypatch):
+        refuse_walks(monkeypatch)
+        fam = build_family(diamond_chain_blocks(30))
+        cycles = find_primitive_cycles(build_graph(fam), fam)
+        assert [c.vertices for c in cycles] == [
+            (b + 1, b + 2, b + 4, b + 3) for b in range(0, 120, 4)
+        ]
+
+
+class TestBiconnectedComponents:
+    def test_cut_nodes_bridges_and_parallels(self):
+        # H: triangle 0-1-2, triangle 2-3-4 sharing node 2, bridge 4-5,
+        # parallel pair 5-6, isolated node 7
+        fam = build_family(
+            [[1, 3], [1, 2], [2, 3, 4, 6], [4, 5], [5, 6, 7], [7, 8, 9], [8, 9], [10]]
+        )
+        edges = block_multigraph(fam)[1]
+        components = sorted(sorted(c) for c in biconnected_components(edges))
+        assert components == [[0, 1, 2], [2, 3, 4], [4, 5], [5, 6]]
+
+    def test_long_ring_is_one_component(self):
+        edges = block_multigraph(cycle_family(3000))[1]
+        assert biconnected_components(edges) == [set(range(3000))]
 
 
 class TestShortestPrimitiveCycle:

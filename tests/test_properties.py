@@ -28,13 +28,16 @@ from blockstoch.family import (
 )
 from blockstoch.graphs import (
     Path,
+    biconnected_components,
     bipartition,
+    block_multigraph,
     block_vertex_counts,
     build_graph,
     connected_components,
     decompose_cycle,
     find_primitive_cycles,
     shortest_primitive_cycle,
+    two_color,
 )
 from blockstoch.instance_io import dump_instance, parse_instance
 from blockstoch.graphs import frame_circuit, frame_rank
@@ -47,7 +50,7 @@ from blockstoch.oracle import (
     enumerate_vertices,
 )
 
-from helpers import assert_cycle_pieces, assert_valid_witness, dense_rank
+from helpers import assert_cycle_pieces, assert_valid_witness, dense_rank, walk_census
 
 F = Fraction
 
@@ -415,14 +418,19 @@ def test_structure_answers_match_cycle_search_on_seeded_sweep():
         assert outcomes[outcome] > 0, outcome
 
 
-def _check_shortest_cycle(fam, outcomes):
-    """The bounded search against the census, on the element graph and
-    on every support component of the member points."""
+def _graph_pool(fam):
+    """The element graph and the graph induced on every support component
+    of the member points."""
     pool = [build_graph(fam)]
     for w in _member_points(fam):
         support = build_graph(fam, within=w.support)
         pool += [build_graph(fam, within=c) for c in connected_components(support)]
-    for graph in pool:
+    return pool
+
+
+def _check_shortest_cycle(fam, outcomes):
+    """The bounded search against the census, on every graph of the pool."""
+    for graph in _graph_pool(fam):
         for parity in ("any", "odd", "even"):
             expected = (find_primitive_cycles(graph, fam, parity) or (None,))[0]
             assert shortest_primitive_cycle(graph, fam, parity) == expected
@@ -454,3 +462,95 @@ def test_shortest_cycle_matches_census_on_seeded_sweep():
     assert kappas[3] >= 100 and kappas[2] >= 100
     for parity in ("any", "odd", "even"):
         assert outcomes[f"{parity} found"] > 0 and outcomes[f"{parity} none"] > 0
+
+
+def _check_census(fam, outcomes):
+    """The census against the primitive walks from every start, on every
+    graph of the pool and at every parity."""
+    for graph in _graph_pool(fam):
+        on_h = all(len(fam.gamma[g]) <= 2 for g in graph.vertices)
+        for parity in ("any", "odd", "even"):
+            census = find_primitive_cycles(graph, fam, parity)
+            assert census == walk_census(graph, fam, parity), (fam.blocks, graph.vertices)
+            outcomes[f"{'h' if on_h else 'walks'} {'found' if census else 'none'}"] += 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_families())
+def test_census_matches_walks(fam):
+    _check_census(fam, Counter())
+
+
+@settings(max_examples=100, deadline=None)
+@given(chorded_cycles())
+def test_census_matches_walks_on_chorded_cycles(case):
+    _check_census(case[0], Counter())
+
+
+def test_census_matches_walks_on_seeded_sweep():
+    outcomes = Counter()
+    for fam in kappa2_sweep():
+        _check_census(fam, outcomes)
+    assert outcomes["h found"] > 500 and outcomes["h none"] > 500, outcomes
+
+
+# Test-only differentials against networkx on H; each test skips alone
+# when networkx is missing.
+
+
+def _nx_multigraph(nx, edges):
+    h = nx.MultiGraph()
+    h.add_nodes_from(range(len(edges)))
+    h.add_edges_from((p, q, e) for p, arcs in enumerate(edges) for e, q in arcs if p < q)
+    return h
+
+
+def _larger_kappa2_families():
+    """200 seeded κ ≤ 2 families of 10 to 24 elements on 6 to 14 blocks."""
+    rng = random.Random(7)
+    for i in range(200):
+        elements = rng.randint(10, 24)
+        blocks = rng.randint(6, 14)
+        fam, _ = gen_random(elements, blocks, kappa_max=2, seed=90_000 + i)
+        yield fam
+
+
+def _nx_families():
+    yield from kappa2_sweep()
+    yield from _larger_kappa2_families()
+
+
+def test_two_color_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    outcomes = Counter()
+    for fam in _nx_families():
+        edges = block_multigraph(fam)[1]
+        bipartite = nx.is_bipartite(_nx_multigraph(nx, edges))
+        assert (two_color(edges) is not None) == bipartite, fam.blocks
+        outcomes[bipartite] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
+
+
+def test_biconnected_components_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for fam in _nx_families():
+        edges = block_multigraph(fam)[1]
+        ours = sorted(sorted(c) for c in biconnected_components(edges))
+        theirs = sorted(
+            sorted(c) for c in nx.biconnected_components(_nx_multigraph(nx, edges))
+        )
+        assert ours == theirs, fam.blocks
+
+
+def test_census_count_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    checked = Counter()
+    for fam in _nx_families():
+        edges = block_multigraph(fam)[1]
+        h = nx.Graph(_nx_multigraph(nx, edges))
+        if h.number_of_edges() != sum(map(len, edges)) // 2:
+            continue  # parallel elements: networkx counts their two-node cycles
+        cycles = find_primitive_cycles(build_graph(fam), fam)
+        assert len(cycles) == sum(1 for _ in nx.simple_cycles(h)), fam.blocks
+        checked[bool(cycles)] += 1
+    assert checked[True] > 50 and checked[False] > 200, checked
