@@ -39,6 +39,7 @@ from .instance_io import (
     Instance,
     dump_instance,
     format_rational,
+    format_weights,
     load_instance,
     load_weights_document,
 )
@@ -55,11 +56,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # noqa: D102 - argparse override
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _render_weights(w: WeightFunction) -> str:
-    inside = ", ".join(f"{g}={format_rational(v)}" for g, v in w.items())
-    return "{" + inside + "}"
 
 
 def _require_weights(instance: Instance) -> WeightFunction:
@@ -134,8 +130,8 @@ def _print_witness(witness: Witness) -> None:
     print(f"construction: {witness.construction}")
     print(f"epsilon: {format_rational(witness.epsilon)}")
     print(f"slack: {format_rational(witness.slack)}")
-    print(f"w_plus: {_render_weights(witness.w_plus)}")
-    print(f"w_minus: {_render_weights(witness.w_minus)}")
+    print(f"w_plus: {format_weights(witness.w_plus)}")
+    print(f"w_minus: {format_weights(witness.w_minus)}")
 
 
 def _classify(args: argparse.Namespace) -> Verdict:
@@ -168,7 +164,7 @@ def _cmd_vertices(args: argparse.Namespace) -> int:
     vertices = enumerate_vertices(instance.family, budget=args.budget, jobs=args.jobs)
     print(f"vertex count: {len(vertices)}")
     for pos, vertex in enumerate(vertices, start=1):
-        print(f"  vertex {pos}: {_render_weights(vertex)}")
+        print(f"  vertex {pos}: {format_weights(vertex)}")
     return 0
 
 
@@ -178,7 +174,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     combo = decompose(instance.family, w)
     print(f"terms: {len(combo.terms)}")
     for coef, vertex in combo.terms:
-        print(f"  {format_rational(coef)} * {_render_weights(vertex)}")
+        print(f"  {format_rational(coef)} * {format_weights(vertex)}")
     print(f"recombines exactly: {'yes' if combo.combined() == w else 'no'}")
     return 0
 
@@ -204,9 +200,9 @@ def _cmd_extend(args: argparse.Namespace) -> int:
             f" value {format_rational(step.value)}, pattern {step.pattern},"
             f" overlaps {overlap}"
         )
-    print(f"extended: {_render_weights(result.extended)}")
-    print(f"packing a: {_render_weights(result.packing_a)}")
-    print(f"packing b: {_render_weights(result.packing_b)}")
+    print(f"extended: {format_weights(result.extended)}")
+    print(f"packing a: {format_weights(result.packing_a)}")
+    print(f"packing b: {format_weights(result.packing_b)}")
     print(f"complete: {'yes' if result.complete else 'no'}")
     return 0
 

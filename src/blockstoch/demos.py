@@ -15,7 +15,6 @@ from typing import Callable
 from .errors import InputError
 from .extremality import classify_extreme
 from .family import (
-    SetFamily,
     WeightFunction,
     build_family,
     classify_membership,
@@ -27,7 +26,7 @@ from .graphs import (
     find_primitive_cycles,
     unique_primitive_paths,
 )
-from .instance_io import format_rational
+from .instance_io import format_rational, format_weights
 from .oracle import decompose, enumerate_vertices, sup_block_norm, support_width
 
 HALF = Fraction(1, 2)
@@ -59,11 +58,6 @@ class _Checker:
 
     def result(self, name: str, title: str) -> DemoResult:
         return DemoResult(name, title, tuple(self.lines), self.ok)
-
-
-def _render(w: WeightFunction) -> str:
-    inside = ", ".join(f"{g}={format_rational(v)}" for g, v in w.items())
-    return "{" + inside + "}"
 
 
 def demo_square_matrix() -> DemoResult:
@@ -144,8 +138,8 @@ def demo_pinned_segment() -> DemoResult:
     ]
     out.check(
         "vertex set",
-        sorted(_render(v) for v in expected),
-        sorted(_render(v) for v in vertices),
+        sorted(format_weights(v) for v in expected),
+        sorted(format_weights(v) for v in vertices),
     )
     out.check("0/1 vertices (exact covers)", 0, sum(1 for v in vertices if v.zero_one))
     midpoint = WeightFunction({1: HALF, 2: HALF, 3: HALF, 4: HALF, 5: HALF})

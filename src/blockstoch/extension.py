@@ -26,24 +26,24 @@ from .errors import (
     InternalPropertyError,
     NotStochasticError,
 )
-from .family import Block, SetFamily, WeightFunction, build_family
-from .graphs import frame_rank
-from .oracle import ONE, ZERO, Decomposition, _rank, decompose
+from .family import SetFamily, WeightFunction, build_family
+from .oracle import ZERO, Decomposition, column_rank, decompose
+
+# elements a completion step inspects in one block before giving up
+SCAN_LIMIT = 4096
 
 
 class FamilyGenerator(Protocol):
     """A lazily evaluated family of blocks over positive integer labels.
 
-    ``block_count`` is ``None`` for unbounded families.  ``fresh_start``
-    is the position after which every block keeps elements outside any
-    finite exploration that follows ascending block order;
-    ``claims_fresh_supply`` states that promise.  All methods must be
-    pure and deterministic.
+    ``block_count`` is ``None`` for unbounded families.
+    ``claims_fresh_supply`` promises that every block keeps elements
+    outside any finite exploration that follows ascending block order.
+    All methods must be pure and deterministic.
     """
 
     name: str
     block_count: int | None
-    fresh_start: int
     claims_fresh_supply: bool
 
     def block_size(self, k: int) -> int | None:
@@ -51,9 +51,6 @@ class FamilyGenerator(Protocol):
 
     def block_elements(self, k: int) -> Iterator[int]:
         """Elements of block ``k`` in ascending label order."""
-
-    def block_at(self, k: int) -> Block:
-        """Block ``k`` materialized; only finite blocks support this."""
 
     def gamma_of(self, g: int) -> tuple[int, ...]:
         """Sorted indices of every block containing ``g`` (always finite)."""
@@ -72,7 +69,6 @@ class PathGenerator:
 
     name = "path"
     block_count: int | None = None
-    fresh_start = 0
     claims_fresh_supply = True
 
     def block_size(self, k: int) -> int | None:
@@ -82,10 +78,6 @@ class PathGenerator:
     def block_elements(self, k: int) -> Iterator[int]:
         _check_index(k, None)
         return iter((k, k + 1))
-
-    def block_at(self, k: int) -> Block:
-        _check_index(k, None)
-        return Block(index=k, members=(k, k + 1))
 
     def gamma_of(self, g: int) -> tuple[int, ...]:
         if g < 1:
@@ -102,7 +94,6 @@ class DisjointGrowingGenerator:
 
     name = "disjoint-growing"
     block_count: int | None = None
-    fresh_start = 0
     claims_fresh_supply = True
 
     def block_size(self, k: int) -> int | None:
@@ -113,9 +104,6 @@ class DisjointGrowingGenerator:
         _check_index(k, None)
         start = k * (k - 1) // 2 + 1
         return iter(range(start, start + k))
-
-    def block_at(self, k: int) -> Block:
-        return Block(index=k, members=tuple(self.block_elements(k)))
 
     def gamma_of(self, g: int) -> tuple[int, ...]:
         if g < 1:
@@ -138,7 +126,6 @@ class GridGenerator:
 
     name = "grid"
     block_count: int | None = None
-    fresh_start = 0
     claims_fresh_supply = True
 
     @staticmethod
@@ -169,9 +156,6 @@ class GridGenerator:
         c = k // 2
         return (self.label(r, c) for r in count(1))
 
-    def block_at(self, k: int) -> Block:
-        raise InputError(f"block {k} is unbounded and cannot be materialized")
-
     def gamma_of(self, g: int) -> tuple[int, ...]:
         r, c = self.cell(g)
         return tuple(sorted((2 * r - 1, 2 * c)))
@@ -190,12 +174,11 @@ class WrappedFamilyGenerator:
     made.
     """
 
+    name = "wrapped"
     claims_fresh_supply = False
-    fresh_start = 0
 
-    def __init__(self, family: SetFamily, name: str = "wrapped"):
+    def __init__(self, family: SetFamily):
         self._family = family
-        self.name = name
         self.block_count: int | None = len(family.blocks)
 
     def block_size(self, k: int) -> int | None:
@@ -203,9 +186,6 @@ class WrappedFamilyGenerator:
 
     def block_elements(self, k: int) -> Iterator[int]:
         return iter(self._family.block(k).members)
-
-    def block_at(self, k: int) -> Block:
-        return self._family.block(k)
 
     def gamma_of(self, g: int) -> tuple[int, ...]:
         return self._family.membership(g)
@@ -295,14 +275,25 @@ def validate_truncation(generator: FamilyGenerator, trunc: Truncation) -> None:
             raise InputError(
                 f"element {g} lies outside the first {trunc.n} blocks"
             )
-    sums = _touched_sums(generator, trunc.w)
-    for k in range(1, trunc.n + 1):
-        total = sums.get(k, Fraction(0))
+    _require_block_sums(_touched_sums(generator, trunc.w), trunc.n)
+
+
+def _require_block_sums(sums: dict[int, Fraction], upto: int) -> None:
+    """Raise unless blocks 1 to ``upto`` sum to one and none sums above one."""
+    for k in range(1, upto + 1):
+        total = sums.get(k, ZERO)
         if total != 1:
             raise NotStochasticError(f"block {k} sums to {total}, expected 1")
     for k, total in sorted(sums.items()):
-        if k > trunc.n and total > 1:
+        if total > 1:
             raise NotStochasticError(f"block {k} sums to {total} > 1")
+
+
+def _last_block(generator: FamilyGenerator, horizon: int) -> int:
+    """The last block a walk up to ``horizon`` reaches."""
+    if generator.block_count is None:
+        return horizon
+    return min(horizon, generator.block_count)
 
 
 def tail_sums(
@@ -384,7 +375,6 @@ def extend_truncation(
     generator: FamilyGenerator,
     trunc: Truncation,
     horizon: int,
-    scan_limit: int = 4096,
 ) -> ExtensionResult:
     """Complete a truncation to block sums of one, one element at a time.
 
@@ -394,37 +384,26 @@ def extend_truncation(
     avoid every block already saturated or already met by an earlier
     chosen element, and assign it the missing amount.  The walk stops at
     the horizon, or earlier when a bounded family is exhausted.  A block
-    offering no eligible label within ``scan_limit`` inspected elements
+    offering no eligible label within ``SCAN_LIMIT`` inspected elements
     raises ``HorizonExhaustedError`` rather than being skipped.
     """
     validate_truncation(generator, trunc)
     if horizon <= trunc.n:
         raise InputError("the horizon must exceed the truncation depth")
-    if scan_limit < 1:
-        raise InputError("scan_limit must be positive")
     if not generator.claims_fresh_supply and generator.block_count is None:
         raise InputError(
             "an unbounded generator must promise fresh elements in"
             " every block"
         )
-    if trunc.n < generator.fresh_start:
-        raise InputError(
-            f"the truncation depth must reach {generator.fresh_start},"
-            " where the generator's fresh supply begins"
-        )
+    # validate_truncation has rejected every block sum above one
     delta = _touched_sums(generator, trunc.w)
-    for total in delta.values():
-        if total > 1:
-            raise NotStochasticError("a block sum exceeds one")
     claimed = {k for k, total in delta.items() if total == 1}
     values = dict(trunc.w.items())
     assigned: set[int] = set()
     steps: list[ChosenStep] = []
     # block -> (element, pattern) of every chosen element inside it
     chosen_in: dict[int, list[tuple[int, str]]] = {}
-    last_block = horizon
-    if generator.block_count is not None:
-        last_block = min(horizon, generator.block_count)
+    last_block = _last_block(generator, horizon)
 
     cursor = trunc.n + 1
     while True:
@@ -440,7 +419,7 @@ def extend_truncation(
         bound = 1 - need
         chosen = None
         scanned = 0
-        for g in islice(generator.block_elements(k_j), scan_limit):
+        for g in islice(generator.block_elements(k_j), SCAN_LIMIT):
             scanned += 1
             gamma = generator.gamma_of(g)
             if k_j not in gamma:
@@ -547,19 +526,12 @@ class ExtensionReport:
 
 
 def _support_rank(rows: list[list[int]]) -> int:
-    """Rank of the 0/1 rows, one per block, over the element labels.
-
-    When every label lies in at most two rows the columns are incidence
-    columns of a multigraph on the rows, and the frame matroid core
-    (:func:`graphs.frame_rank`) gives the rank without row reduction.
-    """
+    """Rank of the 0/1 rows, one per block, over the element labels."""
     ends: dict[int, list[int]] = {}
     for k, row in enumerate(rows):
         for g in set(row):
             ends.setdefault(g, []).append(k)
-    if all(len(e) <= 2 for e in ends.values()):
-        return frame_rank(list(ends.values()))
-    return _rank([dict.fromkeys(row, ONE) for row in rows])
+    return column_rank(list(ends.values()))
 
 
 def verify_extension(
@@ -612,9 +584,7 @@ def verify_extension(
     full_support = result.extended.support
     extended_members = _touched_members(generator, full_support)
     sums = _block_sums(result.extended, extended_members)
-    last_block = result.horizon
-    if generator.block_count is not None:
-        last_block = min(result.horizon, generator.block_count)
+    last_block = _last_block(generator, result.horizon)
     for k, total in sorted(sums.items()):
         if total > 1:
             violations.append(f"block {k} sums to {total} > 1")
@@ -723,18 +693,8 @@ def approximate_by_extremes(
     if not w_full.nonnegative:
         raise InputError("the target function must be nonnegative")
     sums = _touched_sums(generator, w_full)
-    last_block = horizon
-    if generator.block_count is not None:
-        last_block = min(horizon, generator.block_count)
-    for k in range(1, last_block + 1):
-        total = sums.get(k, Fraction(0))
-        if total != 1:
-            raise NotStochasticError(
-                f"block {k} sums to {total}, expected 1"
-            )
-    for k, total in sorted(sums.items()):
-        if total > 1:
-            raise NotStochasticError(f"block {k} sums to {total} > 1")
+    last_block = _last_block(generator, horizon)
+    _require_block_sums(sums, last_block)
 
     star = WeightFunction(
         {
@@ -743,30 +703,23 @@ def approximate_by_extremes(
             if min(generator.gamma_of(g)) <= n
         }
     )
-    touched = sorted(_touched_sums(generator, star))
-    members: list[list[int]] = []
-    slack_of: dict[int, int] = {}
-    next_label = max(star.support, default=0) + 1
-    for k in touched:
-        inside = sorted(g for g in star.support if generator.contains(k, g))
-        if k > n:
-            slack_of[k] = next_label
-            inside.append(next_label)
-            next_label += 1
-        members.append(inside)
-    finite = build_family(members)
+    touched = _touched_members(generator, star.support)
+    star_sums = _block_sums(star, touched)
     augmented = dict(star.items())
-    for k, label in slack_of.items():
-        augmented[label] = 1 - sum(
-            star.value(g) for g in star.support if generator.contains(k, g)
-        )
-    slack_labels = set(slack_of.values())
+    # every label from first_slack on is a slack element
+    first_slack = next_label = max(star.support, default=0) + 1
+    for k in sorted(touched):
+        if k > n:
+            augmented[next_label] = 1 - star_sums[k]
+            touched[k].append(next_label)
+            next_label += 1
+    finite = build_family([touched[k] for k in sorted(touched)])
     base_decomposition = decompose(finite, WeightFunction(augmented))
 
     terms = []
     for coefficient, vertex in base_decomposition.terms:
         stripped = WeightFunction(
-            {g: v for g, v in vertex.items() if g not in slack_labels}
+            {g: v for g, v in vertex.items() if g < first_slack}
         )
         completion = extend_truncation(
             generator, Truncation(n=n, w=stripped), horizon

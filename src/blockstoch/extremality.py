@@ -39,7 +39,6 @@ from .graphs import (
     block_vertex_counts,
     build_graph,
     connected_components,
-    find_primitive_cycles,
     is_primitive,
     require_simple,
     shortest_primitive_cycle,
@@ -374,7 +373,7 @@ def _cycle_attachment(
             f"elements {pair[0]} and {pair[1]} share the same membership set"
         )
     induced_comp = build_graph(family, within=comp)
-    if find_primitive_cycles(induced_comp, family, parity="even", first_only=True):
+    if shortest_primitive_cycle(induced_comp, family, parity="even") is not None:
         raise EvenCyclePresentError(
             "the component contains an even primitive cycle;"
             " a two-coloring witness applies instead"

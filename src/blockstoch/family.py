@@ -84,10 +84,6 @@ class SetFamily:
         return cached
 
     @property
-    def block_indices(self) -> tuple[int, ...]:
-        return tuple(b.index for b in self.blocks)
-
-    @property
     def ground_set(self) -> frozenset[int]:
         return frozenset(self.ground)
 
@@ -236,10 +232,6 @@ class WeightFunction:
     @property
     def zero_one(self) -> bool:
         return all(v == 1 for _, v in self._items)
-
-    def restrict(self, labels: Iterable[int]) -> "WeightFunction":
-        keep = set(labels)
-        return WeightFunction({g: v for g, v in self._items if g in keep})
 
     def __add__(self, other: "WeightFunction") -> "WeightFunction":
         merged = dict(self._map)

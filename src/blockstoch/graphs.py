@@ -19,7 +19,8 @@ block a half-edge, and primitive cycles are the cycles of H of length at
 least three.  The full census of such a graph lists the cycles of H,
 one biconnected component at a time, by Johnson's blocked search.
 Questions that need only bipartiteness (:func:`bipartition`, the vertex
-search, the odd cycle search) are answered by one BFS two-coloring of H.
+search, the odd cycle search) are answered by one BFS two-coloring of H,
+and whether an even cycle exists by its biconnected components.
 Linear algebra on the block-sum columns is the frame matroid of H
 (:func:`frame_rank`, :func:`frame_circuit`): an edge's column is
 e_a + e_b and a half-edge's is e_a.
@@ -48,11 +49,6 @@ class Path:
 
     vertices: tuple[int, ...]
     is_cycle: bool = False
-
-    @property
-    def edge_count(self) -> int:
-        n = len(self.vertices)
-        return n if self.is_cycle else n - 1
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as ordered (smaller, larger) pairs, in traversal order."""
@@ -502,15 +498,19 @@ def shortest_primitive_cycle(
     - the search stops at the first cycle of the least possible length,
       three vertices for "odd" and "any", four for "even".
 
-    When every element of the graph lies in at most two blocks, an odd
-    search first two-colors H on those elements (:func:`two_color`) and
-    returns None at once if H is bipartite, since the primitive cycles
-    are then the cycles of H; the walks would find none only after
-    exhausting every even one.
+    When every element of the graph lies in at most two blocks, the
+    primitive cycles are the cycles of H on those elements, so H answers
+    first whether any cycle of the parity exists: an odd search returns
+    None at once if H is bipartite (:func:`two_color`), an even one if H
+    has no even cycle (:func:`_has_even_cycle`).  The walks would find
+    none only after exhausting every cycle of the other parity.
     """
     want = _parity_classes(parity)
-    if parity == "odd" and _on_multigraph(graph, family):
-        if two_color(block_multigraph(family, graph.vertices)[1]) is not None:
+    if parity != "any" and _on_multigraph(graph, family):
+        edges = block_multigraph(family, graph.vertices)[1]
+        if parity == "odd" and two_color(edges) is not None:
+            return None
+        if parity == "even" and not _has_even_cycle(edges):
             return None
     step = 1 if parity == "any" else 2
     least = 4 if parity == "even" else 3
@@ -699,6 +699,26 @@ def two_color(edges: list[list[tuple[int, int]]]) -> list[int] | None:
                 elif color[v] == color[u]:
                     return None
     return color
+
+
+def _has_even_cycle(edges: list[list[tuple[int, int]]]) -> bool:
+    """Whether H has a cycle of four or more nodes and even length.
+
+    Such a cycle lies in one biconnected component of three or more
+    nodes.  A component that is one cycle through its nodes (as many
+    distinct node pairs as nodes, parallel elements aside) has only
+    cycles of its node count.  Any other such component holds a theta,
+    three paths between two nodes, two of which have equal parity and
+    close an even cycle.
+    """
+    for nodes in biconnected_components(edges):
+        if len(nodes) >= 3 and (
+            len(nodes) % 2 == 0
+            or len({(u, v) for u in nodes for _, v in edges[u] if u < v and v in nodes})
+            > len(nodes)
+        ):
+            return True
+    return False
 
 
 def biconnected_components(edges: list[list[tuple[int, int]]]) -> list[set[int]]:

@@ -57,6 +57,12 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def format_weights(w: WeightFunction) -> str:
+    """Render weights as ``{g=v, ...}`` in label order."""
+    inside = ", ".join(f"{g}={format_rational(v)}" for g, v in w.items())
+    return "{" + inside + "}"
+
+
 @dataclass(frozen=True)
 class Instance:
     """A parsed instance: the family plus an optional weight function."""
@@ -73,6 +79,41 @@ def _reject_float(text: str) -> Fraction:
     )
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object, refusing a key given twice (``json`` keeps the last)."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InputError(f"key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
+def _parse_object(text: str, what: str) -> dict:
+    """Parse a JSON document that must be an object."""
+    try:
+        doc = json.loads(text, parse_float=_reject_float, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} must be a JSON object")
+    return doc
+
+
+def _parse_weights(raw: dict) -> dict[int, Fraction]:
+    """Parse a map from label to rational; two keys naming one label are refused."""
+    values: dict[int, Fraction] = {}
+    for key, value in raw.items():
+        try:
+            label = int(key)
+        except ValueError:
+            raise InputError(f"weight key {key!r} is not an integer label") from None
+        if label in values:
+            raise InputError(f"weight label {label} is given twice")
+        values[label] = parse_rational(value)
+    return values
+
+
 def _parse_label(value: object, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{where}: labels must be integers, got {value!r}")
@@ -83,12 +124,7 @@ def _parse_label(value: object, where: str) -> int:
 
 def parse_instance(text: str) -> Instance:
     """Parse a JSON instance document into a family and optional weights."""
-    try:
-        doc = json.loads(text, parse_float=_reject_float)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"instance is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InputError("instance must be a JSON object")
+    doc = _parse_object(text, "instance")
     unknown = sorted(set(doc) - _FIELDS)
     if unknown:
         raise InputError(f"unknown instance fields: {', '.join(unknown)}")
@@ -116,19 +152,10 @@ def parse_instance(text: str) -> Instance:
         raw_weights = doc["weights"]
         if not isinstance(raw_weights, dict):
             raise InputError('"weights" must be a map from label to rational')
-        values: dict[int, Fraction] = {}
-        for key, raw in raw_weights.items():
-            try:
-                label = int(key)
-            except ValueError:
-                raise InputError(
-                    f"weight key {key!r} is not an integer label"
-                ) from None
+        values = _parse_weights(raw_weights)
+        for label in values:
             if label not in family.gamma:
-                raise UnknownElementError(
-                    f"weight for unknown element {label}"
-                )
-            values[label] = parse_rational(raw)
+                raise UnknownElementError(f"weight for unknown element {label}")
         weights = WeightFunction(values)
 
     feasible: bool | None = None
@@ -158,12 +185,7 @@ def parse_weights_document(text: str) -> WeightFunction:
     Generator-backed commands take the family from the generator, so the
     document must consist of the ``weights`` field alone.
     """
-    try:
-        doc = json.loads(text, parse_float=_reject_float)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"document is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InputError("document must be a JSON object")
+    doc = _parse_object(text, "document")
     extra = sorted(set(doc) - {"weights"})
     if extra:
         raise InputError(
@@ -172,15 +194,10 @@ def parse_weights_document(text: str) -> WeightFunction:
         )
     if "weights" not in doc or not isinstance(doc["weights"], dict):
         raise InputError('document must hold a "weights" map')
-    values: dict[int, Fraction] = {}
-    for key, raw in doc["weights"].items():
-        try:
-            label = int(key)
-        except ValueError:
-            raise InputError(f"weight key {key!r} is not an integer label") from None
+    values = _parse_weights(doc["weights"])
+    for label in values:
         if label < 0:
             raise InputError(f"weight label {label} is negative")
-        values[label] = parse_rational(raw)
     return WeightFunction(values)
 
 

@@ -14,14 +14,15 @@ column set is solved exactly.  The basis search needs no structure at
 all, so it also serves as the reference the multigraph search and the
 structural classifier are tested against.
 
-Everything here runs over exact rationals.  When every support element
-lies in at most two blocks, its block-sum column is an incidence column
-of H, and the rank and kernel vectors that :func:`is_vertex`,
-:func:`decompose` and its vertex walk need come from the frame matroid
-core of :mod:`graphs` (:func:`graphs.frame_rank`,
-:func:`graphs.frame_circuit`), with no row reduction.  Otherwise, and
-for the basis search, they come from one sparse elimination kernel
-(:func:`_rref`) that the extension code shares.  A row is a dict from
+Everything here runs over exact rationals.  The rank and kernel
+vectors that :func:`is_vertex`, :func:`decompose` and its vertex walk,
+and the extension checks need come from one pair,
+:func:`column_rank` and :func:`column_circuit`.  When every column
+meets at most two rows it is an incidence column of a multigraph, and
+they answer from the frame matroid core of :mod:`graphs`
+(:func:`graphs.frame_rank`, :func:`graphs.frame_circuit`) with no row
+reduction.  Otherwise, and for the basis search, the answer comes from
+one sparse elimination kernel (:func:`_rref`).  A row is a dict from
 column to its nonzero value, and a column index (column -> rows holding
 it) lets each pivot touch only the rows that hold its column; on the
 block-incidence matrices of long rings and paths the work stays close
@@ -39,6 +40,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 from .errors import (
     ConditionsViolatedError,
@@ -184,14 +186,10 @@ def _kernel_vector(rows: list[Row], ncols: int) -> list[Fraction] | None:
 
 
 def _solve_chunk(args):
-    member_lists, columns, combos = args
+    family, columns, combos = args
     out = []
     for combo in combos:
-        position = {columns[i]: j for j, i in enumerate(combo)}
-        rows = [
-            {position[g]: ONE for g in members if g in position}
-            for members in member_lists
-        ]
+        rows = _block_rows(family, tuple(columns[i] for i in combo))
         x = _solve_all_ones(rows, len(combo))
         if x is not None and all(v >= 0 for v in x):
             out.append(tuple((columns[i], v) for i, v in zip(combo, x) if v != 0))
@@ -357,15 +355,14 @@ def basis_vertices(
         for combo in combinations(range(len(columns)), r)
         if _or_all(masks, combo) == full
     ]
-    member_lists = tuple(b.members for b in family.blocks)
     found: dict[tuple, WeightFunction] = {}
     if jobs == 1 or len(candidates) < 64:
-        chunks = [(member_lists, columns, candidates)]
+        chunks = [(family, columns, candidates)]
         results = map(_solve_chunk, chunks)
     else:
         step = max(1, math.ceil(len(candidates) / (jobs * 4)))
         chunks = [
-            (member_lists, columns, candidates[i : i + step])
+            (family, columns, candidates[i : i + step])
             for i in range(0, len(candidates), step)
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -384,41 +381,33 @@ def _or_all(masks: list[int], combo: tuple[int, ...]) -> int:
     return acc
 
 
-def _support_ends(
-    family: SetFamily, supp: tuple[int, ...]
-) -> list[tuple[int, ...]] | None:
-    """The blocks of each support element, or None if one lies in three or more.
-
-    When every element lies in at most two blocks, its block-sum column
-    is an incidence column of the block multigraph H and the frame
-    matroid core of :mod:`graphs` answers rank and kernel questions.
-    """
-    gamma = family.gamma
-    ends = [gamma[g] for g in supp]
-    return ends if max(map(len, ends), default=0) <= 2 else None
+def _column_rows(columns: Sequence[Sequence[int]]) -> list[Row]:
+    """The sparse rows of the 0/1 matrix whose column ``c`` has ones at
+    the rows ``columns[c]``; rows meeting no column are left out."""
+    rows: dict[int, Row] = {}
+    for c, ends in enumerate(columns):
+        for r in ends:
+            rows.setdefault(r, {})[c] = ONE
+    return list(rows.values())
 
 
-def _independent(family: SetFamily, supp: tuple[int, ...]) -> bool:
-    """Whether the block-sum columns of ``supp`` are linearly independent."""
-    ends = _support_ends(family, supp)
-    if ends is None:
-        return _rank(_block_rows(family, supp)) == len(supp)
-    return frame_rank(ends) == len(supp)
+def column_rank(columns: Sequence[Sequence[int]]) -> int:
+    """Rank of the 0/1 matrix whose column ``c`` has ones at the rows
+    ``columns[c]``: from the frame matroid core (:func:`graphs.frame_rank`)
+    when every column meets at most two rows, else from the sparse kernel."""
+    if max(map(len, columns), default=0) <= 2:
+        return frame_rank(columns)
+    return _rank(_column_rows(columns))
 
 
-def _support_kernel(
-    family: SetFamily, supp: tuple[int, ...]
-) -> dict[int, Fraction] | None:
-    """The kernel vector of the block-sum columns of ``supp``, or None.
-
-    Its nonzero entries by position in ``supp``: the vector
-    :func:`_kernel_vector` returns, taken from the frame matroid core
-    when every element lies in at most two blocks.
-    """
-    ends = _support_ends(family, supp)
-    if ends is not None:
-        return frame_circuit(ends)
-    x = _kernel_vector(_block_rows(family, supp), len(supp))
+def column_circuit(columns: Sequence[Sequence[int]]) -> dict[int, Fraction] | None:
+    """The nonzero entries, by column, of :func:`_kernel_vector` of the
+    matrix of :func:`column_rank`, or None at full column rank; from the
+    frame matroid core (:func:`graphs.frame_circuit`) when every column
+    meets at most two rows."""
+    if max(map(len, columns), default=0) <= 2:
+        return frame_circuit(columns)
+    x = _kernel_vector(_column_rows(columns), len(columns))
     return None if x is None else {c: v for c, v in enumerate(x) if v}
 
 
@@ -426,31 +415,26 @@ def is_vertex(family: SetFamily, w: WeightFunction) -> bool:
     """Whether a stochastic weight function is a vertex of the polytope.
 
     Holds exactly when the block-sum columns of its support are linearly
-    independent.  When every support element lies in at most two
-    blocks, that is independence in the frame matroid of H
-    (:func:`graphs.frame_rank`), decided by a union-find without any
-    row reduction; otherwise the sparse kernel decides it.
+    independent (:func:`column_rank`).
     """
     require_stochastic(family, w)
-    return _independent(family, w.support)
+    return column_rank([family.gamma[g] for g in w.support]) == len(w.support)
 
 
 def _vertex_within(family: SetFamily, start: WeightFunction) -> WeightFunction:
     """Walk from a stochastic point to a vertex without growing the support.
 
-    Each step moves along :func:`_support_kernel` of the current support
+    Each step moves along :func:`column_circuit` of the current support
     until a value reaches zero, so the support shrinks until its columns
-    are independent.  When every support element lies in at most two
-    blocks that kernel vector is a circuit of the frame matroid of H
-    (:func:`graphs.frame_circuit`), found without row reduction.
-    The walk updates a plain dict, which stays in ascending label order
-    because keys are only updated or deleted, and builds one
-    ``WeightFunction`` at the end.
+    are independent.  The walk updates a plain dict, which stays in
+    ascending label order because keys are only updated or deleted, and
+    builds one ``WeightFunction`` at the end.
     """
+    gamma = family.gamma
     current = dict(start.items())
     for _ in range(len(family.ground) + 2):
         supp = tuple(current)
-        kernel = _support_kernel(family, supp)
+        kernel = column_circuit([gamma[g] for g in supp])
         if kernel is None:
             return WeightFunction(current)
         moves = [(supp[c], kv) for c, kv in kernel.items()]
@@ -494,7 +478,8 @@ def decompose(family: SetFamily, w: WeightFunction) -> Decomposition:
     coef = Fraction(1)
     current = w
     for _ in range(len(family.ground) + 2):
-        if _independent(family, current.support):
+        supp = current.support
+        if column_rank([family.gamma[g] for g in supp]) == len(supp):
             terms.append((coef, current))
             break
         vertex = _vertex_within(family, current)

@@ -160,3 +160,36 @@ def sparse_rows(matrix: list[list[Fraction]]) -> list[dict[int, Fraction]]:
 
 def dense_row(row: dict[int, Fraction], width: int) -> list[Fraction]:
     return [row.get(c, Fraction(0)) for c in range(width)]
+
+
+def odd_ring_chain(k: int, n: int) -> tuple[list[list[int]], dict[int, Fraction]]:
+    """``k`` rings of ``n`` two-element blocks (``n`` odd), consecutive
+    rings joined by one bridge element, and a point of their polytope.
+
+    Ring i holds the labels i(n+1)+1 .. i(n+1)+n, its j-th label in its
+    blocks j and j+1 (mod n); bridge i, the label (i+1)(n+1), joins block
+    1 of ring i to block 0 of ring i+1.  The point is the mean of the
+    vertex with every ring label at 1/2 and, for each bridge, the vertex
+    with the bridge at 1, both its rings matched around it and the other
+    rings at 1/2.  Its support is everything, one component whose block
+    multigraph has odd cycles only.
+    """
+    blocks: list[list[int]] = []
+    for i in range(k):
+        base = i * (n + 1)
+        blocks += [[base + (j - 1) % n + 1, base + j + 1] for j in range(n)]
+    half = Fraction(1, 2)
+    # the sum of the k vertices, from every ring label at 1/2 in each
+    total = {base + j + 1: k * half for base in range(0, k * (n + 1), n + 1) for j in range(n)}
+    for i in range(k - 1):
+        bridge = (i + 1) * (n + 1)
+        blocks[i * n + 1].append(bridge)
+        blocks[(i + 1) * n].append(bridge)
+        total[bridge] = Fraction(1)
+        # ring i loses block 1 and is matched from label 2 on; ring i+1
+        # loses block 0 and is matched from label 1 on
+        for ring, first in ((i, 2), (i + 1, 1)):
+            base = ring * (n + 1)
+            for j in range(n):
+                total[base + j + 1] += (1 if (j - first) % 2 == 0 and j >= first else 0) - half
+    return blocks, {g: v / k for g, v in total.items()}

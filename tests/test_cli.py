@@ -8,7 +8,7 @@ import pytest
 from blockstoch import graphs
 from blockstoch.cli import main
 
-from helpers import diamond_chain_blocks
+from helpers import diamond_chain_blocks, odd_ring_chain
 
 TRIANGLE = {
     "blocks": [[2, 3], [1, 3], [1, 2]],
@@ -80,6 +80,39 @@ class TestCheck:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:")
+
+
+class TestWeightLabelGivenTwice:
+    """Two weight keys naming one label are an input error, not a collapse."""
+
+    SPELLED = "error: weight label 1 is given twice\n"
+    VERBATIM = "error: key '1' is given twice\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"blocks": [[1, 2]], "weights": {"1": "1/2", "01": "1/2", "2": "1/2"}}', SPELLED),
+            ('{"blocks": [[1, 2]], "weights": {"1": "1/2", "1": "1/2", "2": "1/2"}}', VERBATIM),
+        ],
+        ids=["spelled-twice", "verbatim"],
+    )
+    def test_instance(self, tmp_path, capsys, text, message):
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"weights": {"1": 1, " 1": 1}}', SPELLED), ('{"weights": {"1": 1, "1": 1}}', VERBATIM)],
+        ids=["spelled-twice", "verbatim"],
+    )
+    def test_generator_weights(self, tmp_path, capsys, text, message):
+        path = tmp_path / "w.json"
+        path.write_text(text)
+        argv = ["extend", str(path), "--generator", "path", "--n", "1", "--horizon", "4"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == message
 
 
 class TestGraph:
@@ -415,6 +448,80 @@ class TestGen:
         )
         assert code == 1
         assert capsys.readouterr().err == "error: budget must be at least 1\n"
+
+
+def ring_chain_doc(k, n):
+    blocks, weights = odd_ring_chain(k, n)
+    return {"blocks": blocks, "weights": {str(g): str(v) for g, v in weights.items()}}
+
+
+ROWS_4 = [[4 * r + c + 1 for c in range(4)] for r in range(4)]
+
+# (argv, instance document placed after the subcommand, SHA-256 of stdout),
+# the digests captured once from the code before the rank dispatch moved
+# into one place and the even-cycle test moved onto H
+PINNED_RUNS = {
+    "demo-square-matrix": (
+        ["demo", "square-matrix"],
+        None,
+        "0c47db7d99a9d66795c6795a3ad57758d09c0fa4c070b41c7127d41e1fd0542d",
+    ),
+    "demo-odd-cycle": (
+        ["demo", "odd-cycle"],
+        None,
+        "0574cd9dced611723631e3ad543c7b9c5fe0ef027d62d9ad61dfbd72f365418f",
+    ),
+    "demo-fan": (
+        ["demo", "fan"],
+        None,
+        "5e9eb707acb5b4702f53cc5cf49de35051de5fbd1177677b6cec5c78adc6caf7",
+    ),
+    "demo-pinned-segment": (
+        ["demo", "pinned-segment"],
+        None,
+        "96d9f66553cec26c2e52b802b96bcafe23b56981f4537767046fe70fbd99d126",
+    ),
+    "demo-growing-blocks": (
+        ["demo", "growing-blocks"],
+        None,
+        "f26ce7d8a1afba6641686e114a49aff6060d24442f58937d46ab2109a5cdef4d",
+    ),
+    "extend-path": (
+        ["extend", "--generator", "path", "--n", "1", "--horizon", "40"],
+        {"weights": {"1": 1}},
+        "83d9970ce398110ad51922d749191a407d27f8c376f8921a631cd511ff9d231a",
+    ),
+    "extend-grid": (
+        ["extend", "--generator", "grid", "--n", "2", "--horizon", "40"],
+        {"weights": {"1": 1}},
+        "dad40f2bee96a7d546c96d6c0093a4aa736fd47447eb9f1a2197c7814f04f1db",
+    ),
+    "extend-wrapped": (
+        ["extend", "--n", "1", "--horizon", "8"],
+        {"blocks": ROWS_4 + [list(c) for c in zip(*ROWS_4)], "weights": {"1": 1}},
+        "bcf00ff5a14ceeabe467427b80f452bf65649480481eb960a38e423ec1057bbd",
+    ),
+    "classify-pentagon-chain-12": (
+        ["classify"],
+        ring_chain_doc(12, 5),
+        "ed0242d83e4885c5f1de91dd82f91bdaf777381ba123285405790d3fcc3763f5",
+    ),
+    "classify-ring-pair-401": (
+        ["classify"],
+        ring_chain_doc(2, 401),
+        "1c018221bb8ddf235ebbb34c57aa0ee0bec73d6f062ecb170902e2708cef8ba0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_RUNS))
+def test_pinned_stdout(tmp_path, capsys, name):
+    argv, doc, digest = PINNED_RUNS[name]
+    if doc is not None:
+        argv = [argv[0], write(tmp_path, doc), *argv[1:]]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestUsage:

@@ -62,8 +62,6 @@ class TestGenerators:
         first = [next(row) for _ in range(4)]
         assert first == [1, 2, 4, 7]
         assert gen.block_count is None
-        with pytest.raises(InputError):
-            gen.block_at(1)
 
     def test_wrapped_finite_family(self):
         fam = build_family([[1, 2], [2, 3]])

@@ -7,6 +7,7 @@ import pytest
 from blockstoch import extremality, graphs
 from blockstoch.errors import (
     ConditionsViolatedError,
+    EvenCyclePresentError,
     NotStochasticError,
 )
 from blockstoch.extremality import (
@@ -23,6 +24,9 @@ from blockstoch.family import (
     require_stochastic,
 )
 from blockstoch.graphs import Path
+from blockstoch.oracle import enumerate_vertices
+
+from helpers import odd_ring_chain
 
 F = Fraction
 HALF = F(1, 2)
@@ -155,6 +159,21 @@ class TestCycleAttachment:
         witness = construct_cycle_attachment(fam, w, cycle=cycle)
         assert_valid_witness(fam, w, witness)
 
+    def test_component_with_an_even_cycle_refused(self):
+        # H is a triangle on blocks 1-3 and a square on blocks 3-6 sharing
+        # block 3, with a half-edge at every block; the point is the mean
+        # of all vertices, so its support is everything
+        fam = build_family(
+            [[1, 3, 8], [1, 2, 9], [2, 3, 4, 7, 10], [4, 5, 11], [5, 6, 12], [6, 7, 13]]
+        )
+        vertices = enumerate_vertices(fam)
+        w = WeightFunction.zero()
+        for vertex in vertices:
+            w = w + vertex.scaled(F(1, len(vertices)))
+        assert len(w.support) == 13
+        with pytest.raises(EvenCyclePresentError):
+            construct_cycle_attachment(fam, w, cycle=Path((1, 2, 3), is_cycle=True))
+
     def test_uniform_matrix_refused_without_walks(self, monkeypatch):
         m = 20
         rows = [[m * r + c + 1 for c in range(m)] for r in range(m)]
@@ -217,14 +236,11 @@ class TestWitnessCycleIsNotEnumerated:
             lambda: construct_cycle_attachment(pendant, on_pendant),
         ]
         expected = [call() for call in calls]
-        census = extremality.find_primitive_cycles
 
-        def first_only(*args, **kwargs):
-            if not kwargs.get("first_only"):
-                raise AssertionError("the full primitive-cycle census was reached")
-            return census(*args, **kwargs)
+        def refuse(*args, **kwargs):
+            raise AssertionError("a primitive-cycle census was reached")
 
-        monkeypatch.setattr(extremality, "find_primitive_cycles", first_only)
+        monkeypatch.setattr(graphs, "_walk_cycles", refuse)
         assert [call() for call in calls] == expected
         constructions = [v.witness.construction for v in expected[:5]]
         assert constructions == [
@@ -234,6 +250,36 @@ class TestWitnessCycleIsNotEnumerated:
             "cycle_attachment",
             "cycle_attachment",
         ]
+
+
+class TestOddCycleChains:
+    """A component whose H has odd cycles only is classified without any
+    exhaustive walk: H answers that no even cycle exists."""
+
+    @pytest.mark.parametrize("k, n", [(24, 5), (2, 801)])
+    def test_classify_walks_linearly(self, monkeypatch, k, n):
+        blocks, weights = odd_ring_chain(k, n)
+        fam = build_family(blocks)
+        w = WeightFunction(weights)
+        cap = 4 * len(fam.ground)
+        walks = graphs._primitive_walks
+        steps = [0]
+
+        def capped(*args, **kwargs):
+            for walk in walks(*args, **kwargs):
+                steps[0] += 1
+                if steps[0] > cap:
+                    raise AssertionError(f"the walks took more than {cap} steps")
+                yield walk
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a primitive-cycle census was reached")
+
+        monkeypatch.setattr(graphs, "_primitive_walks", capped)
+        monkeypatch.setattr(graphs, "_walk_cycles", refuse)
+        verdict = classify_extreme(fam, w)
+        assert verdict.witness.construction == "cycle_attachment"
+        assert_valid_witness(fam, w, verdict.witness)
 
 
 class TestStochasticCheckedOnce:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from blockstoch import extremality, graphs
+from blockstoch import graphs
 from blockstoch.errors import (
     ConditionsViolatedError,
     InputError,
@@ -385,6 +385,7 @@ class TestShortestPrimitiveCycle:
             for start in graph.vertices
             for walk in graphs._primitive_walks(graph, fam, start, floor=start)
         }
+        no_even = not find_primitive_cycles(graph, fam, "even")
         walks = graphs._primitive_walks
         visited = []
 
@@ -396,11 +397,15 @@ class TestShortestPrimitiveCycle:
         monkeypatch.setattr(graphs, "_primitive_walks", recording)
         shortest_primitive_cycle(graph, fam, parity)
         # an odd search on a bipartite H is answered by the two-coloring
-        # alone and walks nothing; every other search walks something
+        # alone and walks nothing, and so is an even search on an H
+        # without an even cycle; every other search walks something
         bipartite_h = (
             max_multiplicity(fam) <= 2 and two_color(block_multigraph(fam)[1]) is not None
         )
-        assert bool(visited) != (parity == "odd" and bipartite_h)
+        answered_by_h = max_multiplicity(fam) <= 2 and (
+            (parity == "odd" and bipartite_h) or (parity == "even" and no_even)
+        )
+        assert bool(visited) != answered_by_h
         assert set(visited) <= census_walks
 
     def test_bad_parity_rejected(self):
@@ -566,7 +571,6 @@ class TestNoCycleSearch:
             raise AssertionError("the primitive-cycle search was reached")
 
         monkeypatch.setattr(graphs, "find_primitive_cycles", refuse)
-        monkeypatch.setattr(extremality, "find_primitive_cycles", refuse)
         assert [call() for call in calls] == expected
         with pytest.raises(ConditionsViolatedError, match="primitive cycle"):
             construct_tree_propagation(ring, on_ring)

@@ -24,6 +24,8 @@ from blockstoch.oracle import (
     _rank,
     _rref,
     _solve_all_ones,
+    column_circuit,
+    column_rank,
 )
 
 from helpers import (
@@ -197,6 +199,14 @@ def test_block_rows_match_dense_on_seeded_families():
             [F(1) if g in b.member_set else F(0) for g in columns] for b in fam.blocks
         ]
         check_all(matrix, len(columns), rng)
+        ends = [fam.gamma[g] for g in columns]
+        assert column_rank(ends) == dense_rank(matrix, len(columns))
+        circuit = column_circuit(ends)
+        kernel = dense_kernel_vector(matrix, len(columns))
+        if circuit is None:
+            assert kernel is None
+        else:
+            assert [circuit.get(c, F(0)) for c in range(len(columns))] == kernel
 
 
 def random_incidence(rng, nrows, ncols):

@@ -1,0 +1,84 @@
+"""Every function, class, method and property of the package is used.
+
+A definition counts as used when its name occurs outside the definition
+itself: as a name, an attribute, an imported name, a keyword or an
+identifier string (as ``monkeypatch.setattr`` takes it) anywhere in the
+package or the tests, or as a word of the README.  Special methods are
+called by the interpreter, and a method that overrides one of a base
+class from outside the package (``argparse.ArgumentParser.error``) is
+called by that base, so both are exempt.
+"""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names(node):
+    """The identifiers a node names."""
+    if isinstance(node, ast.Name):
+        return (node.id,)
+    if isinstance(node, ast.Attribute):
+        return (node.attr,)
+    if isinstance(node, ast.alias):
+        return (node.name.rpartition(".")[2], node.asname)
+    if isinstance(node, ast.keyword):
+        return (node.arg,)
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return (node.value,) if node.value.isidentifier() else ()
+    return ()
+
+
+def _outside_bases(node):
+    """The base classes of a class definition that resolve by import."""
+    bases = []
+    for base in node.bases:
+        module, _, attr = ast.unparse(base).rpartition(".")
+        try:
+            bases.append(getattr(importlib.import_module(module or "builtins"), attr))
+        except (ImportError, AttributeError):
+            pass
+    return bases
+
+
+def _scan(tree, path, definitions, uses):
+    """Record each definition with its place, and each name with the
+    definitions it occurs inside."""
+    stack = [(tree, (), [])]
+    while stack:
+        node, inside, bases = stack.pop()
+        for name in _names(node):
+            uses.setdefault(name, []).append(inside)
+        if isinstance(node, DEFINITIONS):
+            if not any(hasattr(base, node.name) for base in bases):
+                place = f"{node.name} ({path.name}:{node.lineno})"
+                definitions.append((node.name, place, id(node)))
+            inside = inside + (id(node),)
+        bases = _outside_bases(node) if isinstance(node, ast.ClassDef) else []
+        stack.extend((child, inside, bases) for child in ast.iter_child_nodes(node))
+
+
+def test_every_definition_is_named_elsewhere():
+    sources = sorted((ROOT / "src" / "blockstoch").glob("*.py"))
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    definitions = []
+    uses = {}
+    # the parsed trees stay alive so that the node ids stay distinct
+    trees = []
+    for path in sources + tests:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        trees.append(tree)
+        _scan(tree, path, definitions if path in sources else [], uses)
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    dead = [
+        place
+        for name, place, node in definitions
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in readme
+        and not any(node not in inside for inside in uses.get(name, ()))
+    ]
+    assert not dead, f"defined but never named elsewhere: {', '.join(dead)}"

@@ -337,7 +337,7 @@ class TestFrameCore:
         assert len(calls) > 2
         calls.clear()
         assert _support_rank([[1, 2], [1, 3], [1, 4]]) == 3
-        assert calls == [5]
+        assert calls == [4]
 
     def test_decompose_16x16_permutation_mean_stdout(self, tmp_path, capsys):
         # the SHA-256 of this stdout as the sparse-kernel vertex walk printed it

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blockstoch import graphs
 from blockstoch.cli import gen_random
 from blockstoch.errors import ConditionsViolatedError
 from blockstoch.extremality import (
@@ -46,6 +47,8 @@ from blockstoch.oracle import (
     _kernel_vector,
     _rank,
     basis_vertices,
+    column_circuit,
+    column_rank,
     decompose,
     enumerate_vertices,
 )
@@ -154,8 +157,9 @@ def test_frame_core_matches_sparse_kernel_on_seeded_sweep():
         for supp in supports:
             rows = _block_rows(fam, supp)
             ends = [fam.gamma[g] for g in supp]
-            assert frame_rank(ends) == _rank(rows), (fam.blocks, supp)
+            assert frame_rank(ends) == _rank(rows) == column_rank(ends), (fam.blocks, supp)
             circuit = frame_circuit(ends)
+            assert column_circuit(ends) == circuit
             kernel = _kernel_vector(rows, len(supp))
             if circuit is None:
                 assert kernel is None, (fam.blocks, supp)
@@ -462,6 +466,36 @@ def test_shortest_cycle_matches_census_on_seeded_sweep():
     assert kappas[3] >= 100 and kappas[2] >= 100
     for parity in ("any", "odd", "even"):
         assert outcomes[f"{parity} found"] > 0 and outcomes[f"{parity} none"] > 0
+
+
+def _check_even_test(fam, outcomes):
+    """The even-cycle test on H against the walk census, on every graph of
+    the pool whose elements lie in at most two blocks."""
+    for graph in _graph_pool(fam):
+        if all(len(fam.gamma[g]) <= 2 for g in graph.vertices):
+            edges = block_multigraph(fam, graph.vertices)[1]
+            expected = bool(walk_census(graph, fam, "even"))
+            assert graphs._has_even_cycle(edges) == expected, (fam.blocks, graph.vertices)
+            outcomes[expected] += 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_families())
+def test_even_test_on_h_matches_walks(fam):
+    _check_even_test(fam, Counter())
+
+
+@settings(max_examples=100, deadline=None)
+@given(chorded_cycles())
+def test_even_test_on_h_matches_walks_on_chorded_cycles(case):
+    _check_even_test(case[0], Counter())
+
+
+def test_even_test_on_h_matches_walks_on_seeded_sweep():
+    outcomes = Counter()
+    for fam in kappa2_sweep():
+        _check_even_test(fam, outcomes)
+    assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
 
 
 def _check_census(fam, outcomes):
