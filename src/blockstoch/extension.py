@@ -26,10 +26,10 @@ from .errors import (
     InternalPropertyError,
     NotStochasticError,
 )
-from .family import SetFamily, WeightFunction, build_family
-from .oracle import ZERO, Decomposition, column_rank, decompose
+from .family import ONE, ZERO, SetFamily, WeightFunction, build_family
+from .oracle import Decomposition, column_rank, decompose
 
-# elements a completion step inspects in one block before giving up
+# fresh elements a completion step inspects in one block before giving up
 SCAN_LIMIT = 4096
 
 
@@ -39,6 +39,10 @@ class FamilyGenerator(Protocol):
     ``block_count`` is ``None`` for unbounded families.
     ``claims_fresh_supply`` promises that every block keeps elements
     outside any finite exploration that follows ascending block order.
+    The first block of a label ``g`` is ``gamma_of(g)[0]``, and the
+    fresh elements of block ``k`` are its labels whose first block is
+    ``k``: a completion walk reaching ``k`` has saturated every earlier
+    block, so these are the only labels it can still choose there.
     All methods must be pure and deterministic.
     """
 
@@ -46,11 +50,11 @@ class FamilyGenerator(Protocol):
     block_count: int | None
     claims_fresh_supply: bool
 
-    def block_size(self, k: int) -> int | None:
-        """Number of elements of block ``k``, or ``None`` if unbounded."""
-
     def block_elements(self, k: int) -> Iterator[int]:
         """Elements of block ``k`` in ascending label order."""
+
+    def fresh_elements(self, k: int) -> Iterator[int]:
+        """Elements of block ``k`` whose first block is ``k``, ascending."""
 
     def gamma_of(self, g: int) -> tuple[int, ...]:
         """Sorted indices of every block containing ``g`` (always finite)."""
@@ -71,13 +75,13 @@ class PathGenerator:
     block_count: int | None = None
     claims_fresh_supply = True
 
-    def block_size(self, k: int) -> int | None:
-        _check_index(k, None)
-        return 2
-
     def block_elements(self, k: int) -> Iterator[int]:
         _check_index(k, None)
         return iter((k, k + 1))
+
+    def fresh_elements(self, k: int) -> Iterator[int]:
+        _check_index(k, None)
+        return iter((1, 2) if k == 1 else (k + 1,))
 
     def gamma_of(self, g: int) -> tuple[int, ...]:
         if g < 1:
@@ -96,14 +100,13 @@ class DisjointGrowingGenerator:
     block_count: int | None = None
     claims_fresh_supply = True
 
-    def block_size(self, k: int) -> int | None:
-        _check_index(k, None)
-        return k
-
     def block_elements(self, k: int) -> Iterator[int]:
         _check_index(k, None)
         start = k * (k - 1) // 2 + 1
         return iter(range(start, start + k))
+
+    def fresh_elements(self, k: int) -> Iterator[int]:
+        return self.block_elements(k)
 
     def gamma_of(self, g: int) -> tuple[int, ...]:
         if g < 1:
@@ -121,7 +124,8 @@ class GridGenerator:
 
     Cell (r, c) gets the diagonal label (r+c-2)(r+c-1)/2 + r.  Block
     2r-1 is row r and block 2c is column c, so every label lies in
-    exactly two blocks and the blocks are unbounded.
+    exactly two blocks and the blocks are unbounded.  Cell (r, c) is
+    fresh in its row when c >= r and in its column otherwise.
     """
 
     name = "grid"
@@ -144,17 +148,21 @@ class GridGenerator:
         r = s - d * (d + 1) // 2 + 1
         return r, d - r + 2
 
-    def block_size(self, k: int) -> int | None:
-        _check_index(k, None)
-        return None
-
-    def block_elements(self, k: int) -> Iterator[int]:
+    def _line(self, k: int, start: int) -> Iterator[int]:
+        """The cells of block ``k`` from its ``start``-th on, in label order."""
         _check_index(k, None)
         if k % 2 == 1:
             r = (k + 1) // 2
-            return (self.label(r, c) for c in count(1))
+            return (self.label(r, c) for c in count(start))
         c = k // 2
-        return (self.label(r, c) for r in count(1))
+        return (self.label(r, c) for r in count(start))
+
+    def block_elements(self, k: int) -> Iterator[int]:
+        return self._line(k, 1)
+
+    def fresh_elements(self, k: int) -> Iterator[int]:
+        # row r starts at column r, column c at row c + 1: both k // 2 + 1
+        return self._line(k, k // 2 + 1)
 
     def gamma_of(self, g: int) -> tuple[int, ...]:
         r, c = self.cell(g)
@@ -181,11 +189,12 @@ class WrappedFamilyGenerator:
         self._family = family
         self.block_count: int | None = len(family.blocks)
 
-    def block_size(self, k: int) -> int | None:
-        return self._family.block(k).size
-
     def block_elements(self, k: int) -> Iterator[int]:
         return iter(self._family.block(k).members)
+
+    def fresh_elements(self, k: int) -> Iterator[int]:
+        membership = self._family.membership
+        return (g for g in self._family.block(k).members if membership(g)[0] == k)
 
     def gamma_of(self, g: int) -> tuple[int, ...]:
         return self._family.membership(g)
@@ -218,17 +227,34 @@ class Truncation:
     w: WeightFunction
 
 
+class _Gammas(dict):
+    """``gamma_of`` of each label looked up, read from the generator once.
+
+    One is built per call, so a call asks the generator about a label
+    at most once however many of its checks read that label.
+    """
+
+    def __init__(self, generator: FamilyGenerator):
+        super().__init__()
+        self.generator = generator
+
+    def __missing__(self, g: int) -> tuple[int, ...]:
+        gamma = self[g] = self.generator.gamma_of(g)
+        return gamma
+
+
 def _touched_members(
-    generator: FamilyGenerator, support: tuple[int, ...]
+    gammas: _Gammas, support: tuple[int, ...]
 ) -> dict[int, list[int]]:
     """The elements of ``support`` in every block meeting it, by block.
 
     Read from ``gamma_of``; each listed block is cross-checked with
     ``contains``.
     """
+    generator = gammas.generator
     members: dict[int, list[int]] = {}
     for g in support:
-        for k in generator.gamma_of(g):
+        for k in gammas[g]:
             if not generator.contains(k, g):
                 raise GeneratorInconsistentError(
                     f"gamma_of({g}) lists block {k} but contains({k}, {g})"
@@ -244,19 +270,20 @@ def _block_sums(
     return {k: sum((w(g) for g in gs), ZERO) for k, gs in members.items()}
 
 
-def _touched_sums(
-    generator: FamilyGenerator, w: WeightFunction
-) -> dict[int, Fraction]:
+def _touched_sums(gammas: _Gammas, w: WeightFunction) -> dict[int, Fraction]:
     """Block sums of ``w`` over every block meeting its support."""
-    return _block_sums(w, _touched_members(generator, w.support))
+    return _block_sums(w, _touched_members(gammas, w.support))
 
 
-def validate_truncation(generator: FamilyGenerator, trunc: Truncation) -> None:
+def validate_truncation(
+    generator: FamilyGenerator, trunc: Truncation
+) -> dict[int, Fraction]:
     """Raise unless the truncation is a valid partial assignment.
 
     The support must lie inside the first ``n`` blocks, values must be
     nonnegative, blocks up to ``n`` must sum to exactly one, and every
-    later block meeting the support must sum to at most one.
+    later block meeting the support must sum to at most one.  Returns
+    the block sums of the weights over every block meeting the support.
     """
     if trunc.n < 1:
         raise InputError("the truncation depth must be positive")
@@ -267,15 +294,18 @@ def validate_truncation(generator: FamilyGenerator, trunc: Truncation) -> None:
         )
     if not trunc.w.nonnegative:
         raise InputError("truncation weights must be nonnegative")
+    gammas = _Gammas(generator)
     for g in trunc.w.support:
-        gamma = generator.gamma_of(g)
+        gamma = gammas[g]
         if not gamma:
             raise InputError(f"element {g} lies in no block")
         if min(gamma) > trunc.n:
             raise InputError(
                 f"element {g} lies outside the first {trunc.n} blocks"
             )
-    _require_block_sums(_touched_sums(generator, trunc.w), trunc.n)
+    sums = _touched_sums(gammas, trunc.w)
+    _require_block_sums(sums, trunc.n)
+    return sums
 
 
 def _require_block_sums(sums: dict[int, Fraction], upto: int) -> None:
@@ -306,14 +336,13 @@ def tail_sums(
     block index meeting the support the entries are zero and stay zero,
     which is asserted.
     """
-    validate_truncation(generator, trunc)
+    sums = validate_truncation(generator, trunc)
     if horizon < trunc.n:
         raise InputError("the horizon must not precede the truncation depth")
-    sums = _touched_sums(generator, trunc.w)
     last_touched = max(sums, default=0)
     out = []
     for j in range(trunc.n + 1, horizon + 1):
-        value = sums.get(j, Fraction(0))
+        value = sums.get(j, ZERO)
         if j > last_touched and value != 0:
             raise InternalPropertyError("tail sums failed to vanish")
         out.append(value)
@@ -362,7 +391,7 @@ def _eligible(
     for k in others:
         if k in claimed:
             return False
-        current = delta.get(k, Fraction(0))
+        current = delta.get(k, ZERO)
         if bound > 0:
             if current >= bound:
                 return False
@@ -383,11 +412,19 @@ def extend_truncation(
     the missing amount (exactly zero when the missing amount is one) and
     avoid every block already saturated or already met by an earlier
     chosen element, and assign it the missing amount.  The walk stops at
-    the horizon, or earlier when a bounded family is exhausted.  A block
-    offering no eligible label within ``SCAN_LIMIT`` inspected elements
-    raises ``HorizonExhaustedError`` rather than being skipped.
+    the horizon, or earlier when a bounded family is exhausted.
+
+    Every block before the current one is saturated when the walk gets
+    there, so a label that also lies in an earlier block is never
+    eligible, and the scan reads only the block's ``fresh_elements``.
+    Each label it inspects must have the current block as its first
+    block, or ``GeneratorInconsistentError`` is raised.  A block whose
+    fresh elements run out, or offer no eligible label among the first
+    ``SCAN_LIMIT``, raises ``HorizonExhaustedError`` rather than being
+    skipped.
     """
-    validate_truncation(generator, trunc)
+    # validate_truncation has rejected every block sum above one
+    delta = validate_truncation(generator, trunc)
     if horizon <= trunc.n:
         raise InputError("the horizon must exceed the truncation depth")
     if not generator.claims_fresh_supply and generator.block_count is None:
@@ -395,11 +432,8 @@ def extend_truncation(
             "an unbounded generator must promise fresh elements in"
             " every block"
         )
-    # validate_truncation has rejected every block sum above one
-    delta = _touched_sums(generator, trunc.w)
     claimed = {k for k, total in delta.items() if total == 1}
     values = dict(trunc.w.items())
-    assigned: set[int] = set()
     steps: list[ChosenStep] = []
     # block -> (element, pattern) of every chosen element inside it
     chosen_in: dict[int, list[tuple[int, str]]] = {}
@@ -407,7 +441,7 @@ def extend_truncation(
 
     cursor = trunc.n + 1
     while True:
-        while cursor <= last_block and delta.get(cursor, Fraction(0)) == 1:
+        while cursor <= last_block and delta.get(cursor, ZERO) == 1:
             cursor += 1
         if cursor > last_block:
             complete = True
@@ -419,25 +453,26 @@ def extend_truncation(
         bound = 1 - need
         chosen = None
         scanned = 0
-        for g in islice(generator.block_elements(k_j), SCAN_LIMIT):
+        for g in islice(generator.fresh_elements(k_j), SCAN_LIMIT):
             scanned += 1
             gamma = generator.gamma_of(g)
             if k_j not in gamma:
                 raise GeneratorInconsistentError(
                     f"block {k_j} yields label {g} outside gamma_of({g})"
                 )
-            if g in assigned or min(gamma) <= trunc.n:
-                continue
-            others = tuple(k for k in gamma if k != k_j)
-            if _eligible(others, delta, bound, claimed):
+            if gamma[0] != k_j:
+                raise GeneratorInconsistentError(
+                    f"block {k_j} yields label {g} as fresh, but its first"
+                    f" block is {gamma[0]}"
+                )
+            if _eligible(gamma[1:], delta, bound, claimed):
                 chosen = (g, gamma)
                 break
         if chosen is None:
-            size = generator.block_size(k_j)
-            if size is not None and scanned >= size:
+            if scanned < SCAN_LIMIT:
                 detail = "no fresh eligible element exists"
             else:
-                detail = f"none found among the first {scanned} elements"
+                detail = f"none found among the first {scanned} fresh elements"
             raise HorizonExhaustedError(
                 f"block {k_j} cannot be saturated: {detail}"
             )
@@ -470,7 +505,6 @@ def extend_truncation(
                 claimed.add(k)
             chosen_in.setdefault(k, []).append((g_j, pattern))
         values[g_j] = need
-        assigned.add(g_j)
         steps.append(
             ChosenStep(
                 element=g_j,
@@ -483,10 +517,10 @@ def extend_truncation(
 
     extended = WeightFunction(values)
     packing_a = WeightFunction(
-        {s.element: Fraction(1) for s in steps if s.pattern == "a"}
+        {s.element: ONE for s in steps if s.pattern == "a"}
     )
     packing_b = WeightFunction(
-        {s.element: Fraction(1) for s in steps if s.pattern == "b"}
+        {s.element: ONE for s in steps if s.pattern == "b"}
     )
     result = ExtensionResult(
         n=trunc.n,
@@ -556,8 +590,10 @@ def verify_extension(
     from ``gamma_of`` of each support element, so, like the block sums,
     they trust the protocol's promise that ``gamma_of`` lists every
     block containing an element; each listed block is still
-    cross-checked with ``contains``.
+    cross-checked with ``contains``.  Each label's ``gamma_of`` is read
+    once, into a memo of this call's own.
     """
+    gammas = _Gammas(generator)
     violations: list[str] = []
     base = trunc.w
     chosen = {s.element: s for s in result.steps}
@@ -573,7 +609,7 @@ def verify_extension(
     for g, step in chosen.items():
         if diff.value(g) != step.value:
             violations.append(f"step at {g} left no trace in the completion")
-        gamma = generator.gamma_of(g)
+        gamma = gammas[g]
         if min(gamma) <= trunc.n:
             violations.append(f"chosen element {g} is not fresh")
         if step.block_index not in gamma:
@@ -582,7 +618,7 @@ def verify_extension(
             )
 
     full_support = result.extended.support
-    extended_members = _touched_members(generator, full_support)
+    extended_members = _touched_members(gammas, full_support)
     sums = _block_sums(result.extended, extended_members)
     last_block = _last_block(generator, result.horizon)
     for k, total in sorted(sums.items()):
@@ -593,14 +629,14 @@ def verify_extension(
     if result.complete:
         must_saturate.update(range(trunc.n + 1, last_block + 1))
     for k in sorted(must_saturate):
-        total = sums.get(k, Fraction(0))
+        total = sums.get(k, ZERO)
         if total != 1:
             violations.append(f"block {k} sums to {total}, expected 1")
 
     earlier_in: dict[int, list[int]] = {}
     for step in result.steps:
         gj = step.element
-        gamma = generator.gamma_of(gj)
+        gamma = gammas[gj]
         met = {gi for k in gamma for gi in earlier_in.get(k, ())}
         for k in gamma:
             earlier_in.setdefault(k, []).append(gj)
@@ -615,7 +651,7 @@ def verify_extension(
     for name, packing in (("a", result.packing_a), ("b", result.packing_b)):
         if not packing.zero_one:
             violations.append(f"packing {name} is not 0/1-valued")
-        packing_sums = _touched_sums(generator, packing)
+        packing_sums = _touched_sums(gammas, packing)
         for k, total in sorted(packing_sums.items()):
             if total > 1:
                 violations.append(
@@ -630,7 +666,7 @@ def verify_extension(
         extended_members[k] for k, total in sorted(sums.items()) if total == 1
     ]
     base_support = base.support
-    base_members = _touched_members(generator, base_support)
+    base_members = _touched_members(gammas, base_support)
     base_sums = _block_sums(base, base_members)
     base_rows = [
         base_members[k]
@@ -665,7 +701,7 @@ class ApproximationReport:
     def max_block_discrepancy(self, up_to: int | None = None) -> Fraction:
         bound = self.horizon if up_to is None else up_to
         gaps = [d for k, d in self.block_discrepancy.items() if k <= bound]
-        return max(gaps, default=Fraction(0))
+        return max(gaps, default=ZERO)
 
 
 def approximate_by_extremes(
@@ -692,18 +728,15 @@ def approximate_by_extremes(
         raise InputError("the horizon must exceed the truncation depth")
     if not w_full.nonnegative:
         raise InputError("the target function must be nonnegative")
-    sums = _touched_sums(generator, w_full)
+    gammas = _Gammas(generator)
+    sums = _touched_sums(gammas, w_full)
     last_block = _last_block(generator, horizon)
     _require_block_sums(sums, last_block)
 
     star = WeightFunction(
-        {
-            g: value
-            for g, value in w_full.items()
-            if min(generator.gamma_of(g)) <= n
-        }
+        {g: value for g, value in w_full.items() if min(gammas[g]) <= n}
     )
-    touched = _touched_members(generator, star.support)
+    touched = _touched_members(gammas, star.support)
     star_sums = _block_sums(star, touched)
     augmented = dict(star.items())
     # every label from first_slack on is a slack element
@@ -728,15 +761,15 @@ def approximate_by_extremes(
     approximation = Decomposition(terms=tuple(terms))
     combined = approximation.combined()
 
-    combined_sums = _touched_sums(generator, combined)
+    combined_sums = _touched_sums(gammas, combined)
     block_gap: dict[int, Fraction] = {}
     for k in range(1, last_block + 1):
-        have = combined_sums.get(k, Fraction(0))
-        want = sums.get(k, Fraction(0))
+        have = combined_sums.get(k, ZERO)
+        want = sums.get(k, ZERO)
         block_gap[k] = abs(want - have)
     element_gap: dict[int, Fraction] = {}
     for g in sorted(set(w_full.support) | set(combined.support)):
-        if min(generator.gamma_of(g)) <= n:
+        if min(gammas[g]) <= n:
             gap = abs(w_full.value(g) - combined.value(g))
             if gap != 0:
                 element_gap[g] = gap

@@ -50,6 +50,8 @@ from .errors import (
     InternalPropertyError,
 )
 from .family import (
+    ONE,
+    ZERO,
     SetFamily,
     WeightFunction,
     classify_membership,
@@ -59,8 +61,6 @@ from .family import (
 from .graphs import block_multigraph, frame_circuit, frame_rank, two_color
 
 DEFAULT_BUDGET = 1 << 20
-ZERO = Fraction(0)
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 Row = dict[int, Fraction]
@@ -586,9 +586,9 @@ def cross_validate(
 
 def sup_block_norm(family: SetFamily, w: WeightFunction) -> Fraction:
     """The largest absolute block sum, over all blocks."""
-    best = Fraction(0)
+    best = ZERO
     for b in family.blocks:
-        s = sum((abs(w.value(g)) for g in b.members), Fraction(0))
+        s = sum((abs(w.value(g)) for g in b.members), ZERO)
         if s > best:
             best = s
     return best

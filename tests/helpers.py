@@ -1,9 +1,12 @@
 """Shared assertion helpers, independent of the library's internal checks."""
 
 import math
+import random
 from fractions import Fraction
+from itertools import islice
 
 from blockstoch import graphs
+from blockstoch.cli import gen_random
 from blockstoch.family import SetFamily, WeightFunction, classify_membership
 from blockstoch.graphs import (
     AssociatedGraph,
@@ -55,6 +58,16 @@ def assert_cycle_pieces(
                 assert len(shared_edges) == 1
             else:
                 assert len(shared) <= 1
+
+
+def kappa2_sweep():
+    """The 600 seeded κ ≤ 2 families the multigraph search is checked on."""
+    rng = random.Random(2)
+    for i in range(600):
+        elements = rng.randint(2, 10)
+        blocks = rng.randint(1, 8)
+        fam, _ = gen_random(elements, blocks, kappa_max=2, seed=30_000 + i)
+        yield fam
 
 
 def walk_census(graph: AssociatedGraph, family: SetFamily, parity: str = "any"):
@@ -193,3 +206,62 @@ def odd_ring_chain(k: int, n: int) -> tuple[list[list[int]], dict[int, Fraction]
             for j in range(n):
                 total[base + j + 1] += (1 if (j - first) % 2 == 0 and j >= first else 0) - half
     return blocks, {g: v / k for g, v in total.items()}
+
+
+# The full block scan of the extension walk, kept as the reference for
+# the walk over fresh elements in blockstoch.extension.
+
+
+class FullScanGenerator:
+    """A generator whose fresh elements are filtered out of a full scan of
+    each block: the reference for every closed form of ``fresh_elements``."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def fresh_elements(self, k):
+        inner = self._inner
+        return (g for g in inner.block_elements(k) if inner.gamma_of(g)[0] == k)
+
+
+def full_scan_steps(generator, trunc, horizon):
+    """The ``(element, block, value)`` steps of the completion walk with each
+    block scanned from its first label, or None when a block offers no
+    eligible label.
+
+    A label is skipped when it lies in one of the first ``n`` blocks or was
+    chosen before; it is eligible when none of its other blocks is
+    saturated and each carries strictly less than the block being filled
+    (exactly zero when that block is empty).
+    """
+    sums = {}
+    for g, v in trunc.w.items():
+        for k in generator.gamma_of(g):
+            sums[k] = sums.get(k, 0) + v
+    last = horizon
+    if generator.block_count is not None:
+        last = min(horizon, generator.block_count)
+    steps = []
+    chosen = set()
+    for k in range(trunc.n + 1, last + 1):
+        have = sums.get(k, 0)
+        if have == 1:
+            continue
+        # bounded, so that a walk gone wrong on an unbounded block fails
+        for g in islice(generator.block_elements(k), 100_000):
+            gamma = generator.gamma_of(g)
+            if min(gamma) <= trunc.n or g in chosen:
+                continue
+            others = [sums.get(j, 0) for j in gamma if j != k]
+            if all(s != 1 and (s < have if have else s == 0) for s in others):
+                break
+        else:
+            return None
+        steps.append((g, k, 1 - have))
+        chosen.add(g)
+        for j in gamma:
+            sums[j] = sums.get(j, 0) + 1 - have
+    return tuple(steps)

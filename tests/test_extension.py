@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -12,6 +13,7 @@ from blockstoch.errors import (
     NotStochasticError,
 )
 from blockstoch.extension import (
+    SCAN_LIMIT,
     DisjointGrowingGenerator,
     GridGenerator,
     PathGenerator,
@@ -25,6 +27,8 @@ from blockstoch.extension import (
     verify_extension,
 )
 from blockstoch.family import WeightFunction, build_family
+
+from helpers import FullScanGenerator, full_scan_steps, kappa2_sweep
 
 F = Fraction
 HALF = F(1, 2)
@@ -69,6 +73,29 @@ class TestGenerators:
         assert gen.block_count == 2
         assert list(gen.block_elements(2)) == [2, 3]
         assert not gen.claims_fresh_supply
+
+    @pytest.mark.parametrize(
+        "gen", [PathGenerator(), GridGenerator(), DisjointGrowingGenerator()],
+        ids=lambda gen: gen.name,
+    )
+    def test_fresh_elements_are_the_labels_whose_first_block_is_k(self, gen):
+        reference = FullScanGenerator(gen)
+        for k in range(1, 301):
+            got = list(islice(gen.fresh_elements(k), 40))
+            assert got == list(islice(reference.fresh_elements(k), 40)), k
+            assert got == sorted(got)
+
+    def test_wrapped_fresh_elements_on_seeded_sweep(self):
+        for fam in kappa2_sweep():
+            gen = WrappedFamilyGenerator(fam)
+            reference = FullScanGenerator(gen)
+            for b in fam.blocks:
+                fresh = list(gen.fresh_elements(b.index))
+                assert fresh == list(reference.fresh_elements(b.index)), fam.blocks
+            # every label is fresh in exactly one block
+            assert sorted(
+                g for b in fam.blocks for g in gen.fresh_elements(b.index)
+            ) == sorted(fam.ground)
 
     def test_get_generator(self):
         assert get_generator("path").name == "path"
@@ -173,8 +200,11 @@ class TestExtendTruncation:
         fam = build_family([[1], [1, 2], [2]])
         gen = WrappedFamilyGenerator(fam)
         trunc = Truncation(1, WeightFunction({1: F(1)}))
-        with pytest.raises(HorizonExhaustedError):
+        with pytest.raises(HorizonExhaustedError) as caught:
             extend_truncation(gen, trunc, horizon=3)
+        assert str(caught.value) == (
+            "block 3 cannot be saturated: no fresh eligible element exists"
+        )
 
     def test_wrapped_family_can_complete(self):
         fam = build_family([[1, 2], [3, 4], [5, 6]])
@@ -183,6 +213,33 @@ class TestExtendTruncation:
         result = extend_truncation(gen, trunc, horizon=3)
         assert result.complete
         assert result.extended.zero_one
+
+
+class _CountingPath(PathGenerator):
+    """A path that counts the ``gamma_of`` calls made for each label."""
+
+    def __init__(self):
+        self.asked = {}
+
+    def gamma_of(self, g):
+        self.asked[g] = self.asked.get(g, 0) + 1
+        return super().gamma_of(g)
+
+
+class TestGammaMemo:
+    def test_each_label_is_read_once_per_call(self):
+        gen = _CountingPath()
+        trunc = Truncation(1, WeightFunction({1: HALF, 2: HALF}))
+        validate_truncation(gen, trunc)
+        assert gen.asked == {1: 1, 2: 1}
+        gen.asked.clear()
+        result = extend_truncation(gen, trunc, horizon=30)
+        # the truncation's labels: validation and the re-check; each
+        # chosen label: the scan and the re-check
+        assert set(gen.asked.values()) == {2}
+        gen.asked.clear()
+        assert verify_extension(result, gen, trunc).ok
+        assert gen.asked == {g: 1 for g in result.extended.support}
 
 
 class TestVerifyExtension:
@@ -242,7 +299,23 @@ class _LyingPathGenerator(PathGenerator):
         return gamma if g < 3 else (*gamma, g + 5)
 
 
+class _StalePathGenerator(PathGenerator):
+    """A path that offers each whole block as fresh, earlier labels too."""
+
+    def fresh_elements(self, k):
+        return self.block_elements(k)
+
+
 class TestGeneratorConsistency:
+    def test_walk_rejects_a_fresh_label_of_an_earlier_block(self):
+        gen = _StalePathGenerator()
+        trunc = Truncation(1, WeightFunction({1: F(1)}))
+        with pytest.raises(GeneratorInconsistentError) as caught:
+            extend_truncation(gen, trunc, horizon=4)
+        assert str(caught.value) == (
+            "block 2 yields label 2 as fresh, but its first block is 1"
+        )
+
     def test_walk_rejects_a_block_contains_denies(self):
         gen = _LyingPathGenerator()
         trunc = Truncation(1, WeightFunction({1: F(1)}))
@@ -253,6 +326,88 @@ class TestGeneratorConsistency:
         )
 
 
+def _wrapped_truncations(fam):
+    """Truncations at depth one of a wrapped family: each member of block
+    one alone at one, and its first two members at one half."""
+    first = fam.block(1).members
+    yield {g: F(1) for g in first[:1]}
+    if len(first) >= 2:
+        yield {g: HALF for g in first[:2]}
+
+
+class TestFullScanOracle:
+    @pytest.mark.parametrize(
+        "gen, n, weights, horizon",
+        [
+            (PathGenerator(), 1, {1: F(1)}, 200),
+            (PathGenerator(), 1, {1: HALF, 2: HALF}, 200),
+            (PathGenerator(), 3, {1: F(1, 3), 2: F(2, 3), 3: F(1, 3), 4: F(2, 3)}, 200),
+            (GridGenerator(), 2, {1: F(1)}, 300),
+            (GridGenerator(), 2, {1: HALF, 2: HALF, 3: HALF}, 300),
+            (GridGenerator(), 3, {1: F(1, 3), 2: F(2, 3), 3: F(2, 3), 5: F(1, 3)}, 300),
+            (DisjointGrowingGenerator(), 1, {1: F(1)}, 40),
+            (DisjointGrowingGenerator(), 3, {1: F(1), 2: HALF, 3: HALF, 5: F(1)}, 40),
+        ],
+        ids=[
+            "path-vertex", "path-split", "path-thirds", "grid-vertex",
+            "grid-split", "grid-thirds", "disjoint-vertex", "disjoint-split",
+        ],
+    )
+    def test_walk_matches_the_full_scan(self, gen, n, weights, horizon):
+        trunc = Truncation(n, WeightFunction(weights))
+        result = extend_truncation(gen, trunc, horizon)
+        assert result == extend_truncation(FullScanGenerator(gen), trunc, horizon)
+        steps = tuple((s.element, s.block_index, s.value) for s in result.steps)
+        assert steps == full_scan_steps(gen, trunc, horizon)
+
+    def test_wrapped_walk_matches_the_full_scan_on_seeded_sweep(self):
+        compared = exhausted = 0
+        for fam in kappa2_sweep():
+            if len(fam.blocks) < 2:
+                continue
+            gen = WrappedFamilyGenerator(fam)
+            horizon = len(fam.blocks)
+            for weights in _wrapped_truncations(fam):
+                trunc = Truncation(1, WeightFunction(weights))
+                try:
+                    validate_truncation(gen, trunc)
+                except NotStochasticError:
+                    continue
+                reference = full_scan_steps(gen, trunc, horizon)
+                try:
+                    result = extend_truncation(gen, trunc, horizon)
+                except HorizonExhaustedError:
+                    assert reference is None, fam.blocks
+                    with pytest.raises(HorizonExhaustedError):
+                        extend_truncation(FullScanGenerator(gen), trunc, horizon)
+                    exhausted += 1
+                    continue
+                assert result == extend_truncation(FullScanGenerator(gen), trunc, horizon)
+                steps = tuple((s.element, s.block_index, s.value) for s in result.steps)
+                assert steps == reference, fam.blocks
+                compared += 1
+        assert compared > 300 and exhausted > 500
+
+
+class TestScanLimit:
+    @pytest.mark.parametrize(
+        "fresh, detail",
+        [
+            (SCAN_LIMIT - 1, "no fresh eligible element exists"),
+            (SCAN_LIMIT + 1, "none found among the first 4096 fresh elements"),
+        ],
+    )
+    def test_counts_fresh_elements(self, fresh, detail):
+        # block 2 holds ``fresh`` labels, each also in block 3, which the
+        # truncation saturates through label 1
+        labels = list(range(2, fresh + 2))
+        gen = WrappedFamilyGenerator(build_family([[1], labels, [1, *labels]]))
+        trunc = Truncation(1, WeightFunction({1: F(1)}))
+        with pytest.raises(HorizonExhaustedError) as caught:
+            extend_truncation(gen, trunc, horizon=3)
+        assert str(caught.value) == f"block 2 cannot be saturated: {detail}"
+
+
 class TestLongHorizons:
     @pytest.mark.parametrize(
         "gen, n, weights, horizon, steps",
@@ -261,8 +416,15 @@ class TestLongHorizons:
             (PathGenerator(), 1, {1: HALF, 2: HALF}, 5000, 4999),
             (GridGenerator(), 2, {1: F(1)}, 600, 299),
             (GridGenerator(), 2, {1: HALF, 2: HALF, 3: HALF}, 600, 598),
+            # past block 8192 a scan from each block's first label would
+            # skip more than SCAN_LIMIT labels earlier blocks rule out
+            (GridGenerator(), 2, {1: F(1)}, 10_000, 4999),
+            (GridGenerator(), 2, {1: HALF, 2: HALF, 3: HALF}, 10_000, 9998),
         ],
-        ids=["path-vertex", "path-split", "grid-vertex", "grid-split"],
+        ids=[
+            "path-vertex", "path-split", "grid-vertex", "grid-split",
+            "grid-vertex-10k", "grid-split-10k",
+        ],
     )
     def test_completes_and_verifies(self, gen, n, weights, horizon, steps):
         trunc = Truncation(n, WeightFunction(weights))

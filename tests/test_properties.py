@@ -53,7 +53,13 @@ from blockstoch.oracle import (
     enumerate_vertices,
 )
 
-from helpers import assert_cycle_pieces, assert_valid_witness, dense_rank, walk_census
+from helpers import (
+    assert_cycle_pieces,
+    assert_valid_witness,
+    dense_rank,
+    kappa2_sweep,
+    walk_census,
+)
 
 F = Fraction
 
@@ -125,16 +131,6 @@ def test_vertex_values_are_half_integral(fam):
 @given(small_families())
 def test_multigraph_search_matches_basis_search(fam):
     assert enumerate_vertices(fam) == basis_vertices(fam)
-
-
-def kappa2_sweep():
-    """The 600 seeded κ ≤ 2 families the multigraph search is checked on."""
-    rng = random.Random(2)
-    for i in range(600):
-        elements = rng.randint(2, 10)
-        blocks = rng.randint(1, 8)
-        fam, _ = gen_random(elements, blocks, kappa_max=2, seed=30_000 + i)
-        yield fam
 
 
 def test_multigraph_search_matches_basis_search_on_seeded_sweep():
