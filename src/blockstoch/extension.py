@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterator, Protocol
 
 from .errors import (
@@ -232,11 +232,14 @@ class _Gammas(dict):
 
     One is built per call, so a call asks the generator about a label
     at most once however many of its checks read that label.
+    ``checked`` holds the labels whose listed blocks have been
+    cross-checked with ``contains``, so that check also runs once.
     """
 
     def __init__(self, generator: FamilyGenerator):
         super().__init__()
         self.generator = generator
+        self.checked: set[int] = set()
 
     def __missing__(self, g: int) -> tuple[int, ...]:
         gamma = self[g] = self.generator.gamma_of(g)
@@ -249,30 +252,51 @@ def _touched_members(
     """The elements of ``support`` in every block meeting it, by block.
 
     Read from ``gamma_of``; each listed block is cross-checked with
-    ``contains``.
+    ``contains`` the first time the call meets the label.
     """
     generator = gammas.generator
+    checked = gammas.checked
     members: dict[int, list[int]] = {}
     for g in support:
-        for k in gammas[g]:
-            if not generator.contains(k, g):
-                raise GeneratorInconsistentError(
-                    f"gamma_of({g}) lists block {k} but contains({k}, {g})"
-                    " is false"
-                )
+        gamma = gammas[g]
+        if g not in checked:
+            for k in gamma:
+                if not generator.contains(k, g):
+                    raise GeneratorInconsistentError(
+                        f"gamma_of({g}) lists block {k} but contains({k}, {g})"
+                        " is false"
+                    )
+            checked.add(g)
+        for k in gamma:
             members.setdefault(k, []).append(g)
     return members
 
 
+def _common_denominator(*functions: WeightFunction) -> int:
+    """The least common denominator of every value of ``functions``."""
+    return lcm(*{v.denominator for w in functions for _, v in w.items()})
+
+
+def _numerators(w: WeightFunction, scale: int) -> dict[int, int]:
+    """The values of ``w`` times ``scale``, a common multiple of their
+    denominators, so each is an integer."""
+    return {g: v.numerator * (scale // v.denominator) for g, v in w.items()}
+
+
 def _block_sums(
-    w: WeightFunction, members: dict[int, list[int]]
-) -> dict[int, Fraction]:
-    return {k: sum((w(g) for g in gs), ZERO) for k, gs in members.items()}
+    numerators: dict[int, int], members: dict[int, list[int]]
+) -> dict[int, int]:
+    """Block sums as integer numerators over the values' common scale.
+
+    Exact, like ``Fraction`` sums, at the cost of plain integer adds:
+    a block sums to one exactly when its numerator equals the scale.
+    """
+    return {k: sum([numerators[g] for g in gs]) for k, gs in members.items()}
 
 
-def _touched_sums(gammas: _Gammas, w: WeightFunction) -> dict[int, Fraction]:
-    """Block sums of ``w`` over every block meeting its support."""
-    return _block_sums(w, _touched_members(gammas, w.support))
+def _touched_sums(gammas: _Gammas, w: WeightFunction, scale: int) -> dict[int, int]:
+    """Block sums of ``w`` times ``scale`` over every block meeting its support."""
+    return _block_sums(_numerators(w, scale), _touched_members(gammas, w.support))
 
 
 def validate_truncation(
@@ -285,6 +309,16 @@ def validate_truncation(
     later block meeting the support must sum to at most one.  Returns
     the block sums of the weights over every block meeting the support.
     """
+    scale, sums = _validated_sums(generator, trunc)
+    return {k: Fraction(total, scale) for k, total in sums.items()}
+
+
+def _validated_sums(
+    generator: FamilyGenerator, trunc: Truncation
+) -> tuple[int, dict[int, int]]:
+    """``validate_truncation``'s checks, returning the least common
+    denominator ``L`` of the weights and, over every block meeting the
+    support, the block sum times ``L``, an integer."""
     if trunc.n < 1:
         raise InputError("the truncation depth must be positive")
     if generator.block_count is not None and trunc.n > generator.block_count:
@@ -303,20 +337,28 @@ def validate_truncation(
             raise InputError(
                 f"element {g} lies outside the first {trunc.n} blocks"
             )
-    sums = _touched_sums(gammas, trunc.w)
-    _require_block_sums(sums, trunc.n)
-    return sums
+    scale = _common_denominator(trunc.w)
+    sums = _touched_sums(gammas, trunc.w, scale)
+    _require_block_sums(sums, scale, trunc.n)
+    return scale, sums
 
 
-def _require_block_sums(sums: dict[int, Fraction], upto: int) -> None:
-    """Raise unless blocks 1 to ``upto`` sum to one and none sums above one."""
+def _require_block_sums(sums: dict[int, int], scale: int, upto: int) -> None:
+    """Raise unless blocks 1 to ``upto`` sum to one and none sums above one.
+
+    ``sums`` are block sums times ``scale``.
+    """
     for k in range(1, upto + 1):
-        total = sums.get(k, ZERO)
-        if total != 1:
-            raise NotStochasticError(f"block {k} sums to {total}, expected 1")
+        total = sums.get(k, 0)
+        if total != scale:
+            raise NotStochasticError(
+                f"block {k} sums to {Fraction(total, scale)}, expected 1"
+            )
     for k, total in sorted(sums.items()):
-        if total > 1:
-            raise NotStochasticError(f"block {k} sums to {total} > 1")
+        if total > scale:
+            raise NotStochasticError(
+                f"block {k} sums to {Fraction(total, scale)} > 1"
+            )
 
 
 def _last_block(generator: FamilyGenerator, horizon: int) -> int:
@@ -336,16 +378,16 @@ def tail_sums(
     block index meeting the support the entries are zero and stay zero,
     which is asserted.
     """
-    sums = validate_truncation(generator, trunc)
+    scale, sums = _validated_sums(generator, trunc)
     if horizon < trunc.n:
         raise InputError("the horizon must not precede the truncation depth")
     last_touched = max(sums, default=0)
     out = []
     for j in range(trunc.n + 1, horizon + 1):
-        value = sums.get(j, ZERO)
+        value = sums.get(j, 0)
         if j > last_touched and value != 0:
             raise InternalPropertyError("tail sums failed to vanish")
-        out.append(value)
+        out.append(Fraction(value, scale))
     return tuple(out)
 
 
@@ -384,14 +426,14 @@ class ExtensionResult:
 
 def _eligible(
     others: tuple[int, ...],
-    delta: dict[int, Fraction],
-    bound: Fraction,
+    delta: dict[int, int],
+    bound: int,
     claimed: set[int],
 ) -> bool:
     for k in others:
         if k in claimed:
             return False
-        current = delta.get(k, ZERO)
+        current = delta.get(k, 0)
         if bound > 0:
             if current >= bound:
                 return False
@@ -423,8 +465,9 @@ def extend_truncation(
     ``SCAN_LIMIT``, raises ``HorizonExhaustedError`` rather than being
     skipped.
     """
-    # validate_truncation has rejected every block sum above one
-    delta = validate_truncation(generator, trunc)
+    # _validated_sums has rejected every block sum above one; block
+    # sums and missing amounts are integers over the weights' denominator
+    scale, delta = _validated_sums(generator, trunc)
     if horizon <= trunc.n:
         raise InputError("the horizon must exceed the truncation depth")
     if not generator.claims_fresh_supply and generator.block_count is None:
@@ -432,7 +475,7 @@ def extend_truncation(
             "an unbounded generator must promise fresh elements in"
             " every block"
         )
-    claimed = {k for k, total in delta.items() if total == 1}
+    claimed = {k for k, total in delta.items() if total == scale}
     values = dict(trunc.w.items())
     steps: list[ChosenStep] = []
     # block -> (element, pattern) of every chosen element inside it
@@ -441,16 +484,16 @@ def extend_truncation(
 
     cursor = trunc.n + 1
     while True:
-        while cursor <= last_block and delta.get(cursor, ZERO) == 1:
+        while cursor <= last_block and delta.get(cursor, 0) == scale:
             cursor += 1
         if cursor > last_block:
             complete = True
             break
         k_j = cursor
-        need = 1 - delta.get(k_j, ZERO)
+        bound = delta.get(k_j, 0)
+        need = scale - bound
         if need <= 0:
             raise InternalPropertyError("an unsaturated block lacks headroom")
-        bound = 1 - need
         chosen = None
         scanned = 0
         for g in islice(generator.fresh_elements(k_j), SCAN_LIMIT):
@@ -495,21 +538,22 @@ def extend_truncation(
                     f"gamma_of({g_j}) lists block {k} but contains({k}, {g_j})"
                     " is false"
                 )
-            new_total = delta.get(k, ZERO) + need
-            if new_total > 1:
+            new_total = delta.get(k, 0) + need
+            if new_total > scale:
                 raise InternalPropertyError(
-                    f"block {k} overflows to {new_total} at element {g_j}"
+                    f"block {k} overflows to {Fraction(new_total, scale)}"
+                    f" at element {g_j}"
                 )
             delta[k] = new_total
-            if new_total == 1:
+            if new_total == scale:
                 claimed.add(k)
             chosen_in.setdefault(k, []).append((g_j, pattern))
-        values[g_j] = need
+        values[g_j] = value = Fraction(need, scale)
         steps.append(
             ChosenStep(
                 element=g_j,
                 block_index=k_j,
-                value=need,
+                value=value,
                 pattern=pattern,
                 overlap_with=overlap_with,
             )
@@ -590,24 +634,48 @@ def verify_extension(
     from ``gamma_of`` of each support element, so, like the block sums,
     they trust the protocol's promise that ``gamma_of`` lists every
     block containing an element; each listed block is still
-    cross-checked with ``contains``.  Each label's ``gamma_of`` is read
-    once, into a memo of this call's own.
+    cross-checked with ``contains``.  Each label's ``gamma_of`` is read,
+    and its blocks cross-checked, once, into a memo of this call's own.
+
+    Values, differences, block sums and the packing cover are compared
+    as integers over one common denominator, taken here from the values
+    of the result and the truncation, never from the walk.
     """
     gammas = _Gammas(generator)
     violations: list[str] = []
     base = trunc.w
+    extended = result.extended
     chosen = {s.element: s for s in result.steps}
     if len(chosen) != len(result.steps):
         violations.append("a chosen element repeats")
-    diff = result.extended - base
+    scale = lcm(
+        _common_denominator(extended, base, result.packing_a, result.packing_b),
+        *{s.value.denominator for s in result.steps},
+    )
+    extended_values = _numerators(extended, scale)
+    base_values = _numerators(base, scale)
+    step_values = {
+        g: s.value.numerator * (scale // s.value.denominator)
+        for g, s in chosen.items()
+    }
+    # extended - base, only where the two differ, in label order
+    diff: dict[int, int] = {}
+    for g, value in extended_values.items():
+        change = value - base_values.get(g, 0)
+        if change:
+            diff[g] = change
+    dropped = [(g, -v) for g, v in base_values.items() if g not in extended_values]
+    if dropped:
+        diff = dict(sorted([*diff.items(), *dropped]))
     for g, value in diff.items():
-        step = chosen.get(g)
-        if step is None:
+        if g not in chosen:
             violations.append(f"element {g} changed without a recorded step")
-        elif value != step.value or value <= 0:
-            violations.append(f"element {g} carries {value}, not its step value")
+        elif value != step_values[g] or value <= 0:
+            violations.append(
+                f"element {g} carries {Fraction(value, scale)}, not its step value"
+            )
     for g, step in chosen.items():
-        if diff.value(g) != step.value:
+        if diff.get(g, 0) != step_values[g]:
             violations.append(f"step at {g} left no trace in the completion")
         gamma = gammas[g]
         if min(gamma) <= trunc.n:
@@ -617,21 +685,23 @@ def verify_extension(
                 f"chosen element {g} lies outside block {step.block_index}"
             )
 
-    full_support = result.extended.support
+    full_support = extended.support
     extended_members = _touched_members(gammas, full_support)
-    sums = _block_sums(result.extended, extended_members)
+    sums = _block_sums(extended_values, extended_members)
     last_block = _last_block(generator, result.horizon)
     for k, total in sorted(sums.items()):
-        if total > 1:
-            violations.append(f"block {k} sums to {total} > 1")
+        if total > scale:
+            violations.append(f"block {k} sums to {Fraction(total, scale)} > 1")
     must_saturate = set(range(1, trunc.n + 1))
     must_saturate.update(s.block_index for s in result.steps)
     if result.complete:
         must_saturate.update(range(trunc.n + 1, last_block + 1))
     for k in sorted(must_saturate):
-        total = sums.get(k, ZERO)
-        if total != 1:
-            violations.append(f"block {k} sums to {total}, expected 1")
+        total = sums.get(k, 0)
+        if total != scale:
+            violations.append(
+                f"block {k} sums to {Fraction(total, scale)}, expected 1"
+            )
 
     earlier_in: dict[int, list[int]] = {}
     for step in result.steps:
@@ -648,30 +718,36 @@ def verify_extension(
         if not met and recorded is not None:
             violations.append(f"element {gj} records a phantom overlap")
 
+    cover: dict[int, int] = {}
     for name, packing in (("a", result.packing_a), ("b", result.packing_b)):
         if not packing.zero_one:
             violations.append(f"packing {name} is not 0/1-valued")
-        packing_sums = _touched_sums(gammas, packing)
+        packing_values = _numerators(packing, scale)
+        packing_sums = _block_sums(
+            packing_values, _touched_members(gammas, packing.support)
+        )
         for k, total in sorted(packing_sums.items()):
-            if total > 1:
+            if total > scale:
                 violations.append(
-                    f"packing {name} puts {total} > 1 into block {k}"
+                    f"packing {name} puts {Fraction(total, scale)} > 1"
+                    f" into block {k}"
                 )
-    cover = result.packing_a + result.packing_b
+        for g, value in packing_values.items():
+            cover[g] = cover.get(g, 0) + value
     for g, value in diff.items():
-        if value > cover.value(g):
+        if value > cover.get(g, 0):
             violations.append(f"added value at {g} exceeds the packing cover")
 
     saturated_rows = [
-        extended_members[k] for k, total in sorted(sums.items()) if total == 1
+        extended_members[k] for k, total in sorted(sums.items()) if total == scale
     ]
     base_support = base.support
     base_members = _touched_members(gammas, base_support)
-    base_sums = _block_sums(base, base_members)
+    base_sums = _block_sums(base_values, base_members)
     base_rows = [
         base_members[k]
         for k, total in sorted(base_sums.items())
-        if total == 1 or k <= trunc.n
+        if total == scale or k <= trunc.n
     ]
     vertex_input = _support_rank(base_rows) == len(base_support)
     vertex_shadow: bool | None = None
@@ -729,21 +805,22 @@ def approximate_by_extremes(
     if not w_full.nonnegative:
         raise InputError("the target function must be nonnegative")
     gammas = _Gammas(generator)
-    sums = _touched_sums(gammas, w_full)
+    scale = _common_denominator(w_full)
+    sums = _touched_sums(gammas, w_full, scale)
     last_block = _last_block(generator, horizon)
-    _require_block_sums(sums, last_block)
+    _require_block_sums(sums, scale, last_block)
 
     star = WeightFunction(
         {g: value for g, value in w_full.items() if min(gammas[g]) <= n}
     )
     touched = _touched_members(gammas, star.support)
-    star_sums = _block_sums(star, touched)
+    star_sums = _block_sums(_numerators(star, scale), touched)
     augmented = dict(star.items())
     # every label from first_slack on is a slack element
     first_slack = next_label = max(star.support, default=0) + 1
     for k in sorted(touched):
         if k > n:
-            augmented[next_label] = 1 - star_sums[k]
+            augmented[next_label] = Fraction(scale - star_sums[k], scale)
             touched[k].append(next_label)
             next_label += 1
     finite = build_family([touched[k] for k in sorted(touched)])
@@ -761,12 +838,13 @@ def approximate_by_extremes(
     approximation = Decomposition(terms=tuple(terms))
     combined = approximation.combined()
 
-    combined_sums = _touched_sums(gammas, combined)
+    combined_scale = lcm(scale, _common_denominator(combined))
+    combined_sums = _touched_sums(gammas, combined, combined_scale)
+    factor = combined_scale // scale
     block_gap: dict[int, Fraction] = {}
     for k in range(1, last_block + 1):
-        have = combined_sums.get(k, ZERO)
-        want = sums.get(k, ZERO)
-        block_gap[k] = abs(want - have)
+        gap = abs(sums.get(k, 0) * factor - combined_sums.get(k, 0))
+        block_gap[k] = Fraction(gap, combined_scale)
     element_gap: dict[int, Fraction] = {}
     for g in sorted(set(w_full.support) | set(combined.support)):
         if min(gammas[g]) <= n:

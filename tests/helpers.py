@@ -7,6 +7,13 @@ from itertools import islice
 
 from blockstoch import graphs
 from blockstoch.cli import gen_random
+from blockstoch.errors import GeneratorInconsistentError
+from blockstoch.extension import (
+    ChosenStep,
+    ExtensionReport,
+    ExtensionResult,
+    _support_rank,
+)
 from blockstoch.family import SetFamily, WeightFunction, classify_membership
 from blockstoch.graphs import (
     AssociatedGraph,
@@ -265,3 +272,142 @@ def full_scan_steps(generator, trunc, horizon):
         for j in gamma:
             sums[j] = sums.get(j, 0) + 1 - have
     return tuple(steps)
+
+
+# The extension walk and its re-check in Fraction arithmetic, kept as the
+# reference for the integer block sums in blockstoch.extension.
+
+
+def full_scan_result(generator, trunc, horizon):
+    """The ``ExtensionResult`` of a complete walk, built in ``Fraction``
+    arithmetic from ``full_scan_steps``: each chosen element overlaps the
+    one earlier chosen element sharing a block with it, if any, and takes
+    the other pattern, "a" when it overlaps none."""
+    steps = []
+    pattern_of = {}
+    chosen_in = {}
+    for g, k, value in full_scan_steps(generator, trunc, horizon):
+        gamma = generator.gamma_of(g)
+        met = {h for j in gamma for h in chosen_in.get(j, ())}
+        (overlap,) = met or (None,)
+        pattern = "a" if overlap is None or pattern_of[overlap] == "b" else "b"
+        pattern_of[g] = pattern
+        for j in gamma:
+            chosen_in.setdefault(j, []).append(g)
+        steps.append(ChosenStep(g, k, value, pattern, overlap))
+    extended = trunc.w + WeightFunction({s.element: s.value for s in steps})
+    packings = [
+        WeightFunction({s.element: Fraction(1) for s in steps if s.pattern == p})
+        for p in "ab"
+    ]
+    return ExtensionResult(
+        trunc.n, horizon, extended, tuple(steps), *packings, complete=True
+    )
+
+
+def _fraction_touched_sums(generator, w):
+    """The members of ``w``'s support in each block meeting it, and the
+    ``Fraction`` block sums over them."""
+    members = {}
+    for g in w.support:
+        for k in generator.gamma_of(g):
+            if not generator.contains(k, g):
+                raise GeneratorInconsistentError(
+                    f"gamma_of({g}) lists block {k} but contains({k}, {g})"
+                    " is false"
+                )
+            members.setdefault(k, []).append(g)
+    sums = {k: sum((w(g) for g in gs), Fraction(0)) for k, gs in members.items()}
+    return members, sums
+
+
+def fraction_verify_extension(result, generator, trunc):
+    """``verify_extension`` with every block sum, difference and cover in
+    ``Fraction`` arithmetic on whole weight functions."""
+    violations = []
+    base = trunc.w
+    chosen = {s.element: s for s in result.steps}
+    if len(chosen) != len(result.steps):
+        violations.append("a chosen element repeats")
+    diff = result.extended - base
+    for g, value in diff.items():
+        step = chosen.get(g)
+        if step is None:
+            violations.append(f"element {g} changed without a recorded step")
+        elif value != step.value or value <= 0:
+            violations.append(f"element {g} carries {value}, not its step value")
+    for g, step in chosen.items():
+        if diff.value(g) != step.value:
+            violations.append(f"step at {g} left no trace in the completion")
+        gamma = generator.gamma_of(g)
+        if min(gamma) <= trunc.n:
+            violations.append(f"chosen element {g} is not fresh")
+        if step.block_index not in gamma:
+            violations.append(
+                f"chosen element {g} lies outside block {step.block_index}"
+            )
+
+    full_support = result.extended.support
+    extended_members, sums = _fraction_touched_sums(generator, result.extended)
+    last_block = horizon = result.horizon
+    if generator.block_count is not None:
+        last_block = min(horizon, generator.block_count)
+    for k, total in sorted(sums.items()):
+        if total > 1:
+            violations.append(f"block {k} sums to {total} > 1")
+    must_saturate = set(range(1, trunc.n + 1))
+    must_saturate.update(s.block_index for s in result.steps)
+    if result.complete:
+        must_saturate.update(range(trunc.n + 1, last_block + 1))
+    for k in sorted(must_saturate):
+        total = sums.get(k, Fraction(0))
+        if total != 1:
+            violations.append(f"block {k} sums to {total}, expected 1")
+
+    earlier_in = {}
+    for step in result.steps:
+        gj = step.element
+        gamma = generator.gamma_of(gj)
+        met = {gi for k in gamma for gi in earlier_in.get(k, ())}
+        for k in gamma:
+            earlier_in.setdefault(k, []).append(gj)
+        if len(met) > 1:
+            violations.append(f"element {gj} meets {len(met)} earlier elements")
+        recorded = chosen[gj].overlap_with
+        if met and recorded not in met:
+            violations.append(f"element {gj} records the wrong overlap")
+        if not met and recorded is not None:
+            violations.append(f"element {gj} records a phantom overlap")
+
+    for name, packing in (("a", result.packing_a), ("b", result.packing_b)):
+        if not packing.zero_one:
+            violations.append(f"packing {name} is not 0/1-valued")
+        _, packing_sums = _fraction_touched_sums(generator, packing)
+        for k, total in sorted(packing_sums.items()):
+            if total > 1:
+                violations.append(
+                    f"packing {name} puts {total} > 1 into block {k}"
+                )
+    cover = result.packing_a + result.packing_b
+    for g, value in diff.items():
+        if value > cover.value(g):
+            violations.append(f"added value at {g} exceeds the packing cover")
+
+    saturated_rows = [
+        extended_members[k] for k, total in sorted(sums.items()) if total == 1
+    ]
+    base_members, base_sums = _fraction_touched_sums(generator, base)
+    base_rows = [
+        base_members[k]
+        for k, total in sorted(base_sums.items())
+        if total == 1 or k <= trunc.n
+    ]
+    vertex_input = _support_rank(base_rows) == len(base.support)
+    vertex_shadow = None
+    if vertex_input:
+        vertex_shadow = _support_rank(saturated_rows) == len(full_support)
+        if not vertex_shadow:
+            violations.append(
+                "an extreme truncation completed to a non-extreme function"
+            )
+    return ExtensionReport(tuple(violations), vertex_input, vertex_shadow)

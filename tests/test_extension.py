@@ -1,11 +1,14 @@
 """Tests for generator-backed families and truncation completion."""
 
 import dataclasses
+import json
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 
 import pytest
 
+from blockstoch import cli
 from blockstoch.errors import (
     GeneratorInconsistentError,
     HorizonExhaustedError,
@@ -27,8 +30,15 @@ from blockstoch.extension import (
     verify_extension,
 )
 from blockstoch.family import WeightFunction, build_family
+from blockstoch.instance_io import weights_to_document
 
-from helpers import FullScanGenerator, full_scan_steps, kappa2_sweep
+from helpers import (
+    FullScanGenerator,
+    fraction_verify_extension,
+    full_scan_result,
+    full_scan_steps,
+    kappa2_sweep,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -109,6 +119,13 @@ class TestValidateTruncation:
     def test_valid(self):
         gen = PathGenerator()
         validate_truncation(gen, Truncation(1, WeightFunction({1: F(1)})))
+
+    def test_returns_fraction_block_sums(self):
+        gen = PathGenerator()
+        w = WeightFunction({1: F(1, 3), 2: F(2, 3)})
+        sums = validate_truncation(gen, Truncation(1, w))
+        assert sums == {1: F(1), 2: F(2, 3)}
+        assert all(type(total) is F for total in sums.values())
 
     def test_block_sum_must_be_one(self):
         gen = PathGenerator()
@@ -216,14 +233,20 @@ class TestExtendTruncation:
 
 
 class _CountingPath(PathGenerator):
-    """A path that counts the ``gamma_of`` calls made for each label."""
+    """A path that counts the ``gamma_of`` calls made for each label and
+    the ``contains`` calls made for each (block, label) pair."""
 
     def __init__(self):
         self.asked = {}
+        self.contains_asked = {}
 
     def gamma_of(self, g):
         self.asked[g] = self.asked.get(g, 0) + 1
         return super().gamma_of(g)
+
+    def contains(self, k, g):
+        self.contains_asked[k, g] = self.contains_asked.get((k, g), 0) + 1
+        return super().contains(k, g)
 
 
 class TestGammaMemo:
@@ -238,8 +261,14 @@ class TestGammaMemo:
         # chosen label: the scan and the re-check
         assert set(gen.asked.values()) == {2}
         gen.asked.clear()
+        gen.contains_asked.clear()
         assert verify_extension(result, gen, trunc).ok
         assert gen.asked == {g: 1 for g in result.extended.support}
+        # the extended support, both packings and the base each list
+        # their blocks, but each pair is cross-checked once
+        assert gen.contains_asked == {
+            (k, g): 1 for g in result.extended.support for k in gen.gamma_of(g)
+        }
 
 
 class TestVerifyExtension:
@@ -325,6 +354,17 @@ class TestGeneratorConsistency:
             "gamma_of(3) lists block 8 but contains(8, 3) is false"
         )
 
+    def test_recheck_rejects_a_block_contains_denies(self):
+        # the first label of the extended support that lies raises, as
+        # the cross-check of the extended support runs before the others
+        trunc = Truncation(1, WeightFunction({1: F(1)}))
+        result = extend_truncation(PathGenerator(), trunc, horizon=6)
+        with pytest.raises(GeneratorInconsistentError) as caught:
+            verify_extension(result, _LyingPathGenerator(), trunc)
+        assert str(caught.value) == (
+            "gamma_of(3) lists block 8 but contains(8, 3) is false"
+        )
+
 
 def _wrapped_truncations(fam):
     """Truncations at depth one of a wrapped family: each member of block
@@ -335,30 +375,36 @@ def _wrapped_truncations(fam):
         yield {g: HALF for g in first[:2]}
 
 
+FULL_SCAN_CASES = pytest.mark.parametrize(
+    "gen, n, weights, horizon",
+    [
+        (PathGenerator(), 1, {1: F(1)}, 200),
+        (PathGenerator(), 1, {1: HALF, 2: HALF}, 200),
+        (PathGenerator(), 3, {1: F(1, 3), 2: F(2, 3), 3: F(1, 3), 4: F(2, 3)}, 200),
+        (GridGenerator(), 2, {1: F(1)}, 300),
+        (GridGenerator(), 2, {1: HALF, 2: HALF, 3: HALF}, 300),
+        (GridGenerator(), 3, {1: F(1, 3), 2: F(2, 3), 3: F(2, 3), 5: F(1, 3)}, 300),
+        (DisjointGrowingGenerator(), 1, {1: F(1)}, 40),
+        (DisjointGrowingGenerator(), 3, {1: F(1), 2: HALF, 3: HALF, 5: F(1)}, 40),
+    ],
+    ids=[
+        "path-vertex", "path-split", "path-thirds", "grid-vertex",
+        "grid-split", "grid-thirds", "disjoint-vertex", "disjoint-split",
+    ],
+)
+
+
 class TestFullScanOracle:
-    @pytest.mark.parametrize(
-        "gen, n, weights, horizon",
-        [
-            (PathGenerator(), 1, {1: F(1)}, 200),
-            (PathGenerator(), 1, {1: HALF, 2: HALF}, 200),
-            (PathGenerator(), 3, {1: F(1, 3), 2: F(2, 3), 3: F(1, 3), 4: F(2, 3)}, 200),
-            (GridGenerator(), 2, {1: F(1)}, 300),
-            (GridGenerator(), 2, {1: HALF, 2: HALF, 3: HALF}, 300),
-            (GridGenerator(), 3, {1: F(1, 3), 2: F(2, 3), 3: F(2, 3), 5: F(1, 3)}, 300),
-            (DisjointGrowingGenerator(), 1, {1: F(1)}, 40),
-            (DisjointGrowingGenerator(), 3, {1: F(1), 2: HALF, 3: HALF, 5: F(1)}, 40),
-        ],
-        ids=[
-            "path-vertex", "path-split", "path-thirds", "grid-vertex",
-            "grid-split", "grid-thirds", "disjoint-vertex", "disjoint-split",
-        ],
-    )
+    @FULL_SCAN_CASES
     def test_walk_matches_the_full_scan(self, gen, n, weights, horizon):
         trunc = Truncation(n, WeightFunction(weights))
         result = extend_truncation(gen, trunc, horizon)
         assert result == extend_truncation(FullScanGenerator(gen), trunc, horizon)
         steps = tuple((s.element, s.block_index, s.value) for s in result.steps)
         assert steps == full_scan_steps(gen, trunc, horizon)
+        assert result == full_scan_result(gen, trunc, horizon)
+        report = verify_extension(result, gen, trunc)
+        assert report == fraction_verify_extension(result, gen, trunc)
 
     def test_wrapped_walk_matches_the_full_scan_on_seeded_sweep(self):
         compared = exhausted = 0
@@ -385,8 +431,159 @@ class TestFullScanOracle:
                 assert result == extend_truncation(FullScanGenerator(gen), trunc, horizon)
                 steps = tuple((s.element, s.block_index, s.value) for s in result.steps)
                 assert steps == reference, fam.blocks
+                assert verify_extension(result, gen, trunc) == fraction_verify_extension(
+                    result, gen, trunc
+                ), fam.blocks
                 compared += 1
         assert compared > 300 and exhausted > 500
+
+
+def _with(w, label, value):
+    """``w`` with ``label`` set to ``value`` (dropped when zero)."""
+    return WeightFunction({**dict(w.items()), label: value})
+
+
+def _corruptions(result, trunc):
+    """Broken copies of a completion, by name, each of which the re-check
+    must reject."""
+    replace = dataclasses.replace
+    first = result.steps[0].element
+    base_label = trunc.w.support[0]
+    extended = result.extended
+    steps = list(result.steps)
+    yield "foreign denominator", replace(
+        result, extended=_with(extended, first, extended(first) + F(1, 7))
+    )
+    yield "packing value 2", replace(
+        result, packing_a=_with(result.packing_a, first, F(2))
+    )
+    yield "packing value 1/2", replace(
+        result, packing_a=_with(result.packing_a, first, HALF)
+    )
+    yield "packing value 3/2", replace(
+        result, packing_a=_with(result.packing_a, first, F(3, 2))
+    )
+    if result.packing_b.support:
+        yield "packing b value 1/4", replace(
+            result, packing_b=_with(result.packing_b, result.packing_b.support[0], F(1, 4))
+        )
+    value = steps[0].value
+    yield "step disagrees", replace(
+        result, steps=(replace(steps[0], value=value / 3), *steps[1:])
+    )
+    if value.denominator > 2:
+        # a denominator the values lack, so the re-check's scale needs it
+        yield "step value over another denominator", replace(
+            result,
+            steps=(
+                replace(steps[0], value=F(value.numerator, value.denominator - 1)),
+                *steps[1:],
+            ),
+        )
+    yield "negative chosen value", replace(
+        result, extended=_with(extended, first, F(-1, 5))
+    )
+    yield "base value lowered", replace(
+        result, extended=_with(extended, base_label, extended(base_label) - F(1, 7))
+    )
+    yield "base label dropped", replace(
+        result, extended=_with(extended, base_label, 0)
+    )
+    yield "stray element", replace(
+        result, extended=_with(extended, max(extended.support) + 1, F(1, 3))
+    )
+    yield "repeated step", replace(result, steps=(*steps, steps[0]))
+    # the chosen element is fresh, so it lies in no block up to n
+    yield "wrong block", replace(
+        result, steps=(replace(steps[0], block_index=trunc.n), *steps[1:])
+    )
+
+
+def _outcome(check, result, gen, trunc):
+    """The report of ``check``, or the type and message of what it raised."""
+    try:
+        return check(result, gen, trunc)
+    except InputError as error:
+        return type(error), str(error)
+
+
+class TestFractionOracle:
+    """The integer re-check against its ``Fraction`` reference."""
+
+    @FULL_SCAN_CASES
+    def test_corrupted_results_get_the_same_report(self, gen, n, weights, horizon):
+        trunc = Truncation(n, WeightFunction(weights))
+        result = extend_truncation(gen, trunc, horizon)
+        for name, broken in _corruptions(result, trunc):
+            report = verify_extension(broken, gen, trunc)
+            assert not report.ok, name
+            assert report == fraction_verify_extension(broken, gen, trunc), name
+
+    def test_corrupted_sweep_results_get_the_same_report(self):
+        checked = 0
+        for fam in islice(kappa2_sweep(), 150):
+            if len(fam.blocks) < 2:
+                continue
+            gen = WrappedFamilyGenerator(fam)
+            for weights in _wrapped_truncations(fam):
+                trunc = Truncation(1, WeightFunction(weights))
+                try:
+                    result = extend_truncation(gen, trunc, len(fam.blocks))
+                except (NotStochasticError, HorizonExhaustedError):
+                    continue
+                if not result.steps:
+                    continue
+                for name, broken in _corruptions(result, trunc):
+                    # a stray label outside the family raises in both
+                    assert _outcome(verify_extension, broken, gen, trunc) == _outcome(
+                        fraction_verify_extension, broken, gen, trunc
+                    ), (name, fam.blocks)
+                    checked += 1
+        assert checked > 300
+
+
+# the product of the first twelve primes
+PRIMORIAL_12 = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37
+_A, _B, _C = F(1, 2 * 3 * 5 * 7), F(1, 11 * 13 * 17), F(1, 19 * 23 * 29 * 31 * 37)
+
+
+class TestMixedDenominators:
+    @pytest.mark.parametrize(
+        "gen, n, weights, horizon, scale",
+        [
+            # row 1 and column 1 in sixths, halves and thirds
+            (GridGenerator(), 2, {1: F(1, 6), 2: HALF, 4: F(1, 3), 3: HALF, 6: F(1, 3)}, 300, 6),
+            (DisjointGrowingGenerator(), 3,
+             {1: F(1), 2: HALF, 3: HALF, 4: F(1, 6), 5: F(1, 3), 6: HALF}, 40, 6),
+            (GridGenerator(), 2, {1: _A, 2: 1 - _A - _B, 4: _B, 3: 1 - _A - _C, 6: _C},
+             300, PRIMORIAL_12),
+            (PathGenerator(), 1, {1: F(1, PRIMORIAL_12), 2: 1 - F(1, PRIMORIAL_12)},
+             200, PRIMORIAL_12),
+        ],
+        ids=["grid-sixths", "disjoint-sixths", "grid-primorial", "path-primorial"],
+    )
+    def test_walk_recheck_and_cli_match_the_fraction_oracle(
+        self, gen, n, weights, horizon, scale, tmp_path, capsys, monkeypatch
+    ):
+        assert lcm(*(v.denominator for v in weights.values())) == scale
+        trunc = Truncation(n, WeightFunction(weights))
+        result = extend_truncation(gen, trunc, horizon)
+        assert result.complete
+        steps = tuple((s.element, s.block_index, s.value) for s in result.steps)
+        assert steps == full_scan_steps(gen, trunc, horizon)
+        report = verify_extension(result, gen, trunc)
+        assert report.ok
+        assert report == fraction_verify_extension(result, gen, trunc)
+
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({"weights": weights_to_document(trunc.w)}))
+        argv = ["extend", str(path), "--generator", gen.name, "--n", str(n),
+                "--horizon", str(horizon)]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        monkeypatch.setattr(cli, "extend_truncation", full_scan_result)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out
 
 
 class TestScanLimit:
