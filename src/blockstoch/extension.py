@@ -428,10 +428,12 @@ def _eligible(
     others: tuple[int, ...],
     delta: dict[int, int],
     bound: int,
-    claimed: set[int],
+    chosen_in: dict[int, list[tuple[int, str]]],
 ) -> bool:
+    """Whether a label's other blocks each sum below ``bound`` (exactly
+    zero when ``bound`` is 0) and hold no earlier chosen element."""
     for k in others:
-        if k in claimed:
+        if k in chosen_in:
             return False
         current = delta.get(k, 0)
         if bound > 0:
@@ -450,11 +452,12 @@ def extend_truncation(
     """Complete a truncation to block sums of one, one element at a time.
 
     Repeatedly take the least-index unsaturated block, find the least
-    fresh label in it whose other blocks each carry strictly less than
-    the missing amount (exactly zero when the missing amount is one) and
-    avoid every block already saturated or already met by an earlier
-    chosen element, and assign it the missing amount.  The walk stops at
-    the horizon, or earlier when a bounded family is exhausted.
+    fresh label in it whose other blocks each sum to strictly less than
+    the current block (exactly zero when the current block is empty)
+    and hold no earlier chosen element, and assign it the missing
+    amount.  No block then goes above one, and each chosen element
+    meets at most one earlier one, in the block being filled.  The walk
+    stops at the horizon, or earlier when a bounded family is exhausted.
 
     Every block before the current one is saturated when the walk gets
     there, so a label that also lies in an earlier block is never
@@ -475,7 +478,6 @@ def extend_truncation(
             "an unbounded generator must promise fresh elements in"
             " every block"
         )
-    claimed = {k for k, total in delta.items() if total == scale}
     values = dict(trunc.w.items())
     steps: list[ChosenStep] = []
     # block -> (element, pattern) of every chosen element inside it
@@ -508,7 +510,7 @@ def extend_truncation(
                     f"block {k_j} yields label {g} as fresh, but its first"
                     f" block is {gamma[0]}"
                 )
-            if _eligible(gamma[1:], delta, bound, claimed):
+            if _eligible(gamma[1:], delta, bound, chosen_in):
                 chosen = (g, gamma)
                 break
         if chosen is None:
@@ -545,8 +547,6 @@ def extend_truncation(
                     f" at element {g_j}"
                 )
             delta[k] = new_total
-            if new_total == scale:
-                claimed.add(k)
             chosen_in.setdefault(k, []).append((g_j, pattern))
         values[g_j] = value = Fraction(need, scale)
         steps.append(
@@ -823,7 +823,9 @@ def approximate_by_extremes(
             augmented[next_label] = Fraction(scale - star_sums[k], scale)
             touched[k].append(next_label)
             next_label += 1
-    finite = build_family([touched[k] for k in sorted(touched)])
+    # blocks with the same members impose the same equation: keep one
+    rows = dict.fromkeys(tuple(touched[k]) for k in sorted(touched))
+    finite = build_family(rows)
     base_decomposition = decompose(finite, WeightFunction(augmented))
 
     terms = []

@@ -113,24 +113,23 @@ def construct_two_coloring(
     primitive cycle.
     """
     require_stochastic(family, w)
-    return _two_coloring(family, w, vertices)
-
-
-def _two_coloring(
-    family: SetFamily, w: WeightFunction, vertices: Iterable[int]
-) -> Witness:
-    """:func:`construct_two_coloring` for a ``w`` already known to be stochastic."""
     verts = tuple(sorted(set(vertices)))
     if not verts:
         raise ConditionsViolatedError("the subgraph has no vertices")
-    supp = set(w.support)
-    if not set(verts) <= supp:
+    if not set(verts) <= set(w.support):
         raise ConditionsViolatedError("the subgraph must lie in the support")
     for count in block_vertex_counts(family, verts).values():
         if count != 2:
             raise ConditionsViolatedError(
                 "every block must contain zero or exactly two subgraph elements"
             )
+    return _two_coloring(family, w, verts)
+
+
+def _two_coloring(
+    family: SetFamily, w: WeightFunction, verts: tuple[int, ...]
+) -> Witness:
+    """The witness on sorted ``verts`` that meet every block in zero or two."""
     induced = build_graph(family, within=verts)
     sign: dict[int, int] = {}
     for root in verts:
@@ -146,28 +145,76 @@ def _two_coloring(
     return _finish(family, w, deltas, epsilon, epsilon, "two_coloring")
 
 
-def _propagate_factors(
-    family: SetFamily,
-    w: WeightFunction,
-    induced: AssociatedGraph,
-    pool: tuple[int, ...],
-    root: int,
-    epsilon: Fraction,
-) -> dict[int, Fraction]:
-    """Signed multiplicative deltas spreading ``epsilon`` outward from the root.
+def construct_tree_propagation(
+    family: SetFamily, w: WeightFunction, component: Iterable[int] | None = None
+) -> Witness:
+    """Perturb a cycle-free support component multiplicatively from its root.
 
-    Each block meeting the pool in at least two elements must have a
-    unique element closest to the root; the perturbation fraction of
-    its remaining elements is scaled so the block sum is preserved, and
-    the sign alternates with the distance from the root.
+    The component must be connected, closed under blocks within the
+    support, free of primitive cycles, with distinct membership sets
+    and every multiplicity at most two.  The smallest element is scaled
+    by one plus/minus a safe fraction and the change propagates through
+    each block so all sums stay exact.
+
+    Under the other conditions the component is a connected subgraph of
+    the block multigraph H without parallel edges, whose primitive
+    cycles are its cycles.  A connected graph is a tree exactly when it
+    has fewer edges than nodes, so counting the elements in two blocks
+    against the blocks met decides the cycle condition.
     """
+    require_stochastic(family, w)
+    supp = set(w.support)
+    comp = tuple(sorted(supp if component is None else set(component)))
+    if not set(comp) <= supp:
+        raise ConditionsViolatedError("the component must lie in the support")
+    for b in family.blocks:
+        inside = supp & b.member_set
+        if inside & set(comp) and not inside <= set(comp):
+            raise ConditionsViolatedError(
+                "a block connects the component to other support elements"
+            )
+    if len(comp) < 2:
+        raise ConditionsViolatedError("a single saturated element cannot be perturbed")
+    if any(len(family.membership(g)) > 2 for g in comp):
+        raise ConditionsViolatedError("an element lies in more than two blocks")
+    pair = check_injectivity(family, subset=comp)
+    if pair is not None:
+        raise ConditionsViolatedError(
+            f"elements {pair[0]} and {pair[1]} share the same membership set"
+        )
+    induced = build_graph(family, within=comp)
+    if len(connected_components(induced)) != 1:
+        raise ConditionsViolatedError("the component is not connected")
+    edges = sum(len(family.membership(g)) == 2 for g in comp)
+    if edges >= len({k for g in comp for k in family.membership(g)}):
+        raise ConditionsViolatedError("the component contains a primitive cycle")
+    return _tree_propagation(family, w, induced)
+
+
+def _tree_propagation(
+    family: SetFamily, w: WeightFunction, induced: AssociatedGraph
+) -> Witness:
+    """The witness on the graph induced on a cycle-free component.
+
+    Signed multiplicative deltas spread a safe fraction outward from the
+    smallest element, the root.  Each block meeting the component in at
+    least two elements must have a unique element closest to the root;
+    the perturbation fraction of its remaining elements is scaled so the
+    block sum is preserved, and the sign alternates with the distance
+    from the root.
+    """
+    comp = induced.vertices
+    members = set(comp)
+    root = comp[0]
+    w0 = w.value(root)
+    slack = min(Fraction(1, 2), (1 - w0) / (2 * w0))
+    epsilon = slack / 2
     layers = bfs_layers(induced, root)
-    if set(layers) != set(pool):
+    if set(layers) != members:
         raise InternalPropertyError("the pool is not connected")
     touched: list[tuple[int, int, list[int]]] = []
-    pool_set = set(pool)
     for b in family.blocks:
-        elems = [g for g in b.members if g in pool_set]
+        elems = [g for g in b.members if g in members]
         if len(elems) < 2:
             continue
         touched.append((min(layers[g] for g in elems), b.index, elems))
@@ -198,74 +245,14 @@ def _propagate_factors(
                         "an element is reached through two different blocks"
                     )
                 factors[c] = child_factor
-    if set(factors) != pool_set:
+    if set(factors) != members:
         raise InternalPropertyError("some pool elements were never reached")
     if any(f >= 1 for f in factors.values()):
         raise InternalPropertyError("a propagated fraction reached one")
-    return {
+    deltas = {
         v: w.value(v) * factors[v] * (1 if layers[v] % 2 == 0 else -1)
-        for v in pool
+        for v in comp
     }
-
-
-def construct_tree_propagation(
-    family: SetFamily, w: WeightFunction, component: Iterable[int] | None = None
-) -> Witness:
-    """Perturb a cycle-free support component multiplicatively from its root.
-
-    The component must be connected, closed under blocks within the
-    support, free of primitive cycles, with distinct membership sets
-    and every multiplicity at most two.  The smallest element is scaled
-    by one plus/minus a safe fraction and the change propagates through
-    each block so all sums stay exact.
-
-    Under the other conditions the component is a connected subgraph of
-    the block multigraph H without parallel edges, whose primitive
-    cycles are its cycles.  A connected graph is a tree exactly when it
-    has fewer edges than nodes, so counting the elements in two blocks
-    against the blocks met decides the cycle condition.
-    """
-    require_stochastic(family, w)
-    return _tree_propagation(family, w, component)
-
-
-def _tree_propagation(
-    family: SetFamily, w: WeightFunction, component: Iterable[int] | None = None
-) -> Witness:
-    """:func:`construct_tree_propagation` for a ``w`` already known to be stochastic."""
-    supp = set(w.support)
-    if component is None:
-        comp = tuple(sorted(supp))
-    else:
-        comp = tuple(sorted(set(component)))
-    if not set(comp) <= supp:
-        raise ConditionsViolatedError("the component must lie in the support")
-    for b in family.blocks:
-        inside = supp & b.member_set
-        if inside & set(comp) and not inside <= set(comp):
-            raise ConditionsViolatedError(
-                "a block connects the component to other support elements"
-            )
-    if len(comp) < 2:
-        raise ConditionsViolatedError("a single saturated element cannot be perturbed")
-    if any(len(family.membership(g)) > 2 for g in comp):
-        raise ConditionsViolatedError("an element lies in more than two blocks")
-    pair = check_injectivity(family, subset=comp)
-    if pair is not None:
-        raise ConditionsViolatedError(
-            f"elements {pair[0]} and {pair[1]} share the same membership set"
-        )
-    induced = build_graph(family, within=comp)
-    if len(connected_components(induced)) != 1:
-        raise ConditionsViolatedError("the component is not connected")
-    edges = sum(len(family.membership(g)) == 2 for g in comp)
-    if edges >= len({k for g in comp for k in family.membership(g)}):
-        raise ConditionsViolatedError("the component contains a primitive cycle")
-    root = comp[0]
-    w0 = w.value(root)
-    slack = min(Fraction(1, 2), (1 - w0) / (2 * w0))
-    epsilon = slack / 2
-    deltas = _propagate_factors(family, w, induced, comp, root, epsilon)
     return _finish(family, w, deltas, epsilon, slack, "tree_propagation")
 
 
@@ -338,18 +325,7 @@ def construct_cycle_attachment(
     ``attachment`` forces the chain's first element.
     """
     require_stochastic(family, w)
-    return _cycle_attachment(family, w, cycle, attachment)
-
-
-def _cycle_attachment(
-    family: SetFamily,
-    w: WeightFunction,
-    cycle: Path | None = None,
-    attachment: int | None = None,
-) -> Witness:
-    """:func:`construct_cycle_attachment` for a ``w`` already known to be stochastic."""
     supp = tuple(sorted(w.support))
-    supp_set = set(supp)
     graph = build_graph(family, within=supp)
     if cycle is None:
         cycle = shortest_primitive_cycle(graph, family, parity="odd")
@@ -372,26 +348,38 @@ def _cycle_attachment(
         raise ConditionsViolatedError(
             f"elements {pair[0]} and {pair[1]} share the same membership set"
         )
-    induced_comp = build_graph(family, within=comp)
-    if shortest_primitive_cycle(induced_comp, family, parity="even") is not None:
+    induced = build_graph(family, within=comp)
+    if shortest_primitive_cycle(induced, family, parity="even") is not None:
         raise EvenCyclePresentError(
             "the component contains an even primitive cycle;"
             " a two-coloring witness applies instead"
         )
-    edge_blocks = _cycle_edge_blocks(family, graph, cycle)
-    cycle_verts = set(cycle.vertices)
-    sources = sorted(set(edge_blocks.values()))
+    # each cycle element lies in two blocks, both holding a cycle edge
+    cycle_blocks = {k for g in cycle.vertices for k in family.membership(g)}
     if attachment is not None and (
-        attachment not in supp_set
-        or attachment in cycle_verts
-        or not any(
-            attachment in family.block(k).member_set for k in sources
-        )
+        attachment not in comp
+        or attachment in cycle.vertices
+        or cycle_blocks.isdisjoint(family.membership(attachment))
     ):
         raise ConditionsViolatedError(
             "the attachment must be a support element of a cycle block,"
             " outside the cycle"
         )
+    return _cycle_attachment(family, w, induced, cycle, attachment)
+
+
+def _cycle_attachment(
+    family: SetFamily,
+    w: WeightFunction,
+    induced: AssociatedGraph,
+    cycle: Path,
+    attachment: int | None = None,
+) -> Witness:
+    """The witness on the graph induced on a component and its odd cycle."""
+    members = set(induced.vertices)
+    edge_blocks = _cycle_edge_blocks(family, induced, cycle)
+    cycle_verts = set(cycle.vertices)
+    sources = sorted(set(edge_blocks.values()))
 
     parent: dict[int, tuple[int, int] | None] = {k: None for k in sources}
     root_of: dict[int, int] = {k: k for k in sources}
@@ -403,7 +391,7 @@ def _cycle_attachment(
         upcoming: list[int] = []
         for b_idx in frontier:
             for e in family.block(b_idx).members:
-                if e not in supp_set or e in cycle_verts or e in used:
+                if e not in members or e in cycle_verts or e in used:
                     continue
                 if (
                     attachment is not None
@@ -561,15 +549,17 @@ def _witness_for_component(
     others.  An even cycle gets a two-coloring; otherwise an
     equal-membership pair does; otherwise a cycle-free component gets a
     tree propagation and any other a cycle attachment on the odd cycle.
+    Each of these answers is a condition the public constructor checks,
+    so the witness is built without checking it again.
     """
     induced = build_graph(family, within=comp)
     even = shortest_primitive_cycle(induced, family, parity="even")
     if even is not None:
-        return _two_coloring(family, w, even.vertices)
+        return _two_coloring(family, w, tuple(sorted(even.vertices)))
     pair = check_injectivity(family, subset=comp)
     if pair is not None:
         return _two_coloring(family, w, pair)
     odd = shortest_primitive_cycle(induced, family, parity="odd")
     if odd is None:
-        return _tree_propagation(family, w, component=comp)
-    return _cycle_attachment(family, w, cycle=odd)
+        return _tree_propagation(family, w, induced)
+    return _cycle_attachment(family, w, induced, odd)

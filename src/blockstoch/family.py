@@ -511,7 +511,6 @@ class FreshnessVerdict:
     mode: str | None
     m: int
     violations: tuple[int, ...] = ()
-    horizon_limited: bool = False
 
 
 def check_freshness(family: SetFamily, m: int) -> FreshnessVerdict:

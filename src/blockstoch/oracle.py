@@ -464,7 +464,9 @@ class Decomposition:
 def decompose(family: SetFamily, w: WeightFunction) -> Decomposition:
     """Write a stochastic weight function as a convex combination of vertices.
 
-    Peels off one vertex at a time, shrinking the support at every step.
+    Peels off one vertex at a time, shrinking the support at every step,
+    until the walk to a vertex (:func:`_vertex_within`) returns the point
+    itself, whose support columns are then independent.
     Each peel removes from the point an element of the peeled vertex's
     support, and later vertices lie in the point's shrunken support, so
     every term holds an element that no later term holds.  The terms are
@@ -478,11 +480,10 @@ def decompose(family: SetFamily, w: WeightFunction) -> Decomposition:
     coef = Fraction(1)
     current = w
     for _ in range(len(family.ground) + 2):
-        supp = current.support
-        if column_rank([family.gamma[g] for g in supp]) == len(supp):
+        vertex = _vertex_within(family, current)
+        if vertex == current:
             terms.append((coef, current))
             break
-        vertex = _vertex_within(family, current)
         t = min(current(g) / vertex(g) for g in vertex.support)
         if t >= 1:
             raise InternalPropertyError("peeling step did not reduce the point")

@@ -240,9 +240,13 @@ def full_scan_steps(generator, trunc, horizon):
     eligible label.
 
     A label is skipped when it lies in one of the first ``n`` blocks or was
-    chosen before; it is eligible when none of its other blocks is
-    saturated and each carries strictly less than the block being filled
-    (exactly zero when that block is empty).
+    chosen before.  Each block is filled by one fresh element of its own,
+    so every other block of a label must stay below one, or be empty and
+    be filled whole.  A label is then eligible when it keeps the invariant
+    ``verify_extension`` checks, that each chosen element meets at most one
+    earlier one: it meets at most one itself, and every block it leaves
+    below one holds no earlier chosen element, since the element chosen
+    there later would meet them all.
     """
     sums = {}
     for g, v in trunc.w.items():
@@ -253,24 +257,30 @@ def full_scan_steps(generator, trunc, horizon):
         last = min(horizon, generator.block_count)
     steps = []
     chosen = set()
+    chosen_in = {}
     for k in range(trunc.n + 1, last + 1):
         have = sums.get(k, 0)
         if have == 1:
             continue
+        need = 1 - have
         # bounded, so that a walk gone wrong on an unbounded block fails
         for g in islice(generator.block_elements(k), 100_000):
             gamma = generator.gamma_of(g)
             if min(gamma) <= trunc.n or g in chosen:
                 continue
-            others = [sums.get(j, 0) for j in gamma if j != k]
-            if all(s != 1 and (s < have if have else s == 0) for s in others):
+            below = [j for j in gamma if j != k and sums.get(j, 0) + need < 1]
+            if any(sums.get(j, 0) for j in gamma if j != k and j not in below):
+                continue
+            met = {h for j in gamma for h in chosen_in.get(j, ())}
+            if len(met) <= 1 and not any(j in chosen_in for j in below):
                 break
         else:
             return None
-        steps.append((g, k, 1 - have))
+        steps.append((g, k, need))
         chosen.add(g)
         for j in gamma:
-            sums[j] = sums.get(j, 0) + 1 - have
+            sums[j] = sums.get(j, 0) + need
+            chosen_in.setdefault(j, []).append(g)
     return tuple(steps)
 
 
@@ -411,3 +421,35 @@ def fraction_verify_extension(result, generator, trunc):
                 "an extreme truncation completed to a non-extreme function"
             )
     return ExtensionReport(tuple(violations), vertex_input, vertex_shadow)
+
+
+def random_truncation(generator, n, denominator, rng, width=3):
+    """A seeded truncation at depth ``n`` in multiples of ``1/denominator``,
+    or None when the draw is not a valid one.
+
+    Blocks 1 to ``n`` are filled in turn: the mass a block still misses is
+    split at random over some of its first ``width`` fresh elements, the
+    only labels that leave the earlier blocks' sums as they are.  The draw
+    fails when a block is already above one or has no fresh element to
+    fill it with, or when a block after ``n`` ends above one.
+    """
+    weights = {}
+    sums = {}
+    for k in range(1, n + 1):
+        missing = denominator - sums.get(k, 0)
+        if missing < 0:
+            return None
+        if missing == 0:
+            continue
+        fresh = list(islice(generator.fresh_elements(k), width))
+        if not fresh:
+            return None
+        labels = sorted(rng.sample(fresh, rng.randint(1, min(len(fresh), missing))))
+        cuts = sorted(rng.sample(range(1, missing), len(labels) - 1))
+        for g, part in zip(labels, [b - a for a, b in zip([0, *cuts], [*cuts, missing])]):
+            weights[g] = Fraction(part, denominator)
+            for j in generator.gamma_of(g):
+                sums[j] = sums.get(j, 0) + part
+    if any(total > denominator for total in sums.values()):
+        return None
+    return weights

@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import random
+from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, permutations
 from math import lcm
 
 import pytest
@@ -31,6 +33,7 @@ from blockstoch.extension import (
 )
 from blockstoch.family import WeightFunction, build_family
 from blockstoch.instance_io import weights_to_document
+from blockstoch.oracle import is_vertex
 
 from helpers import (
     FullScanGenerator,
@@ -38,6 +41,7 @@ from helpers import (
     full_scan_result,
     full_scan_steps,
     kappa2_sweep,
+    random_truncation,
 )
 
 F = Fraction
@@ -384,12 +388,16 @@ FULL_SCAN_CASES = pytest.mark.parametrize(
         (GridGenerator(), 2, {1: F(1)}, 300),
         (GridGenerator(), 2, {1: HALF, 2: HALF, 3: HALF}, 300),
         (GridGenerator(), 3, {1: F(1, 3), 2: F(2, 3), 3: F(2, 3), 5: F(1, 3)}, 300),
+        # the walk once offered label 19 to block 6, which held the chosen
+        # label 13, though its row (block 7) held the chosen label 14
+        (GridGenerator(), 2, {1: F(1, 6), 2: F(1, 4), 4: F(7, 12), 3: F(1, 6), 6: F(2, 3)}, 40),
         (DisjointGrowingGenerator(), 1, {1: F(1)}, 40),
         (DisjointGrowingGenerator(), 3, {1: F(1), 2: HALF, 3: HALF, 5: F(1)}, 40),
     ],
     ids=[
         "path-vertex", "path-split", "path-thirds", "grid-vertex",
-        "grid-split", "grid-thirds", "disjoint-vertex", "disjoint-split",
+        "grid-split", "grid-thirds", "grid-met-two", "disjoint-vertex",
+        "disjoint-split",
     ],
 )
 
@@ -436,6 +444,50 @@ class TestFullScanOracle:
                 ), fam.blocks
                 compared += 1
         assert compared > 300 and exhausted > 500
+
+
+def _valid_truncations():
+    """Seeded valid truncations at depths 2 to 4 in halves, thirds,
+    quarters and sixths, with their horizons: 30 draws of each on grid
+    and 5 on path, to horizon 30, and one on every third wrapped κ ≤ 2
+    family of the seeded sweep, to its last block."""
+    rng = random.Random(11)
+    plans = [(GridGenerator(), 30, 30), (PathGenerator(), 30, 5)]
+    plans += [
+        (WrappedFamilyGenerator(fam), len(fam.blocks), 1)
+        for fam in islice(kappa2_sweep(), 0, None, 3)
+    ]
+    for gen, horizon, draws in plans:
+        for n in (2, 3, 4):
+            if gen.block_count is not None and gen.block_count <= n:
+                continue
+            for denominator in (2, 3, 4, 6):
+                for _ in range(draws):
+                    weights = random_truncation(gen, n, denominator, rng)
+                    if weights is not None:
+                        yield gen, Truncation(n, WeightFunction(weights)), horizon
+
+
+class TestValidTruncationSweep:
+    def test_each_completes_and_verifies_or_exhausts(self):
+        outcomes = Counter()
+        for gen, trunc, horizon in _valid_truncations():
+            reference = full_scan_steps(gen, trunc, horizon)
+            # no InternalPropertyError: the walk keeps its own invariants
+            try:
+                result = extend_truncation(gen, trunc, horizon)
+            except HorizonExhaustedError:
+                assert reference is None, (gen.name, trunc)
+                outcomes[gen.name, "exhausted"] += 1
+                continue
+            assert verify_extension(result, gen, trunc).ok, (gen.name, trunc)
+            steps = tuple((s.element, s.block_index, s.value) for s in result.steps)
+            assert steps == reference, (gen.name, trunc)
+            outcomes[gen.name, "complete"] += 1
+        assert outcomes["grid", "complete"] == 303
+        assert outcomes["path", "complete"] == 60
+        assert outcomes["wrapped", "complete"] > 150
+        assert outcomes["wrapped", "exhausted"] > 300
 
 
 def _with(w, label, value):
@@ -660,3 +712,74 @@ class TestApproximateByExtremes:
             _, report = approximate_by_extremes(gen, w_full, n, 8)
             gaps.append(report.max_block_discrepancy(2))
         assert gaps[0] >= gaps[1] >= gaps[2]
+
+
+def _grid_member(rng, size):
+    """A block-diagonal doubly stochastic grid member on rows and columns
+    1 to at least ``size``: each diagonal block of 1 to 3 rows is a
+    random mixture of up to three permutation matrices."""
+    gen = GridGenerator()
+    weights = {}
+    start = 1
+    while start <= size:
+        side = rng.randint(1, 3)
+        every = list(permutations(range(side)))
+        perms = rng.sample(every, rng.randint(1, min(3, len(every))))
+        raw = [rng.randint(1, 4) for _ in perms]
+        for lam, perm in zip(raw, perms):
+            for r, c in enumerate(perm):
+                label = gen.label(start + r, start + c)
+                weights[label] = weights.get(label, 0) + F(lam, sum(raw))
+        start += side
+    return WeightFunction(weights)
+
+
+def _path_member(rng, length):
+    """A path member on labels 1 to ``length``, alternating a and 1 - a."""
+    a = F(rng.randint(1, 5), 6)
+    return WeightFunction({g: a if g % 2 else 1 - a for g in range(1, length + 1)})
+
+
+def _horizon_family(gen, w, horizon):
+    """Blocks 1 to ``horizon`` on the support of ``w``, each member list
+    once (equal lists impose the same equation)."""
+    rows = (
+        tuple(g for g in w.support if k in gen.gamma_of(g))
+        for k in range(1, horizon + 1)
+    )
+    return build_family(dict.fromkeys(row for row in rows if row))
+
+
+class TestApproximationTheorem:
+    """Every member is approximated by completed extreme points: each
+    term is a completion of an extreme truncation that passes the
+    re-check and is a vertex within the horizon, and the combination
+    equals the member on every label of the first ``n`` blocks."""
+
+    def _check(self, gen, w_full, n, horizon):
+        approximation, report = approximate_by_extremes(gen, w_full, n, horizon)
+        for _, completion in approximation.terms:
+            prefix = {g: v for g, v in completion.items() if min(gen.gamma_of(g)) <= n}
+            trunc = Truncation(n, WeightFunction(prefix))
+            result = extend_truncation(gen, trunc, horizon)
+            assert result.complete and result.extended == completion
+            assert verify_extension(result, gen, trunc).ok
+            assert is_vertex(_horizon_family(gen, completion, horizon), completion)
+        combined = approximation.combined()
+        labels = set(w_full.support) | set(combined.support)
+        for g in labels:
+            if min(gen.gamma_of(g)) <= n:
+                assert combined(g) == w_full(g), g
+        assert report.element_discrepancy == {}
+
+    def test_identity_on_grid(self):
+        # row 1 and column 1 are both {1}: one equation, not a duplicate block
+        gen = GridGenerator()
+        w_full = WeightFunction({gen.label(r, r): F(1) for r in range(1, 11)})
+        self._check(gen, w_full, 2, 20)
+
+    def test_seeded_grid_and_path_members(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            self._check(GridGenerator(), _grid_member(rng, 12), rng.randint(1, 6), 20)
+            self._check(PathGenerator(), _path_member(rng, 21), rng.randint(1, 6), 20)

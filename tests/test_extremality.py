@@ -325,3 +325,59 @@ class TestStochasticCheckedOnce:
         for call in calls:
             with pytest.raises(NotStochasticError, match="block 1 sums to 2/3"):
                 call()
+
+
+class TestOneAnalysisPerComponent:
+    """The classifier decides each structural question of the offending
+    component once and hands its answers to the witness builder, which
+    does not re-derive them."""
+
+    COUNTED = {
+        extremality: (
+            "build_graph",
+            "connected_components",
+            "shortest_primitive_cycle",
+            "check_injectivity",
+        ),
+        graphs: ("block_multigraph", "biconnected_components"),
+    }
+
+    def _classify_counting(self, monkeypatch, fam, w):
+        counts = dict.fromkeys(
+            (name for names in self.COUNTED.values() for name in names), 0
+        )
+        for module, names in self.COUNTED.items():
+            for name in names:
+                original = getattr(module, name)
+
+                def counting(*args, _name=name, _original=original, **kwargs):
+                    counts[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counting)
+        verdict = classify_extreme(fam, w)
+        monkeypatch.undo()
+        return verdict, counts
+
+    def test_cycle_attachment_on_two_joined_rings(self, monkeypatch):
+        blocks, weights = odd_ring_chain(2, 801)
+        fam, w = build_family(blocks), WeightFunction(weights)
+        verdict, counts = self._classify_counting(monkeypatch, fam, w)
+        assert verdict.witness.construction == "cycle_attachment"
+        assert counts["build_graph"] <= 2
+        assert counts["connected_components"] == 1
+        assert counts["shortest_primitive_cycle"] <= 2
+        assert counts["block_multigraph"] <= 2
+        assert counts["biconnected_components"] == 1
+        assert counts["check_injectivity"] == 1
+        assert verdict.witness == construct_cycle_attachment(fam, w)
+
+    def test_tree_propagation_on_a_long_path(self, monkeypatch):
+        fam = build_family([[k, k + 1] for k in range(1, 401)])
+        w = WeightFunction({g: HALF for g in range(1, 402)})
+        verdict, counts = self._classify_counting(monkeypatch, fam, w)
+        assert verdict.witness.construction == "tree_propagation"
+        assert counts["build_graph"] <= 2
+        assert counts["connected_components"] == 1
+        assert counts["check_injectivity"] == 1
+        assert verdict.witness == construct_tree_propagation(fam, w)

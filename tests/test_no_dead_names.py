@@ -1,4 +1,5 @@
-"""Every function, class, method and property of the package is used.
+"""Every function, class, method, property and annotated class field of
+the package is used.
 
 A definition counts as used when its name occurs outside the definition
 itself: as a name, an attribute, an imported name, a keyword or an
@@ -45,21 +46,35 @@ def _outside_bases(node):
     return bases
 
 
+def _defined_name(node, in_class):
+    """The name a node defines: a function or class, or an annotated
+    field (``name: type`` or ``name: type = value``) in a class body."""
+    if isinstance(node, DEFINITIONS):
+        return node.name
+    if in_class and isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return node.target.id
+    return None
+
+
 def _scan(tree, path, definitions, uses):
     """Record each definition with its place, and each name with the
     definitions it occurs inside."""
-    stack = [(tree, (), [])]
+    stack = [(tree, (), [], False)]
     while stack:
-        node, inside, bases = stack.pop()
+        node, inside, bases, in_class = stack.pop()
         for name in _names(node):
             uses.setdefault(name, []).append(inside)
-        if isinstance(node, DEFINITIONS):
-            if not any(hasattr(base, node.name) for base in bases):
-                place = f"{node.name} ({path.name}:{node.lineno})"
-                definitions.append((node.name, place, id(node)))
+        defined = _defined_name(node, in_class)
+        if defined is not None:
+            if not any(hasattr(base, defined) for base in bases):
+                place = f"{defined} ({path.name}:{node.lineno})"
+                definitions.append((defined, place, id(node)))
             inside = inside + (id(node),)
-        bases = _outside_bases(node) if isinstance(node, ast.ClassDef) else []
-        stack.extend((child, inside, bases) for child in ast.iter_child_nodes(node))
+        is_class = isinstance(node, ast.ClassDef)
+        bases = _outside_bases(node) if is_class else []
+        stack.extend(
+            (child, inside, bases, is_class) for child in ast.iter_child_nodes(node)
+        )
 
 
 def test_every_definition_is_named_elsewhere():

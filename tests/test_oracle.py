@@ -230,6 +230,28 @@ class TestDecompose:
         with pytest.raises(NotStochasticError, match="block 2 sums to 5/4"):
             decompose(fam, w)
 
+    def test_one_independence_answer_per_peel(self, monkeypatch):
+        # each peel ends when the walk to a vertex finds the point's
+        # columns independent; no separate rank query repeats that answer
+        fam = matrix_family(5)
+        mix = permutation_mean(5, count=4)
+        expected = decompose(fam, mix)
+        circuit = oracle.column_circuit
+        answers = []
+
+        def counting(columns):
+            answers.append(circuit(columns))
+            return answers[-1]
+
+        def refuse(columns):
+            raise AssertionError("decompose asked column_rank")
+
+        monkeypatch.setattr(oracle, "column_circuit", counting)
+        monkeypatch.setattr(oracle, "column_rank", refuse)
+        assert decompose(fam, mix) == expected
+        assert len(expected.terms) > 1
+        assert sum(answer is None for answer in answers) == len(expected.terms)
+
 
 class TestCrossValidate:
     def test_matrix_family_agrees(self):
