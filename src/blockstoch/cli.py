@@ -315,7 +315,7 @@ def _add_oracle_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         help="worker processes for vertex enumeration on families with a"
-        " multiplicity above two (output unchanged)",
+        " multiplicity above two, at most the CPU count (output unchanged)",
     )
 
 

@@ -15,6 +15,9 @@ from typing import Callable
 from .errors import InputError
 from .extremality import classify_extreme
 from .family import (
+    HALF,
+    ONE,
+    ZERO,
     WeightFunction,
     build_family,
     classify_membership,
@@ -28,8 +31,6 @@ from .graphs import (
 )
 from .instance_io import format_rational, format_weights
 from .oracle import decompose, enumerate_vertices, sup_block_norm, support_width
-
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def demo_square_matrix() -> DemoResult:
     out.check(
         "decomposition coefficients sum to 1",
         True,
-        sum((c for c, _ in combo.terms), Fraction(0)) == 1,
+        sum((c for c, _ in combo.terms), ZERO) == 1,
     )
     return out.result("square-matrix", "3x3 matrix with unit row and column sums")
 
@@ -133,8 +134,8 @@ def demo_pinned_segment() -> DemoResult:
     vertices = enumerate_vertices(family)
     out.check("vertex count", 2, len(vertices))
     expected = [
-        WeightFunction({1: HALF, 2: HALF, 3: HALF, 4: Fraction(1)}),
-        WeightFunction({1: HALF, 2: HALF, 3: HALF, 5: Fraction(1)}),
+        WeightFunction({1: HALF, 2: HALF, 3: HALF, 4: ONE}),
+        WeightFunction({1: HALF, 2: HALF, 3: HALF, 5: ONE}),
     ]
     out.check(
         "vertex set",
@@ -177,7 +178,7 @@ def demo_growing_blocks() -> DemoResult:
     out.check("spread-out support width", 6, support_width(family, spread))
     covers = []
     for shift in range(6):
-        picks = {b.members[shift % b.size]: Fraction(1) for b in family.blocks}
+        picks = {b.members[shift % b.size]: ONE for b in family.blocks}
         covers.append(WeightFunction(picks))
     out.check("covers are 0/1 members", True, all(classify_membership(family, c).exact_cover for c in covers))
     out.check("cover support width", 1, support_width(family, covers[0]))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from math import isqrt, lcm
-from typing import Iterator, Protocol
+from typing import Iterable, Iterator, Protocol
 
 from .errors import (
     GeneratorInconsistentError,
@@ -227,49 +227,27 @@ class Truncation:
     w: WeightFunction
 
 
-class _Gammas(dict):
-    """``gamma_of`` of each label looked up, read from the generator once.
+def _label_index(
+    generator: FamilyGenerator, labels: Iterable[int]
+) -> tuple[dict[int, tuple[int, ...]], dict[int, list[int]]]:
+    """``gamma_of`` of each of ``labels``, and the labels in every block
+    meeting them, by block and in the order given.
 
-    One is built per call, so a call asks the generator about a label
-    at most once however many of its checks read that label.
-    ``checked`` holds the labels whose listed blocks have been
-    cross-checked with ``contains``, so that check also runs once.
+    Each label's ``gamma_of`` is read once, and each block it lists is
+    cross-checked with ``contains``.
     """
-
-    def __init__(self, generator: FamilyGenerator):
-        super().__init__()
-        self.generator = generator
-        self.checked: set[int] = set()
-
-    def __missing__(self, g: int) -> tuple[int, ...]:
-        gamma = self[g] = self.generator.gamma_of(g)
-        return gamma
-
-
-def _touched_members(
-    gammas: _Gammas, support: tuple[int, ...]
-) -> dict[int, list[int]]:
-    """The elements of ``support`` in every block meeting it, by block.
-
-    Read from ``gamma_of``; each listed block is cross-checked with
-    ``contains`` the first time the call meets the label.
-    """
-    generator = gammas.generator
-    checked = gammas.checked
+    gammas: dict[int, tuple[int, ...]] = {}
     members: dict[int, list[int]] = {}
-    for g in support:
-        gamma = gammas[g]
-        if g not in checked:
-            for k in gamma:
-                if not generator.contains(k, g):
-                    raise GeneratorInconsistentError(
-                        f"gamma_of({g}) lists block {k} but contains({k}, {g})"
-                        " is false"
-                    )
-            checked.add(g)
+    for g in labels:
+        gamma = gammas[g] = generator.gamma_of(g)
         for k in gamma:
+            if not generator.contains(k, g):
+                raise GeneratorInconsistentError(
+                    f"gamma_of({g}) lists block {k} but contains({k}, {g})"
+                    " is false"
+                )
             members.setdefault(k, []).append(g)
-    return members
+    return gammas, members
 
 
 def _common_denominator(*functions: WeightFunction) -> int:
@@ -284,19 +262,19 @@ def _numerators(w: WeightFunction, scale: int) -> dict[int, int]:
 
 
 def _block_sums(
-    numerators: dict[int, int], members: dict[int, list[int]]
+    numerators: dict[int, int], gammas: dict[int, tuple[int, ...]]
 ) -> dict[int, int]:
-    """Block sums as integer numerators over the values' common scale.
+    """Block sums as integer numerators over the values' common scale,
+    over every block the labels' ``gammas`` list.
 
     Exact, like ``Fraction`` sums, at the cost of plain integer adds:
     a block sums to one exactly when its numerator equals the scale.
     """
-    return {k: sum([numerators[g] for g in gs]) for k, gs in members.items()}
-
-
-def _touched_sums(gammas: _Gammas, w: WeightFunction, scale: int) -> dict[int, int]:
-    """Block sums of ``w`` times ``scale`` over every block meeting its support."""
-    return _block_sums(_numerators(w, scale), _touched_members(gammas, w.support))
+    sums: dict[int, int] = {}
+    for g, value in numerators.items():
+        for k in gammas[g]:
+            sums[k] = sums.get(k, 0) + value
+    return sums
 
 
 def validate_truncation(
@@ -328,9 +306,8 @@ def _validated_sums(
         )
     if not trunc.w.nonnegative:
         raise InputError("truncation weights must be nonnegative")
-    gammas = _Gammas(generator)
-    for g in trunc.w.support:
-        gamma = gammas[g]
+    gammas, _ = _label_index(generator, trunc.w.support)
+    for g, gamma in gammas.items():
         if not gamma:
             raise InputError(f"element {g} lies in no block")
         if min(gamma) > trunc.n:
@@ -338,7 +315,7 @@ def _validated_sums(
                 f"element {g} lies outside the first {trunc.n} blocks"
             )
     scale = _common_denominator(trunc.w)
-    sums = _touched_sums(gammas, trunc.w, scale)
+    sums = _block_sums(_numerators(trunc.w, scale), gammas)
     _require_block_sums(sums, scale, trunc.n)
     return scale, sums
 
@@ -630,27 +607,28 @@ def verify_extension(
 
     The overlaps are found through an index from each block to the
     chosen elements in it, built here from ``gamma_of`` independently of
-    the walk.  The block sums and the rows of the rank checks also come
-    from ``gamma_of`` of each support element, so, like the block sums,
-    they trust the protocol's promise that ``gamma_of`` lists every
-    block containing an element; each listed block is still
-    cross-checked with ``contains``.  Each label's ``gamma_of`` is read,
-    and its blocks cross-checked, once, into a memo of this call's own.
+    the walk.  The block sums and the rows of the rank checks come from
+    one label index per call, over every label the completion, the
+    truncation, the packings and the steps name: it reads each label's
+    ``gamma_of`` once and cross-checks each block listed with
+    ``contains``.  So they trust the protocol's promise that
+    ``gamma_of`` lists every block containing an element.  A function's
+    block sums add its own values over its labels' blocks, and its rank
+    rows keep only its own labels of each block's members.
 
     Values, differences, block sums and the packing cover are compared
     as integers over one common denominator, taken here from the values
     of the result and the truncation, never from the walk.
     """
-    gammas = _Gammas(generator)
     violations: list[str] = []
     base = trunc.w
     extended = result.extended
     chosen = {s.element: s for s in result.steps}
     if len(chosen) != len(result.steps):
         violations.append("a chosen element repeats")
+    functions = (extended, base, result.packing_a, result.packing_b)
     scale = lcm(
-        _common_denominator(extended, base, result.packing_a, result.packing_b),
-        *{s.value.denominator for s in result.steps},
+        _common_denominator(*functions), *{s.value.denominator for s in result.steps}
     )
     extended_values = _numerators(extended, scale)
     base_values = _numerators(base, scale)
@@ -658,15 +636,14 @@ def verify_extension(
         g: s.value.numerator * (scale // s.value.denominator)
         for g, s in chosen.items()
     }
+    labels = sorted(set(chosen).union(*(w.support for w in functions)))
+    gammas, members = _label_index(generator, labels)
     # extended - base, only where the two differ, in label order
     diff: dict[int, int] = {}
-    for g, value in extended_values.items():
-        change = value - base_values.get(g, 0)
+    for g in labels:
+        change = extended_values.get(g, 0) - base_values.get(g, 0)
         if change:
             diff[g] = change
-    dropped = [(g, -v) for g, v in base_values.items() if g not in extended_values]
-    if dropped:
-        diff = dict(sorted([*diff.items(), *dropped]))
     for g, value in diff.items():
         if g not in chosen:
             violations.append(f"element {g} changed without a recorded step")
@@ -685,9 +662,7 @@ def verify_extension(
                 f"chosen element {g} lies outside block {step.block_index}"
             )
 
-    full_support = extended.support
-    extended_members = _touched_members(gammas, full_support)
-    sums = _block_sums(extended_values, extended_members)
+    sums = _block_sums(extended_values, gammas)
     last_block = _last_block(generator, result.horizon)
     for k, total in sorted(sums.items()):
         if total > scale:
@@ -723,10 +698,7 @@ def verify_extension(
         if not packing.zero_one:
             violations.append(f"packing {name} is not 0/1-valued")
         packing_values = _numerators(packing, scale)
-        packing_sums = _block_sums(
-            packing_values, _touched_members(gammas, packing.support)
-        )
-        for k, total in sorted(packing_sums.items()):
+        for k, total in sorted(_block_sums(packing_values, gammas).items()):
             if total > scale:
                 violations.append(
                     f"packing {name} puts {Fraction(total, scale)} > 1"
@@ -738,21 +710,20 @@ def verify_extension(
         if value > cover.get(g, 0):
             violations.append(f"added value at {g} exceeds the packing cover")
 
-    saturated_rows = [
-        extended_members[k] for k, total in sorted(sums.items()) if total == scale
-    ]
-    base_support = base.support
-    base_members = _touched_members(gammas, base_support)
-    base_sums = _block_sums(base_values, base_members)
     base_rows = [
-        base_members[k]
-        for k, total in sorted(base_sums.items())
+        [g for g in members[k] if g in base_values]
+        for k, total in sorted(_block_sums(base_values, gammas).items())
         if total == scale or k <= trunc.n
     ]
-    vertex_input = _support_rank(base_rows) == len(base_support)
+    vertex_input = _support_rank(base_rows) == len(base_values)
     vertex_shadow: bool | None = None
     if vertex_input:
-        vertex_shadow = _support_rank(saturated_rows) == len(full_support)
+        saturated_rows = [
+            [g for g in members[k] if g in extended_values]
+            for k, total in sorted(sums.items())
+            if total == scale
+        ]
+        vertex_shadow = _support_rank(saturated_rows) == len(extended_values)
         if not vertex_shadow:
             violations.append(
                 "an extreme truncation completed to a non-extreme function"
@@ -804,20 +775,21 @@ def approximate_by_extremes(
         raise InputError("the horizon must exceed the truncation depth")
     if not w_full.nonnegative:
         raise InputError("the target function must be nonnegative")
-    gammas = _Gammas(generator)
+    gammas, members = _label_index(generator, w_full.support)
     scale = _common_denominator(w_full)
-    sums = _touched_sums(gammas, w_full, scale)
+    values = _numerators(w_full, scale)
+    sums = _block_sums(values, gammas)
     last_block = _last_block(generator, horizon)
     _require_block_sums(sums, scale, last_block)
 
-    star = WeightFunction(
-        {g: value for g, value in w_full.items() if min(gammas[g]) <= n}
-    )
-    touched = _touched_members(gammas, star.support)
-    star_sums = _block_sums(_numerators(star, scale), touched)
-    augmented = dict(star.items())
+    star = {g: value for g, value in w_full.items() if min(gammas[g]) <= n}
+    touched = {
+        k: kept for k, gs in members.items() if (kept := [g for g in gs if g in star])
+    }
+    star_sums = _block_sums({g: values[g] for g in star}, gammas)
+    augmented = dict(star)
     # every label from first_slack on is a slack element
-    first_slack = next_label = max(star.support, default=0) + 1
+    first_slack = next_label = max(star, default=0) + 1
     for k in sorted(touched):
         if k > n:
             augmented[next_label] = Fraction(scale - star_sums[k], scale)
@@ -841,18 +813,20 @@ def approximate_by_extremes(
     combined = approximation.combined()
 
     combined_scale = lcm(scale, _common_denominator(combined))
-    combined_sums = _touched_sums(gammas, combined, combined_scale)
+    # only the combination's labels outside w_full's support are new
+    fresh, _ = _label_index(generator, [g for g in combined.support if g not in gammas])
+    combined_sums = _block_sums(_numerators(combined, combined_scale), gammas | fresh)
     factor = combined_scale // scale
     block_gap: dict[int, Fraction] = {}
     for k in range(1, last_block + 1):
         gap = abs(sums.get(k, 0) * factor - combined_sums.get(k, 0))
         block_gap[k] = Fraction(gap, combined_scale)
     element_gap: dict[int, Fraction] = {}
-    for g in sorted(set(w_full.support) | set(combined.support)):
-        if min(gammas[g]) <= n:
-            gap = abs(w_full.value(g) - combined.value(g))
-            if gap != 0:
-                element_gap[g] = gap
+    # the other labels of the combination are chosen ones, fresh beyond n
+    for g, value in star.items():
+        gap = abs(value - combined.value(g))
+        if gap != 0:
+            element_gap[g] = gap
     report = ApproximationReport(
         n=n,
         horizon=horizon,

@@ -25,6 +25,7 @@ from .errors import (
     NotSimpleCycleError,
 )
 from .family import (
+    HALF,
     SetFamily,
     WeightFunction,
     check_injectivity,
@@ -88,7 +89,7 @@ def _finish(
     )
     plus_report = classify_membership(family, witness.w_plus)
     minus_report = classify_membership(family, witness.w_minus)
-    midpoint = (witness.w_plus + witness.w_minus).scaled(Fraction(1, 2))
+    midpoint = (witness.w_plus + witness.w_minus).scaled(HALF)
     if (
         not plus_report.stochastic
         or not minus_report.stochastic
@@ -207,7 +208,7 @@ def _tree_propagation(
     members = set(comp)
     root = comp[0]
     w0 = w.value(root)
-    slack = min(Fraction(1, 2), (1 - w0) / (2 * w0))
+    slack = min(HALF, (1 - w0) / (2 * w0))
     epsilon = slack / 2
     layers = bfs_layers(induced, root)
     if set(layers) != members:
@@ -513,7 +514,7 @@ def classify_extreme(family: SetFamily, w: WeightFunction) -> Verdict:
                 raise InternalPropertyError("isolated support element not saturated")
             saturated += 1
         elif _is_odd_cycle_component(family, graph, comp):
-            if any(w.value(v) != Fraction(1, 2) for v in comp):
+            if any(w.value(v) != HALF for v in comp):
                 raise InternalPropertyError("odd cycle component not at one half")
             cycles += 1
         elif bad is None:

@@ -28,6 +28,7 @@ from .errors import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ same whatever the choice, and the same as the frame matroid core's.
 from __future__ import annotations
 
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -50,6 +51,7 @@ from .errors import (
     InternalPropertyError,
 )
 from .family import (
+    HALF,
     ONE,
     ZERO,
     SetFamily,
@@ -61,7 +63,6 @@ from .family import (
 from .graphs import block_multigraph, frame_circuit, frame_rank, two_color
 
 DEFAULT_BUDGET = 1 << 20
-HALF = Fraction(1, 2)
 
 Row = dict[int, Fraction]
 
@@ -325,10 +326,10 @@ def basis_vertices(
     Candidate supports are the rank-sized column subsets that touch
     every block; each is solved exactly and kept when the unique
     solution is nonnegative.  Raises ``InstanceTooLargeError`` when the
-    raw candidate count exceeds ``budget``.  ``jobs`` worker processes
-    share the candidates; the result is sorted and independent of
-    ``jobs``.  Works for any family, and is the reference the multigraph
-    search is tested against.
+    raw candidate count exceeds ``budget``.  ``jobs`` worker processes,
+    capped at ``os.cpu_count()``, share the candidates; the result is
+    sorted and independent of ``jobs``.  Works for any family, and is
+    the reference the multigraph search is tested against.
     """
     if jobs < 1:
         raise InputError("jobs must be at least 1")
@@ -356,16 +357,17 @@ def basis_vertices(
         if _or_all(masks, combo) == full
     ]
     found: dict[tuple, WeightFunction] = {}
-    if jobs == 1 or len(candidates) < 64:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1 or len(candidates) < 64:
         chunks = [(family, columns, candidates)]
         results = map(_solve_chunk, chunks)
     else:
-        step = max(1, math.ceil(len(candidates) / (jobs * 4)))
+        step = max(1, math.ceil(len(candidates) / (workers * 4)))
         chunks = [
             (family, columns, candidates[i : i + step])
             for i in range(0, len(candidates), step)
         ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_solve_chunk, chunks))
     for chunk_result in results:
         for items in chunk_result:
@@ -477,7 +479,7 @@ def decompose(family: SetFamily, w: WeightFunction) -> Decomposition:
     """
     require_stochastic(family, w)
     terms: list[tuple[Fraction, WeightFunction]] = []
-    coef = Fraction(1)
+    coef = ONE
     current = w
     for _ in range(len(family.ground) + 2):
         vertex = _vertex_within(family, current)
@@ -488,8 +490,8 @@ def decompose(family: SetFamily, w: WeightFunction) -> Decomposition:
         if t >= 1:
             raise InternalPropertyError("peeling step did not reduce the point")
         terms.append((coef * t, vertex))
-        current = (current - vertex.scaled(t)).scaled(1 / (Fraction(1) - t))
-        coef = coef * (Fraction(1) - t)
+        current = (current - vertex.scaled(t)).scaled(1 / (ONE - t))
+        coef = coef * (ONE - t)
     else:
         raise DepthExceededError("vertex peeling did not terminate")
     total = sum(c for c, _ in terms)
@@ -566,7 +568,7 @@ def cross_validate(
             if witness is None:
                 discrepancies.append(f"mixture {dict(mix.items())} has no witness")
                 continue
-            midpoint = (witness.w_plus + witness.w_minus).scaled(Fraction(1, 2))
+            midpoint = (witness.w_plus + witness.w_minus).scaled(HALF)
             if midpoint != mix or witness.w_plus == witness.w_minus:
                 discrepancies.append(
                     f"witness for mixture {dict(mix.items())} does not average back"

@@ -10,7 +10,7 @@ from math import lcm
 
 import pytest
 
-from blockstoch import cli
+from blockstoch import cli, extension
 from blockstoch.errors import (
     GeneratorInconsistentError,
     HorizonExhaustedError,
@@ -274,6 +274,27 @@ class TestGammaMemo:
             (k, g): 1 for g in result.extended.support for k in gen.gamma_of(g)
         }
 
+    def test_each_call_builds_one_index(self, monkeypatch):
+        built = []
+        label_index = extension._label_index
+
+        def counting(generator, labels):
+            built.append(list(labels))
+            return label_index(generator, labels)
+
+        monkeypatch.setattr(extension, "_label_index", counting)
+        gen = PathGenerator()
+        trunc = Truncation(1, WeightFunction({1: HALF, 2: HALF}))
+        validate_truncation(gen, trunc)
+        assert built == [[1, 2]]
+        built.clear()
+        result = extend_truncation(gen, trunc, horizon=30)
+        # the validation and the re-check
+        assert built == [[1, 2], list(result.extended.support)]
+        built.clear()
+        assert verify_extension(result, gen, trunc).ok
+        assert built == [list(result.extended.support)]
+
 
 class TestVerifyExtension:
     def test_corrupted_value_reported(self):
@@ -359,8 +380,8 @@ class TestGeneratorConsistency:
         )
 
     def test_recheck_rejects_a_block_contains_denies(self):
-        # the first label of the extended support that lies raises, as
-        # the cross-check of the extended support runs before the others
+        # the least label that lies raises, as the call's one index reads
+        # its labels in ascending order
         trunc = Truncation(1, WeightFunction({1: F(1)}))
         result = extend_truncation(PathGenerator(), trunc, horizon=6)
         with pytest.raises(GeneratorInconsistentError) as caught:
@@ -495,7 +516,7 @@ def _with(w, label, value):
     return WeightFunction({**dict(w.items()), label: value})
 
 
-def _corruptions(result, trunc):
+def _corruptions(result, trunc, gen):
     """Broken copies of a completion, by name, each of which the re-check
     must reject."""
     replace = dataclasses.replace
@@ -541,6 +562,22 @@ def _corruptions(result, trunc):
     yield "base label dropped", replace(
         result, extended=_with(extended, base_label, 0)
     )
+    yield "chosen label dropped", replace(result, extended=_with(extended, first, 0))
+    # a label of the first chosen element's block that neither the
+    # completion nor the base holds, put beside that element into packing
+    # a, the first step's pattern, so the block's packing sum is 2
+    outside = next(
+        (
+            g
+            for g in islice(gen.block_elements(steps[0].block_index), SCAN_LIMIT)
+            if extended(g) == 0 and trunc.w(g) == 0
+        ),
+        None,
+    )
+    if outside is not None:
+        yield "packing label outside completion and base", replace(
+            result, packing_a=_with(result.packing_a, outside, F(1))
+        )
     yield "stray element", replace(
         result, extended=_with(extended, max(extended.support) + 1, F(1, 3))
     )
@@ -566,7 +603,7 @@ class TestFractionOracle:
     def test_corrupted_results_get_the_same_report(self, gen, n, weights, horizon):
         trunc = Truncation(n, WeightFunction(weights))
         result = extend_truncation(gen, trunc, horizon)
-        for name, broken in _corruptions(result, trunc):
+        for name, broken in _corruptions(result, trunc, gen):
             report = verify_extension(broken, gen, trunc)
             assert not report.ok, name
             assert report == fraction_verify_extension(broken, gen, trunc), name
@@ -585,7 +622,7 @@ class TestFractionOracle:
                     continue
                 if not result.steps:
                     continue
-                for name, broken in _corruptions(result, trunc):
+                for name, broken in _corruptions(result, trunc, gen):
                     # a stray label outside the family raises in both
                     assert _outcome(verify_extension, broken, gen, trunc) == _outcome(
                         fraction_verify_extension, broken, gen, trunc

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -121,6 +122,34 @@ class TestBasisPath:
             match="^84 candidate supports exceed the budget of 83$",
         ):
             enumerate_vertices(self.KAPPA3, budget=83)
+
+    def test_jobs_are_capped_at_the_cpu_count(self, monkeypatch):
+        # a pool that records its size and solves the chunks in-process,
+        # so no worker process starts however large ``jobs`` is
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                self.chunks = list(chunks)
+                return map(fn, self.chunks)
+
+        serial = basis_vertices(self.KAPPA3, jobs=1)
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert basis_vertices(self.KAPPA3, jobs=10**6) == serial
+        ((pool,),) = (pools,)
+        assert pool.max_workers == 3
+        assert 1 < len(pool.chunks) <= 3 * 4
 
 
 class TestEnumerateVertices:
