@@ -27,6 +27,7 @@ from .errors import (
     NotStochasticError,
 )
 from .family import ONE, ZERO, SetFamily, WeightFunction, build_family
+from .family import _block_sums, _common_denominator, _numerators
 from .oracle import Decomposition, column_rank, decompose
 
 # fresh elements a completion step inspects in one block before giving up
@@ -248,33 +249,6 @@ def _label_index(
                 )
             members.setdefault(k, []).append(g)
     return gammas, members
-
-
-def _common_denominator(*functions: WeightFunction) -> int:
-    """The least common denominator of every value of ``functions``."""
-    return lcm(*{v.denominator for w in functions for _, v in w.items()})
-
-
-def _numerators(w: WeightFunction, scale: int) -> dict[int, int]:
-    """The values of ``w`` times ``scale``, a common multiple of their
-    denominators, so each is an integer."""
-    return {g: v.numerator * (scale // v.denominator) for g, v in w.items()}
-
-
-def _block_sums(
-    numerators: dict[int, int], gammas: dict[int, tuple[int, ...]]
-) -> dict[int, int]:
-    """Block sums as integer numerators over the values' common scale,
-    over every block the labels' ``gammas`` list.
-
-    Exact, like ``Fraction`` sums, at the cost of plain integer adds:
-    a block sums to one exactly when its numerator equals the scale.
-    """
-    sums: dict[int, int] = {}
-    for g, value in numerators.items():
-        for k in gammas[g]:
-            sums[k] = sums.get(k, 0) + value
-    return sums
 
 
 def validate_truncation(

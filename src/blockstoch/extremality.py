@@ -36,6 +36,8 @@ from .family import (
 from .graphs import (
     AssociatedGraph,
     Path,
+    _multigraph_edges,
+    _shortest_cycle,
     bfs_layers,
     block_vertex_counts,
     build_graph,
@@ -554,13 +556,14 @@ def _witness_for_component(
     so the witness is built without checking it again.
     """
     induced = build_graph(family, within=comp)
-    even = shortest_primitive_cycle(induced, family, parity="even")
+    edges = _multigraph_edges(induced, family)
+    even = _shortest_cycle(induced, family, "even", edges)
     if even is not None:
         return _two_coloring(family, w, tuple(sorted(even.vertices)))
     pair = check_injectivity(family, subset=comp)
     if pair is not None:
         return _two_coloring(family, w, pair)
-    odd = shortest_primitive_cycle(induced, family, parity="odd")
+    odd = _shortest_cycle(induced, family, "odd", edges)
     if odd is None:
         return _tree_propagation(family, w, induced)
     return _cycle_attachment(family, w, induced, odd)

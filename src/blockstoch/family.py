@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -83,10 +84,6 @@ class SetFamily:
             cached = {b.index: b for b in self.blocks}
             self.__dict__["_by_index_cache"] = cached
         return cached
-
-    @property
-    def ground_set(self) -> frozenset[int]:
-        return frozenset(self.ground)
 
     def membership(self, label: int) -> tuple[int, ...]:
         got = self.gamma.get(label)
@@ -285,23 +282,52 @@ class MembershipReport:
         raise InputError(f"no block with index {index}")
 
 
-def block_sum(family: SetFamily, w: WeightFunction, index: int) -> Fraction:
-    return sum((w.value(g) for g in family.block(index).members), start=ZERO)
+def _common_denominator(*functions: WeightFunction) -> int:
+    """The least common denominator of every value of ``functions``."""
+    return lcm(*{v.denominator for w in functions for _, v in w.items()})
+
+
+def _numerators(w: WeightFunction, scale: int) -> dict[int, int]:
+    """The values of ``w`` times ``scale``, a common multiple of their
+    denominators, so each is an integer."""
+    return {g: v.numerator * (scale // v.denominator) for g, v in w.items()}
+
+
+def _block_sums(
+    numerators: dict[int, int], gammas: dict[int, tuple[int, ...]]
+) -> dict[int, int]:
+    """Block sums as integer numerators over the values' common scale,
+    over every block the labels' ``gammas`` list.
+
+    Exact, like ``Fraction`` sums, at the cost of plain integer adds:
+    a block sums to one exactly when its numerator equals the scale.
+    """
+    sums: dict[int, int] = {}
+    for g, value in numerators.items():
+        for k in gammas[g]:
+            sums[k] = sums.get(k, 0) + value
+    return sums
 
 
 def classify_membership(family: SetFamily, w: WeightFunction) -> MembershipReport:
-    """Classify ``w`` against the stochastic and substochastic polytopes."""
-    ground = family.ground_set
-    for g in w.support:
-        if g not in ground:
+    """Classify ``w`` against the stochastic and substochastic polytopes, summing
+    blocks as integers over one common denominator (:func:`_block_sums`)."""
+    scale = _common_denominator(w)
+    numerators = _numerators(w, scale)
+    for g in numerators:
+        if g not in family.gamma:
             raise UnknownElementError(f"support label {g} is not in the ground set")
-    sums = tuple((b.index, block_sum(family, w, b.index)) for b in family.blocks)
-    nonneg = w.nonnegative
-    all_one = all(s == 1 for _, s in sums)
-    all_at_most_one = all(s <= 1 for _, s in sums)
-    zero_one = w.zero_one
+    by_block = _block_sums(numerators, family.gamma)
+    totals = [by_block.get(b.index, 0) for b in family.blocks]
+    nonneg = all(n > 0 for n in numerators.values())
+    all_at_most_one = max(totals) <= scale
+    all_one = all_at_most_one and min(totals) == scale
+    zero_one = all(n == scale for n in numerators.values())
     return MembershipReport(
-        block_sums=sums,
+        block_sums=tuple(
+            (b.index, ONE if s == scale else Fraction(s, scale))
+            for b, s in zip(family.blocks, totals)
+        ),
         nonnegative=nonneg,
         stochastic=nonneg and all_one,
         substochastic=nonneg and all_at_most_one,
@@ -347,11 +373,12 @@ def counting_identity(family: SetFamily, w: WeightFunction) -> CountingIdentity:
     multiplicity times the plain total mass.
     """
     require_stochastic(family, w)
+    scale = _common_denominator(w)
+    numerators = _numerators(w, scale)
     lhs = len(family.blocks)
-    rhs = sum(
-        (Fraction(multiplicity(family, g)) * v for g, v in w.items()), start=ZERO
-    )
-    bound = Fraction(max_multiplicity(family)) * w.total()
+    mass = sum(multiplicity(family, g) * n for g, n in numerators.items())
+    rhs = Fraction(mass, scale)
+    bound = Fraction(max_multiplicity(family) * sum(numerators.values()), scale)
     result = CountingIdentity(block_count=lhs, weighted_mass=rhs, bound=bound)
     if not result.holds or not result.bounded:
         raise InternalPropertyError(

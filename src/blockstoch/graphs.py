@@ -340,8 +340,9 @@ def find_primitive_cycles(
     want = _parity_classes(parity)
     if first_only:
         return tuple(islice(_walk_cycles(graph, family, want), 1))
-    if _on_multigraph(graph, family):
-        cycles = _multigraph_cycles(block_multigraph(family, graph.vertices)[1], want)
+    edges = _multigraph_edges(graph, family)
+    if edges is not None:
+        cycles = _multigraph_cycles(edges, want)
     else:
         cycles = _walk_cycles(graph, family, want)
     return tuple(sorted(cycles, key=lambda c: (len(c.vertices), c.vertices)))
@@ -449,10 +450,14 @@ def _canonical_cycle(elements: list[int]) -> Path:
     return Path(tuple(seq), is_cycle=True)
 
 
-def _on_multigraph(graph: AssociatedGraph, family: SetFamily) -> bool:
-    """Whether every vertex of the graph lies in at most two blocks, so
-    that its primitive cycles are the cycles of H on those elements."""
-    return all(len(family.gamma[g]) <= 2 for g in graph.vertices)
+def _multigraph_edges(
+    graph: AssociatedGraph, family: SetFamily
+) -> list[list[tuple[int, int]]] | None:
+    """H on the graph's vertices when each lies in at most two blocks, so
+    that its primitive cycles are the cycles of H; otherwise None."""
+    if any(len(family.gamma[g]) > 2 for g in graph.vertices):
+        return None
+    return block_multigraph(family, graph.vertices)[1]
 
 
 def _parity_classes(parity: str) -> tuple[int, ...]:
@@ -505,13 +510,21 @@ def shortest_primitive_cycle(
     has no even cycle (:func:`_has_even_cycle`).  The walks would find
     none only after exhausting every cycle of the other parity.
     """
+    return _shortest_cycle(graph, family, parity, _multigraph_edges(graph, family))
+
+
+def _shortest_cycle(
+    graph: AssociatedGraph,
+    family: SetFamily,
+    parity: str,
+    edges: list[list[tuple[int, int]]] | None,
+) -> Path | None:
+    """The search of :func:`shortest_primitive_cycle`, given its H as ``edges``."""
     want = _parity_classes(parity)
-    if parity != "any" and _on_multigraph(graph, family):
-        edges = block_multigraph(family, graph.vertices)[1]
-        if parity == "odd" and two_color(edges) is not None:
-            return None
-        if parity == "even" and not _has_even_cycle(edges):
-            return None
+    if parity == "odd" and edges is not None and two_color(edges) is not None:
+        return None
+    if parity == "even" and edges is not None and not _has_even_cycle(edges):
+        return None
     step = 1 if parity == "any" else 2
     least = 4 if parity == "even" else 3
     best: Path | None = None

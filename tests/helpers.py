@@ -7,14 +7,21 @@ from itertools import islice
 
 from blockstoch import graphs
 from blockstoch.cli import gen_random
-from blockstoch.errors import GeneratorInconsistentError
+from blockstoch.errors import GeneratorInconsistentError, UnknownElementError
 from blockstoch.extension import (
     ChosenStep,
     ExtensionReport,
     ExtensionResult,
     _support_rank,
 )
-from blockstoch.family import SetFamily, WeightFunction, classify_membership
+from blockstoch.family import (
+    MembershipReport,
+    SetFamily,
+    WeightFunction,
+    classify_membership,
+    max_multiplicity,
+    multiplicity,
+)
 from blockstoch.graphs import (
     AssociatedGraph,
     Path,
@@ -111,6 +118,49 @@ def diamond_chain_blocks(k: int) -> list[list[int]]:
             for p in ends:
                 blocks[p].append(label)
     return blocks
+
+
+# Per-block Fraction membership, kept as the reference for the integer
+# block sums of blockstoch.family.
+
+
+def fraction_classify_membership(
+    family: SetFamily, w: WeightFunction
+) -> MembershipReport:
+    """``classify_membership`` with every block summed member by member
+    in ``Fraction`` arithmetic."""
+    ground = frozenset(family.ground)
+    for g in w.support:
+        if g not in ground:
+            raise UnknownElementError(f"support label {g} is not in the ground set")
+    sums = tuple(
+        (b.index, sum((w.value(g) for g in b.members), start=Fraction(0)))
+        for b in family.blocks
+    )
+    nonneg = w.nonnegative
+    all_one = all(s == 1 for _, s in sums)
+    all_at_most_one = all(s <= 1 for _, s in sums)
+    zero_one = w.zero_one
+    return MembershipReport(
+        block_sums=sums,
+        nonnegative=nonneg,
+        stochastic=nonneg and all_one,
+        substochastic=nonneg and all_at_most_one,
+        exact_cover=nonneg and all_one and zero_one,
+        packing=nonneg and all_at_most_one and zero_one,
+    )
+
+
+def fraction_counting_masses(
+    family: SetFamily, w: WeightFunction
+) -> tuple[Fraction, Fraction]:
+    """The counting identity's weighted mass and bound, as ``Fraction``
+    products and sums over the support."""
+    mass = sum(
+        (Fraction(multiplicity(family, g)) * v for g, v in w.items()),
+        start=Fraction(0),
+    )
+    return mass, Fraction(max_multiplicity(family)) * w.total()
 
 
 # Dense exact elimination, kept as the reference for the sparse kernel in

@@ -336,7 +336,7 @@ class TestOneAnalysisPerComponent:
         extremality: (
             "build_graph",
             "connected_components",
-            "shortest_primitive_cycle",
+            "_shortest_cycle",
             "check_injectivity",
         ),
         graphs: ("block_multigraph", "biconnected_components"),
@@ -366,8 +366,8 @@ class TestOneAnalysisPerComponent:
         assert verdict.witness.construction == "cycle_attachment"
         assert counts["build_graph"] <= 2
         assert counts["connected_components"] == 1
-        assert counts["shortest_primitive_cycle"] <= 2
-        assert counts["block_multigraph"] <= 2
+        assert counts["_shortest_cycle"] == 2
+        assert counts["block_multigraph"] == 1
         assert counts["biconnected_components"] == 1
         assert counts["check_injectivity"] == 1
         assert verdict.witness == construct_cycle_attachment(fam, w)
@@ -379,5 +379,7 @@ class TestOneAnalysisPerComponent:
         assert verdict.witness.construction == "tree_propagation"
         assert counts["build_graph"] <= 2
         assert counts["connected_components"] == 1
+        assert counts["_shortest_cycle"] == 2
+        assert counts["block_multigraph"] == 1
         assert counts["check_injectivity"] == 1
         assert verdict.witness == construct_tree_propagation(fam, w)

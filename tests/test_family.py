@@ -1,5 +1,6 @@
 """Tests for family construction, weights, and membership predicates."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,6 @@ from blockstoch.errors import (
 from blockstoch.family import (
     FreshnessVerdict,
     WeightFunction,
-    block_sum,
     build_family,
     check_freshness,
     check_injectivity,
@@ -30,6 +30,9 @@ from blockstoch.family import (
     require_stochastic,
     saturate,
 )
+from blockstoch.cli import gen_random
+
+from helpers import fraction_classify_membership, fraction_counting_masses
 
 F = Fraction
 HALF = F(1, 2)
@@ -128,7 +131,7 @@ class TestMembership:
         assert report.stochastic
         assert report.substochastic
         assert not report.exact_cover
-        assert block_sum(fam, w, 2) == F(1)
+        assert report.block_sum(2) == F(1)
 
     def test_exact_cover_flags(self):
         fam = build_family([[1, 2], [3, 4]])
@@ -163,6 +166,121 @@ class TestMembership:
         w = WeightFunction({1: HALF, 2: HALF, 3: F(3, 4)})
         with pytest.raises(NotStochasticError, match=r"block 2 sums to 5/4"):
             require_stochastic(fam, w)
+
+
+def _membership_cases():
+    """Seeded (family, weight function) pairs: families with multiplicity
+    up to three, values p/q with q from 2 to 12 (negative, zero or above
+    one), maximal 0/1 packings, the family's own member point, the empty
+    function, and supports drawn past the ground set's ends and gaps."""
+    rng = random.Random(13)
+    for i in range(300):
+        elements, blocks = rng.randint(2, 10), rng.randint(1, 8)
+        fam, member = gen_random(elements, blocks, kappa_max=1 + i % 3, seed=40_000 + i)
+        ground = list(fam.ground)
+        yield fam, WeightFunction.zero()
+        if member is not None:
+            yield fam, member
+        for _ in range(4):
+            support = rng.sample(ground, rng.randint(1, len(ground)))
+            q = rng.randint(2, 12)
+            mixed = rng.random() < 0.5
+            yield fam, WeightFunction(
+                {
+                    g: F(rng.randint(-q, 2 * q), rng.randint(2, 12) if mixed else q)
+                    for g in support
+                }
+            )
+        packing, hit = {}, set()
+        for g in rng.sample(ground, len(ground)):
+            if hit.isdisjoint(fam.gamma[g]):
+                packing[g] = F(1)
+                hit.update(fam.gamma[g])
+        yield fam, WeightFunction(packing)
+        labels = range(-1, ground[-1] + 3)
+        yield fam, WeightFunction(
+            {g: F(1, rng.randint(2, 12)) for g in rng.sample(labels, 3)}
+        )
+
+
+def _outcome(classify, fam, w):
+    """The report, or the message of the unknown-label error."""
+    try:
+        return classify(fam, w)
+    except UnknownElementError as exc:
+        return str(exc)
+
+
+def _stochastic_message(report):
+    """The message ``require_stochastic`` raised with the per-block
+    ``Fraction`` report, or None when ``w`` is stochastic."""
+    if report.stochastic:
+        return None
+    if not report.nonnegative:
+        return "weight function takes a negative value"
+    bad, total = next((k, s) for k, s in report.block_sums if s != 1)
+    return f"block {bad} sums to {total}"
+
+
+class TestIntegerMembershipMatchesFractionOracle:
+    """The membership test sums blocks as integers over one common
+    denominator; the per-block ``Fraction`` sums are its reference."""
+
+    def test_seeded_sweep(self):
+        kinds = "unknown negative above_one missed stochastic exact_cover packing empty"
+        seen = dict.fromkeys(kinds.split(), 0)
+        for fam, w in _membership_cases():
+            got = _outcome(classify_membership, fam, w)
+            expected = _outcome(fraction_classify_membership, fam, w)
+            assert got == expected
+            if isinstance(expected, str):
+                seen["unknown"] += 1
+                with pytest.raises(UnknownElementError) as info:
+                    require_stochastic(fam, w)
+                assert str(info.value) == expected
+                continue
+            assert [str(s) for _, s in got.block_sums] == [
+                str(s) for _, s in expected.block_sums
+            ]
+            assert all(type(s) is Fraction for _, s in got.block_sums)
+            message = _stochastic_message(expected)
+            if message is None:
+                require_stochastic(fam, w)
+                identity = counting_identity(fam, w)
+                masses = fraction_counting_masses(fam, w)
+                assert (identity.weighted_mass, identity.bound) == masses
+                assert str(identity.bound) == str(masses[1])
+            else:
+                with pytest.raises(NotStochasticError) as info:
+                    require_stochastic(fam, w)
+                assert str(info.value) == message
+            seen["negative"] += not expected.nonnegative
+            seen["above_one"] += any(s > 1 for _, s in expected.block_sums)
+            seen["missed"] += any(s == 0 for _, s in expected.block_sums)
+            seen["stochastic"] += expected.stochastic
+            seen["exact_cover"] += expected.exact_cover
+            seen["packing"] += expected.packing
+            seen["empty"] += not w.support
+        assert min(seen.values()) >= 20, seen
+
+    def test_uniform_matrix_makes_no_fraction_additions(self, monkeypatch):
+        m = 24
+        rows = [[m * r + c + 1 for c in range(m)] for r in range(m)]
+        fam = build_family(rows + [list(col) for col in zip(*rows)])
+        w = WeightFunction({g: F(1, m) for g in fam.ground})
+        counts = dict.fromkeys(("__add__", "__radd__"), 0)
+        for name in counts:
+            original = getattr(Fraction, name)
+
+            def counting(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(Fraction, name, counting)
+        report = classify_membership(fam, w)
+        monkeypatch.undo()
+        assert report.stochastic
+        assert counts == {"__add__": 0, "__radd__": 0}
 
 
 class TestCountingIdentity:
