@@ -21,6 +21,7 @@ from .extremality import Verdict, Witness, classify_extreme
 from .family import (
     SetFamily,
     WeightFunction,
+    _combination,
     build_family,
     check_injectivity,
     classify_membership,
@@ -283,10 +284,9 @@ def gen_random(
     picked = rng.sample(vertices, count)
     weights = [rng.randint(1, 9) for _ in range(count)]
     total = sum(weights)
-    w = WeightFunction.zero()
-    for coef, vertex in zip(weights, picked):
-        w = w + vertex.scaled(Fraction(coef, total))
-    return family, w
+    return family, _combination(
+        (Fraction(coef, total), vertex) for coef, vertex in zip(weights, picked)
+    )
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -19,6 +19,7 @@ from .family import (
     ONE,
     ZERO,
     WeightFunction,
+    _combination,
     build_family,
     classify_membership,
     max_multiplicity,
@@ -187,9 +188,7 @@ def demo_growing_blocks() -> DemoResult:
         ["5/3"] * 6,
         [format_rational(sup_block_norm(family, spread - c)) for c in covers],
     )
-    mix = WeightFunction.zero()
-    for cover in covers:
-        mix = mix + cover.scaled(Fraction(1, 6))
+    mix = _combination((Fraction(1, 6), cover) for cover in covers)
     out.check("six-cover mixture support width at most 10", True, support_width(family, mix) <= 10)
     out.check("six-cover mixture block distance", "1/3", format_rational(sup_block_norm(family, spread - mix)))
     return out.result("growing-blocks", "disjoint blocks growing from size one to six")

@@ -510,11 +510,11 @@ def extend_truncation(
             )
         )
 
-    extended = WeightFunction(values)
-    packing_a = WeightFunction(
+    extended = WeightFunction._trusted(values)
+    packing_a = WeightFunction._trusted(
         {s.element: ONE for s in steps if s.pattern == "a"}
     )
-    packing_b = WeightFunction(
+    packing_b = WeightFunction._trusted(
         {s.element: ONE for s in steps if s.pattern == "b"}
     )
     result = ExtensionResult(
@@ -776,7 +776,7 @@ def approximate_by_extremes(
 
     terms = []
     for coefficient, vertex in base_decomposition.terms:
-        stripped = WeightFunction(
+        stripped = WeightFunction._trusted(
             {g: v for g, v in vertex.items() if g < first_slack}
         )
         completion = extend_truncation(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .errors import (
@@ -29,10 +30,10 @@ from .family import (
     SetFamily,
     WeightFunction,
     check_injectivity,
-    classify_membership,
     max_multiplicity,
     require_stochastic,
 )
+from .family import _block_sums, _common_denominator, _from_numerators, _numerators
 from .graphs import (
     AssociatedGraph,
     Path,
@@ -81,25 +82,27 @@ def _finish(
     slack: Fraction,
     construction: str,
 ) -> Witness:
-    d = WeightFunction(deltas)
-    witness = Witness(
-        w_plus=w + d,
-        w_minus=w - d,
-        epsilon=epsilon,
-        slack=slack,
-        construction=construction,
-    )
-    plus_report = classify_membership(family, witness.w_plus)
-    minus_report = classify_membership(family, witness.w_minus)
-    midpoint = (witness.w_plus + witness.w_minus).scaled(HALF)
+    """The witness ``w ± deltas``, checked on integer numerators over the
+    least common denominator L of ``w`` and ``deltas``: both halves are
+    nonnegative with every block summing to L, average back to ``w`` and
+    differ."""
+    scale = lcm(_common_denominator(w), *(d.denominator for d in deltas.values()))
+    base = _numerators(w, scale)
+    plus, minus = dict(base), dict(base)
+    for g, d in deltas.items():
+        step = d.numerator * (scale // d.denominator)
+        plus[g] = plus.get(g, 0) + step
+        minus[g] = minus.get(g, 0) - step
+    sums = [_block_sums(half, family.gamma) for half in (plus, minus)]
     if (
-        not plus_report.stochastic
-        or not minus_report.stochastic
-        or midpoint != w
-        or witness.w_plus == witness.w_minus
+        min((*plus.values(), *minus.values()), default=0) < 0
+        or any(s.get(b.index, 0) != scale for s in sums for b in family.blocks)
+        or any(n + minus[g] != 2 * base.get(g, 0) for g, n in plus.items())
+        or plus == minus
     ):
         raise InternalPropertyError(f"invalid {construction} witness")
-    return witness
+    w_plus, w_minus = _from_numerators(plus, scale), _from_numerators(minus, scale)
+    return Witness(w_plus, w_minus, epsilon, slack, construction)
 
 
 def construct_two_coloring(

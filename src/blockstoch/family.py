@@ -208,6 +208,15 @@ class WeightFunction:
     def zero(cls) -> "WeightFunction":
         return cls({})
 
+    @classmethod
+    def _trusted(cls, values: dict[int, Fraction]) -> "WeightFunction":
+        """The function of ``values``, integer labels to nonzero ``Fraction``s
+        the package computed itself, built without the checks."""
+        w = object.__new__(cls)
+        w._map = values
+        w._items = tuple(sorted(values.items()))
+        return w
+
     def value(self, label: int) -> Fraction:
         return self._map.get(label, ZERO)
 
@@ -232,17 +241,13 @@ class WeightFunction:
         return all(v == 1 for _, v in self._items)
 
     def __add__(self, other: "WeightFunction") -> "WeightFunction":
-        merged = dict(self._map)
-        for g, v in other._items:
-            merged[g] = merged.get(g, ZERO) + v
-        return WeightFunction(merged)
+        return _combination(((ONE, self), (ONE, other)))
 
     def __sub__(self, other: "WeightFunction") -> "WeightFunction":
-        return self + other.scaled(-1)
+        return _combination(((ONE, self), (-ONE, other)))
 
     def scaled(self, factor: object) -> "WeightFunction":
-        c = _as_fraction(factor)
-        return WeightFunction({g: c * v for g, v in self._items})
+        return _combination(((_as_fraction(factor), self),))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightFunction):
@@ -291,6 +296,27 @@ def _numerators(w: WeightFunction, scale: int) -> dict[int, int]:
     """The values of ``w`` times ``scale``, a common multiple of their
     denominators, so each is an integer."""
     return {g: v.numerator * (scale // v.denominator) for g, v in w.items()}
+
+
+def _from_numerators(numerators: dict[int, int], scale: int) -> WeightFunction:
+    """The function whose values are ``numerators`` over ``scale``."""
+    return WeightFunction._trusted(
+        {g: Fraction(n, scale) for g, n in numerators.items() if n}
+    )
+
+
+def _combination(terms: Iterable[tuple[Fraction, WeightFunction]]) -> WeightFunction:
+    """``Σ c·w`` over the ``(c, w)`` of ``terms``, exactly: every product
+    ``c·v`` is a multiple of 1/L, L the least common multiple of the
+    products of their denominators, so integer numerators over L add up."""
+    terms = tuple(terms)
+    scale = lcm(*{c.denominator * v.denominator for c, w in terms for _, v in w._items})
+    sums: dict[int, int] = {}
+    for c, w in terms:
+        for g, v in w._items:
+            n = c.numerator * v.numerator * (scale // (c.denominator * v.denominator))
+            sums[g] = sums.get(g, 0) + n
+    return _from_numerators(sums, scale)
 
 
 def _block_sums(

@@ -60,6 +60,7 @@ from .family import (
     max_multiplicity,
     require_stochastic,
 )
+from .family import _block_sums, _combination, _common_denominator, _numerators
 from .graphs import block_multigraph, frame_circuit, frame_rank, two_color
 
 DEFAULT_BUDGET = 1 << 20
@@ -275,7 +276,7 @@ class _CoverSearch:
             covered |= piece[0]
             if covered == self.full:
                 self.found.append(
-                    WeightFunction({g: v for _, gs, v in chosen for g in gs})
+                    WeightFunction._trusted({g: v for _, gs, v in chosen for g in gs})
                 )
                 covered &= ~chosen.pop()[0]
             else:
@@ -372,7 +373,7 @@ def basis_vertices(
     for chunk_result in results:
         for items in chunk_result:
             if items not in found:
-                found[items] = WeightFunction(dict(items))
+                found[items] = WeightFunction._trusted(dict(items))
     return tuple(sorted(found.values(), key=lambda w: w.sort_key()))
 
 
@@ -438,7 +439,7 @@ def _vertex_within(family: SetFamily, start: WeightFunction) -> WeightFunction:
         supp = tuple(current)
         kernel = column_circuit([gamma[g] for g in supp])
         if kernel is None:
-            return WeightFunction(current)
+            return WeightFunction._trusted(current)
         moves = [(supp[c], kv) for c, kv in kernel.items()]
         step = min(-current[g] / kv for g, kv in moves if kv < 0)
         for g, kv in moves:
@@ -457,10 +458,7 @@ class Decomposition:
     terms: tuple[tuple[Fraction, WeightFunction], ...]
 
     def combined(self) -> WeightFunction:
-        acc = WeightFunction.zero()
-        for coef, vertex in self.terms:
-            acc = acc + vertex.scaled(coef)
-        return acc
+        return _combination(self.terms)
 
 
 def decompose(family: SetFamily, w: WeightFunction) -> Decomposition:
@@ -490,7 +488,7 @@ def decompose(family: SetFamily, w: WeightFunction) -> Decomposition:
         if t >= 1:
             raise InternalPropertyError("peeling step did not reduce the point")
         terms.append((coef * t, vertex))
-        current = (current - vertex.scaled(t)).scaled(1 / (ONE - t))
+        current = _combination(((1 / (ONE - t), current), (t / (t - ONE), vertex)))
         coef = coef * (ONE - t)
     else:
         raise DepthExceededError("vertex peeling did not terminate")
@@ -551,9 +549,7 @@ def cross_validate(
             picked = [vertices[i] for i in sorted(rng.sample(range(len(vertices)), count))]
             raw = [Fraction(rng.randint(1, 9)) for _ in picked]
             total = sum(raw)
-            mix = WeightFunction.zero()
-            for lam, v in zip(raw, picked):
-                mix = mix + v.scaled(lam / total)
+            mix = _combination((lam / total, v) for lam, v in zip(raw, picked))
             samples_checked += 1
             if is_vertex(family, mix):
                 discrepancies.append(f"mixture {dict(mix.items())} is a vertex")
@@ -568,7 +564,7 @@ def cross_validate(
             if witness is None:
                 discrepancies.append(f"mixture {dict(mix.items())} has no witness")
                 continue
-            midpoint = (witness.w_plus + witness.w_minus).scaled(HALF)
+            midpoint = _combination(((HALF, witness.w_plus), (HALF, witness.w_minus)))
             if midpoint != mix or witness.w_plus == witness.w_minus:
                 discrepancies.append(
                     f"witness for mixture {dict(mix.items())} does not average back"
@@ -588,13 +584,12 @@ def cross_validate(
 
 
 def sup_block_norm(family: SetFamily, w: WeightFunction) -> Fraction:
-    """The largest absolute block sum, over all blocks."""
-    best = ZERO
-    for b in family.blocks:
-        s = sum((abs(w.value(g)) for g in b.members), ZERO)
-        if s > best:
-            best = s
-    return best
+    """The largest absolute block sum, over all blocks; support labels
+    outside the ground set lie in no block."""
+    scale = _common_denominator(w)
+    gamma = family.gamma
+    numerators = {g: abs(n) for g, n in _numerators(w, scale).items() if g in gamma}
+    return Fraction(max(_block_sums(numerators, gamma).values(), default=0), scale)
 
 
 def support_width(family: SetFamily, w: WeightFunction) -> int:

@@ -2,12 +2,18 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
 from blockstoch import graphs
 from blockstoch.cli import gen_random
-from blockstoch.errors import GeneratorInconsistentError, UnknownElementError
+from blockstoch.errors import (
+    GeneratorInconsistentError,
+    InternalPropertyError,
+    UnknownElementError,
+)
+from blockstoch.extremality import Witness
 from blockstoch.extension import (
     ChosenStep,
     ExtensionReport,
@@ -72,6 +78,20 @@ def assert_cycle_pieces(
                 assert len(shared_edges) == 1
             else:
                 assert len(shared) <= 1
+
+
+def count_calls(monkeypatch, owner, *names) -> Counter:
+    """Count the calls of ``owner``'s methods ``names`` until the patch is undone."""
+    counts = Counter()
+    for name in names:
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    return counts
 
 
 def kappa2_sweep():
@@ -161,6 +181,42 @@ def fraction_counting_masses(
         start=Fraction(0),
     )
     return mass, Fraction(max_multiplicity(family)) * w.total()
+
+
+# Sequential Fraction arithmetic through the validating constructor, kept
+# as the reference for the integer combinations of blockstoch.family.
+
+
+def fraction_combination(terms) -> WeightFunction:
+    """``Σ c·w`` over the ``(c, w)`` of ``terms`` as the sequential
+    ``acc + w.scaled(c)``, each step in ``Fraction`` arithmetic and each
+    result through the validating constructor."""
+    acc = WeightFunction({})
+    for c, w in terms:
+        scaled = WeightFunction({g: Fraction(c) * v for g, v in w.items()})
+        merged = dict(acc.items())
+        for g, v in scaled.items():
+            merged[g] = merged.get(g, Fraction(0)) + v
+        acc = WeightFunction(merged)
+    return acc
+
+
+def fraction_finish(family, w, deltas, epsilon, slack, construction):
+    """``extremality._finish`` with the halves ``w + d`` and ``w - d`` in
+    ``Fraction`` arithmetic, checked by the per-block membership reference."""
+    d = WeightFunction(deltas)
+    w_plus = fraction_combination(((1, w), (1, d)))
+    w_minus = fraction_combination(((1, w), (-1, d)))
+    half = Fraction(1, 2)
+    midpoint = fraction_combination(((half, w_plus), (half, w_minus)))
+    if (
+        not fraction_classify_membership(family, w_plus).stochastic
+        or not fraction_classify_membership(family, w_minus).stochastic
+        or midpoint != w
+        or w_plus == w_minus
+    ):
+        raise InternalPropertyError(f"invalid {construction} witness")
+    return Witness(w_plus, w_minus, epsilon, slack, construction)
 
 
 # Dense exact elimination, kept as the reference for the sparse kernel in

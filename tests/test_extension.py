@@ -37,6 +37,7 @@ from blockstoch.oracle import is_vertex
 
 from helpers import (
     FullScanGenerator,
+    count_calls,
     fraction_verify_extension,
     full_scan_result,
     full_scan_steps,
@@ -673,6 +674,22 @@ class TestMixedDenominators:
         monkeypatch.setattr(cli, "extend_truncation", full_scan_result)
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == out
+
+
+class TestTrustedConstruction:
+    """The walk builds its results from values it computed itself, without
+    the validating constructor's checks."""
+
+    def test_path_completion_makes_no_validating_construction(self, monkeypatch):
+        trunc = Truncation(1, WeightFunction({1: HALF, 2: HALF}))
+        inits = count_calls(monkeypatch, WeightFunction, "__init__")
+        equalities = count_calls(monkeypatch, Fraction, "__eq__")
+        result = extend_truncation(PathGenerator(), trunc, 800)
+        monkeypatch.undo()
+        assert inits["__init__"] == 0
+        # 1,600 of the 2,399 equality tests were the constructor's zero tests
+        assert equalities["__eq__"] <= 799
+        assert result == full_scan_result(PathGenerator(), trunc, 800)
 
 
 class TestScanLimit:

@@ -8,6 +8,7 @@ from blockstoch import extremality, graphs
 from blockstoch.errors import (
     ConditionsViolatedError,
     EvenCyclePresentError,
+    InternalPropertyError,
     NotStochasticError,
 )
 from blockstoch.extremality import (
@@ -280,6 +281,48 @@ class TestOddCycleChains:
         verdict = classify_extreme(fam, w)
         assert verdict.witness.construction == "cycle_attachment"
         assert_valid_witness(fam, w, verdict.witness)
+
+
+class TestFinishSelfChecks:
+    """``_finish`` refuses deltas whose halves leave the polytope or coincide."""
+
+    FAMILY = build_family([[1, 2], [3, 4]])
+    W = WeightFunction({g: HALF for g in range(1, 5)})
+
+    @pytest.mark.parametrize(
+        "deltas",
+        [
+            {1: F(1, 4)},
+            {1: F(1, 4), 3: F(-1, 4)},
+            {1: F(3, 4), 2: F(-3, 4)},
+            {1: F(-3, 4), 2: F(3, 4)},
+            {},
+            {1: F(0), 2: F(0)},
+        ],
+        ids=[
+            "no_cancel",
+            "cancel_across_blocks",
+            "minus_negative",
+            "plus_negative",
+            "no_deltas",
+            "zero_deltas",
+        ],
+    )
+    def test_invalid_deltas_raise(self, deltas):
+        with pytest.raises(InternalPropertyError, match="invalid probe witness"):
+            extremality._finish(self.FAMILY, self.W, deltas, HALF, HALF, "probe")
+
+    def test_valid_deltas_give_the_halves(self):
+        deltas = {1: F(1, 2), 2: F(-1, 2), 4: F(1, 3), 3: F(-1, 3)}
+        witness = extremality._finish(self.FAMILY, self.W, deltas, HALF, HALF, "probe")
+        assert witness == Witness(
+            WeightFunction({1: F(1), 3: F(1, 6), 4: F(5, 6)}),
+            WeightFunction({2: F(1), 3: F(5, 6), 4: F(1, 6)}),
+            HALF,
+            HALF,
+            "probe",
+        )
+        assert_valid_witness(self.FAMILY, self.W, witness)
 
 
 class TestStochasticCheckedOnce:

@@ -32,7 +32,12 @@ from blockstoch.family import (
 )
 from blockstoch.cli import gen_random
 
-from helpers import fraction_classify_membership, fraction_counting_masses
+from helpers import (
+    count_calls,
+    fraction_classify_membership,
+    fraction_combination,
+    fraction_counting_masses,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -121,6 +126,43 @@ class TestWeightFunction:
             WeightFunction({"one": F(1)})
         with pytest.raises(InputError):
             WeightFunction({1: 0.5})
+
+
+class TestArithmeticMatchesFractionReference:
+    """``+``, ``-`` and ``scaled`` add integer numerators over one common
+    denominator; sequential ``Fraction`` arithmetic through the validating
+    constructor is their reference."""
+
+    def test_seeded_sweep(self):
+        rng = random.Random(14)
+
+        def draw():
+            labels = rng.sample(range(12), rng.randint(0, 8))
+            dens = (1, 2, 3, 6, 7, 60)
+            return WeightFunction(
+                {g: F(rng.randint(-9, 9), rng.choice(dens)) for g in labels}
+            )
+
+        factors = [0, 1, -1, 3, F(-2, 7), F(5, 6), F(1, 60)]
+        for _ in range(300):
+            a, b, c = draw(), draw(), rng.choice(factors)
+            cases = [
+                (a + b, fraction_combination(((1, a), (1, b)))),
+                (a - b, fraction_combination(((1, a), (-1, b)))),
+                (a.scaled(c), fraction_combination(((c, a),))),
+                (a - a, WeightFunction({})),
+            ]
+            for got, expected in cases:
+                assert got == expected and hash(got) == hash(expected)
+                assert got.items() == expected.items()
+                assert got.support == expected.support
+                assert all(type(v) is Fraction for _, v in got.items())
+
+    def test_scaled_rejects_what_the_constructor_rejects(self):
+        w = WeightFunction({1: HALF})
+        for factor in (0.5, True, "1"):
+            with pytest.raises(InputError, match="is not rational"):
+                w.scaled(factor)
 
 
 class TestMembership:
@@ -268,19 +310,11 @@ class TestIntegerMembershipMatchesFractionOracle:
         rows = [[m * r + c + 1 for c in range(m)] for r in range(m)]
         fam = build_family(rows + [list(col) for col in zip(*rows)])
         w = WeightFunction({g: F(1, m) for g in fam.ground})
-        counts = dict.fromkeys(("__add__", "__radd__"), 0)
-        for name in counts:
-            original = getattr(Fraction, name)
-
-            def counting(*args, _name=name, _original=original):
-                counts[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(Fraction, name, counting)
+        counts = count_calls(monkeypatch, Fraction, "__add__", "__radd__")
         report = classify_membership(fam, w)
         monkeypatch.undo()
         assert report.stochastic
-        assert counts == {"__add__": 0, "__radd__": 0}
+        assert counts["__add__"] == counts["__radd__"] == 0
 
 
 class TestCountingIdentity:

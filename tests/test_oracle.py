@@ -29,6 +29,8 @@ from blockstoch.oracle import (
     support_width,
 )
 
+from helpers import count_calls, kappa2_sweep
+
 F = Fraction
 HALF = F(1, 2)
 
@@ -309,12 +311,38 @@ class TestCrossValidate:
         assert report.ok
         assert report.samples_checked == 0
 
+    def test_makes_no_validating_construction(self, monkeypatch):
+        inits = count_calls(monkeypatch, WeightFunction, "__init__")
+        report = cross_validate(matrix_family(4), samples=5, seed=3)
+        monkeypatch.undo()
+        assert report.ok
+        assert report.samples_checked == 5
+        assert inits["__init__"] == 0
+
 
 class TestNorms:
     def test_sup_block_norm(self):
         fam = build_family([[1, 2], [3, 4]])
         w = WeightFunction({1: F(1, 4), 2: F(-1, 4), 3: F(1, 8)})
         assert sup_block_norm(fam, w) == HALF
+
+    def test_sup_block_norm_ignores_labels_outside_the_ground_set(self):
+        fam = build_family([[1, 2], [3, 4]])
+        w = WeightFunction({1: F(1, 4), 2: F(-1, 4), 3: F(1, 8), 9: F(5)})
+        assert sup_block_norm(fam, w) == HALF
+        assert sup_block_norm(fam, WeightFunction({9: F(5)})) == 0
+
+    def test_sup_block_norm_matches_per_block_fraction_sums(self):
+        rng = random.Random(14)
+        for fam in list(kappa2_sweep())[::10]:
+            labels = list(fam.ground) + [max(fam.ground) + 1]
+            w = WeightFunction(
+                {g: F(rng.randint(-9, 9), rng.randint(1, 12)) for g in labels}
+            )
+            expected = max(
+                sum((abs(w(g)) for g in b.members), F(0)) for b in fam.blocks
+            )
+            assert sup_block_norm(fam, w) == expected, (fam.blocks, w)
 
     def test_support_width(self):
         fam = build_family([[1, 2, 3], [3, 4]])

@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockstoch import graphs
+from blockstoch import cli, extremality, graphs, oracle
 from blockstoch.cli import gen_random
 from blockstoch.errors import ConditionsViolatedError
 from blockstoch.extremality import (
@@ -49,6 +49,7 @@ from blockstoch.oracle import (
     basis_vertices,
     column_circuit,
     column_rank,
+    cross_validate,
     decompose,
     enumerate_vertices,
 )
@@ -57,6 +58,8 @@ from helpers import (
     assert_cycle_pieces,
     assert_valid_witness,
     dense_rank,
+    fraction_combination,
+    fraction_finish,
     kappa2_sweep,
     walk_census,
 )
@@ -584,3 +587,75 @@ def test_census_count_matches_networkx():
         assert len(cycles) == sum(1 for _ in nx.simple_cycles(h)), fam.blocks
         checked[bool(cycles)] += 1
     assert checked[True] > 50 and checked[False] > 200, checked
+
+
+def _combination_outcomes(fam, rng):
+    """Everything the combination kernel feeds on one family: seeded
+    mixtures of its vertices, their verdicts and decompositions, the
+    verdicts of the vertices and, when κ ≤ 2, a cross validation."""
+    vertices = enumerate_vertices(fam)
+    kappa2 = max_multiplicity(fam) <= 2
+    out = [classify_extreme(fam, v) for v in vertices if kappa2]
+    for _ in range(3 if vertices else 0):
+        picked = rng.sample(vertices, rng.randint(1, min(len(vertices), 4)))
+        raw = [rng.randint(1, 9) for _ in picked]
+        terms = [(F(r, sum(raw)), v) for r, v in zip(raw, picked)]
+        mix = oracle._combination(terms)
+        decomposition = decompose(fam, mix)
+        out += [mix, decomposition, decomposition.combined()]
+        if kappa2:
+            out.append(classify_extreme(fam, mix))
+    if kappa2:
+        out.append(cross_validate(fam, samples=3, seed=rng.randrange(100)))
+    return out
+
+
+def _weight_functions(outcomes):
+    """The weight functions among the outcomes, witnesses and terms included."""
+    for item in outcomes:
+        if isinstance(item, WeightFunction):
+            yield item
+        elif getattr(item, "witness", None) is not None:
+            yield from (item.witness.w_plus, item.witness.w_minus)
+        elif hasattr(item, "terms"):
+            yield from (v for _, v in item.terms)
+
+
+def test_combinations_match_fraction_reference_on_seeded_sweep(monkeypatch):
+    """Mixtures, witness halves, decompositions, cross validations and
+    generated points come out the same from the integer kernels as from
+    sequential ``Fraction`` arithmetic through the validating constructor."""
+
+    def sweep():
+        """The κ ≤ 2 sweep, then generated κ ≤ 3 families with their points."""
+        for fam in kappa2_sweep():
+            yield fam, None
+        for seed in range(60):
+            args = (3 + seed % 6, 2 + seed % 5, 3, 40_000 + seed)
+            yield gen_random(*args)[0], args
+
+    reference = {
+        (extremality, "_finish"): fraction_finish,
+        (oracle, "_combination"): fraction_combination,
+        (cli, "_combination"): fraction_combination,
+    }
+    seen = Counter()
+    for i, (fam, args) in enumerate(sweep()):
+        got = _combination_outcomes(fam, random.Random(i))
+        if args is not None:
+            got.append(gen_random(*args)[1])
+        with monkeypatch.context() as m:
+            for (module, name), replacement in reference.items():
+                m.setattr(module, name, replacement)
+            expected = _combination_outcomes(fam, random.Random(i))
+            if args is not None:
+                expected.append(gen_random(*args)[1])
+        assert got == expected, fam.blocks
+        values = [v for w in _weight_functions(got) for _, v in w.items()]
+        assert all(type(v) is Fraction for v in values), fam.blocks
+        seen[max_multiplicity(fam)] += 1
+        seen.update(o.witness.construction for o in got if getattr(o, "witness", None))
+        seen["points"] += sum(isinstance(o, WeightFunction) for o in got)
+    assert seen[3] > 30 and seen["points"] > 2000, seen
+    constructions = ("two_coloring", "tree_propagation", "cycle_attachment")
+    assert min(seen[c] for c in constructions) > 10, seen
