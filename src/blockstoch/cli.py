@@ -162,7 +162,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_vertices(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    vertices = enumerate_vertices(instance.family, budget=args.budget, jobs=args.jobs)
+    vertices = enumerate_vertices(instance.family, budget=args.budget)
     print(f"vertex count: {len(vertices)}")
     for pos, vertex in enumerate(vertices, start=1):
         print(f"  vertex {pos}: {format_weights(vertex)}")
@@ -215,7 +215,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         samples=args.samples,
         seed=args.seed,
         budget=args.budget,
-        jobs=args.jobs,
     )
     print(f"vertex count: {report.vertex_count}")
     print(f"samples checked: {report.samples_checked}")
@@ -241,7 +240,6 @@ def gen_random(
     kappa_max: int,
     seed: int,
     budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
 ) -> tuple[SetFamily, WeightFunction | None]:
     """Generate a seeded random family and, when feasible, a member point.
 
@@ -277,7 +275,7 @@ def gen_random(
         for g in block:
             mult[g] += 1
     family = build_family(chosen)
-    vertices = enumerate_vertices(family, budget=budget, jobs=jobs)
+    vertices = enumerate_vertices(family, budget=budget)
     if not vertices:
         return family, None
     count = min(len(vertices), 4)
@@ -296,7 +294,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         args.kappa_max,
         args.seed,
         budget=args.budget,
-        jobs=args.jobs,
     )
     sys.stdout.write(dump_instance(family, w, feasible=w is not None))
     return 0
@@ -314,8 +311,8 @@ def _add_oracle_flags(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for vertex enumeration on families with a"
-        " multiplicity above two, at most the CPU count (output unchanged)",
+        help="accepted for compatibility and has no effect: vertex"
+        " enumeration runs in this process (must be at least 1)",
     )
 
 
@@ -402,6 +399,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise InputError("jobs must be at least 1")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,9 +20,20 @@ from typing import Any, Mapping
 from .errors import InputError, UnknownElementError
 from .family import SetFamily, WeightFunction, build_family
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# ASCII digits only: ``int`` would also read other scripts' digits and "_"
+_LABEL_RE = re.compile(r"[+-]?[0-9]+")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 _FIELDS = {"ground", "blocks", "weights", "feasible"}
+
+
+def _int(text: str) -> int:
+    """``int(text)``, refusing as bad input a number with more digits than
+    the interpreter converts (``sys.get_int_max_str_digits``, Python 3.11+)."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InputError(f"cannot read an integer: {exc}") from None
 
 
 def parse_rational(value: object) -> Fraction:
@@ -33,15 +44,16 @@ def parse_rational(value: object) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
-        if not _RATIONAL_RE.match(text):
+        if not _RATIONAL_RE.fullmatch(text):
             raise InputError(
                 f"cannot parse {value!r} as an exact rational; "
                 'write "p/q" or an integer'
             )
         num, slash, den = text.partition("/")
-        if slash and int(den) == 0:
+        q = _int(den) if slash else 1
+        if q == 0:
             raise InputError(f"zero denominator in {value!r}")
-        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        return Fraction(_int(num), q)
     if isinstance(value, float):
         raise InputError(
             f"decimal floats are rejected, got {value!r}; "
@@ -95,6 +107,10 @@ def _parse_object(text: str, what: str) -> dict:
         doc = json.loads(text, parse_float=_reject_float, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"{what} is not valid JSON: {exc}") from None
+    except InputError:
+        raise
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise InputError(f"{what} cannot be read: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError(f"{what} must be a JSON object")
     return doc
@@ -104,10 +120,9 @@ def _parse_weights(raw: dict) -> dict[int, Fraction]:
     """Parse a map from label to rational; two keys naming one label are refused."""
     values: dict[int, Fraction] = {}
     for key, value in raw.items():
-        try:
-            label = int(key)
-        except ValueError:
-            raise InputError(f"weight key {key!r} is not an integer label") from None
+        if not _LABEL_RE.fullmatch(key.strip()):
+            raise InputError(f"weight key {key!r} is not an integer label")
+        label = _int(key)
         if label in values:
             raise InputError(f"weight label {label} is given twice")
         values[label] = parse_rational(value)

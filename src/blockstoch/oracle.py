@@ -35,9 +35,7 @@ same whatever the choice, and the same as the frame matroid core's.
 from __future__ import annotations
 
 import math
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -187,38 +185,24 @@ def _kernel_vector(rows: list[Row], ncols: int) -> list[Fraction] | None:
     return x
 
 
-def _solve_chunk(args):
-    family, columns, combos = args
-    out = []
-    for combo in combos:
-        rows = _block_rows(family, tuple(columns[i] for i in combo))
-        x = _solve_all_ones(rows, len(combo))
-        if x is not None and all(v >= 0 for v in x):
-            out.append(tuple((columns[i], v) for i, v in zip(combo, x) if v != 0))
-    return out
-
-
 def enumerate_vertices(
-    family: SetFamily, budget: int = DEFAULT_BUDGET, jobs: int = 1
+    family: SetFamily, budget: int = DEFAULT_BUDGET
 ) -> tuple[WeightFunction, ...]:
     """All vertices of the polytope of stochastic weight functions.
 
     When every multiplicity is at most two, a backtracking search over
     the block multigraph lists the vertices directly; ``budget`` then
     bounds the search nodes visited (pieces placed plus cycle-search
-    steps) and ``jobs`` is unused.  Otherwise :func:`basis_vertices`
-    solves every candidate support, and ``budget`` bounds the raw
-    candidate count before any work starts.  Either way an exhausted
-    budget raises ``InstanceTooLargeError``, and the result is sorted
-    and independent of ``jobs``.
+    steps).  Otherwise :func:`basis_vertices` solves every candidate
+    support, and ``budget`` bounds the raw candidate count before any
+    work starts.  Either way an exhausted budget raises
+    ``InstanceTooLargeError``, and the result is sorted.
     """
-    if jobs < 1:
-        raise InputError("jobs must be at least 1")
     if budget < 1:
         raise InputError("budget must be at least 1")
     if max_multiplicity(family) <= 2:
         return _CoverSearch(family, budget).vertices()
-    return basis_vertices(family, budget=budget, jobs=jobs)
+    return basis_vertices(family, budget=budget)
 
 
 class _CoverSearch:
@@ -320,20 +304,17 @@ class _CoverSearch:
 
 
 def basis_vertices(
-    family: SetFamily, budget: int = DEFAULT_BUDGET, jobs: int = 1
+    family: SetFamily, budget: int = DEFAULT_BUDGET
 ) -> tuple[WeightFunction, ...]:
     """All vertices, by solving every candidate support exactly.
 
     Candidate supports are the rank-sized column subsets that touch
-    every block; each is solved exactly and kept when the unique
-    solution is nonnegative.  Raises ``InstanceTooLargeError`` when the
-    raw candidate count exceeds ``budget``.  ``jobs`` worker processes,
-    capped at ``os.cpu_count()``, share the candidates; the result is
-    sorted and independent of ``jobs``.  Works for any family, and is
+    every block; they are walked one at a time, each is solved exactly
+    and kept when the unique solution is nonnegative.  Raises
+    ``InstanceTooLargeError`` when the raw candidate count exceeds
+    ``budget``.  The result is sorted.  Works for any family, and is
     the reference the multigraph search is tested against.
     """
-    if jobs < 1:
-        raise InputError("jobs must be at least 1")
     if budget < 1:
         raise InputError("budget must be at least 1")
     columns = family.ground
@@ -344,44 +325,21 @@ def basis_vertices(
         raise InstanceTooLargeError(
             f"{total} candidate supports exceed the budget of {budget}"
         )
-    masks = []
-    for g in columns:
-        mask = 0
-        for pos, b in enumerate(family.blocks):
-            if g in b.member_set:
-                mask |= 1 << pos
-        masks.append(mask)
-    full = (1 << len(family.blocks)) - 1
-    candidates = [
-        combo
-        for combo in combinations(range(len(columns)), r)
-        if _or_all(masks, combo) == full
-    ]
-    found: dict[tuple, WeightFunction] = {}
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers == 1 or len(candidates) < 64:
-        chunks = [(family, columns, candidates)]
-        results = map(_solve_chunk, chunks)
-    else:
-        step = max(1, math.ceil(len(candidates) / (workers * 4)))
-        chunks = [
-            (family, columns, candidates[i : i + step])
-            for i in range(0, len(candidates), step)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_solve_chunk, chunks))
-    for chunk_result in results:
-        for items in chunk_result:
-            if items not in found:
-                found[items] = WeightFunction._trusted(dict(items))
-    return tuple(sorted(found.values(), key=lambda w: w.sort_key()))
-
-
-def _or_all(masks: list[int], combo: tuple[int, ...]) -> int:
-    acc = 0
-    for i in combo:
-        acc |= masks[i]
-    return acc
+    masks = [sum(1 << k for k in family.gamma[g]) for g in columns]
+    full = sum(1 << b.index for b in family.blocks)
+    found: set[tuple[tuple[int, Fraction], ...]] = set()
+    for combo in combinations(range(len(columns)), r):
+        covered = 0
+        for i in combo:
+            covered |= masks[i]
+        if covered != full:
+            continue
+        support = tuple(columns[i] for i in combo)
+        x = _solve_all_ones(_block_rows(family, support), r)
+        if x is not None and all(v >= 0 for v in x):
+            found.add(tuple((g, v) for g, v in zip(support, x) if v != 0))
+    vertices = (WeightFunction._trusted(dict(items)) for items in found)
+    return tuple(sorted(vertices, key=lambda w: w.sort_key()))
 
 
 def _column_rows(columns: Sequence[Sequence[int]]) -> list[Row]:
@@ -518,7 +476,6 @@ def cross_validate(
     samples: int = 5,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
 ) -> CrossValidation:
     """Check the classifier against exhaustive enumeration on one family.
 
@@ -535,7 +492,7 @@ def cross_validate(
             "cross validation compares against the classifier,"
             " which needs every multiplicity at most two"
         )
-    vertices = enumerate_vertices(family, budget=budget, jobs=jobs)
+    vertices = enumerate_vertices(family, budget=budget)
     discrepancies: list[str] = []
     for v in vertices:
         verdict = extremality.classify_extreme(family, v)

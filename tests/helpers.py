@@ -94,6 +94,13 @@ def count_calls(monkeypatch, owner, *names) -> Counter:
     return counts
 
 
+# a family whose elements 1, 5 and 9 lie in three blocks each, so vertex
+# enumeration takes the basis search
+KAPPA3_BLOCKS = [
+    [1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 4, 7], [2, 5, 8], [3, 6, 9], [1, 5, 9]
+]
+
+
 def kappa2_sweep():
     """The 600 seeded κ ≤ 2 families the multigraph search is checked on."""
     rng = random.Random(2)

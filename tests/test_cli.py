@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
 from blockstoch import graphs
 from blockstoch.cli import main
+from blockstoch.family import build_family, max_multiplicity
 
-from helpers import diamond_chain_blocks, odd_ring_chain
+from helpers import KAPPA3_BLOCKS, diamond_chain_blocks, odd_ring_chain
 
 TRIANGLE = {
     "blocks": [[2, 3], [1, 3], [1, 2]],
@@ -74,6 +76,33 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code == 0
         assert "block sums" not in out
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="integers have no digit limit before Python 3.11",
+    )
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"blocks": [[1, 2]], "weights": {"1": "%s/%s"}}' % ("1" * 5000, "1" * 5000),
+            '{"blocks": [[%s]]}' % ("1" * 5000),
+        ],
+        ids=["weight", "label"],
+    )
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys, text):
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code = main(["check", str(path)])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "4300 digits" in captured.err
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["check", str(tmp_path / "absent.json")])
@@ -283,6 +312,23 @@ class TestVertices:
         main(["vertices", path])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestJobsFlag:
+    """``--jobs`` is accepted and has no effect; a value below 1 is refused."""
+
+    def test_kappa3_output_does_not_depend_on_jobs(self, tmp_path, capsys):
+        path = write(tmp_path, {"blocks": KAPPA3_BLOCKS})
+        gen = ["gen", "--elements", "7", "--blocks", "6", "--kappa-max", "3", "--seed", "0"]
+        for argv, code in ((["vertices", path], 0), (["validate", path], 2), (gen, 0)):
+            assert main(argv) == code
+            plain = capsys.readouterr()
+            assert main([*argv, "--jobs", "2"]) == code
+            assert capsys.readouterr() == plain
+            assert main([*argv, "--jobs", "0"]) == 1
+            assert capsys.readouterr() == ("", "error: jobs must be at least 1\n")
+        # the generated family has κ = 3 too, so gen also ran the basis search
+        assert max_multiplicity(build_family(json.loads(plain.out)["blocks"])) == 3
 
 
 class TestDecompose:

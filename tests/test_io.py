@@ -1,5 +1,6 @@
 """Tests for the JSON instance format."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,16 @@ class TestParseRational:
             parse_rational("1 / 2")
         with pytest.raises(InputError):
             parse_rational("")
+
+    # "\u0661" and "\u0662" are the Arabic-Indic digits one and two
+    @pytest.mark.parametrize("text", ["1_0", "\u0661", "1/\u0662", "1/2_0"])
+    def test_only_ascii_digits(self, text):
+        with pytest.raises(InputError, match="as an exact rational"):
+            parse_rational(text)
+
+    def test_sign_and_surrounding_space(self):
+        assert parse_rational(" -3/4\n") == F(-3, 4)
+        assert parse_rational("\t+5 ") == F(5)
 
 
 class TestFormatRational:
@@ -109,11 +120,19 @@ class TestParseInstance:
         with pytest.raises(InputError):
             parse_instance('{"blocks": [[1]], "weights": {"one": 1}}')
 
+    @pytest.mark.parametrize("key", ["1_0", "\u0661", " \u0661 ", "1\u0660"])
+    def test_weight_key_takes_only_ascii_digits(self, key):
+        text = json.dumps({"blocks": [[1], [10]], "weights": {key: 1}})
+        with pytest.raises(InputError, match="is not an integer label$"):
+            parse_instance(text)
+
+    def test_weight_key_sign_and_surrounding_space(self):
+        inst = parse_instance('{"blocks": [[1], [2]], "weights": {" +1 ": 1, "2\\n": 1}}')
+        assert dict(inst.weights.items()) == {1: 1, 2: 1}
+
 
 class TestWeightsDocument:
     def test_round_trip(self):
-        import json
-
         w = WeightFunction({1: F(1, 2), 3: F(2)})
         text = json.dumps({"weights": weights_to_document(w)})
         assert parse_weights_document(text) == w

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import os
 import random
 from fractions import Fraction
 
@@ -29,7 +28,7 @@ from blockstoch.oracle import (
     support_width,
 )
 
-from helpers import count_calls, kappa2_sweep
+from helpers import KAPPA3_BLOCKS, count_calls, kappa2_sweep
 
 F = Fraction
 HALF = F(1, 2)
@@ -108,15 +107,12 @@ class TestMultigraphSearch:
 class TestBasisPath:
     """Families with a multiplicity above two keep the basis search."""
 
-    KAPPA3 = build_family(
-        [[1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 4, 7], [2, 5, 8], [3, 6, 9], [1, 5, 9]]
-    )
+    KAPPA3 = build_family(KAPPA3_BLOCKS)
 
     def test_dispatches_to_basis_search(self):
         assert max_multiplicity(self.KAPPA3) == 3
         vertices = enumerate_vertices(self.KAPPA3)
         assert vertices == basis_vertices(self.KAPPA3)
-        assert enumerate_vertices(self.KAPPA3, jobs=2) == vertices
 
     def test_candidate_budget_precheck(self):
         with pytest.raises(
@@ -124,34 +120,6 @@ class TestBasisPath:
             match="^84 candidate supports exceed the budget of 83$",
         ):
             enumerate_vertices(self.KAPPA3, budget=83)
-
-    def test_jobs_are_capped_at_the_cpu_count(self, monkeypatch):
-        # a pool that records its size and solves the chunks in-process,
-        # so no worker process starts however large ``jobs`` is
-        pools = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-                pools.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                self.chunks = list(chunks)
-                return map(fn, self.chunks)
-
-        serial = basis_vertices(self.KAPPA3, jobs=1)
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert basis_vertices(self.KAPPA3, jobs=10**6) == serial
-        ((pool,),) = (pools,)
-        assert pool.max_workers == 3
-        assert 1 < len(pool.chunks) <= 3 * 4
 
 
 class TestEnumerateVertices:
@@ -195,12 +163,6 @@ class TestEnumerateVertices:
             enumerate_vertices(fam, budget=budget)
         with pytest.raises(InputError, match="budget must be at least 1"):
             basis_vertices(fam, budget=budget)
-
-    def test_jobs_do_not_change_output(self):
-        fam = matrix_family(3)
-        serial = enumerate_vertices(fam, jobs=1)
-        parallel = enumerate_vertices(fam, jobs=2)
-        assert serial == parallel
 
     def test_deterministic_order(self):
         fam = matrix_family(3)
