@@ -37,7 +37,9 @@ from .extension import (
 )
 from .graphs import build_graph, find_primitive_cycles
 from .instance_io import (
+    _LABEL_RE,
     Instance,
+    _int,
     dump_instance,
     format_rational,
     format_weights,
@@ -57,6 +59,17 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # noqa: D102 - argparse override
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _integer(text: str) -> int:
+    """An integer flag, read as instance documents read integers: ASCII
+    digits with an optional sign and surrounding whitespace."""
+    if not _LABEL_RE.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    try:
+        return _int(text)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _require_weights(instance: Instance) -> WeightFunction:
@@ -302,14 +315,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _add_oracle_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--budget",
-        type=int,
+        type=_integer,
         default=DEFAULT_BUDGET,
         help="vertex enumeration budget: search nodes when every multiplicity"
         " is at most two, candidate supports otherwise",
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_integer,
         default=1,
         help="accepted for compatibility and has no effect: vertex"
         " enumeration runs in this process (must be at least 1)",
@@ -355,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="built-in family generator (default: the instance's own blocks)",
     )
-    p_extend.add_argument("--n", type=int, required=True, help="assigned block prefix")
+    p_extend.add_argument("--n", type=_integer, required=True, help="assigned block prefix")
     p_extend.add_argument(
-        "--horizon", type=int, required=True, help="last block index to fill"
+        "--horizon", type=_integer, required=True, help="last block index to fill"
     )
     p_extend.set_defaults(func=_cmd_extend)
 
@@ -365,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="cross-check the classifier against enumeration"
     )
     p_validate.add_argument("instance", help="instance JSON file")
-    p_validate.add_argument("--samples", type=int, default=5, help="mixtures to test")
-    p_validate.add_argument("--seed", type=int, default=0, help="mixture seed")
+    p_validate.add_argument("--samples", type=_integer, default=5, help="mixtures to test")
+    p_validate.add_argument("--seed", type=_integer, default=0, help="mixture seed")
     _add_oracle_flags(p_validate)
     p_validate.set_defaults(func=_cmd_validate)
 
@@ -375,12 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.set_defaults(func=_cmd_demo)
 
     p_gen = sub.add_parser("gen", help="generate a seeded random instance")
-    p_gen.add_argument("--elements", type=int, required=True, help="ground set size")
-    p_gen.add_argument("--blocks", type=int, required=True, help="blocks to draw")
+    p_gen.add_argument("--elements", type=_integer, required=True, help="ground set size")
+    p_gen.add_argument("--blocks", type=_integer, required=True, help="blocks to draw")
     p_gen.add_argument(
-        "--kappa-max", type=int, required=True, help="largest allowed multiplicity"
+        "--kappa-max", type=_integer, required=True, help="largest allowed multiplicity"
     )
-    p_gen.add_argument("--seed", type=int, required=True, help="generator seed")
+    p_gen.add_argument("--seed", type=_integer, required=True, help="generator seed")
     _add_oracle_flags(p_gen)
     p_gen.set_defaults(func=_cmd_gen)
 

@@ -26,7 +26,7 @@ from .errors import (
     InternalPropertyError,
     NotStochasticError,
 )
-from .family import ONE, ZERO, SetFamily, WeightFunction, build_family
+from .family import ONE, ZERO, SetFamily, WeightFunction, build_family, format_rational
 from .family import _block_sums, _common_denominator, _numerators
 from .oracle import Decomposition, column_rank, decompose
 
@@ -303,12 +303,13 @@ def _require_block_sums(sums: dict[int, int], scale: int, upto: int) -> None:
         total = sums.get(k, 0)
         if total != scale:
             raise NotStochasticError(
-                f"block {k} sums to {Fraction(total, scale)}, expected 1"
+                f"block {k} sums to {format_rational(Fraction(total, scale))},"
+                " expected 1"
             )
     for k, total in sorted(sums.items()):
         if total > scale:
             raise NotStochasticError(
-                f"block {k} sums to {Fraction(total, scale)} > 1"
+                f"block {k} sums to {format_rational(Fraction(total, scale))} > 1"
             )
 
 

@@ -46,6 +46,7 @@ from .graphs import (
     is_primitive,
     require_simple,
     shortest_primitive_cycle,
+    two_color,
 )
 
 
@@ -129,25 +130,20 @@ def construct_two_coloring(
             raise ConditionsViolatedError(
                 "every block must contain zero or exactly two subgraph elements"
             )
-    return _two_coloring(family, w, verts)
-
-
-def _two_coloring(
-    family: SetFamily, w: WeightFunction, verts: tuple[int, ...]
-) -> Witness:
-    """The witness on sorted ``verts`` that meet every block in zero or two."""
+    index = {g: i for i, g in enumerate(verts)}
     induced = build_graph(family, within=verts)
-    sign: dict[int, int] = {}
-    for root in verts:
-        if root not in sign:
-            layers = bfs_layers(induced, root)
-            sign.update((v, -1 if d % 2 else 1) for v, d in layers.items())
-    if any(sign[u] == sign[v] for v in verts for u in induced.neighbors_of(v)):
+    color = two_color([[(g, index[u]) for u in induced.neighbors_of(g)] for g in verts])
+    if color is None:
         raise ConditionsViolatedError("the subgraph contains an odd primitive cycle")
-    epsilon = _headroom(w, verts)
+    return _two_coloring(family, w, {g: 1 - 2 * c for g, c in zip(verts, color)})
+
+
+def _two_coloring(family: SetFamily, w: WeightFunction, sign: dict[int, int]) -> Witness:
+    """The witness moving each element of ``sign`` by the headroom times its sign."""
+    epsilon = _headroom(w, sign)
     if epsilon <= 0:
         raise InternalPropertyError("no headroom despite the block condition")
-    deltas = {v: epsilon * sign[v] for v in verts}
+    deltas = {v: epsilon * s for v, s in sign.items()}
     return _finish(family, w, deltas, epsilon, epsilon, "two_coloring")
 
 
@@ -331,8 +327,7 @@ def construct_cycle_attachment(
     ``attachment`` forces the chain's first element.
     """
     require_stochastic(family, w)
-    supp = tuple(sorted(w.support))
-    graph = build_graph(family, within=supp)
+    graph = build_graph(family, within=w.support)
     if cycle is None:
         cycle = shortest_primitive_cycle(graph, family, parity="odd")
         if cycle is None:
@@ -342,9 +337,7 @@ def construct_cycle_attachment(
         raise NotSimpleCycleError("an odd cycle is required")
     if not is_primitive(family, cycle):
         raise ConditionsViolatedError("the cycle is not primitive")
-    comp = next(
-        c for c in connected_components(graph) if cycle.vertices[0] in c
-    )
+    comp = tuple(sorted(bfs_layers(graph, cycle.vertices[0])))
     if not set(cycle.vertices) <= set(comp):
         raise InternalPropertyError("cycle spans several components")
     if any(len(family.membership(g)) > 2 for g in comp):
@@ -354,7 +347,7 @@ def construct_cycle_attachment(
         raise ConditionsViolatedError(
             f"elements {pair[0]} and {pair[1]} share the same membership set"
         )
-    induced = build_graph(family, within=comp)
+    induced = _component_graph(graph, comp)
     if shortest_primitive_cycle(induced, family, parity="even") is not None:
         raise EvenCyclePresentError(
             "the component contains an even primitive cycle;"
@@ -488,6 +481,13 @@ def _is_odd_cycle_component(
     return all(c <= 2 for c in block_vertex_counts(family, comp).values())
 
 
+def _component_graph(graph: AssociatedGraph, comp: tuple[int, ...]) -> AssociatedGraph:
+    """``graph`` read over its component ``comp``, closed under adjacency."""
+    neighbors = {g: graph.neighbors[g] for g in comp}
+    edges = {(g, h): graph.edge_blocks[g, h] for g in comp for h in neighbors[g] if g < h}
+    return AssociatedGraph(comp, neighbors, edges)
+
+
 def classify_extreme(family: SetFamily, w: WeightFunction) -> Verdict:
     """Classify a stochastic weight function as extreme or not.
 
@@ -507,8 +507,7 @@ def classify_extreme(family: SetFamily, w: WeightFunction) -> Verdict:
             witness=None,
             detail="an element lies in more than two blocks",
         )
-    supp = tuple(sorted(w.support))
-    graph = build_graph(family, within=supp)
+    graph = build_graph(family, within=w.support)
     comps = connected_components(graph)
     saturated = 0
     cycles = 0
@@ -533,7 +532,7 @@ def classify_extreme(family: SetFamily, w: WeightFunction) -> Verdict:
                 f" and {cycles} odd primitive cycle(s)"
             ),
         )
-    witness = _witness_for_component(family, w, bad)
+    witness = _witness_for_component(family, w, _component_graph(graph, bad))
     return Verdict(
         kind="not_extreme",
         witness=witness,
@@ -545,27 +544,28 @@ def classify_extreme(family: SetFamily, w: WeightFunction) -> Verdict:
 
 
 def _witness_for_component(
-    family: SetFamily, w: WeightFunction, comp: tuple[int, ...]
+    family: SetFamily, w: WeightFunction, induced: AssociatedGraph
 ) -> Witness:
-    """The perturbation witness of one offending support component.
+    """The perturbation witness of one offending support component, read
+    off the classifier's one support graph (``induced`` is its component).
 
     The canonical cycles are the shortest even and odd primitive cycles
     of the component, lexicographically first among equals, as
-    :func:`shortest_primitive_cycle` finds them without listing the
-    others.  An even cycle gets a two-coloring; otherwise an
-    equal-membership pair does; otherwise a cycle-free component gets a
-    tree propagation and any other a cycle attachment on the odd cycle.
-    Each of these answers is a condition the public constructor checks,
-    so the witness is built without checking it again.
+    :func:`shortest_primitive_cycle` finds them.  An even cycle gets a
+    two-coloring with signs alternating along it (the graph induced on
+    a primitive cycle of H is the cycle); otherwise an equal-membership
+    pair does; otherwise a cycle-free component gets a tree propagation
+    and any other a cycle attachment on the odd cycle.  Each answer is a
+    condition the public constructor checks, so none is checked again.
     """
-    induced = build_graph(family, within=comp)
     edges = _multigraph_edges(induced, family)
     even = _shortest_cycle(induced, family, "even", edges)
     if even is not None:
-        return _two_coloring(family, w, tuple(sorted(even.vertices)))
-    pair = check_injectivity(family, subset=comp)
+        sign = {v: (-1) ** i for i, v in enumerate(even.vertices)}
+        return _two_coloring(family, w, sign)
+    pair = check_injectivity(family, subset=induced.vertices)
     if pair is not None:
-        return _two_coloring(family, w, pair)
+        return _two_coloring(family, w, {pair[0]: 1, pair[1]: -1})
     odd = _shortest_cycle(induced, family, "odd", edges)
     if odd is None:
         return _tree_propagation(family, w, induced)

@@ -32,6 +32,28 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
+def _decimal(n: int) -> str:
+    """The decimal digits of ``n``, at any size, leaving the interpreter's
+    digit limit (``sys.set_int_max_str_digits``, Python 3.11+, at least
+    640 digits) alone: a number past 2000 bits, about 600 digits, is split
+    by ``divmod`` with a power of ten near the middle of its digits."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= 2000:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # below half the digits, as log10(2) > 3/10
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
+def format_rational(value: Fraction) -> str:
+    """Render a rational as ``"p/q"``, or ``"p"`` when the denominator is
+    one, as ``str`` does, at any size (:func:`_decimal`)."""
+    if value.denominator == 1:
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+
+
 @dataclass(frozen=True)
 class Block:
     """One block of a family: a stable index and its sorted members.
@@ -369,7 +391,7 @@ def require_stochastic(family: SetFamily, w: WeightFunction) -> MembershipReport
         if not report.nonnegative:
             raise NotStochasticError("weight function takes a negative value")
         bad, total = next((k, s) for k, s in report.block_sums if s != 1)
-        raise NotStochasticError(f"block {bad} sums to {total}")
+        raise NotStochasticError(f"block {bad} sums to {format_rational(total)}")
     return report
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .errors import InputError, UnknownElementError
-from .family import SetFamily, WeightFunction, build_family
+from .family import SetFamily, WeightFunction, build_family, format_rational
 
 # ASCII digits only: ``int`` would also read other scripts' digits and "_"
 _LABEL_RE = re.compile(r"[+-]?[0-9]+")
@@ -29,7 +29,8 @@ _FIELDS = {"ground", "blocks", "weights", "feasible"}
 
 def _int(text: str) -> int:
     """``int(text)``, refusing as bad input a number with more digits than
-    the interpreter converts (``sys.get_int_max_str_digits``, Python 3.11+)."""
+    the interpreter converts (``sys.get_int_max_str_digits``, Python 3.11+).
+    Callers first match ``text`` against ``_LABEL_RE`` or ``_RATIONAL_RE``."""
     try:
         return int(text)
     except ValueError as exc:
@@ -60,13 +61,6 @@ def parse_rational(value: object) -> Fraction:
             'write an exact rational such as "1/2"'
         )
     raise InputError(f"expected a rational, got {type(value).__name__}")
-
-
-def format_rational(value: Fraction) -> str:
-    """Render a rational as ``"p/q"``, or ``"p"`` when the denominator is one."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def format_weights(w: WeightFunction) -> str:
@@ -226,8 +220,9 @@ def weights_to_document(weights: WeightFunction | Mapping[int, Fraction]) -> dic
     items = weights.items() if isinstance(weights, WeightFunction) else sorted(weights.items())
     doc: dict[str, str | int] = {}
     for label, value in items:
-        rendered = format_rational(value)
-        doc[str(label)] = int(rendered) if "/" not in rendered else rendered
+        doc[str(label)] = (
+            value.numerator if value.denominator == 1 else format_rational(value)
+        )
     return doc
 
 

@@ -479,9 +479,9 @@ def cross_validate(
 ) -> CrossValidation:
     """Check the classifier against exhaustive enumeration on one family.
 
-    Every enumerated vertex must be classified extreme, and random
-    strict convex combinations of distinct vertices must be classified
-    non-extreme with a witness that averages back to the sample.
+    Every vertex must be classified extreme and random strict mixtures of
+    distinct vertices non-extreme, with a witness that averages back; the
+    classifier checks each point and builds its support graph once.
     """
     from . import extremality
 
@@ -508,7 +508,7 @@ def cross_validate(
             total = sum(raw)
             mix = _combination((lam / total, v) for lam, v in zip(raw, picked))
             samples_checked += 1
-            if is_vertex(family, mix):
+            if column_rank([family.gamma[g] for g in mix.support]) == len(mix.support):
                 discrepancies.append(f"mixture {dict(mix.items())} is a vertex")
                 continue
             verdict = extremality.classify_extreme(family, mix)

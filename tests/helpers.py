@@ -86,9 +86,9 @@ def count_calls(monkeypatch, owner, *names) -> Counter:
     for name in names:
         original = getattr(owner, name)
 
-        def counting(*args, _name=name, _original=original):
+        def counting(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counting)
     return counts

@@ -350,6 +350,55 @@ class TestDecompose:
         assert err == "error: block 2 sums to 5/4\n"
 
 
+    def test_coefficients_past_the_digit_limit(self, tmp_path, capsys):
+        """Coefficients of about 5000 digits print in full."""
+        p, q = 10**2500 + 7, 10**2500 + 9
+        weights = {"1": f"1/{p}", "2": f"{p - 1}/{p}", "3": f"1/{q}", "4": f"{q - 1}/{q}"}
+        path = write(tmp_path, {"blocks": [[1, 2], [3, 4]], "weights": weights})
+        code = main(["decompose", path])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0] == "terms: 3"
+        assert lines[-1] == "recombines exactly: yes"
+        coefficients = [line.split(" * ")[0].strip() for line in lines[1:4]]
+        assert max(len(c) for c in coefficients) > 5000
+        assert all(set(c) <= set("0123456789/") for c in coefficients)
+
+
+class TestIntegerFlags:
+    """Integer flags take the ASCII integers instance documents take."""
+
+    GEN = ["gen", "--elements", "6", "--blocks", "4", "--kappa-max", "2"]
+
+    # "\u0666" is the Arabic-Indic digit six
+    def test_non_ascii_digits_and_underscores_are_refused(self, capsys):
+        argv = ["gen", "--elements", "\u0666", "--blocks", "4", "--kappa-max", "2"]
+        assert main([*argv, "--seed", "1_0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "blockstoch gen: error: argument --elements: '\u0666' is not an integer\n"
+        )
+        assert main([*self.GEN, "--seed", "1_0"]) == 1
+        assert capsys.readouterr().err == (
+            "blockstoch gen: error: argument --seed: '1_0' is not an integer\n"
+        )
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0666", "", " ", "1.0", "0x10", "1e3", "1-"])
+    def test_refused(self, capsys, value):
+        assert main([*self.GEN, "--seed", value]) == 1
+        assert capsys.readouterr() == (
+            "",
+            f"blockstoch gen: error: argument --seed: {value!r} is not an integer\n",
+        )
+
+    def test_sign_and_space_read_as_before(self, capsys):
+        assert main([*self.GEN, "--seed", "1"]) == 0
+        plain = capsys.readouterr()
+        assert main([*self.GEN, "--seed", " +1 "]) == 0
+        assert capsys.readouterr() == plain
+
+
 class TestExtend:
     def test_generator_run(self, tmp_path, capsys):
         path = write(tmp_path, {"weights": {"1": 1}})

@@ -1,6 +1,7 @@
 """Tests for extreme point classification and perturbation witnesses."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -27,7 +28,7 @@ from blockstoch.family import (
 from blockstoch.graphs import Path
 from blockstoch.oracle import enumerate_vertices
 
-from helpers import odd_ring_chain
+from helpers import count_calls, kappa2_sweep, odd_ring_chain
 
 F = Fraction
 HALF = F(1, 2)
@@ -407,7 +408,7 @@ class TestOneAnalysisPerComponent:
         fam, w = build_family(blocks), WeightFunction(weights)
         verdict, counts = self._classify_counting(monkeypatch, fam, w)
         assert verdict.witness.construction == "cycle_attachment"
-        assert counts["build_graph"] <= 2
+        assert counts["build_graph"] == 1
         assert counts["connected_components"] == 1
         assert counts["_shortest_cycle"] == 2
         assert counts["block_multigraph"] == 1
@@ -420,9 +421,26 @@ class TestOneAnalysisPerComponent:
         w = WeightFunction({g: HALF for g in range(1, 402)})
         verdict, counts = self._classify_counting(monkeypatch, fam, w)
         assert verdict.witness.construction == "tree_propagation"
-        assert counts["build_graph"] <= 2
+        assert counts["build_graph"] == 1
         assert counts["connected_components"] == 1
         assert counts["_shortest_cycle"] == 2
         assert counts["block_multigraph"] == 1
         assert counts["check_injectivity"] == 1
         assert verdict.witness == construct_tree_propagation(fam, w)
+
+    def test_one_support_graph_for_every_point_of_the_sweep(self, monkeypatch):
+        """Extreme or not, whatever the witness, a classification builds
+        the support graph and no other element graph."""
+        points = []
+        for fam in islice(kappa2_sweep(), 150):
+            vertices = enumerate_vertices(fam)
+            points += [(fam, v) for v in vertices]
+            if len(vertices) >= 2:
+                mix = vertices[0].scaled(HALF) + vertices[-1].scaled(HALF)
+                points.append((fam, mix))
+        counts = count_calls(monkeypatch, extremality, "build_graph")
+        verdicts = [classify_extreme(fam, w) for fam, w in points]
+        monkeypatch.undo()
+        assert counts["build_graph"] == len(points)
+        constructions = {v.witness.construction for v in verdicts if v.witness}
+        assert constructions == {"two_coloring", "tree_propagation", "cycle_attachment"}

@@ -1,6 +1,8 @@
 """Tests for the JSON instance format."""
 
 import json
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -65,6 +67,32 @@ class TestFormatRational:
 
     def test_proper_fraction(self):
         assert format_rational(F(-3, 9)) == "-1/3"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="integers have no digit limit before Python 3.11",
+    )
+    def test_any_size_under_the_lowest_digit_limit(self):
+        """Past the interpreter's digit limit, here its lowest allowed
+        value, rationals print as ``str`` prints them with no limit, and
+        the limit is left as it was."""
+        rng = random.Random(16)
+        sizes = [(1, 1), (600, 650), (641, 1), (5000, 1), (5000, 4999), (12001, 9000)]
+        values = [
+            F(rng.choice((1, -1)) * rng.randrange(10**p), rng.randrange(1, 10**q))
+            for p, q in sizes
+        ] + [F(10**5000), F(-(10**5000) + 1, 10**4400 + 1)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            texts = [format_rational(v) for v in values]
+            docs = [weights_to_document({1: v}) for v in values if v.denominator > 1]
+            assert sys.get_int_max_str_digits() == 640
+            sys.set_int_max_str_digits(0)
+            assert texts == [str(v) for v in values]
+            assert docs == [{"1": str(v)} for v in values if v.denominator > 1]
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestParseInstance:

@@ -3,11 +3,12 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from blockstoch import oracle
+from blockstoch import extremality, family, oracle
 from blockstoch.cli import main
 from blockstoch.errors import (
     ConditionsViolatedError,
@@ -16,6 +17,7 @@ from blockstoch.errors import (
     NotStochasticError,
 )
 from blockstoch.extension import _support_rank
+from blockstoch.extremality import Verdict, Witness
 from blockstoch.family import WeightFunction, build_family, max_multiplicity
 from blockstoch.instance_io import dump_instance
 from blockstoch.oracle import (
@@ -280,6 +282,95 @@ class TestCrossValidate:
         assert report.ok
         assert report.samples_checked == 5
         assert inits["__init__"] == 0
+
+    def test_checks_each_point_once_and_builds_one_graph(self, monkeypatch):
+        """Each vertex is checked once and gets one support graph; each
+        mixture is checked once, gets one support graph, and both witness
+        halves get their own membership check."""
+        counters = [
+            count_calls(monkeypatch, extremality, "require_stochastic", "build_graph"),
+            count_calls(monkeypatch, oracle, "classify_membership", "require_stochastic"),
+            count_calls(monkeypatch, family, "classify_membership"),
+        ]
+        n_vertices, n_mixtures = 0, 0
+        for fam in [matrix_family(3), matrix_family(4), ring_family(6)]:
+            report = cross_validate(fam, samples=5, seed=1)
+            assert report.ok
+            n_vertices += report.vertex_count
+            n_mixtures += report.samples_checked
+        monkeypatch.undo()
+        counts = sum(counters, Counter())
+        assert n_mixtures == 15
+        assert counts["require_stochastic"] == n_vertices + n_mixtures
+        assert counts["classify_membership"] == n_vertices + 3 * n_mixtures
+        assert counts["build_graph"] == n_vertices + n_mixtures
+
+
+class TestCrossValidateCatchesAWrongClassifier:
+    """Each discrepancy ``cross_validate`` reports fires when the
+    classifier or the rank test is made wrong."""
+
+    def _lines(self, monkeypatch, *, verdict=None, rank=None):
+        real = extremality.classify_extreme
+        if verdict is not None:
+            monkeypatch.setattr(
+                extremality, "classify_extreme", lambda fam, w: verdict(real(fam, w), w)
+            )
+        if rank is not None:
+            monkeypatch.setattr(oracle, "column_rank", rank)
+        report = cross_validate(matrix_family(3), samples=3, seed=7)
+        monkeypatch.undo()
+        assert report.vertex_count == 6
+        assert report.samples_checked == 3
+        return report.discrepancies
+
+    def _with_witness(self, make):
+        def verdict(real, w):
+            if real.witness is None:
+                return real
+            return Verdict(real.kind, make(real.witness, w), real.detail)
+
+        return verdict
+
+    def test_vertex_classified_not_extreme(self, monkeypatch):
+        lines = self._lines(
+            monkeypatch, verdict=lambda real, w: Verdict("not_extreme", None, "")
+        )
+        assert sum(" classified not_extreme" in line for line in lines) == 6
+        assert all(line.startswith("vertex {") for line in lines[:6])
+        assert sum(line.endswith("has no witness") for line in lines) == 3
+
+    def test_mixture_is_a_vertex(self, monkeypatch):
+        lines = self._lines(monkeypatch, rank=len)
+        assert len(lines) == 3
+        assert all(line.startswith("mixture {") and line.endswith("is a vertex") for line in lines)
+
+    def test_mixture_classified_extreme(self, monkeypatch):
+        lines = self._lines(monkeypatch, verdict=lambda real, w: Verdict("extreme", None, ""))
+        assert len(lines) == 3
+        assert all(line.endswith("classified extreme") for line in lines)
+
+    def test_witness_does_not_average_back(self, monkeypatch):
+        def make(witness, w):
+            return Witness(witness.w_plus, witness.w_plus, witness.epsilon, witness.slack, "x")
+
+        lines = self._lines(monkeypatch, verdict=self._with_witness(make))
+        assert len(lines) == 3
+        assert all(line.endswith("does not average back") for line in lines)
+
+    def test_witness_half_leaves_the_polytope(self, monkeypatch):
+        def make(witness, w):
+            # moving one element alone keeps the average but breaks its blocks
+            g = w.support[0]
+            step = {g: w(g) / 2}
+            plus = WeightFunction({**dict(w.items()), g: w(g) + step[g]})
+            minus = WeightFunction({**dict(w.items()), g: w(g) - step[g]})
+            return Witness(plus, minus, witness.epsilon, witness.slack, "x")
+
+        lines = self._lines(monkeypatch, verdict=self._with_witness(make))
+        assert len(lines) == 6
+        assert all(line.startswith("witness half {") for line in lines)
+        assert all(line.endswith("leaves the polytope") for line in lines)
 
 
 class TestNorms:
