@@ -415,15 +415,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise InputError("jobs must be at least 1")
         return args.func(args)
-    except InputError as exc:
+    except (InputError, PreconditionError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Three base classes mirror the CLI exit codes: malformed input data (exit
-code 1), a mathematical precondition that does not hold (exit code 2),
-and an exhausted search budget or horizon (exit code 3).
+Three base classes carry the CLI exit codes as ``exit_code``: malformed
+input data (exit code 1), a mathematical precondition that does not hold
+(exit code 2), and an exhausted search budget or horizon (exit code 3).
 """
 
 from __future__ import annotations
@@ -10,14 +10,17 @@ from __future__ import annotations
 
 class InputError(ValueError):
     """Malformed instance data."""
+    exit_code = 1
 
 
 class PreconditionError(ValueError):
     """A required mathematical precondition fails for the given input."""
+    exit_code = 2
 
 
 class BudgetError(RuntimeError):
     """A configured search budget or horizon was exhausted."""
+    exit_code = 3
 
 
 class EmptyBlockError(InputError):

@@ -495,8 +495,8 @@ def extend_truncation(
             new_total = delta.get(k, 0) + need
             if new_total > scale:
                 raise InternalPropertyError(
-                    f"block {k} overflows to {Fraction(new_total, scale)}"
-                    f" at element {g_j}"
+                    f"block {k} overflows to"
+                    f" {format_rational(Fraction(new_total, scale))} at element {g_j}"
                 )
             delta[k] = new_total
             chosen_in.setdefault(k, []).append((g_j, pattern))
@@ -624,7 +624,8 @@ def verify_extension(
             violations.append(f"element {g} changed without a recorded step")
         elif value != step_values[g] or value <= 0:
             violations.append(
-                f"element {g} carries {Fraction(value, scale)}, not its step value"
+                f"element {g} carries {format_rational(Fraction(value, scale))},"
+                " not its step value"
             )
     for g, step in chosen.items():
         if diff.get(g, 0) != step_values[g]:
@@ -641,7 +642,9 @@ def verify_extension(
     last_block = _last_block(generator, result.horizon)
     for k, total in sorted(sums.items()):
         if total > scale:
-            violations.append(f"block {k} sums to {Fraction(total, scale)} > 1")
+            violations.append(
+                f"block {k} sums to {format_rational(Fraction(total, scale))} > 1"
+            )
     must_saturate = set(range(1, trunc.n + 1))
     must_saturate.update(s.block_index for s in result.steps)
     if result.complete:
@@ -650,7 +653,8 @@ def verify_extension(
         total = sums.get(k, 0)
         if total != scale:
             violations.append(
-                f"block {k} sums to {Fraction(total, scale)}, expected 1"
+                f"block {k} sums to {format_rational(Fraction(total, scale))},"
+                " expected 1"
             )
 
     earlier_in: dict[int, list[int]] = {}
@@ -676,8 +680,8 @@ def verify_extension(
         for k, total in sorted(_block_sums(packing_values, gammas).items()):
             if total > scale:
                 violations.append(
-                    f"packing {name} puts {Fraction(total, scale)} > 1"
-                    f" into block {k}"
+                    f"packing {name} puts"
+                    f" {format_rational(Fraction(total, scale))} > 1 into block {k}"
                 )
         for g, value in packing_values.items():
             cover[g] = cover.get(g, 0) + value

@@ -147,6 +147,17 @@ def _two_coloring(family: SetFamily, w: WeightFunction, sign: dict[int, int]) ->
     return _finish(family, w, deltas, epsilon, epsilon, "two_coloring")
 
 
+def _require_distinct_pairs(family: SetFamily, comp: tuple[int, ...]) -> None:
+    """Refuse elements in more than two blocks or in the same blocks."""
+    if any(len(family.membership(g)) > 2 for g in comp):
+        raise ConditionsViolatedError("an element lies in more than two blocks")
+    pair = check_injectivity(family, subset=comp)
+    if pair is not None:
+        raise ConditionsViolatedError(
+            f"elements {pair[0]} and {pair[1]} share the same membership set"
+        )
+
+
 def construct_tree_propagation(
     family: SetFamily, w: WeightFunction, component: Iterable[int] | None = None
 ) -> Witness:
@@ -177,13 +188,7 @@ def construct_tree_propagation(
             )
     if len(comp) < 2:
         raise ConditionsViolatedError("a single saturated element cannot be perturbed")
-    if any(len(family.membership(g)) > 2 for g in comp):
-        raise ConditionsViolatedError("an element lies in more than two blocks")
-    pair = check_injectivity(family, subset=comp)
-    if pair is not None:
-        raise ConditionsViolatedError(
-            f"elements {pair[0]} and {pair[1]} share the same membership set"
-        )
+    _require_distinct_pairs(family, comp)
     induced = build_graph(family, within=comp)
     if len(connected_components(induced)) != 1:
         raise ConditionsViolatedError("the component is not connected")
@@ -309,7 +314,6 @@ def construct_cycle_attachment(
     family: SetFamily,
     w: WeightFunction,
     cycle: Path | None = None,
-    attachment: int | None = None,
 ) -> Witness:
     """Perturb an odd primitive cycle together with the structure behind it.
 
@@ -323,8 +327,8 @@ def construct_cycle_attachment(
     sum to one.  The component must contain no even primitive cycle and
     no two elements with equal membership sets.  Without a ``cycle`` the
     support's shortest odd primitive cycle, lexicographically first
-    among equals, is used (:func:`shortest_primitive_cycle`).  An
-    ``attachment`` forces the chain's first element.
+    among equals, is used (:func:`shortest_primitive_cycle`), and the
+    chain is the first a breadth-first search from its blocks finds.
     """
     require_stochastic(family, w)
     graph = build_graph(family, within=w.support)
@@ -340,31 +344,14 @@ def construct_cycle_attachment(
     comp = tuple(sorted(bfs_layers(graph, cycle.vertices[0])))
     if not set(cycle.vertices) <= set(comp):
         raise InternalPropertyError("cycle spans several components")
-    if any(len(family.membership(g)) > 2 for g in comp):
-        raise ConditionsViolatedError("an element lies in more than two blocks")
-    pair = check_injectivity(family, subset=comp)
-    if pair is not None:
-        raise ConditionsViolatedError(
-            f"elements {pair[0]} and {pair[1]} share the same membership set"
-        )
+    _require_distinct_pairs(family, comp)
     induced = _component_graph(graph, comp)
     if shortest_primitive_cycle(induced, family, parity="even") is not None:
         raise EvenCyclePresentError(
             "the component contains an even primitive cycle;"
             " a two-coloring witness applies instead"
         )
-    # each cycle element lies in two blocks, both holding a cycle edge
-    cycle_blocks = {k for g in cycle.vertices for k in family.membership(g)}
-    if attachment is not None and (
-        attachment not in comp
-        or attachment in cycle.vertices
-        or cycle_blocks.isdisjoint(family.membership(attachment))
-    ):
-        raise ConditionsViolatedError(
-            "the attachment must be a support element of a cycle block,"
-            " outside the cycle"
-        )
-    return _cycle_attachment(family, w, induced, cycle, attachment)
+    return _cycle_attachment(family, w, induced, cycle)
 
 
 def _cycle_attachment(
@@ -372,7 +359,6 @@ def _cycle_attachment(
     w: WeightFunction,
     induced: AssociatedGraph,
     cycle: Path,
-    attachment: int | None = None,
 ) -> Witness:
     """The witness on the graph induced on a component and its odd cycle."""
     members = set(induced.vertices)
@@ -391,12 +377,6 @@ def _cycle_attachment(
         for b_idx in frontier:
             for e in family.block(b_idx).members:
                 if e not in members or e in cycle_verts or e in used:
-                    continue
-                if (
-                    attachment is not None
-                    and parent[b_idx] is None
-                    and e != attachment
-                ):
                     continue
                 if len(family.membership(e)) == 1:
                     half_end = (b_idx, e)

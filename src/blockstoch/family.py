@@ -86,26 +86,23 @@ class SetFamily:
     ``gamma`` maps each ground element to the sorted tuple of indices of
     the blocks containing it (never empty).  Block indices are positive
     and strictly increasing along ``blocks`` but need not be contiguous:
-    reductions keep the surviving blocks' original indices.
+    reductions keep the surviving blocks' original indices.  The block
+    lookup is built with the family, as :class:`Block`'s ``member_set`` is.
     """
 
     blocks: tuple[Block, ...]
     ground: tuple[int, ...]
     gamma: dict[int, tuple[int, ...]]
+    _by_index: dict[int, Block] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_by_index", {b.index: b for b in self.blocks})
 
     def block(self, index: int) -> Block:
         b = self._by_index.get(index)
         if b is None:
             raise InputError(f"no block with index {index}")
         return b
-
-    @property
-    def _by_index(self) -> dict[int, Block]:
-        cached = self.__dict__.get("_by_index_cache")
-        if cached is None:
-            cached = {b.index: b for b in self.blocks}
-            self.__dict__["_by_index_cache"] = cached
-        return cached
 
     def membership(self, label: int) -> tuple[int, ...]:
         got = self.gamma.get(label)
@@ -430,7 +427,8 @@ def counting_identity(family: SetFamily, w: WeightFunction) -> CountingIdentity:
     result = CountingIdentity(block_count=lhs, weighted_mass=rhs, bound=bound)
     if not result.holds or not result.bounded:
         raise InternalPropertyError(
-            f"counting identity failed: {lhs} vs {rhs} (bound {bound})"
+            f"counting identity failed: {lhs} vs {format_rational(rhs)}"
+            f" (bound {format_rational(bound)})"
         )
     return result
 
@@ -488,30 +486,21 @@ class RemovalLog:
 def normalize(family: SetFamily) -> tuple[SetFamily, RemovalLog]:
     """Remove blocks that contain another block, keeping membership intact.
 
-    While some block is a strict superset of another, the superset is
-    removed (a stochastic function sums to one on the subset, so the
-    superset's extra elements are forced to zero) and elements left in no
-    surviving block are dropped.  Deterministic: the smallest superset
-    index is removed first, witnessed by the smallest subset index.  The
-    result is idempotent, and restriction to the reduced ground set is a
-    bijection between the two stochastic polytopes.
+    One pass in ascending index removes each block that is a strict
+    superset of a surviving block (a stochastic function sums to one on
+    the subset, so the superset's extra elements are forced to zero),
+    witnessed by the smallest such index; a block with no such subset
+    never gains one, as blocks are only removed.  Elements left in no
+    surviving block are dropped.  The result is idempotent, and restriction
+    to the reduced ground set is a bijection between the two stochastic polytopes.
     """
     alive: dict[int, frozenset[int]] = {b.index: b.member_set for b in family.blocks}
     removed: list[tuple[int, int]] = []
-    while True:
-        hit = None
-        for j in sorted(alive):
-            for k in sorted(alive):
-                if k != j and alive[k] <= alive[j]:
-                    hit = (j, k)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
-        j, k = hit
-        del alive[j]
-        removed.append((j, k))
+    for j in sorted(alive):
+        k = next((k for k in alive if k != j and alive[k] <= alive[j]), None)
+        if k is not None:
+            del alive[j]
+            removed.append((j, k))
     kept_elements: set[int] = set()
     for members in alive.values():
         kept_elements.update(members)

@@ -307,11 +307,10 @@ def enumerate_primitive_paths(
     return tuple(islice((Path(tuple(w)) for w in walks if w[-1] == h), stop_after))
 
 
-def unique_primitive_paths(
-    graph: AssociatedGraph, family: SetFamily, vertices: Iterable[int] | None = None
-) -> bool:
-    """Whether every vertex pair is joined by exactly one primitive path."""
-    pool = tuple(sorted(set(vertices))) if vertices is not None else graph.vertices
+def unique_primitive_paths(graph: AssociatedGraph, family: SetFamily) -> bool:
+    """Whether every pair of the graph's vertices is joined by exactly one
+    primitive path."""
+    pool = graph.vertices
     for i, g in enumerate(pool):
         for h in pool[i + 1 :]:
             if len(enumerate_primitive_paths(graph, family, g, h, stop_after=2)) != 1:

@@ -66,15 +66,6 @@ DEFAULT_BUDGET = 1 << 20
 Row = dict[int, Fraction]
 
 
-def _block_rows(family: SetFamily, columns: tuple[int, ...]) -> list[Row]:
-    """One sparse 0/1 row per block over the positions of ``columns``."""
-    position = {g: i for i, g in enumerate(columns)}
-    return [
-        {position[g]: ONE for g in b.members if g in position}
-        for b in family.blocks
-    ]
-
-
 def _eliminate(rows: list[Row], ncols: int) -> tuple[list[int], list[int], dict]:
     """Forward elimination in place over the columns below ``ncols``.
 
@@ -318,14 +309,14 @@ def basis_vertices(
     if budget < 1:
         raise InputError("budget must be at least 1")
     columns = family.ground
-    rows = _block_rows(family, columns)
-    r = _rank(rows)
+    ends = [family.gamma[g] for g in columns]
+    r = _rank(_column_rows(ends))
     total = math.comb(len(columns), r)
     if total > budget:
         raise InstanceTooLargeError(
             f"{total} candidate supports exceed the budget of {budget}"
         )
-    masks = [sum(1 << k for k in family.gamma[g]) for g in columns]
+    masks = [sum(1 << k for k in e) for e in ends]
     full = sum(1 << b.index for b in family.blocks)
     found: set[tuple[tuple[int, Fraction], ...]] = set()
     for combo in combinations(range(len(columns)), r):
@@ -335,7 +326,7 @@ def basis_vertices(
         if covered != full:
             continue
         support = tuple(columns[i] for i in combo)
-        x = _solve_all_ones(_block_rows(family, support), r)
+        x = _solve_all_ones(_column_rows([ends[i] for i in combo]), r)
         if x is not None and all(v >= 0 for v in x):
             found.add(tuple((g, v) for g, v in zip(support, x) if v != 0))
     vertices = (WeightFunction._trusted(dict(items)) for items in found)

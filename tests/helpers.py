@@ -24,6 +24,7 @@ from blockstoch.family import (
     MembershipReport,
     SetFamily,
     WeightFunction,
+    build_family,
     classify_membership,
     max_multiplicity,
     multiplicity,
@@ -145,6 +146,48 @@ def diamond_chain_blocks(k: int) -> list[list[int]]:
             for p in ends:
                 blocks[p].append(label)
     return blocks
+
+
+def restart_normalize(family: SetFamily):
+    """``normalize``'s removals and surviving blocks as its old loop found
+    them, the reference for its one ascending pass: after every removal
+    the double scan starts over from the smallest index."""
+    alive = {b.index: b.member_set for b in family.blocks}
+    removed = []
+    while True:
+        hit = None
+        for j in sorted(alive):
+            for k in sorted(alive):
+                if k != j and alive[k] <= alive[j]:
+                    hit = (j, k)
+                    break
+            if hit:
+                break
+        if hit is None:
+            break
+        j, k = hit
+        del alive[j]
+        removed.append((j, k))
+    return tuple(removed), [(k, tuple(sorted(alive[k]))) for k in sorted(alive)]
+
+
+def nested_families(count: int, seed: int):
+    """Seeded families of up to 12 blocks over up to 8 elements, each
+    holding random blocks and a nested chain A_1 < A_2 < ... in shuffled
+    order, so that removals cascade."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        universe = list(range(1, rng.randint(2, 8) + 1))
+        blocks = {
+            frozenset(rng.sample(universe, rng.randint(1, len(universe))))
+            for _ in range(rng.randint(0, 6))
+        }
+        chain = rng.sample(universe, rng.randint(1, len(universe)))
+        for end in sorted(rng.sample(range(1, len(chain) + 1), rng.randint(1, len(chain)))):
+            blocks.add(frozenset(chain[:end]))
+        order = [sorted(b) for b in blocks]
+        rng.shuffle(order)
+        yield build_family(order)
 
 
 # Per-block Fraction membership, kept as the reference for the integer

@@ -32,7 +32,7 @@ from blockstoch.extension import (
     verify_extension,
 )
 from blockstoch.family import WeightFunction, build_family
-from blockstoch.instance_io import weights_to_document
+from blockstoch.instance_io import format_rational, weights_to_document
 from blockstoch.oracle import is_vertex
 
 from helpers import (
@@ -344,6 +344,20 @@ class TestVerifyExtension:
             "element 5 records a phantom overlap",
             "element 4 meets 2 earlier elements",
         )
+
+    def test_violations_past_the_digit_limit_are_reported(self):
+        # the bumped value of element 3 and the sums of blocks 2 and 3
+        # have about 5000 digits, past the interpreter's default limit
+        gen = PathGenerator()
+        p, q = 10**2500 + 7, 10**2500 + 9
+        trunc = Truncation(1, WeightFunction({1: F(1, p), 2: F(p - 1, p)}))
+        result = extend_truncation(gen, trunc, horizon=3)
+        bumped = result.extended + WeightFunction({3: F(1, q)})
+        report = verify_extension(dataclasses.replace(result, extended=bumped), gen, trunc)
+        carried = format_rational(result.steps[0].value + F(1, q))
+        assert report.violations[0] == f"element 3 carries {carried}, not its step value"
+        assert "step at 3 left no trace in the completion" in report.violations
+        assert any(v.startswith("block 2 sums to ") for v in report.violations)
 
 
 class _LyingPathGenerator(PathGenerator):
@@ -837,3 +851,80 @@ class TestApproximationTheorem:
         for _ in range(20):
             self._check(GridGenerator(), _grid_member(rng, 12), rng.randint(1, 6), 20)
             self._check(PathGenerator(), _path_member(rng, 21), rng.randint(1, 6), 20)
+
+
+class _NoBlockPath(PathGenerator):
+    """A path whose label 5 lies in no block."""
+
+    def gamma_of(self, g):
+        return () if g == 5 else super().gamma_of(g)
+
+
+class _NoPromisePath(PathGenerator):
+    """An unbounded path that does not promise fresh elements."""
+
+    claims_fresh_supply = False
+
+
+class _StrayPath(PathGenerator):
+    """A path whose block k offers label k + 2, which lies outside it."""
+
+    def fresh_elements(self, k):
+        return iter((k + 2,))
+
+
+def _w(values):
+    return WeightFunction({g: F(v) for g, v in values.items()})
+
+
+# Input refusals of the extension layer and its generators, each a call,
+# the exception class and the exact message.
+EXTENSION_REFUSALS = [
+    (lambda: validate_truncation(
+        WrappedFamilyGenerator(build_family([[1, 2], [2, 3]])), Truncation(3, _w({2: 1}))
+    ), InputError, "truncation depth 3 exceeds the 2 available blocks"),
+    (lambda: validate_truncation(_NoBlockPath(), Truncation(1, _w({1: 1, 5: 1}))),
+     InputError, "element 5 lies in no block"),
+    (lambda: validate_truncation(PathGenerator(), Truncation(1, _w({1: "1/3"}))),
+     NotStochasticError, "block 1 sums to 1/3, expected 1"),
+    (lambda: validate_truncation(
+        WrappedFamilyGenerator(build_family([[1], [2], [1, 2]])), Truncation(2, _w({1: 1, 2: 1}))
+    ), NotStochasticError, "block 3 sums to 2 > 1"),
+    (lambda: tail_sums(PathGenerator(), Truncation(2, _w({2: 1})), 1),
+     InputError, "the horizon must not precede the truncation depth"),
+    (lambda: extend_truncation(_NoPromisePath(), Truncation(1, _w({1: 1})), 3),
+     InputError, "an unbounded generator must promise fresh elements in every block"),
+    (lambda: extend_truncation(_StrayPath(), Truncation(1, _w({1: 1})), 3),
+     GeneratorInconsistentError, "block 2 yields label 4 outside gamma_of(4)"),
+    (lambda: approximate_by_extremes(PathGenerator(), _w({1: 1, 3: 1}), 0, 3),
+     InputError, "the truncation depth must be positive"),
+    (lambda: approximate_by_extremes(PathGenerator(), _w({1: 1, 3: 1}), 2, 2),
+     InputError, "the horizon must exceed the truncation depth"),
+    (lambda: approximate_by_extremes(PathGenerator(), _w({1: -1, 2: 2}), 1, 3),
+     InputError, "the target function must be nonnegative"),
+    (lambda: PathGenerator().block_elements(0), InputError, "block index 0 is out of range"),
+    (lambda: PathGenerator().fresh_elements(0), InputError, "block index 0 is out of range"),
+    (lambda: PathGenerator().contains(-1, 1), InputError, "block index -1 is out of range"),
+    (lambda: PathGenerator().gamma_of(0), InputError, "label 0 is not positive"),
+    (lambda: DisjointGrowingGenerator().block_elements(0),
+     InputError, "block index 0 is out of range"),
+    (lambda: DisjointGrowingGenerator().contains(0, 1),
+     InputError, "block index 0 is out of range"),
+    (lambda: DisjointGrowingGenerator().gamma_of(-3), InputError, "label -3 is not positive"),
+    (lambda: GridGenerator().block_elements(0), InputError, "block index 0 is out of range"),
+    (lambda: GridGenerator().fresh_elements(0), InputError, "block index 0 is out of range"),
+    (lambda: GridGenerator().contains(0, 1), InputError, "block index 0 is out of range"),
+    (lambda: GridGenerator.label(0, 1), InputError, "matrix coordinates start at one"),
+    (lambda: GridGenerator.label(1, 0), InputError, "matrix coordinates start at one"),
+    (lambda: GridGenerator().gamma_of(0), InputError, "label 0 is not positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", EXTENSION_REFUSALS, ids=range(len(EXTENSION_REFUSALS))
+)
+def test_input_refusals(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message

@@ -10,6 +10,7 @@ from blockstoch.errors import (
     ConditionsViolatedError,
     EvenCyclePresentError,
     InternalPropertyError,
+    NotSimpleCycleError,
     NotStochasticError,
 )
 from blockstoch.extremality import (
@@ -444,3 +445,69 @@ class TestOneAnalysisPerComponent:
         assert counts["build_graph"] == len(points)
         constructions = {v.witness.construction for v in verdicts if v.witness}
         assert constructions == {"two_coloring", "tree_propagation", "cycle_attachment"}
+
+
+# The refusals of the public constructors that the classifier never
+# reaches: each row is a minimal input, the exception class and the
+# exact message.
+TRIANGLE_WITH_TAIL = [[1, 2], [2, 3], [1, 3, 4], [4, 5], [4, 6]]
+DOOR_REFUSALS = [
+    (construct_two_coloring, [[1, 2], [2, 3], [3, 4], [4, 1]],
+     {1: "1/2", 2: "1/2", 3: "1/2", 4: "1/2"}, ([],),
+     ConditionsViolatedError, "the subgraph has no vertices"),
+    (construct_two_coloring, [[1, 2], [2, 3]], {2: "1"}, ([1, 3],),
+     ConditionsViolatedError, "the subgraph must lie in the support"),
+    (construct_tree_propagation, [[1, 2], [2, 3]], {2: "1"}, ([1, 2],),
+     ConditionsViolatedError, "the component must lie in the support"),
+    (construct_tree_propagation, [[1, 2], [2, 3]], {1: "1/4", 2: "3/4", 3: "1/4"},
+     ([1],), ConditionsViolatedError,
+     "a block connects the component to other support elements"),
+    (construct_tree_propagation, [[1]], {1: "1"}, (),
+     ConditionsViolatedError, "a single saturated element cannot be perturbed"),
+    (construct_tree_propagation, [[1, 2], [1, 3], [1, 4]],
+     {1: "1/2", 2: "1/2", 3: "1/2", 4: "1/2"}, (),
+     ConditionsViolatedError, "an element lies in more than two blocks"),
+    (construct_tree_propagation, [[1, 2, 3]], {1: "1/3", 2: "1/3", 3: "1/3"}, (),
+     ConditionsViolatedError, "elements 1 and 2 share the same membership set"),
+    # both conditions fail: the multiplicity is checked first
+    (construct_tree_propagation, [[1, 2, 6], [1, 3], [1, 4]],
+     {1: "1/2", 2: "1/4", 3: "1/2", 4: "1/2", 6: "1/4"}, (),
+     ConditionsViolatedError, "an element lies in more than two blocks"),
+    (construct_tree_propagation, [[1, 2], [2, 3], [4, 5], [5, 6]],
+     {g: "1/2" for g in range(1, 7)}, (),
+     ConditionsViolatedError, "the component is not connected"),
+    (construct_cycle_attachment, [[1, 2], [2, 3], [3, 4], [4, 1]],
+     {1: "1/2", 2: "1/2", 3: "1/2", 4: "1/2"}, (Path((1, 2, 3, 4), is_cycle=True),),
+     NotSimpleCycleError, "an odd cycle is required"),
+    (construct_cycle_attachment, [[1, 2], [2, 3]], {1: "1/4", 2: "3/4", 3: "1/4"},
+     (Path((1, 2, 3)),), NotSimpleCycleError, "an odd cycle is required"),
+    (construct_cycle_attachment, [[1, 2, 3]], {1: "1/3", 2: "1/3", 3: "1/3"},
+     (Path((1, 2, 3), is_cycle=True),),
+     ConditionsViolatedError, "the cycle is not primitive"),
+    (construct_cycle_attachment, TRIANGLE_WITH_TAIL,
+     {1: "1/4", 2: "3/4", 3: "1/4", 4: "1/2", 5: "1/2", 6: "1/2"},
+     (Path((1, 2, 3), is_cycle=True),),
+     ConditionsViolatedError, "an element lies in more than two blocks"),
+    (construct_cycle_attachment, [[1, 2], [2, 3], [1, 3, 4, 5]],
+     {1: "1/4", 2: "3/4", 3: "1/4", 4: "1/4", 5: "1/4"},
+     (Path((1, 2, 3), is_cycle=True),),
+     ConditionsViolatedError, "elements 4 and 5 share the same membership set"),
+    (construct_cycle_attachment, [[1, 2], [2, 3], [1, 3, 4], [4, 5, 7], [4, 6]],
+     {1: "1/4", 2: "3/4", 3: "1/4", 4: "1/2", 5: "1/4", 6: "1/2", 7: "1/4"},
+     (Path((1, 2, 3), is_cycle=True),),
+     ConditionsViolatedError, "an element lies in more than two blocks"),
+]
+
+
+@pytest.mark.parametrize(
+    "construct, blocks, weights, args, error, message",
+    DOOR_REFUSALS,
+    ids=[f"{row[0].__name__}-{i}" for i, row in enumerate(DOOR_REFUSALS)],
+)
+def test_constructor_refusals(construct, blocks, weights, args, error, message):
+    fam = build_family(blocks)
+    w = WeightFunction({g: F(v) for g, v in weights.items()})
+    with pytest.raises(error) as caught:
+        construct(fam, w, *args)
+    assert type(caught.value) is error
+    assert str(caught.value) == message

@@ -419,3 +419,31 @@ class TestStructureConditions:
         ring = build_family([[i, i % 151 + 1] for i in range(1, 152)])
         assert fresh_prefix(ring) == FreshnessVerdict(ok=True, mode="cover", m=150)
         assert fresh_prefix(triangle()).m == 2
+
+
+# Input refusals of family construction, weight functions and the
+# freshness check, each a call, the exception class and the exact message.
+FAMILY_REFUSALS = [
+    (lambda: build_family([[1, 2], [3, 3, 4]]), InputError, "block 2 repeats a member"),
+    (lambda: build_family([[1]], ground=[-1]),
+     InputError, "ground label -1 is not a nonnegative integer"),
+    (lambda: build_family([[1]], ground=[True]),
+     InputError, "ground label True is not a nonnegative integer"),
+    (lambda: build_family([[1]], ground=["1"]),
+     InputError, "ground label '1' is not a nonnegative integer"),
+    (lambda: WeightFunction([(1, F(1, 2)), (2, 1), (1, F(1, 2))]),
+     InputError, "label 1 appears twice"),
+    (lambda: check_freshness(triangle(), -1), InputError, "m must lie in [0, 3]"),
+    (lambda: check_freshness(triangle(), 4), InputError, "m must lie in [0, 3]"),
+    (lambda: triangle().block(4), InputError, "no block with index 4"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", FAMILY_REFUSALS, ids=range(len(FAMILY_REFUSALS))
+)
+def test_input_refusals(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message

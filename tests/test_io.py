@@ -199,3 +199,34 @@ class TestDumpInstance:
     def test_dump_is_deterministic(self):
         fam = build_family([[3, 1], [2, 3]])
         assert dump_instance(fam) == dump_instance(fam)
+
+
+# Refusals of documents with the wrong shape, each a document, the
+# exception class and the exact message.
+DOCUMENT_REFUSALS = [
+    (parse_instance, '{"blocks": 5}', '"blocks" must be a list of lists of labels'),
+    (parse_instance, '{"blocks": [[1], 2]}', "block 2 must be a list of labels"),
+    (parse_instance, '{"blocks": [[1, "a"]]}', "block 1: labels must be integers, got 'a'"),
+    (parse_instance, '{"blocks": [[1, true]]}', "block 1: labels must be integers, got True"),
+    (parse_instance, '{"blocks": [[1]], "ground": 1}', '"ground" must be a list of labels'),
+    (parse_instance, '{"blocks": [[1]], "ground": [[1]]}',
+     '"ground": labels must be integers, got [1]'),
+    (parse_instance, '{"blocks": [[1]], "weights": [1]}',
+     '"weights" must be a map from label to rational'),
+    (parse_instance, '{"blocks": [[1]], "weights": {"1": [1]}}', "expected a rational, got list"),
+    (parse_instance, '{"blocks": [[1]], "weights": {"1": null}}',
+     "expected a rational, got NoneType"),
+    (parse_weights_document, '{"weights": {"-1": 1}}', "weight label -1 is negative"),
+    (parse_weights_document, '{"weights": [1]}', 'document must hold a "weights" map'),
+    (parse_weights_document, "[]", "document must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, text, message", DOCUMENT_REFUSALS, ids=[row[1] for row in DOCUMENT_REFUSALS]
+)
+def test_document_shape_refusals(parse, text, message):
+    with pytest.raises(InputError) as caught:
+        parse(text)
+    assert type(caught.value) is InputError
+    assert str(caught.value) == message

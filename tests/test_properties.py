@@ -43,7 +43,7 @@ from blockstoch.graphs import (
 from blockstoch.instance_io import dump_instance, parse_instance
 from blockstoch.graphs import frame_circuit, frame_rank
 from blockstoch.oracle import (
-    _block_rows,
+    _column_rows,
     _kernel_vector,
     _rank,
     basis_vertices,
@@ -61,6 +61,8 @@ from helpers import (
     fraction_combination,
     fraction_finish,
     kappa2_sweep,
+    nested_families,
+    restart_normalize,
     walk_census,
 )
 
@@ -154,8 +156,8 @@ def test_frame_core_matches_sparse_kernel_on_seeded_sweep():
             picked = rng.sample(vertices, min(3, len(vertices)))
             supports.append(tuple(sorted({g for v in picked for g in v.support})))
         for supp in supports:
-            rows = _block_rows(fam, supp)
             ends = [fam.gamma[g] for g in supp]
+            rows = _column_rows(ends)
             assert frame_rank(ends) == _rank(rows) == column_rank(ends), (fam.blocks, supp)
             circuit = frame_circuit(ends)
             assert column_circuit(ends) == circuit
@@ -259,6 +261,21 @@ def test_normalize_is_idempotent(fam):
     assert twice.blocks == once.blocks
     assert log.removed_blocks == ()
     assert log.removed_elements == ()
+
+
+def test_normalize_matches_the_restarting_scan_on_seeded_sweep():
+    # one ascending pass against the old loop that restarted its double
+    # scan after every removal: same removals, witnesses and survivors
+    cascades = 0
+    for fam in nested_families(2000, seed=17):
+        reduced, log = normalize(fam)
+        removed, survivors = restart_normalize(fam)
+        assert log.removed_blocks == removed, fam.blocks
+        assert [(b.index, b.members) for b in reduced.blocks] == survivors
+        kept = {g for _, members in survivors for g in members}
+        assert log.removed_elements == tuple(sorted(set(fam.ground) - kept))
+        cascades += len(removed) >= 3
+    assert cascades > 500
 
 
 # Differential checks: the structure questions answered on the block
