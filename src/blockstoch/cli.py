@@ -58,7 +58,16 @@ class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with the input-error code."""
 
     def error(self, message: str) -> None:  # noqa: D102 - argparse override
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"{self.prog}: error: {_elide(message)}\n")
+
+
+def _elide(message: str) -> str:
+    """``message``, or past 200 characters its first 120 and last 40 with
+    the count of those left out between them, so an error stays one
+    readable line whatever the input quotes."""
+    if len(message) <= 200:
+        return message
+    return f"{message[:120]}... ({len(message) - 160} characters omitted) ...{message[-40:]}"
 
 
 def _integer(text: str) -> int:
@@ -416,7 +425,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise InputError("jobs must be at least 1")
         return args.func(args)
     except (InputError, PreconditionError, BudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_elide(str(exc))}", file=sys.stderr)
         return exc.exit_code
 
 

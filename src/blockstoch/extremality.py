@@ -43,6 +43,7 @@ from .graphs import (
     block_vertex_counts,
     build_graph,
     connected_components,
+    frame_circuit,
     is_primitive,
     require_simple,
     shortest_primitive_cycle,
@@ -278,38 +279,6 @@ def _cycle_edge_blocks(
     return blocks
 
 
-def _rotate_cycle(vertices: tuple[int, ...], first: int, second: int) -> tuple[int, ...]:
-    """Reindex a circular vertex list to start (first, second, ...)."""
-    n = len(vertices)
-    i = vertices.index(first)
-    if vertices[(i + 1) % n] == second:
-        return tuple(vertices[(i + k) % n] for k in range(n))
-    if vertices[(i - 1) % n] == second:
-        return tuple(vertices[(i - k) % n] for k in range(n))
-    raise InternalPropertyError("requested cycle start is not an edge")
-
-
-def _other_block(family: SetFamily, element: int, block_index: int) -> int:
-    ks = family.membership(element)
-    if len(ks) != 2 or block_index not in ks:
-        raise InternalPropertyError("element does not join exactly two blocks")
-    return ks[0] if ks[1] == block_index else ks[1]
-
-
-def _chain_to_root(
-    parent: dict[int, tuple[int, int] | None], block_index: int
-) -> tuple[list[int], int]:
-    """The tree path of elements from the root block out to ``block_index``."""
-    elems: list[int] = []
-    b = block_index
-    while parent[b] is not None:
-        e, prev = parent[b]
-        elems.append(e)
-        b = prev
-    elems.reverse()
-    return elems, b
-
-
 def construct_cycle_attachment(
     family: SetFamily,
     w: WeightFunction,
@@ -317,18 +286,20 @@ def construct_cycle_attachment(
 ) -> Witness:
     """Perturb an odd primitive cycle together with the structure behind it.
 
-    The cycle's values move by half steps with alternating signs,
-    leaving one of its blocks short by a full step.  That block is
-    reconnected through a chain of support elements outside the cycle,
-    each moved by a full alternating step, until the imbalance is
-    absorbed: either by an element lying in no further block, or by a
-    second odd primitive cycle, perturbed by half steps of the opposite
-    net sign.  One of the two always exists because every block must
-    sum to one.  The component must contain no even primitive cycle and
-    no two elements with equal membership sets.  Without a ``cycle`` the
+    The perturbation is a circuit of the frame matroid of H through the
+    cycle (Zaslavsky, "Signed graphs", 1982).  The cycle's values move
+    by half steps with alternating signs, leaving one of its blocks
+    short by a full step.  A path of support elements out of that
+    block, each moved by a full alternating step, carries the imbalance
+    until it is absorbed: either by an element lying in no further
+    block, or by a second odd primitive cycle, perturbed by half steps.
+    One of the two always exists because every block must sum to one.
+    The component must contain no even primitive cycle and no two
+    elements with equal membership sets.  Without a ``cycle`` the
     support's shortest odd primitive cycle, lexicographically first
     among equals, is used (:func:`shortest_primitive_cycle`), and the
-    chain is the first a breadth-first search from its blocks finds.
+    circuit is the first that a breadth-first listing of the component
+    from its blocks closes.
     """
     require_stochastic(family, w)
     graph = build_graph(family, within=w.support)
@@ -360,94 +331,59 @@ def _cycle_attachment(
     induced: AssociatedGraph,
     cycle: Path,
 ) -> Witness:
-    """The witness on the graph induced on a component and its odd cycle."""
+    """The witness on the graph induced on a component and its odd cycle.
+
+    The deltas are the first circuit of the frame matroid of H
+    (:func:`frame_circuit`) over the component's elements, listed cycle
+    first in cycle order, then breadth-first from the cycle's blocks,
+    each layer's blocks by index and each block's members by label.  The
+    odd cycle is independent and holds the component's one unbalancing
+    cycle, so the first element rejected is the first that lies in one
+    block or reaches a block met before, and the circuit is the cycle,
+    a tree path out of one cycle block, the anchor, and a half-edge or a
+    second odd cycle.  It is scaled so that the first end of the
+    anchor's cycle edge moves by minus half of epsilon, half the
+    headroom of the circuit's elements.
+    """
     members = set(induced.vertices)
     edge_blocks = _cycle_edge_blocks(family, induced, cycle)
-    cycle_verts = set(cycle.vertices)
-    sources = sorted(set(edge_blocks.values()))
-
-    parent: dict[int, tuple[int, int] | None] = {k: None for k in sources}
-    root_of: dict[int, int] = {k: k for k in sources}
-    used: set[int] = set()
-    frontier = list(sources)
-    half_end: tuple[int, int] | None = None
-    closing: tuple[int, int, int] | None = None
-    while frontier and half_end is None and closing is None:
+    cycle_blocks = set(edge_blocks.values())
+    order = list(cycle.vertices)
+    listed = set(order)
+    seen = set(cycle_blocks)
+    frontier = sorted(cycle_blocks)
+    while frontier:
         upcoming: list[int] = []
         for b_idx in frontier:
             for e in family.block(b_idx).members:
-                if e not in members or e in cycle_verts or e in used:
+                if e not in members or e in listed:
                     continue
-                if len(family.membership(e)) == 1:
-                    half_end = (b_idx, e)
-                    break
-                other = _other_block(family, e, b_idx)
-                if other not in parent:
-                    parent[other] = (e, b_idx)
-                    root_of[other] = root_of[b_idx]
-                    used.add(e)
-                    upcoming.append(other)
-                else:
-                    if root_of[other] != root_of[b_idx]:
-                        raise InternalPropertyError(
-                            "two cycle blocks are joined outside the cycle"
-                            " despite the even-cycle check"
-                        )
-                    closing = (e, b_idx, other)
-                    break
-            if half_end is not None or closing is not None:
-                break
+                order.append(e)
+                listed.add(e)
+                for k in family.membership(e):
+                    if k not in seen:
+                        seen.add(k)
+                        upcoming.append(k)
         frontier = sorted(upcoming)
-    if half_end is None and closing is None:
+    circuit = frame_circuit([family.membership(e) for e in order])
+    if circuit is None:
         raise ConditionsViolatedError(
             "no support element is attached to the cycle's blocks"
         )
-
-    if half_end is not None:
-        end_block, z = half_end
-        chain, anchor_block = _chain_to_root(parent, end_block)
-        tail: list[int] = [z]
-        second: list[int] = []
-    else:
-        e, b1, b2 = closing
-        chain1, r1 = _chain_to_root(parent, b1)
-        chain2, r2 = _chain_to_root(parent, b2)
-        if r1 != r2:
-            raise InternalPropertyError("closing element joins two different roots")
-        shared = 0
-        while (
-            shared < len(chain1)
-            and shared < len(chain2)
-            and chain1[shared] == chain2[shared]
-        ):
-            shared += 1
-        chain = chain1[:shared]
-        anchor_block = r1
-        tail = []
-        second = chain1[shared:] + [e] + list(reversed(chain2[shared:]))
-        if len(second) % 2 == 0 or len(second) < 3:
-            raise InternalPropertyError("the closed walk is not a second odd cycle")
-
-    anchor_edge = next(
-        edge for edge, k in edge_blocks.items() if k == anchor_block
-    )
-    seq = _rotate_cycle(cycle.vertices, anchor_edge[0], anchor_edge[1])
-    perturbed = set(seq) | set(chain) | set(tail) | set(second)
-    slack = _headroom(w, perturbed)
+    n = len(cycle.vertices)
+    if any(c not in circuit for c in range(n)):
+        raise InternalPropertyError("the circuit misses a cycle element")
+    met = {k for c in circuit if c >= n for k in family.membership(order[c])}
+    anchors = met & cycle_blocks
+    if len(anchors) != 1:
+        raise InternalPropertyError(
+            "the circuit does not leave the cycle at exactly one block"
+        )
+    first = next(edge[0] for edge, k in edge_blocks.items() if k in anchors)
+    slack = _headroom(w, (order[c] for c in circuit))
     epsilon = slack / 2
-    deltas = {seq[0]: -epsilon / 2}
-    for i in range(2, len(seq) + 1):
-        deltas[seq[i - 1]] = Fraction((-1) ** (i - 1)) * epsilon / 2
-    t = 0
-    for e in chain + tail:
-        deltas[e] = Fraction((-1) ** t) * epsilon
-        t += 1
-    if second:
-        lead = Fraction((-1) ** t)
-        deltas[second[0]] = lead * epsilon / 2
-        deltas[second[-1]] = lead * epsilon / 2
-        for k in range(2, len(second)):
-            deltas[second[k - 1]] = lead * Fraction((-1) ** (k - 1)) * epsilon / 2
+    scale = -epsilon / 2 / circuit[cycle.vertices.index(first)]
+    deltas = {order[c]: v * scale for c, v in circuit.items()}
     return _finish(family, w, deltas, epsilon, slack, "cycle_attachment")
 
 

@@ -23,7 +23,9 @@ search, the odd cycle search) are answered by one BFS two-coloring of H,
 and whether an even cycle exists by its biconnected components.
 Linear algebra on the block-sum columns is the frame matroid of H
 (:func:`frame_rank`, :func:`frame_circuit`): an edge's column is
-e_a + e_b and a half-edge's is e_a.
+e_a + e_b and a half-edge's is e_a.  The same core gives ``decompose``
+its kernel vectors and the cycle-attachment witness its perturbation,
+the circuit through an odd cycle listed first.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
-from blockstoch import graphs
+from blockstoch import extremality, graphs
 from blockstoch.cli import gen_random
 from blockstoch.errors import (
+    ConditionsViolatedError,
     GeneratorInconsistentError,
     InternalPropertyError,
     UnknownElementError,
@@ -609,3 +610,187 @@ def random_truncation(generator, n, denominator, rng, width=3):
     if any(total > denominator for total in sums.values()):
         return None
     return weights
+
+
+# The chain-and-sign cycle attachment, kept as the reference for the frame
+# circuit witness of blockstoch.extremality.
+
+
+def _rotate_cycle(vertices: tuple[int, ...], first: int, second: int) -> tuple[int, ...]:
+    """Reindex a circular vertex list to start (first, second, ...)."""
+    n = len(vertices)
+    i = vertices.index(first)
+    if vertices[(i + 1) % n] == second:
+        return tuple(vertices[(i + k) % n] for k in range(n))
+    if vertices[(i - 1) % n] == second:
+        return tuple(vertices[(i - k) % n] for k in range(n))
+    raise InternalPropertyError("requested cycle start is not an edge")
+
+
+def _other_block(family: SetFamily, element: int, block_index: int) -> int:
+    ks = family.membership(element)
+    if len(ks) != 2 or block_index not in ks:
+        raise InternalPropertyError("element does not join exactly two blocks")
+    return ks[0] if ks[1] == block_index else ks[1]
+
+
+def _chain_to_root(
+    parent: dict[int, tuple[int, int] | None], block_index: int
+) -> tuple[list[int], int]:
+    """The tree path of elements from the root block out to ``block_index``."""
+    elems: list[int] = []
+    b = block_index
+    while parent[b] is not None:
+        e, prev = parent[b]
+        elems.append(e)
+        b = prev
+    elems.reverse()
+    return elems, b
+
+
+def chain_cycle_attachment(
+    family: SetFamily,
+    w: WeightFunction,
+    induced: AssociatedGraph,
+    cycle: Path,
+) -> Witness:
+    """``extremality._cycle_attachment`` as a breadth-first search from the
+    cycle's blocks that records each block's parent and root, stops at a
+    half-edge or at an element closing a second odd cycle, and signs the
+    cycle, the chain to the anchor and the tail or second cycle by hand."""
+    members = set(induced.vertices)
+    edge_blocks = extremality._cycle_edge_blocks(family, induced, cycle)
+    cycle_verts = set(cycle.vertices)
+    sources = sorted(set(edge_blocks.values()))
+
+    parent: dict[int, tuple[int, int] | None] = {k: None for k in sources}
+    root_of: dict[int, int] = {k: k for k in sources}
+    used: set[int] = set()
+    frontier = list(sources)
+    half_end: tuple[int, int] | None = None
+    closing: tuple[int, int, int] | None = None
+    while frontier and half_end is None and closing is None:
+        upcoming: list[int] = []
+        for b_idx in frontier:
+            for e in family.block(b_idx).members:
+                if e not in members or e in cycle_verts or e in used:
+                    continue
+                if len(family.membership(e)) == 1:
+                    half_end = (b_idx, e)
+                    break
+                other = _other_block(family, e, b_idx)
+                if other not in parent:
+                    parent[other] = (e, b_idx)
+                    root_of[other] = root_of[b_idx]
+                    used.add(e)
+                    upcoming.append(other)
+                else:
+                    if root_of[other] != root_of[b_idx]:
+                        raise InternalPropertyError(
+                            "two cycle blocks are joined outside the cycle"
+                            " despite the even-cycle check"
+                        )
+                    closing = (e, b_idx, other)
+                    break
+            if half_end is not None or closing is not None:
+                break
+        frontier = sorted(upcoming)
+    if half_end is None and closing is None:
+        raise ConditionsViolatedError(
+            "no support element is attached to the cycle's blocks"
+        )
+
+    if half_end is not None:
+        end_block, z = half_end
+        chain, anchor_block = _chain_to_root(parent, end_block)
+        tail: list[int] = [z]
+        second: list[int] = []
+    else:
+        e, b1, b2 = closing
+        chain1, r1 = _chain_to_root(parent, b1)
+        chain2, r2 = _chain_to_root(parent, b2)
+        if r1 != r2:
+            raise InternalPropertyError("closing element joins two different roots")
+        shared = 0
+        while (
+            shared < len(chain1)
+            and shared < len(chain2)
+            and chain1[shared] == chain2[shared]
+        ):
+            shared += 1
+        chain = chain1[:shared]
+        anchor_block = r1
+        tail = []
+        second = chain1[shared:] + [e] + list(reversed(chain2[shared:]))
+        if len(second) % 2 == 0 or len(second) < 3:
+            raise InternalPropertyError("the closed walk is not a second odd cycle")
+
+    anchor_edge = next(
+        edge for edge, k in edge_blocks.items() if k == anchor_block
+    )
+    seq = _rotate_cycle(cycle.vertices, anchor_edge[0], anchor_edge[1])
+    perturbed = set(seq) | set(chain) | set(tail) | set(second)
+    slack = extremality._headroom(w, perturbed)
+    epsilon = slack / 2
+    deltas = {seq[0]: -epsilon / 2}
+    for i in range(2, len(seq) + 1):
+        deltas[seq[i - 1]] = Fraction((-1) ** (i - 1)) * epsilon / 2
+    t = 0
+    for e in chain + tail:
+        deltas[e] = Fraction((-1) ** t) * epsilon
+        t += 1
+    if second:
+        lead = Fraction((-1) ** t)
+        deltas[second[0]] = lead * epsilon / 2
+        deltas[second[-1]] = lead * epsilon / 2
+        for k in range(2, len(second)):
+            deltas[second[k - 1]] = lead * Fraction((-1) ** (k - 1)) * epsilon / 2
+    return extremality._finish(family, w, deltas, epsilon, slack, "cycle_attachment")
+
+
+def odd_ring_cacti(count: int, seed: int):
+    """Seeded families whose block multigraph is one to three odd rings of
+    3, 5 or 7 blocks joined in a tree by paths of one to four elements,
+    with pendant paths of up to three elements, some ending in a
+    half-edge, and half-edges on random blocks (one per block at most, so
+    no two elements share their blocks).  Labels are shuffled, so the
+    breadth-first scans meet members in varied orders."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        blocks: list[list[int]] = []
+        ends: list[tuple[int, ...]] = []
+        halves: set[int] = set()
+
+        def grow(start: int, length: int) -> int:
+            for _ in range(length):
+                blocks.append([])
+                ends.append((start, len(blocks) - 1))
+                start = len(blocks) - 1
+            return start
+
+        def half_edge(b: int) -> None:
+            if b not in halves:
+                halves.add(b)
+                ends.append((b,))
+
+        rings: list[int] = []
+        for _ in range(rng.randint(1, 3)):
+            n = rng.choice((3, 5, 7))
+            first = len(blocks)
+            blocks += [[] for _ in range(n)]
+            ends += [(first + j, first + (j + 1) % n) for j in range(n)]
+            if rings:
+                tip = grow(rng.choice(rings), rng.randint(0, 3))
+                ends.append((tip, rng.randrange(first, first + n)))
+            rings += range(first, first + n)
+        for _ in range(rng.randint(0, 3)):
+            tip = grow(rng.randrange(len(blocks)), rng.randint(1, 3))
+            if rng.random() < 0.6:
+                half_edge(tip)
+        for _ in range(rng.randint(0, 2)):
+            half_edge(rng.randrange(len(blocks)))
+        labels = rng.sample(range(1, 4 * len(ends)), len(ends))
+        for g, e in zip(labels, ends):
+            for b in e:
+                blocks[b].append(g)
+        yield build_family([b for b in blocks if b])

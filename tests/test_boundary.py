@@ -1,10 +1,11 @@
 """The text boundary: every subcommand, fed malformed or extreme text,
-exits 0 to 3, and a non-zero exit prints one ``error:`` line on stderr.
+exits 0 to 3, and a non-zero exit prints one ``error:`` line on stderr,
+at most 250 characters long whatever the input quotes.
 
 A seeded sweep feeds each subcommand broken JSON and empty files,
-5000-digit labels, values and flags, non-ASCII digits, negative and zero
-sizes, and random one-character edits of small valid documents.  Nothing
-may raise out of ``cli.main``.
+5000-digit labels, values and flags, 5000-letter keys and flags,
+non-ASCII digits, negative and zero sizes, and random one-character
+edits of small valid documents.  Nothing may raise out of ``cli.main``.
 """
 
 import json
@@ -13,7 +14,7 @@ import sys
 
 import pytest
 
-from blockstoch.cli import main
+from blockstoch.cli import _elide, main
 
 BIG = "7" * 5000
 # Python 3.10 reads any number of digits; there a 5000-digit --samples
@@ -42,6 +43,8 @@ DOCUMENTS = [
     '{"blocks": [[0, 1]], "ground": [-3]}',
     '{"blocks": [[%s]]}' % BIG,
     '{"blocks": [[1, 2]], "weights": {"%s": 1}}' % BIG,
+    '{"blocks": [[1, 2]], "weights": {"%s": 1}}' % ("x" * 5000),
+    '{"blocks": [[1, 2]], "weights": {"%s": 1}}' % ("9" * 4000),
     '{"blocks": [[1, 2]], "weights": {"1": "1/%s"}}' % BIG,
     '{"blocks": [[1, 2]], "weights": {"1": %s}}' % BIG,
     '{"blocks": [[1, 2]], "weights": {"١": "1/2", "2": "1/2"}}',
@@ -57,6 +60,7 @@ DOCUMENTS = [
         }
     ),
     json.dumps({"blocks": [[1, 2]], "weights": {"1": f"1/{P}", "2": f"1/{Q}"}}),
+    json.dumps({"weights": {"1": f"1/{P}", "2": f"1/{Q}"}}),
     json.dumps({"blocks": [[1], [1, 2], [2]], "weights": {"1": f"1/{P}"}}),
 ]
 DOCUMENT_COMMANDS = [
@@ -84,7 +88,7 @@ FLAGS = {
         "--jobs": "1",
     },
 }
-FLAG_VALUES = ["0", "-1", "-7", "٦", "1_0", "", "1.0", " 2 ", "+2"]
+FLAG_VALUES = ["0", "-1", "-7", "٦", "1_0", "", "1.0", " 2 ", "+2", "x" * 5000]
 if HAS_DIGIT_LIMIT:
     FLAG_VALUES += [BIG, "-" + BIG]
 
@@ -158,6 +162,17 @@ def test_every_subcommand_exits_with_one_error_line(tmp_path, capsys, digit_limi
         err = capsys.readouterr().err
         if code not in (0, 1, 2, 3):
             escapes.append(f"{label}: exit {code!r}")
-        elif code and (len(err.splitlines()) != 1 or "error: " not in err):
+        elif code and (
+            len(err.splitlines()) != 1
+            or "error: " not in err
+            or len(err.rstrip("\n")) > 250
+        ):
             escapes.append(f"{label}: exit {code} with stderr {err[:120]!r}")
     assert not escapes, "\n".join(escapes)
+
+
+def test_long_messages_keep_their_ends():
+    short = "m" * 200
+    assert _elide(short) == short
+    long = "a" * 120 + "b" * 4840 + "c" * 40
+    assert _elide(long) == "a" * 120 + "... (4840 characters omitted) ..." + "c" * 40

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from blockstoch import graphs
+from blockstoch import extremality, graphs
 from blockstoch.cli import main
 from blockstoch.family import build_family, max_multiplicity
 
@@ -449,6 +449,28 @@ class TestValidate:
         out = capsys.readouterr().out
         assert code == 0
         assert "discrepancies: 0" in out
+
+    def test_discrepancies_are_listed(self, tmp_path, capsys, monkeypatch):
+        # a classifier that calls everything unsupported: the square's two
+        # vertices are not extreme and its mixtures have no witness
+        def unsupported(family, w):
+            return extremality.Verdict("unsupported", None, "patched")
+
+        monkeypatch.setattr(extremality, "classify_extreme", unsupported)
+        doc = {"blocks": [[1, 2], [2, 3], [3, 4], [4, 1]]}
+        code = main(["validate", write(tmp_path, doc), "--samples", "2"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[:3] == ["vertex count: 2", "samples checked: 2", "discrepancies: 4"]
+        assert lines[3:5] == [
+            "  vertex {1: Fraction(1, 1), 3: Fraction(1, 1)} classified unsupported",
+            "  vertex {2: Fraction(1, 1), 4: Fraction(1, 1)} classified unsupported",
+        ]
+        assert all(
+            line.startswith("  mixture ") and line.endswith(" classified unsupported")
+            for line in lines[5:7]
+        )
+        assert lines[7:] == ["agreement: no"]
 
     def test_high_multiplicity_is_exit_two(self, tmp_path, capsys):
         doc = {"blocks": [[1, 2], [1, 3], [1, 4]]}

@@ -174,6 +174,16 @@ class TestExtendTruncation:
         assert report.vertex_input is True
         assert report.vertex_shadow is True
 
+    def test_step_inside_the_first_blocks_is_not_fresh(self):
+        # the walk from depth 1 read at depth 2: its first step, element 3
+        # in blocks 2 and 3, now lies in the first n blocks
+        gen = PathGenerator()
+        w = WeightFunction({1: F(1)})
+        result = extend_truncation(gen, Truncation(1, w), horizon=10)
+        report = verify_extension(result, gen, Truncation(2, w))
+        assert "chosen element 3 is not fresh" in report.violations
+        assert not report.ok
+
     def test_half_half_path_completion(self):
         gen = PathGenerator()
         trunc = Truncation(1, WeightFunction({1: HALF, 2: HALF}))

@@ -12,6 +12,7 @@ from blockstoch.errors import (
     InternalPropertyError,
     NotSimpleCycleError,
     NotStochasticError,
+    PreconditionError,
 )
 from blockstoch.extremality import (
     Witness,
@@ -29,7 +30,13 @@ from blockstoch.family import (
 from blockstoch.graphs import Path
 from blockstoch.oracle import enumerate_vertices
 
-from helpers import count_calls, kappa2_sweep, odd_ring_chain
+from helpers import (
+    chain_cycle_attachment,
+    count_calls,
+    kappa2_sweep,
+    odd_ring_cacti,
+    odd_ring_chain,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -283,6 +290,118 @@ class TestOddCycleChains:
         verdict = classify_extreme(fam, w)
         assert verdict.witness.construction == "cycle_attachment"
         assert_valid_witness(fam, w, verdict.witness)
+
+
+def _outcome(call):
+    """What ``call`` returns, or the class and message of its refusal."""
+    try:
+        return call()
+    except (PreconditionError, InternalPropertyError) as exc:
+        return type(exc), str(exc)
+
+
+def _mean(vertices):
+    total = WeightFunction.zero()
+    for vertex in vertices:
+        total = total + vertex.scaled(F(1, len(vertices)))
+    return total
+
+
+def _points(fam):
+    """Every vertex, the midpoint of each two consecutive ones and the
+    mean of all of them."""
+    vertices = enumerate_vertices(fam)
+    if not vertices:
+        return []
+    mids = [a.scaled(HALF) + b.scaled(HALF) for a, b in zip(vertices, vertices[1:])]
+    return [*vertices, *mids, _mean(vertices)]
+
+
+def _attachment_shape(fam, w, witness):
+    """How the witness ends, at a half-edge or a second odd cycle, and the
+    length of its chain: the elements moved by a full step, less the
+    half-edge."""
+    full = [
+        g for g in w.support
+        if abs(witness.w_plus.value(g) - w.value(g)) == witness.epsilon
+    ]
+    half_edge = any(len(fam.membership(g)) == 1 for g in full)
+    return "half-edge" if half_edge else "second cycle", len(full) - half_edge
+
+
+class TestCycleAttachmentAgainstChains:
+    """The frame circuit witness equals the chain builder's it replaced,
+    on every classification and on every odd primitive cycle of each
+    support handed to the public constructor, refusals included."""
+
+    @staticmethod
+    def _compare(monkeypatch, call):
+        new = _outcome(call)
+        with monkeypatch.context() as m:
+            m.setattr(extremality, "_cycle_attachment", chain_cycle_attachment)
+            old = _outcome(call)
+        assert new == old
+        return new
+
+    def _compare_point(self, monkeypatch, fam, w):
+        """The verdict, and the constructor's outcome on each odd cycle."""
+        verdict = self._compare(monkeypatch, lambda: classify_extreme(fam, w))
+        graph = graphs.build_graph(fam, within=w.support)
+        doors = [
+            self._compare(
+                monkeypatch, lambda: construct_cycle_attachment(fam, w, cycle)
+            )
+            for cycle in graphs.find_primitive_cycles(graph, fam, parity="odd")
+        ]
+        return verdict, doors
+
+    def test_sweep_mixtures(self, monkeypatch):
+        witnesses = doors = 0
+        for fam in kappa2_sweep():
+            for w in _points(fam):
+                verdict, outcomes = self._compare_point(monkeypatch, fam, w)
+                witnesses += bool(
+                    verdict.witness and verdict.witness.construction == "cycle_attachment"
+                )
+                doors += sum(isinstance(o, Witness) for o in outcomes)
+        assert witnesses > 0 and doors > 0
+
+    def test_odd_ring_cacti(self, monkeypatch):
+        shapes = set()
+        refusals = 0
+        for fam in odd_ring_cacti(200, 7):
+            for w in _points(fam):
+                _, outcomes = self._compare_point(monkeypatch, fam, w)
+                for outcome in outcomes:
+                    if isinstance(outcome, Witness):
+                        ending, chain = _attachment_shape(fam, w, outcome)
+                        shapes.add((ending, min(chain, 3)))
+                    else:
+                        refusals += 1
+        assert {ending for ending, _ in shapes} == {"half-edge", "second cycle"}
+        assert {chain for _, chain in shapes} == {0, 1, 2, 3}
+        assert refusals > 0
+
+    @pytest.mark.parametrize("k, n", [(24, 5), (2, 801)])
+    def test_odd_ring_chains(self, monkeypatch, k, n):
+        blocks, weights = odd_ring_chain(k, n)
+        fam, w = build_family(blocks), WeightFunction(weights)
+        verdict, doors = self._compare_point(monkeypatch, fam, w)
+        assert verdict.witness.construction == "cycle_attachment"
+        assert len(doors) == k
+        assert all(isinstance(o, Witness) for o in doors)
+
+    def test_circuit_off_the_cycle_is_an_internal_error(self):
+        # a pentagon of blocks with element 6 joining blocks 0 and 2: the
+        # even-cycle check is bypassed, and the circuit element 6 closes
+        # is the square 6 3 4 5, which misses the pentagon's elements 1, 2
+        fam = build_family([[1, 5, 6], [1, 2], [2, 3, 6], [3, 4], [4, 5]])
+        w = WeightFunction({g: F(1, 3) for g in range(1, 7)})
+        pentagon = Path((1, 2, 3, 4, 5), is_cycle=True)
+        with pytest.raises(
+            InternalPropertyError, match="the circuit misses a cycle element"
+        ):
+            extremality._cycle_attachment(fam, w, graphs.build_graph(fam), pentagon)
 
 
 class TestFinishSelfChecks:

@@ -123,6 +123,11 @@ class TestPrimitivePaths:
         assert sorted(p.vertices for p in paths) == [(1, 0, 4), (1, 2, 3, 4)]
         assert not unique_primitive_paths(graph, fam)
 
+    def test_path_from_a_vertex_to_itself(self):
+        fam = build_family([[0, 1, 2], [0, 2, 3], [0, 3, 4]])
+        paths = enumerate_primitive_paths(build_graph(fam), fam, 2, 2)
+        assert paths == (Path((2,)),)
+
     def test_shortest_primitive_path(self):
         fam = build_family([[0, 1, 2], [0, 2, 3], [0, 3, 4]])
         graph = build_graph(fam)
