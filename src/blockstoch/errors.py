@@ -81,7 +81,3 @@ class HorizonExhaustedError(BudgetError):
 
 class InternalPropertyError(AssertionError):
     """A property guaranteed by the theory failed; indicates a bug."""
-
-
-class MultipleEntryVertexError(InternalPropertyError):
-    """A block met a propagation layer in more than one vertex."""

@@ -742,8 +742,9 @@ def approximate_by_extremes(
     into extreme points of the truncated polytope (inequality blocks get
     slack elements), and each extreme point is completed through
     ``extend_truncation``.  The same convex combination of completions
-    is then compared with the original: the report lists the exact block
-    and element gaps up to the horizon.  Deeper truncations can only see
+    is then compared with the original: the report lists the exact gaps
+    of the blocks up to the horizon and of every label whose first block
+    is one of them.  Deeper truncations can only see
     more of the original, so the gaps over a fixed initial range shrink
     as ``n`` grows; the report makes that measurable rather than
     assumed.
@@ -794,17 +795,17 @@ def approximate_by_extremes(
     combined_scale = lcm(scale, _common_denominator(combined))
     # only the combination's labels outside w_full's support are new
     fresh, _ = _label_index(generator, [g for g in combined.support if g not in gammas])
-    combined_sums = _block_sums(_numerators(combined, combined_scale), gammas | fresh)
+    gammas |= fresh
+    combined_sums = _block_sums(_numerators(combined, combined_scale), gammas)
     factor = combined_scale // scale
     block_gap: dict[int, Fraction] = {}
     for k in range(1, last_block + 1):
         gap = abs(sums.get(k, 0) * factor - combined_sums.get(k, 0))
         block_gap[k] = Fraction(gap, combined_scale)
     element_gap: dict[int, Fraction] = {}
-    # the other labels of the combination are chosen ones, fresh beyond n
-    for g, value in star.items():
-        gap = abs(value - combined.value(g))
-        if gap != 0:
+    for g in sorted(gammas):
+        gap = abs(w_full.value(g) - combined.value(g))
+        if gap != 0 and min(gammas[g]) <= last_block:
             element_gap[g] = gap
     report = ApproximationReport(
         n=n,

@@ -8,7 +8,10 @@ perturbation in two opposite directions, and the constructions here
 build that pair of stochastic weight functions so callers can check
 non-extremality by hand.  Every witness is validated before it is
 returned: both halves must be stochastic, average back to the input,
-and differ.
+and differ.  The support is read through its blocks, one breadth-first
+pass per component; an element graph is built only to search for an
+even cycle and for the checks of a cycle handed to the public
+constructor.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .errors import (
     ConditionsViolatedError,
     EvenCyclePresentError,
     InternalPropertyError,
-    MultipleEntryVertexError,
     NotSimpleCycleError,
 )
 from .family import (
@@ -35,14 +37,13 @@ from .family import (
 )
 from .family import _block_sums, _common_denominator, _from_numerators, _numerators
 from .graphs import (
-    AssociatedGraph,
     Path,
-    _multigraph_edges,
+    _has_even_cycle,
+    _multigraph_cycles,
     _shortest_cycle,
-    bfs_layers,
+    block_multigraph,
     block_vertex_counts,
     build_graph,
-    connected_components,
     frame_circuit,
     is_primitive,
     require_simple,
@@ -190,92 +191,75 @@ def construct_tree_propagation(
     if len(comp) < 2:
         raise ConditionsViolatedError("a single saturated element cannot be perturbed")
     _require_distinct_pairs(family, comp)
-    induced = build_graph(family, within=comp)
-    if len(connected_components(induced)) != 1:
+    tree = _spread(family, set(comp), comp[0])
+    if len(tree) != len(comp):
         raise ConditionsViolatedError("the component is not connected")
     edges = sum(len(family.membership(g)) == 2 for g in comp)
     if edges >= len({k for g in comp for k in family.membership(g)}):
         raise ConditionsViolatedError("the component contains a primitive cycle")
-    return _tree_propagation(family, w, induced)
+    return _tree_propagation(family, w, tree)
+
+
+def _spread(family: SetFamily, members: set[int], root: int) -> dict[int, int | None]:
+    """The elements of ``members`` reachable from ``root`` through shared
+    blocks, in breadth-first order, each mapped to the element whose
+    block reached it first (the root to None).  Each block is entered
+    once, so the cost is the size of the blocks met."""
+    tree: dict[int, int | None] = {root: None}
+    queue = [root]
+    entered: set[int] = set()
+    for u in queue:
+        for k in family.membership(u):
+            if k in entered:
+                continue
+            entered.add(k)
+            for g in family.block(k).members:
+                if g in members and g not in tree:
+                    tree[g] = u
+                    queue.append(g)
+    return tree
 
 
 def _tree_propagation(
-    family: SetFamily, w: WeightFunction, induced: AssociatedGraph
+    family: SetFamily, w: WeightFunction, tree: dict[int, int | None]
 ) -> Witness:
-    """The witness on the graph induced on a cycle-free component.
+    """The witness on a cycle-free component, given as its :func:`_spread`
+    from its smallest element, the root.
 
     Signed multiplicative deltas spread a safe fraction outward from the
-    smallest element, the root.  Each block meeting the component in at
-    least two elements must have a unique element closest to the root;
-    the perturbation fraction of its remaining elements is scaled so the
-    block sum is preserved, and the sign alternates with the distance
-    from the root.
+    root.  With no cycle and distinct memberships, each block is first
+    entered from its one element closest to the root, the parent of its
+    others: their signed fraction is minus the parent's times w/(1 - w)
+    of the parent, so the block sum is preserved.
     """
-    comp = induced.vertices
-    members = set(comp)
-    root = comp[0]
+    root = next(iter(tree))
     w0 = w.value(root)
     slack = min(HALF, (1 - w0) / (2 * w0))
     epsilon = slack / 2
-    layers = bfs_layers(induced, root)
-    if set(layers) != members:
-        raise InternalPropertyError("the pool is not connected")
-    touched: list[tuple[int, int, list[int]]] = []
-    for b in family.blocks:
-        elems = [g for g in b.members if g in members]
-        if len(elems) < 2:
-            continue
-        touched.append((min(layers[g] for g in elems), b.index, elems))
     factors: dict[int, Fraction] = {root: epsilon}
-    for lmin, _, elems in sorted(touched, key=lambda t: (t[0], t[1])):
-        lmax = max(layers[g] for g in elems)
-        if lmax == lmin:
-            raise MultipleEntryVertexError(
-                "a block lies in a single layer and has no entry element"
-            )
-        if lmax != lmin + 1:
-            raise InternalPropertyError("a block spans more than two layers")
-        entries = [g for g in elems if layers[g] == lmin]
-        if len(entries) != 1:
-            raise MultipleEntryVertexError(
-                "a block has more than one element closest to the root"
-            )
-        a = entries[0]
-        if a not in factors:
-            raise InternalPropertyError("entry element processed out of order")
-        if w.value(a) >= 1:
+    for g, parent in tree.items():
+        if parent is None:
+            continue
+        a = w.value(parent)
+        if a >= 1:
             raise InternalPropertyError("saturated element inside a component")
-        child_factor = factors[a] * w.value(a) / (1 - w.value(a))
-        for c in elems:
-            if layers[c] == lmax:
-                if c in factors:
-                    raise MultipleEntryVertexError(
-                        "an element is reached through two different blocks"
-                    )
-                factors[c] = child_factor
-    if set(factors) != members:
-        raise InternalPropertyError("some pool elements were never reached")
-    if any(f >= 1 for f in factors.values()):
+        factors[g] = -factors[parent] * a / (1 - a)
+    if any(abs(f) >= 1 for f in factors.values()):
         raise InternalPropertyError("a propagated fraction reached one")
-    deltas = {
-        v: w.value(v) * factors[v] * (1 if layers[v] % 2 == 0 else -1)
-        for v in comp
-    }
+    deltas = {v: w.value(v) * f for v, f in factors.items()}
     return _finish(family, w, deltas, epsilon, slack, "tree_propagation")
 
 
-def _cycle_edge_blocks(
-    family: SetFamily, graph: AssociatedGraph, cycle: Path
-) -> dict[tuple[int, int], int]:
+def _cycle_edge_blocks(family: SetFamily, cycle: Path) -> dict[tuple[int, int], int]:
     """The unique block of each cycle edge, keyed by the ordered pair."""
     blocks: dict[tuple[int, int], int] = {}
     for a, b in cycle.edges():
-        ks = graph.blocks_of_edge(a, b)
+        ks = set(family.membership(a)) & set(family.membership(b))
         if len(ks) != 1:
             raise InternalPropertyError(
                 "a cycle edge lies in several blocks despite distinct memberships"
             )
-        blocks[(a, b)] = ks[0]
+        blocks[(a, b)] = ks.pop()
     return blocks
 
 
@@ -312,26 +296,22 @@ def construct_cycle_attachment(
         raise NotSimpleCycleError("an odd cycle is required")
     if not is_primitive(family, cycle):
         raise ConditionsViolatedError("the cycle is not primitive")
-    comp = tuple(sorted(bfs_layers(graph, cycle.vertices[0])))
+    comp = tuple(sorted(_spread(family, set(w.support), cycle.vertices[0])))
     if not set(cycle.vertices) <= set(comp):
         raise InternalPropertyError("cycle spans several components")
     _require_distinct_pairs(family, comp)
-    induced = _component_graph(graph, comp)
-    if shortest_primitive_cycle(induced, family, parity="even") is not None:
+    if _has_even_cycle(block_multigraph(family, comp)[1]):
         raise EvenCyclePresentError(
             "the component contains an even primitive cycle;"
             " a two-coloring witness applies instead"
         )
-    return _cycle_attachment(family, w, induced, cycle)
+    return _cycle_attachment(family, w, comp, cycle)
 
 
 def _cycle_attachment(
-    family: SetFamily,
-    w: WeightFunction,
-    induced: AssociatedGraph,
-    cycle: Path,
+    family: SetFamily, w: WeightFunction, comp: tuple[int, ...], cycle: Path
 ) -> Witness:
-    """The witness on the graph induced on a component and its odd cycle.
+    """The witness on a support component ``comp`` and its odd cycle.
 
     The deltas are the first circuit of the frame matroid of H
     (:func:`frame_circuit`) over the component's elements, listed cycle
@@ -345,8 +325,8 @@ def _cycle_attachment(
     anchor's cycle edge moves by minus half of epsilon, half the
     headroom of the circuit's elements.
     """
-    members = set(induced.vertices)
-    edge_blocks = _cycle_edge_blocks(family, induced, cycle)
+    members = set(comp)
+    edge_blocks = _cycle_edge_blocks(family, cycle)
     cycle_blocks = set(edge_blocks.values())
     order = list(cycle.vertices)
     listed = set(order)
@@ -387,21 +367,16 @@ def _cycle_attachment(
     return _finish(family, w, deltas, epsilon, slack, "cycle_attachment")
 
 
-def _is_odd_cycle_component(
-    family: SetFamily, graph: AssociatedGraph, comp: tuple[int, ...]
-) -> bool:
-    if len(comp) < 3 or len(comp) % 2 == 0:
-        return False
-    if any(len(graph.neighbors_of(v)) != 2 for v in comp):
-        return False
-    return all(c <= 2 for c in block_vertex_counts(family, comp).values())
-
-
-def _component_graph(graph: AssociatedGraph, comp: tuple[int, ...]) -> AssociatedGraph:
-    """``graph`` read over its component ``comp``, closed under adjacency."""
-    neighbors = {g: graph.neighbors[g] for g in comp}
-    edges = {(g, h): graph.edge_blocks[g, h] for g in comp for h in neighbors[g] if g < h}
-    return AssociatedGraph(comp, neighbors, edges)
+def _is_odd_cycle(family: SetFamily, comp: tuple[int, ...]) -> bool:
+    """Whether a support component is an odd primitive cycle: an odd
+    number of three or more elements, each in two blocks, and each of
+    their blocks holding two of them."""
+    return (
+        len(comp) >= 3
+        and len(comp) % 2 == 1
+        and all(len(family.membership(g)) == 2 for g in comp)
+        and all(c == 2 for c in block_vertex_counts(family, comp).values())
+    )
 
 
 def classify_extreme(family: SetFamily, w: WeightFunction) -> Verdict:
@@ -414,7 +389,8 @@ def classify_extreme(family: SetFamily, w: WeightFunction) -> Verdict:
     structure of the first offending component: a two-coloring for an
     even primitive cycle or an equal-membership pair, a multiplicative
     propagation for a cycle-free component, and a cycle-attachment
-    perturbation otherwise.
+    perturbation otherwise.  The components are read through their
+    blocks (:func:`_spread`), each from its smallest element.
     """
     require_stochastic(family, w)
     if max_multiplicity(family) > 2:
@@ -423,22 +399,27 @@ def classify_extreme(family: SetFamily, w: WeightFunction) -> Verdict:
             witness=None,
             detail="an element lies in more than two blocks",
         )
-    graph = build_graph(family, within=w.support)
-    comps = connected_components(graph)
+    members = set(w.support)
+    seen: set[int] = set()
     saturated = 0
     cycles = 0
-    bad: tuple[int, ...] | None = None
-    for comp in comps:
+    bad: dict[int, int | None] | None = None
+    for root in w.support:
+        if root in seen:
+            continue
+        tree = _spread(family, members, root)
+        seen.update(tree)
+        comp = tuple(sorted(tree))
         if len(comp) == 1:
-            if w.value(comp[0]) != 1:
+            if w.value(root) != 1:
                 raise InternalPropertyError("isolated support element not saturated")
             saturated += 1
-        elif _is_odd_cycle_component(family, graph, comp):
+        elif _is_odd_cycle(family, comp):
             if any(w.value(v) != HALF for v in comp):
                 raise InternalPropertyError("odd cycle component not at one half")
             cycles += 1
         elif bad is None:
-            bad = comp
+            bad = tree
     if bad is None:
         return Verdict(
             kind="extreme",
@@ -448,41 +429,49 @@ def classify_extreme(family: SetFamily, w: WeightFunction) -> Verdict:
                 f" and {cycles} odd primitive cycle(s)"
             ),
         )
-    witness = _witness_for_component(family, w, _component_graph(graph, bad))
+    witness = _witness_for_component(family, w, bad)
     return Verdict(
         kind="not_extreme",
         witness=witness,
         detail=(
-            f"the support component containing {bad[0]}"
+            f"the support component containing {next(iter(bad))}"
             f" admits a {witness.construction} perturbation"
         ),
     )
 
 
 def _witness_for_component(
-    family: SetFamily, w: WeightFunction, induced: AssociatedGraph
+    family: SetFamily, w: WeightFunction, tree: dict[int, int | None]
 ) -> Witness:
-    """The perturbation witness of one offending support component, read
-    off the classifier's one support graph (``induced`` is its component).
+    """The perturbation witness of one offending support component, given
+    as its :func:`_spread` from its smallest element.
 
     The canonical cycles are the shortest even and odd primitive cycles
-    of the component, lexicographically first among equals, as
-    :func:`shortest_primitive_cycle` finds them.  An even cycle gets a
-    two-coloring with signs alternating along it (the graph induced on
-    a primitive cycle of H is the cycle); otherwise an equal-membership
-    pair does; otherwise a cycle-free component gets a tree propagation
-    and any other a cycle attachment on the odd cycle.  Each answer is a
-    condition the public constructor checks, so none is checked again.
+    of the component, lexicographically first among equals.  Only an
+    even one needs a walk over the element graph
+    (:func:`_shortest_cycle`); it gets a two-coloring with signs
+    alternating along it (the graph induced on a primitive cycle of H is
+    the cycle).  Otherwise an equal-membership pair gets one.  Otherwise
+    every biconnected component of H of three or more blocks is one odd
+    cycle, so the odd canonical cycle is the least cycle of H; a
+    component without one gets a tree propagation and any other a cycle
+    attachment on it.  Each answer is a condition the public constructor
+    checks, so none is checked again.
     """
-    edges = _multigraph_edges(induced, family)
-    even = _shortest_cycle(induced, family, "even", edges)
-    if even is not None:
+    comp = tuple(sorted(tree))
+    edges = block_multigraph(family, comp)[1]
+    if _has_even_cycle(edges):
+        even = _shortest_cycle(build_graph(family, within=comp), family, "even")
         sign = {v: (-1) ** i for i, v in enumerate(even.vertices)}
         return _two_coloring(family, w, sign)
-    pair = check_injectivity(family, subset=induced.vertices)
+    pair = check_injectivity(family, subset=comp)
     if pair is not None:
         return _two_coloring(family, w, {pair[0]: 1, pair[1]: -1})
-    odd = _shortest_cycle(induced, family, "odd", edges)
+    odd = min(
+        _multigraph_cycles(edges, (1,)),
+        key=lambda c: (len(c), c.vertices),
+        default=None,
+    )
     if odd is None:
-        return _tree_propagation(family, w, induced)
-    return _cycle_attachment(family, w, induced, odd)
+        return _tree_propagation(family, w, tree)
+    return _cycle_attachment(family, w, comp, odd)

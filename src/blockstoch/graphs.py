@@ -9,9 +9,9 @@ vertices.  The element graph serves every family: exact, deterministic
 enumeration of primitive paths by depth-first primitive walks, and the
 same walks list the primitive cycles of graphs with an element in three
 or more blocks, and the first cycle in walk order (``first_only``).  The
-classifier's canonical witness cycle, the first cycle of the sorted
-census, is found by a bounded shortest-cycle search
-(:func:`shortest_primitive_cycle`) that enumerates nothing else.
+classifier's canonical even cycle, the first of the sorted census, is
+found by a bounded shortest-cycle search (:func:`_shortest_cycle`) that
+enumerates nothing else; its odd one is the least cycle of H.
 
 When every multiplicity is at most two, the family is also a multigraph
 H on its blocks: an element in two blocks is an edge, an element in one
@@ -302,9 +302,11 @@ def enumerate_primitive_paths(
     ``stop_after`` caps the number of paths collected (useful for
     uniqueness checks).
     """
+    if stop_after is not None and stop_after < 0:
+        raise InputError("stop_after must be nonnegative")
     graph.neighbors_of(h)
     if g == h:
-        return (Path((g,)),)
+        return (Path((g,)),)[:stop_after]
     walks = _primitive_walks(graph, family, g, end=h)
     return tuple(islice((Path(tuple(w)) for w in walks if w[-1] == h), stop_after))
 
@@ -511,21 +513,17 @@ def shortest_primitive_cycle(
     has no even cycle (:func:`_has_even_cycle`).  The walks would find
     none only after exhausting every cycle of the other parity.
     """
-    return _shortest_cycle(graph, family, parity, _multigraph_edges(graph, family))
-
-
-def _shortest_cycle(
-    graph: AssociatedGraph,
-    family: SetFamily,
-    parity: str,
-    edges: list[list[tuple[int, int]]] | None,
-) -> Path | None:
-    """The search of :func:`shortest_primitive_cycle`, given its H as ``edges``."""
-    want = _parity_classes(parity)
+    edges = _multigraph_edges(graph, family)
     if parity == "odd" and edges is not None and two_color(edges) is not None:
         return None
     if parity == "even" and edges is not None and not _has_even_cycle(edges):
         return None
+    return _shortest_cycle(graph, family, parity)
+
+
+def _shortest_cycle(graph: AssociatedGraph, family: SetFamily, parity: str) -> Path | None:
+    """The walk search of :func:`shortest_primitive_cycle`, with no test on H."""
+    want = _parity_classes(parity)
     step = 1 if parity == "any" else 2
     least = 4 if parity == "even" else 3
     best: Path | None = None

@@ -10,11 +10,13 @@ from blockstoch import extremality, graphs
 from blockstoch.cli import gen_random
 from blockstoch.errors import (
     ConditionsViolatedError,
+    EvenCyclePresentError,
     GeneratorInconsistentError,
     InternalPropertyError,
+    NotSimpleCycleError,
     UnknownElementError,
 )
-from blockstoch.extremality import Witness
+from blockstoch.extremality import Verdict, Witness
 from blockstoch.extension import (
     ChosenStep,
     ExtensionReport,
@@ -26,9 +28,11 @@ from blockstoch.family import (
     SetFamily,
     WeightFunction,
     build_family,
+    check_injectivity,
     classify_membership,
     max_multiplicity,
     multiplicity,
+    require_stochastic,
 )
 from blockstoch.graphs import (
     AssociatedGraph,
@@ -649,17 +653,14 @@ def _chain_to_root(
 
 
 def chain_cycle_attachment(
-    family: SetFamily,
-    w: WeightFunction,
-    induced: AssociatedGraph,
-    cycle: Path,
+    family: SetFamily, w: WeightFunction, comp: tuple[int, ...], cycle: Path
 ) -> Witness:
     """``extremality._cycle_attachment`` as a breadth-first search from the
     cycle's blocks that records each block's parent and root, stops at a
     half-edge or at an element closing a second odd cycle, and signs the
     cycle, the chain to the anchor and the tail or second cycle by hand."""
-    members = set(induced.vertices)
-    edge_blocks = extremality._cycle_edge_blocks(family, induced, cycle)
+    members = set(comp)
+    edge_blocks = extremality._cycle_edge_blocks(family, cycle)
     cycle_verts = set(cycle.vertices)
     sources = sorted(set(edge_blocks.values()))
 
@@ -746,6 +747,207 @@ def chain_cycle_attachment(
         for k in range(2, len(second)):
             deltas[second[k - 1]] = lead * Fraction((-1) ** (k - 1)) * epsilon / 2
     return extremality._finish(family, w, deltas, epsilon, slack, "cycle_attachment")
+
+
+# The element-graph classifier and its layered tree propagation, kept as
+# the reference for blockstoch.extremality, which reads the support
+# through its blocks.
+
+
+def layered_tree_propagation(
+    family: SetFamily, w: WeightFunction, induced: AssociatedGraph
+) -> Witness:
+    """The tree propagation on the graph induced on a cycle-free component,
+    by BFS layers from its smallest element: each block meeting the
+    component in two or more elements spans two adjacent layers, with one
+    entry element in the lower one, and blocks are processed by entry
+    layer."""
+    comp = induced.vertices
+    members = set(comp)
+    root = comp[0]
+    w0 = w.value(root)
+    slack = min(Fraction(1, 2), (1 - w0) / (2 * w0))
+    epsilon = slack / 2
+    layers = graphs.bfs_layers(induced, root)
+    if set(layers) != members:
+        raise InternalPropertyError("the pool is not connected")
+    touched: list[tuple[int, int, list[int]]] = []
+    for b in family.blocks:
+        elems = [g for g in b.members if g in members]
+        if len(elems) >= 2:
+            touched.append((min(layers[g] for g in elems), b.index, elems))
+    factors: dict[int, Fraction] = {root: epsilon}
+    for lmin, _, elems in sorted(touched, key=lambda t: (t[0], t[1])):
+        lmax = max(layers[g] for g in elems)
+        if lmax == lmin:
+            raise InternalPropertyError(
+                "a block lies in a single layer and has no entry element"
+            )
+        if lmax != lmin + 1:
+            raise InternalPropertyError("a block spans more than two layers")
+        entries = [g for g in elems if layers[g] == lmin]
+        if len(entries) != 1:
+            raise InternalPropertyError(
+                "a block has more than one element closest to the root"
+            )
+        a = entries[0]
+        if a not in factors:
+            raise InternalPropertyError("entry element processed out of order")
+        if w.value(a) >= 1:
+            raise InternalPropertyError("saturated element inside a component")
+        child_factor = factors[a] * w.value(a) / (1 - w.value(a))
+        for c in elems:
+            if layers[c] == lmax:
+                if c in factors:
+                    raise InternalPropertyError(
+                        "an element is reached through two different blocks"
+                    )
+                factors[c] = child_factor
+    if set(factors) != members:
+        raise InternalPropertyError("some pool elements were never reached")
+    if any(f >= 1 for f in factors.values()):
+        raise InternalPropertyError("a propagated fraction reached one")
+    deltas = {
+        v: w.value(v) * factors[v] * (1 if layers[v] % 2 == 0 else -1) for v in comp
+    }
+    return extremality._finish(family, w, deltas, epsilon, slack, "tree_propagation")
+
+
+def _graph_witness(
+    family: SetFamily, w: WeightFunction, induced: AssociatedGraph
+) -> Witness:
+    """The witness of an offending component from walk searches for its
+    canonical even and odd cycles on the induced element graph."""
+    even = graphs.shortest_primitive_cycle(induced, family, parity="even")
+    if even is not None:
+        sign = {v: (-1) ** i for i, v in enumerate(even.vertices)}
+        return extremality._two_coloring(family, w, sign)
+    pair = check_injectivity(family, subset=induced.vertices)
+    if pair is not None:
+        return extremality._two_coloring(family, w, {pair[0]: 1, pair[1]: -1})
+    odd = graphs.shortest_primitive_cycle(induced, family, parity="odd")
+    if odd is None:
+        return layered_tree_propagation(family, w, induced)
+    return chain_cycle_attachment(family, w, induced.vertices, odd)
+
+
+def graph_classify_extreme(family: SetFamily, w: WeightFunction) -> Verdict:
+    """``classify_extreme`` on the support's element graph: its connected
+    components, an odd cycle as a component of degree-two vertices."""
+    require_stochastic(family, w)
+    if max_multiplicity(family) > 2:
+        return Verdict("unsupported", None, "an element lies in more than two blocks")
+    graph = graphs.build_graph(family, within=w.support)
+    saturated = cycles = 0
+    bad = None
+    for comp in graphs.connected_components(graph):
+        if len(comp) == 1:
+            if w.value(comp[0]) != 1:
+                raise InternalPropertyError("isolated support element not saturated")
+            saturated += 1
+        elif (
+            len(comp) >= 3
+            and len(comp) % 2 == 1
+            and all(len(graph.neighbors_of(v)) == 2 for v in comp)
+            and all(c <= 2 for c in block_vertex_counts(family, comp).values())
+        ):
+            if any(w.value(v) != Fraction(1, 2) for v in comp):
+                raise InternalPropertyError("odd cycle component not at one half")
+            cycles += 1
+        elif bad is None:
+            bad = comp
+    if bad is None:
+        detail = f"{saturated} saturated element(s) and {cycles} odd primitive cycle(s)"
+        return Verdict("extreme", None, detail)
+    witness = _graph_witness(family, w, graphs.build_graph(family, within=bad))
+    detail = (
+        f"the support component containing {bad[0]}"
+        f" admits a {witness.construction} perturbation"
+    )
+    return Verdict("not_extreme", witness, detail)
+
+
+def graph_two_coloring(family: SetFamily, w: WeightFunction, vertices) -> Witness:
+    """``construct_two_coloring`` with each component of the induced
+    element graph colored by the parity of its BFS layers."""
+    require_stochastic(family, w)
+    verts = tuple(sorted(set(vertices)))
+    if not verts:
+        raise ConditionsViolatedError("the subgraph has no vertices")
+    if not set(verts) <= set(w.support):
+        raise ConditionsViolatedError("the subgraph must lie in the support")
+    if any(c != 2 for c in block_vertex_counts(family, verts).values()):
+        raise ConditionsViolatedError(
+            "every block must contain zero or exactly two subgraph elements"
+        )
+    induced = graphs.build_graph(family, within=verts)
+    sign: dict[int, int] = {}
+    for comp in graphs.connected_components(induced):
+        sign.update((g, (-1) ** d) for g, d in graphs.bfs_layers(induced, comp[0]).items())
+    if any(sign[g] == sign[h] for g, h in induced.edge_blocks):
+        raise ConditionsViolatedError("the subgraph contains an odd primitive cycle")
+    return extremality._two_coloring(family, w, sign)
+
+
+def graph_tree_propagation(family: SetFamily, w: WeightFunction) -> Witness:
+    """``construct_tree_propagation`` on the whole support, with the
+    element graph's components and the layered propagation."""
+    require_stochastic(family, w)
+    comp = w.support
+    if len(comp) < 2:
+        raise ConditionsViolatedError("a single saturated element cannot be perturbed")
+    extremality._require_distinct_pairs(family, comp)
+    induced = graphs.build_graph(family, within=comp)
+    if len(graphs.connected_components(induced)) != 1:
+        raise ConditionsViolatedError("the component is not connected")
+    edges = sum(len(family.membership(g)) == 2 for g in comp)
+    if edges >= len({k for g in comp for k in family.membership(g)}):
+        raise ConditionsViolatedError("the component contains a primitive cycle")
+    return layered_tree_propagation(family, w, induced)
+
+
+def graph_cycle_attachment(
+    family: SetFamily, w: WeightFunction, cycle: Path | None = None
+) -> Witness:
+    """``construct_cycle_attachment`` with the cycle's component and the
+    even-cycle refusal from the element graph."""
+    require_stochastic(family, w)
+    graph = graphs.build_graph(family, within=w.support)
+    if cycle is None:
+        cycle = graphs.shortest_primitive_cycle(graph, family, parity="odd")
+        if cycle is None:
+            raise ConditionsViolatedError("the support has no odd primitive cycle")
+    graphs.require_simple(graph, cycle)
+    if not cycle.is_cycle or len(cycle.vertices) % 2 == 0:
+        raise NotSimpleCycleError("an odd cycle is required")
+    if not is_primitive(family, cycle):
+        raise ConditionsViolatedError("the cycle is not primitive")
+    comp = tuple(sorted(graphs.bfs_layers(graph, cycle.vertices[0])))
+    extremality._require_distinct_pairs(family, comp)
+    induced = graphs.build_graph(family, within=comp)
+    if graphs.shortest_primitive_cycle(induced, family, parity="even") is not None:
+        raise EvenCyclePresentError(
+            "the component contains an even primitive cycle;"
+            " a two-coloring witness applies instead"
+        )
+    return chain_cycle_attachment(family, w, comp, cycle)
+
+
+def half_edge_trees(count: int, seed: int):
+    """Seeded families whose block multigraph is a tree of 2 to 8 blocks,
+    with up to four half-edges on random blocks (two on one block make an
+    equal-membership pair); of two blocks with equal members one is kept.
+    Labels are shuffled."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nodes = rng.randint(2, 8)
+        ends = [(rng.randrange(b), b) for b in range(1, nodes)]
+        ends += [(rng.randrange(nodes),) for _ in range(rng.randint(0, 4))]
+        blocks: list[list[int]] = [[] for _ in range(nodes)]
+        for g, e in zip(rng.sample(range(1, 4 * len(ends)), len(ends)), ends):
+            for b in e:
+                blocks[b].append(g)
+        yield build_family(dict.fromkeys(tuple(b) for b in blocks))
 
 
 def odd_ring_cacti(count: int, seed: int):

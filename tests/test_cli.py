@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from blockstoch import extremality, graphs
+from blockstoch import demos, extremality, graphs
 from blockstoch.cli import main
 from blockstoch.family import build_family, max_multiplicity
 
@@ -505,6 +505,25 @@ class TestDemo:
         assert code == 0
         assert "FAIL" not in out
         assert ".. ok" in out
+
+    def test_a_wrong_value_fails_the_demo(self, monkeypatch, capsys):
+        def wrong():
+            out = demos._Checker()
+            out.check("vertex count", 3, 3)
+            out.check("edge count", 2, 5)
+            out.check("odd cycles", 0, 0)
+            return out.result("fan", "three checks, one wrong")
+
+        monkeypatch.setitem(demos.DEMOS, "fan", wrong)
+        code = main(["demo", "fan"])
+        assert code == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "demo fan: three checks, one wrong",
+            "  vertex count: expected 3, computed 3 .. ok",
+            "  edge count: expected 2, computed 5 .. FAIL",
+            "  odd cycles: expected 0, computed 0 .. ok",
+            "result: FAIL",
+        ]
 
     def test_unknown_demo_is_usage_error(self, capsys):
         code = main(["demo", "nope"])

@@ -782,6 +782,20 @@ class TestApproximateByExtremes:
         assert approx.terms[0][0] == F(1)
         assert report.max_block_discrepancy() == 0
 
+    def test_element_gaps_beyond_the_truncation(self):
+        # half the identity plus half the swap of rows 2i - 1 and 2i: the
+        # completions agree on blocks 1 and 2 but not on cells (3, 3),
+        # (3, 4) and (4, 3), whose first blocks are 5, 5 and 6
+        gen = GridGenerator()
+        weights = {}
+        for r in range(1, 12):
+            partner = min(r + 1 if r % 2 else r - 1, 11)
+            for c in (r, partner):
+                weights[gen.label(r, c)] = weights.get(gen.label(r, c), 0) + HALF
+        _, report = approximate_by_extremes(gen, WeightFunction(weights), 2, 6)
+        assert report.element_discrepancy == {13: HALF, 18: HALF, 19: HALF}
+        assert report.max_block_discrepancy() == 0
+
     def test_discrepancy_non_increasing_in_depth(self):
         gen = PathGenerator()
         w_full = WeightFunction({g: HALF for g in range(1, 10)})
@@ -848,7 +862,13 @@ class TestApproximationTheorem:
         for g in labels:
             if min(gen.gamma_of(g)) <= n:
                 assert combined(g) == w_full(g), g
-        assert report.element_discrepancy == {}
+        last = horizon if gen.block_count is None else min(horizon, gen.block_count)
+        gaps = {
+            g: abs(w_full(g) - combined(g))
+            for g in sorted(labels)
+            if min(gen.gamma_of(g)) <= last and w_full(g) != combined(g)
+        }
+        assert report.element_discrepancy == gaps
 
     def test_identity_on_grid(self):
         # row 1 and column 1 are both {1}: one equation, not a duplicate block

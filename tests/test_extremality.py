@@ -1,7 +1,8 @@
 """Tests for extreme point classification and perturbation witnesses."""
 
+from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 
@@ -21,10 +22,12 @@ from blockstoch.extremality import (
     construct_tree_propagation,
     construct_two_coloring,
 )
+from blockstoch.cli import gen_random
 from blockstoch.family import (
     WeightFunction,
     build_family,
     classify_membership,
+    max_multiplicity,
     require_stochastic,
 )
 from blockstoch.graphs import Path
@@ -33,6 +36,11 @@ from blockstoch.oracle import enumerate_vertices
 from helpers import (
     chain_cycle_attachment,
     count_calls,
+    graph_classify_extreme,
+    graph_cycle_attachment,
+    graph_tree_propagation,
+    graph_two_coloring,
+    half_edge_trees,
     kappa2_sweep,
     odd_ring_cacti,
     odd_ring_chain,
@@ -401,7 +409,86 @@ class TestCycleAttachmentAgainstChains:
         with pytest.raises(
             InternalPropertyError, match="the circuit misses a cycle element"
         ):
-            extremality._cycle_attachment(fam, w, graphs.build_graph(fam), pentagon)
+            extremality._cycle_attachment(fam, w, fam.ground, pentagon)
+
+
+class TestBlocksAgainstElementGraph:
+    """The classifier and the three doors, reading the support through
+    its blocks, give the verdict, witness or refusal of their element-graph
+    versions in helpers: components by adjacency, odd cycles by vertex
+    degree, both canonical cycles by walk searches and the layered tree
+    propagation."""
+
+    @staticmethod
+    def _compare(fam, w):
+        """Both sides on the point, and the cycle door on up to 20 of the
+        support's odd primitive cycles; returns the outcomes."""
+        pairs = [
+            (classify_extreme, graph_classify_extreme, ()),
+            (construct_two_coloring, graph_two_coloring, (w.support,)),
+            (construct_tree_propagation, graph_tree_propagation, ()),
+            (construct_cycle_attachment, graph_cycle_attachment, ()),
+        ]
+        if max_multiplicity(fam) <= 2:
+            support = graphs.build_graph(fam, within=w.support)
+            odd = graphs.find_primitive_cycles(support, fam, parity="odd")
+            pairs += [
+                (construct_cycle_attachment, graph_cycle_attachment, (cycle,))
+                for cycle in odd[:20]
+            ]
+        outcomes = []
+        for new, old, args in pairs:
+            got = _outcome(lambda: new(fam, w, *args))
+            assert got == _outcome(lambda: old(fam, w, *args)), (new.__name__, args)
+            outcomes.append(got)
+        return outcomes
+
+    def _sweep(self, families):
+        seen = Counter()
+        for fam in families:
+            for w in _points(fam):
+                verdict, *doors = self._compare(fam, w)
+                seen[verdict.witness.construction if verdict.witness else verdict.kind] += 1
+                seen["refusal"] += sum(isinstance(o, tuple) for o in doors)
+        return seen
+
+    def test_sweep_families(self):
+        seen = self._sweep(
+            chain(
+                kappa2_sweep(),
+                (gen_random(9, 6, 2, s)[0] for s in range(100)),
+                odd_ring_cacti(50, 11),
+            )
+        )
+        assert min(seen.values()) > 0
+        assert set(seen) == {
+            "extreme", "two_coloring", "tree_propagation", "cycle_attachment", "refusal"
+        }
+
+    def test_half_edge_trees(self):
+        seen = self._sweep(half_edge_trees(300, 5))
+        assert seen["tree_propagation"] > 0 and seen["two_coloring"] > 0
+
+    @pytest.mark.parametrize("k, n", [(24, 5), (2, 801)])
+    def test_odd_ring_chains(self, k, n):
+        blocks, weights = odd_ring_chain(k, n)
+        verdict = self._compare(build_family(blocks), WeightFunction(weights))[0]
+        assert verdict.witness.construction == "cycle_attachment"
+
+    @pytest.mark.parametrize(
+        "blocks, construction",
+        [
+            ([[k, k + 1] for k in range(1, 401)], "tree_propagation"),
+            ([[i, i % 200 + 1] for i in range(1, 201)], "two_coloring"),
+            ([[i, i % 201 + 1] for i in range(1, 202)], None),
+        ],
+        ids=["path-400", "ring-200", "ring-201"],
+    )
+    def test_long_paths_and_rings(self, blocks, construction):
+        fam = build_family(blocks)
+        w = WeightFunction({g: HALF for g in fam.ground})
+        verdict = self._compare(fam, w)[0]
+        assert (verdict.witness and verdict.witness.construction) == construction
 
 
 class TestFinishSelfChecks:
@@ -492,18 +579,19 @@ class TestStochasticCheckedOnce:
 
 
 class TestOneAnalysisPerComponent:
-    """The classifier decides each structural question of the offending
-    component once and hands its answers to the witness builder, which
-    does not re-derive them."""
+    """The classifier reads the support through its blocks, decides each
+    structural question of the offending component once and hands its
+    answers to the witness builder, which does not re-derive them.  An
+    element graph is built only to search for an even cycle."""
 
     COUNTED = {
         extremality: (
             "build_graph",
-            "connected_components",
+            "block_multigraph",
             "_shortest_cycle",
             "check_injectivity",
         ),
-        graphs: ("block_multigraph", "biconnected_components"),
+        graphs: ("connected_components", "biconnected_components"),
     }
 
     def _classify_counting(self, monkeypatch, fam, w):
@@ -528,11 +616,12 @@ class TestOneAnalysisPerComponent:
         fam, w = build_family(blocks), WeightFunction(weights)
         verdict, counts = self._classify_counting(monkeypatch, fam, w)
         assert verdict.witness.construction == "cycle_attachment"
-        assert counts["build_graph"] == 1
-        assert counts["connected_components"] == 1
-        assert counts["_shortest_cycle"] == 2
+        assert counts["build_graph"] == 0
+        assert counts["connected_components"] == 0
+        assert counts["_shortest_cycle"] == 0
         assert counts["block_multigraph"] == 1
-        assert counts["biconnected_components"] == 1
+        # one split for the even test, one listing the odd cycles
+        assert counts["biconnected_components"] == 2
         assert counts["check_injectivity"] == 1
         assert verdict.witness == construct_cycle_attachment(fam, w)
 
@@ -541,16 +630,28 @@ class TestOneAnalysisPerComponent:
         w = WeightFunction({g: HALF for g in range(1, 402)})
         verdict, counts = self._classify_counting(monkeypatch, fam, w)
         assert verdict.witness.construction == "tree_propagation"
-        assert counts["build_graph"] == 1
-        assert counts["connected_components"] == 1
-        assert counts["_shortest_cycle"] == 2
+        assert counts["build_graph"] == 0
+        assert counts["connected_components"] == 0
+        assert counts["_shortest_cycle"] == 0
         assert counts["block_multigraph"] == 1
         assert counts["check_injectivity"] == 1
         assert verdict.witness == construct_tree_propagation(fam, w)
 
+    def test_even_cycle_builds_one_element_graph(self, monkeypatch):
+        fam = cycle_family(200)
+        w = WeightFunction({g: HALF for g in range(1, 201)})
+        verdict, counts = self._classify_counting(monkeypatch, fam, w)
+        assert verdict.witness.construction == "two_coloring"
+        assert counts["build_graph"] == 1
+        assert counts["connected_components"] == 0
+        assert counts["_shortest_cycle"] == 1
+        assert counts["block_multigraph"] == 1
+        assert counts["check_injectivity"] == 0
+
     def test_one_support_graph_for_every_point_of_the_sweep(self, monkeypatch):
         """Extreme or not, whatever the witness, a classification builds
-        the support graph and no other element graph."""
+        one element graph for a witness from an even cycle and none for
+        any other point."""
         points = []
         for fam in islice(kappa2_sweep(), 150):
             vertices = enumerate_vertices(fam)
@@ -561,7 +662,12 @@ class TestOneAnalysisPerComponent:
         counts = count_calls(monkeypatch, extremality, "build_graph")
         verdicts = [classify_extreme(fam, w) for fam, w in points]
         monkeypatch.undo()
-        assert counts["build_graph"] == len(points)
+        from_even = [
+            v for (_, w), v in zip(points, verdicts)
+            if v.witness and v.witness.construction == "two_coloring"
+            and sum(v.witness.w_plus(g) != w(g) for g in w.support) >= 4
+        ]
+        assert 0 < counts["build_graph"] == len(from_even) < len(points)
         constructions = {v.witness.construction for v in verdicts if v.witness}
         assert constructions == {"two_coloring", "tree_propagation", "cycle_attachment"}
 

@@ -53,6 +53,11 @@ class TestBuildFamily:
         assert fam.ground == (1, 2, 3)
         assert fam.blocks[0].members == (1, 3)
 
+    def test_block_membership_test(self):
+        block = build_family([[3, 1], [2, 3]]).blocks[0]
+        assert 3 in block and 1 in block
+        assert 2 not in block and "3" not in block
+
     def test_gamma_lists_containing_blocks(self):
         fam = triangle()
         assert fam.membership(1) == (1, 3)
@@ -107,6 +112,8 @@ class TestWeightFunction:
     def test_equality_is_pointwise(self):
         assert WeightFunction({1: F(1)}) == WeightFunction({1: F(1), 2: F(0)})
         assert WeightFunction({1: F(1)}) != WeightFunction({1: HALF})
+        assert WeightFunction({1: F(1)}).__eq__({1: F(1)}) is NotImplemented
+        assert WeightFunction({1: F(1)}) != {1: F(1)}
 
     def test_arithmetic(self):
         a = WeightFunction({1: HALF, 2: HALF})

@@ -93,6 +93,11 @@ class TestComponents:
 
 
 class TestPaths:
+    def test_length_counts_vertices(self):
+        assert len(Path((4, 1, 2))) == 3
+        assert len(Path((1, 2, 3, 4), is_cycle=True)) == 4
+        assert len(Path((7,))) == 1
+
     def test_validate_rejects_non_edges(self):
         fam = build_family([[1, 2], [3, 4]])
         graph = build_graph(fam)
@@ -127,6 +132,7 @@ class TestPrimitivePaths:
         fam = build_family([[0, 1, 2], [0, 2, 3], [0, 3, 4]])
         paths = enumerate_primitive_paths(build_graph(fam), fam, 2, 2)
         assert paths == (Path((2,)),)
+        assert enumerate_primitive_paths(build_graph(fam), fam, 2, 2, stop_after=0) == ()
 
     def test_shortest_primitive_path(self):
         fam = build_family([[0, 1, 2], [0, 2, 3], [0, 3, 4]])

@@ -284,8 +284,9 @@ class TestCrossValidate:
         assert inits["__init__"] == 0
 
     def test_checks_each_point_once_and_builds_one_graph(self, monkeypatch):
-        """Each vertex is checked once and gets one support graph; each
-        mixture is checked once, gets one support graph, and both witness
+        """Each vertex is checked once and gets no element graph; each
+        mixture is checked once, gets one element graph for the search of
+        its even cycle (every mixture here has one), and both witness
         halves get their own membership check."""
         counters = [
             count_calls(monkeypatch, extremality, "require_stochastic", "build_graph"),
@@ -303,7 +304,7 @@ class TestCrossValidate:
         assert n_mixtures == 15
         assert counts["require_stochastic"] == n_vertices + n_mixtures
         assert counts["classify_membership"] == n_vertices + 3 * n_mixtures
-        assert counts["build_graph"] == n_vertices + n_mixtures
+        assert counts["build_graph"] == n_mixtures
 
 
 class TestCrossValidateCatchesAWrongClassifier:

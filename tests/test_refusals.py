@@ -17,6 +17,7 @@ from blockstoch.graphs import (
     Path,
     build_graph,
     decompose_cycle,
+    enumerate_primitive_paths,
     is_primitive,
     require_simple,
     validate_path,
@@ -42,6 +43,10 @@ REFUSALS = [
      UnknownElementError, "vertex 9 is not in the graph"),
     (lambda: GRAPH.blocks_of_edge(2, 4),
      InputError, "no edge between 2 and 4"),
+    (lambda: enumerate_primitive_paths(GRAPH, FAMILY, 1, 4, stop_after=-1),
+     InputError, "stop_after must be nonnegative"),
+    (lambda: enumerate_primitive_paths(GRAPH, FAMILY, 4, 4, stop_after=-1),
+     InputError, "stop_after must be nonnegative"),
     (lambda: decompose_cycle(GRAPH, FAMILY, Path((1, 2, 3))),
      NotSimpleCycleError, "input must be a cycle"),
     (lambda: run_demo("nonexistent"),
