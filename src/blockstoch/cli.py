@@ -133,19 +133,22 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_graph(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     graph = build_graph(instance.family)
-    print(f"vertices: {len(graph.vertices)}")
-    print(f"edges: {len(graph.edge_blocks)}")
-    for (g, h), ks in sorted(graph.edge_blocks.items()):
-        joint = ", ".join(str(k) for k in ks)
-        print(f"  {g} -- {h} (blocks {joint})")
+    name = {g: str(g) for g in graph.vertices}
+    lines = [f"vertices: {len(graph.vertices)}", f"edges: {len(graph.edge_blocks)}"]
+    lines += [
+        f"  {name[g]} -- {name[h]} (blocks {', '.join(map(str, ks))})"
+        for (g, h), ks in sorted(graph.edge_blocks.items())
+    ]
+    sys.stdout.write("\n".join(lines) + "\n")
     cycles = find_primitive_cycles(graph, instance.family)
-    odd = [c for c in cycles if len(c.vertices) % 2 == 1]
-    even = [c for c in cycles if len(c.vertices) % 2 == 0]
-    print(f"primitive cycles: {len(cycles)} ({len(odd)} odd, {len(even)} even)")
-    for cycle in cycles:
-        parity = "odd" if len(cycle.vertices) % 2 == 1 else "even"
-        listed = ", ".join(str(v) for v in cycle.vertices)
-        print(f"  {parity}: ({listed})")
+    odd = sum(len(c.vertices) % 2 for c in cycles)
+    lines = [f"primitive cycles: {len(cycles)} ({odd} odd, {len(cycles) - odd} even)"]
+    lines += [
+        f"  {'odd' if len(c.vertices) % 2 else 'even'}:"
+        f" ({', '.join(map(name.__getitem__, c.vertices))})"
+        for c in cycles
+    ]
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -41,6 +41,7 @@ from .graphs import (
     _has_even_cycle,
     _multigraph_cycles,
     _shortest_cycle,
+    biconnected_components,
     block_multigraph,
     block_vertex_counts,
     build_graph,
@@ -300,7 +301,8 @@ def construct_cycle_attachment(
     if not set(cycle.vertices) <= set(comp):
         raise InternalPropertyError("cycle spans several components")
     _require_distinct_pairs(family, comp)
-    if _has_even_cycle(block_multigraph(family, comp)[1]):
+    edges = block_multigraph(family, comp)[1]
+    if _has_even_cycle(edges, biconnected_components(edges)):
         raise EvenCyclePresentError(
             "the component contains an even primitive cycle;"
             " a two-coloring witness applies instead"
@@ -455,12 +457,14 @@ def _witness_for_component(
     every biconnected component of H of three or more blocks is one odd
     cycle, so the odd canonical cycle is the least cycle of H; a
     component without one gets a tree propagation and any other a cycle
-    attachment on it.  Each answer is a condition the public constructor
-    checks, so none is checked again.
+    attachment on it.  H is split into its biconnected components once,
+    for both the even test and the odd listing.  Each answer is a
+    condition the public constructor checks, so none is checked again.
     """
     comp = tuple(sorted(tree))
     edges = block_multigraph(family, comp)[1]
-    if _has_even_cycle(edges):
+    components = biconnected_components(edges)
+    if _has_even_cycle(edges, components):
         even = _shortest_cycle(build_graph(family, within=comp), family, "even")
         sign = {v: (-1) ** i for i, v in enumerate(even.vertices)}
         return _two_coloring(family, w, sign)
@@ -468,10 +472,10 @@ def _witness_for_component(
     if pair is not None:
         return _two_coloring(family, w, {pair[0]: 1, pair[1]: -1})
     odd = min(
-        _multigraph_cycles(edges, (1,)),
-        key=lambda c: (len(c), c.vertices),
+        _multigraph_cycles(edges, components, (1,)),
+        key=lambda c: (len(c), c),
         default=None,
     )
     if odd is None:
         return _tree_propagation(family, w, tree)
-    return _cycle_attachment(family, w, comp, odd)
+    return _cycle_attachment(family, w, comp, Path(odd, is_cycle=True))

@@ -16,12 +16,15 @@ enumerates nothing else; its odd one is the least cycle of H.
 When every multiplicity is at most two, the family is also a multigraph
 H on its blocks: an element in two blocks is an edge, an element in one
 block a half-edge, and primitive cycles are the cycles of H of length at
-least three.  The full census of such a graph lists the cycles of H,
-one biconnected component at a time, by Johnson's blocked search.
-Questions that need only bipartiteness (:func:`bipartition`, the vertex
-search, the odd cycle search) are answered by one BFS two-coloring of H,
-and whether an even cycle exists by its biconnected components.
-Linear algebra on the block-sum columns is the frame matroid of H
+least three.  The census lists them one biconnected component at a
+time, each from its least element: a descending union-find marks the
+elements whose ends larger ones already join, and Johnson's blocked
+search from each marked element lists the cycles it is least in, already
+canonical, so that the census is one sort of vertex tuples.  Questions
+that need only bipartiteness (:func:`bipartition`, the vertex search,
+the odd cycle search) are answered by one BFS two-coloring of H, and
+whether an even cycle exists by its biconnected components.  Linear
+algebra on the block-sum columns is the frame matroid of H
 (:func:`frame_rank`, :func:`frame_circuit`): an edge's column is
 e_a + e_b and a half-edge's is e_a.  The same core gives ``decompose``
 its kernel vectors and the cycle-attachment witness its perturbation,
@@ -332,32 +335,32 @@ def find_primitive_cycles(
 
     A cycle is reported once, in canonical form: smallest vertex first,
     then the smaller of its two cycle neighbors.  ``parity`` may be
-    "any", "odd" or "even" (by vertex count).  The full census is sorted
-    by (vertex count, vertices).  When every vertex of the graph lies in
-    at most two blocks it lists the cycles of H on those elements
-    (:func:`_multigraph_cycles`); otherwise it runs the primitive walks
-    from every start (:func:`_walk_cycles`).  With ``first_only`` the
-    walks stop at the first match in their own order, which need not be
-    the first cycle of the sorted census.
+    "any", "odd" or "even" (by vertex count).  The census lists the
+    cycles of H on the graph's elements when each lies in at most two
+    blocks (:func:`_multigraph_cycles`), else those the primitive walks
+    close (:func:`_walk_cycles`), as canonical vertex tuples that one
+    sort by vertices and a stable one by length put in (vertex count,
+    vertices) order.  With ``first_only`` the walks stop at their first
+    match, which need not be the first cycle of the census.
     """
     want = _parity_classes(parity)
-    if first_only:
-        return tuple(islice(_walk_cycles(graph, family, want), 1))
-    edges = _multigraph_edges(graph, family)
+    edges = None if first_only else _multigraph_edges(graph, family)
     if edges is not None:
-        cycles = _multigraph_cycles(edges, want)
+        cycles = list(_multigraph_cycles(edges, biconnected_components(edges), want))
     else:
-        cycles = _walk_cycles(graph, family, want)
-    return tuple(sorted(cycles, key=lambda c: (len(c.vertices), c.vertices)))
+        cycles = list(islice(_walk_cycles(graph, family, want), 1 if first_only else None))
+    cycles.sort()
+    cycles.sort(key=len)
+    return tuple(Path(c, is_cycle=True) for c in cycles)
 
 
 def _walk_cycles(
     graph: AssociatedGraph, family: SetFamily, want: tuple[int, ...]
-) -> Iterator[Path]:
+) -> Iterator[tuple[int, ...]]:
     """Every canonical primitive cycle with a wanted parity, in walk order:
     starts ascending, then the depth-first walks from each start."""
     return (
-        Path(tuple(walk), is_cycle=True)
+        tuple(walk)
         for start in graph.vertices
         for walk in _primitive_walks(graph, family, start, floor=start)
         if _closes_cycle(graph, walk, want)
@@ -365,72 +368,77 @@ def _walk_cycles(
 
 
 def _multigraph_cycles(
-    edges: list[list[tuple[int, int]]], want: tuple[int, ...]
-) -> Iterator[Path]:
+    edges: list[list[tuple[int, int]]], components: list[set[int]], want: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
     """Every cycle of H with at least three nodes and a wanted parity, once,
-    as its canonical element cycle.
+    as its canonical element tuple.
 
-    ``edges`` is H as :func:`block_multigraph` gives it.  A cycle lies
-    inside one biconnected component, so each component of three or more
-    nodes is searched alone.  A cycle is found from its lowest node
-    ``s``, leaving by the smaller of its two elements at ``s`` and
-    closing by the larger (:func:`_circuits`), so it comes out once and
-    parallel elements give distinct cycles.  A first element whose larger
-    companions at ``s`` all lead to its own other end closes nothing
-    longer than two nodes, so it is skipped; a start with fewer than two
-    neighbors above it therefore runs no search at all.
+    ``edges`` is H as :func:`block_multigraph` gives it and
+    ``components`` its :func:`biconnected_components`.  Each component
+    of three or more nodes is searched alone: its elements go in
+    descending order into a union-find over its nodes, which marks an
+    element g = (a, b) whose ends larger elements already join, as only
+    the least element of a cycle can be.  From each marked g, Johnson's
+    search from b back to a over the larger elements
+    (:func:`_cycles_from`) lists the cycles whose least element is g,
+    once each and g first; reversing the tail when the second element is
+    larger than the last makes them canonical.
     """
-    for nodes in biconnected_components(edges):
+    for nodes in components:
         if len(nodes) < 3:
             continue
-        arcs = {v: [(e, w) for e, w in edges[v] if w in nodes] for v in nodes}
-        for s in sorted(nodes):
-            above = [(e, v) for e, v in arcs[s] if v > s]
-            for i, (first, v1) in enumerate(above):
-                if all(v == v1 for _, v in above[i + 1 :]):
-                    continue
-                for elements in _circuits(arcs, s, first, v1):
-                    if len(elements) >= 3 and len(elements) % 2 in want:
-                        yield _canonical_cycle(elements)
+        taken = [(g, a, b) for a in nodes for g, b in edges[a] if a < b and b in nodes]
+        part = {v: {v} for v in nodes}
+        arcs: dict[int, list[tuple[int, int]]] = {v: [] for v in nodes}
+        for g, a, b in sorted(taken, reverse=True):
+            if part[a] is not part[b]:
+                small, large = sorted((part[a], part[b]), key=len)
+                large |= small
+                part.update(dict.fromkeys(small, large))
+            else:
+                for cycle in _cycles_from(arcs, g, a, b):
+                    if len(cycle) >= 3 and len(cycle) % 2 in want:
+                        if cycle[1] > cycle[-1]:
+                            cycle[1:] = cycle[:0:-1]
+                        yield tuple(cycle)
+            arcs[a].append((g, b))
+            arcs[b].append((g, a))
 
 
-def _circuits(
-    arcs: dict[int, list[tuple[int, int]]], s: int, first: int, v1: int
+def _cycles_from(
+    arcs: dict[int, list[tuple[int, int]]], g: int, a: int, b: int
 ) -> Iterator[list[int]]:
-    """The element lists of the circuits that leave ``s`` by the element
-    ``first`` to ``v1``, pass only nodes above ``s`` and close by a
-    larger element.
+    """The element lists of the cycles that leave ``a`` by the element
+    ``g`` to ``b`` and return to ``a`` along ``arcs``, ``g`` first.
 
     Johnson's search ("Finding all the elementary circuits of a directed
     graph", 1975) with arcs labelled by element: a node stays blocked
-    while every path from it back to ``s`` meets the current path, so a
-    node that cannot close a circuit is not entered again until the path
-    retreats past one that can.  Circuits of two nodes, closed through a
-    parallel of ``first``, come out too.
+    while every path from it back to ``a`` meets the current path, so a
+    node that cannot close a cycle is not entered again until the path
+    retreats past one that can.  Cycles of two nodes, closed through a
+    parallel of ``g``, come out too.
     """
-    elements = [first]
-    blocked = {v1}
+    elements = [g]
+    blocked = {b}
     waiting: dict[int, set[int]] = {}
-    stack = [(v1, iter(arcs[v1]))]
-    closed = [False]
+    stack = [[b, iter(arcs[b]), False]]
     while stack:
-        for e, w in stack[-1][1]:
-            if w == s:
-                if e > first:
-                    closed[-1] = True
-                    yield elements + [e]
-            elif w > s and w not in blocked:
+        top = stack[-1]
+        for e, w in top[1]:
+            if w == a:
+                top[2] = True
+                yield elements + [e]
+            elif w not in blocked:
                 elements.append(e)
                 blocked.add(w)
-                closed.append(False)
-                stack.append((w, iter(arcs[w])))
+                stack.append([w, iter(arcs[w]), False])
                 break
         else:
-            v, _ = stack.pop()
+            v, _, closed = stack.pop()
             elements.pop()
-            if closed.pop():
-                if closed:
-                    closed[-1] = True
+            if closed:
+                if stack:
+                    stack[-1][2] = True
                 release = [v]
                 while release:
                     u = release.pop()
@@ -439,18 +447,7 @@ def _circuits(
                         release.extend(waiting.pop(u, ()))
             else:
                 for _, w in arcs[v]:
-                    if w > s:
-                        waiting.setdefault(w, set()).add(v)
-
-
-def _canonical_cycle(elements: list[int]) -> Path:
-    """The cycle through ``elements`` in order, rotated to its smallest
-    element and turned toward the smaller of that element's neighbors."""
-    i = elements.index(min(elements))
-    seq = elements[i:] + elements[:i]
-    if seq[1] > seq[-1]:
-        seq[1:] = seq[:0:-1]
-    return Path(tuple(seq), is_cycle=True)
+                    waiting.setdefault(w, set()).add(v)
 
 
 def _multigraph_edges(
@@ -514,10 +511,11 @@ def shortest_primitive_cycle(
     none only after exhausting every cycle of the other parity.
     """
     edges = _multigraph_edges(graph, family)
-    if parity == "odd" and edges is not None and two_color(edges) is not None:
-        return None
-    if parity == "even" and edges is not None and not _has_even_cycle(edges):
-        return None
+    if edges is not None:
+        if parity == "odd" and two_color(edges) is not None:
+            return None
+        if parity == "even" and not _has_even_cycle(edges, biconnected_components(edges)):
+            return None
     return _shortest_cycle(graph, family, parity)
 
 
@@ -713,17 +711,19 @@ def two_color(edges: list[list[tuple[int, int]]]) -> list[int] | None:
     return color
 
 
-def _has_even_cycle(edges: list[list[tuple[int, int]]]) -> bool:
+def _has_even_cycle(
+    edges: list[list[tuple[int, int]]], components: list[set[int]]
+) -> bool:
     """Whether H has a cycle of four or more nodes and even length.
 
-    Such a cycle lies in one biconnected component of three or more
-    nodes.  A component that is one cycle through its nodes (as many
-    distinct node pairs as nodes, parallel elements aside) has only
-    cycles of its node count.  Any other such component holds a theta,
-    three paths between two nodes, two of which have equal parity and
-    close an even cycle.
+    Such a cycle lies in one of H's ``components`` (its biconnected
+    ones) of three or more nodes.  A component that is one cycle through
+    its nodes (as many distinct node pairs as nodes, parallel elements
+    aside) has only cycles of its node count.  Any other such component
+    holds a theta, three paths between two nodes, two of which have
+    equal parity and close an even cycle.
     """
-    for nodes in biconnected_components(edges):
+    for nodes in components:
         if len(nodes) >= 3 and (
             len(nodes) % 2 == 0
             or len({(u, v) for u in nodes for _, v in edges[u] if u < v and v in nodes})

@@ -121,7 +121,7 @@ def walk_census(graph: AssociatedGraph, family: SetFamily, parity: str = "any"):
     """The census as the primitive walks from every start list it: the
     reference for the census on the block multigraph."""
     cycles = graphs._walk_cycles(graph, family, graphs._parity_classes(parity))
-    return tuple(sorted(cycles, key=lambda c: (len(c.vertices), c.vertices)))
+    return tuple(Path(c, is_cycle=True) for c in sorted(cycles, key=lambda c: (len(c), c)))
 
 
 def matrix_cycle_count(m: int) -> int:

@@ -169,6 +169,50 @@ class TestGraph:
             "e033975c29870f5bc288f0a2930f6314cda2e433b53266ad77b86bbe3d1f0b21"
         )
 
+    @pytest.mark.parametrize(
+        "blocks, digest",
+        [
+            (
+                matrix_doc(4)["blocks"],
+                "ac7d62b3008696fe5c061531377b006d5461d52494a0f5d04db00e3df97d4316",
+            ),
+            (
+                [[1, 2, 3], [2, 3, 4]],
+                "eebcda22f727d6bf35755183c6f812f89a45f946a8bd0a5125dc2af424cff294",
+            ),
+            (
+                [[1, 2, 3, 5], [1, 2, 4], [3, 4, 6]],
+                "f6d67b1cd2cab44bf123b01d7e31c6764594f3de100d17d23d3ed7ecba6b9537",
+            ),
+            (
+                [[1, 3, 4, 9], [1, 2], [2, 3], [4, 6, 7], [5, 6], [5, 7, 8], [8]],
+                "d0a689903d902bea57bee63be934762dde1105b435213cf19761222260f7e767",
+            ),
+            (
+                [[1, 2, 5], [1, 2, 3], [3, 4, 6], [4, 5, 6]],
+                "b05f67a2245568df417c6f4feb2856bb2293aa019161817c4aca6fe2c4dd0bc5",
+            ),
+            (
+                [[i, i % 201 + 1] for i in range(1, 202)],
+                "d6b8f7078a998aa9c9e3ec4bb2841aedb8184542db6a5dd18d25439bb98c46d2",
+            ),
+        ],
+        ids=[
+            "matrix-4x4",
+            "parallels",
+            "doubled-triangle",
+            "bridged-triangles",
+            "doubled-square",
+            "ring-201",
+        ],
+    )
+    def test_stdout_is_pinned(self, tmp_path, capsys, blocks, digest):
+        # the SHA-256 of the stdout as the census rooted at each cycle's
+        # lowest block printed it, line by line
+        assert main(["graph", write(tmp_path, {"blocks": blocks})]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_long_ring_without_walks(self, tmp_path, capsys, monkeypatch):
         blocks = [[i, i % 3000 + 1] for i in range(1, 3001)]
         path = write(tmp_path, {"blocks": blocks})

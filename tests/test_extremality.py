@@ -590,6 +590,7 @@ class TestOneAnalysisPerComponent:
             "block_multigraph",
             "_shortest_cycle",
             "check_injectivity",
+            "biconnected_components",
         ),
         graphs: ("connected_components", "biconnected_components"),
     }
@@ -620,8 +621,8 @@ class TestOneAnalysisPerComponent:
         assert counts["connected_components"] == 0
         assert counts["_shortest_cycle"] == 0
         assert counts["block_multigraph"] == 1
-        # one split for the even test, one listing the odd cycles
-        assert counts["biconnected_components"] == 2
+        # one split for both the even test and the odd cycles' listing
+        assert counts["biconnected_components"] == 1
         assert counts["check_injectivity"] == 1
         assert verdict.witness == construct_cycle_attachment(fam, w)
 

@@ -211,6 +211,18 @@ class TestMultigraphCensus:
             assert len(cycles) == 113_865
             assert cycles[0].vertices == (1, 2, 8, 7)
 
+    @pytest.mark.parametrize("parity", ["any", "odd", "even"])
+    def test_matrix_with_reversed_labels(self, monkeypatch, parity):
+        # labels fall along rows and columns, so each search starts at the
+        # opposite corner from the one it starts at in label order
+        rows = [[25 - 5 * r - c for c in range(5)] for r in range(5)]
+        fam = build_family(rows + [list(c) for c in zip(*rows)])
+        graph = build_graph(fam)
+        oracle = walk_census(graph, fam, parity)
+        refuse_walks(monkeypatch)
+        assert find_primitive_cycles(graph, fam, parity) == oracle
+        assert len(oracle) == (0 if parity == "odd" else matrix_cycle_count(5))
+
     @pytest.mark.parametrize(
         "blocks, expected",
         [
@@ -266,11 +278,14 @@ class TestMultigraphCensus:
         assert cycles == (Path(tuple(range(1, 3001)), is_cycle=True),)
 
     def test_blocked_nodes_are_not_reentered(self):
-        # in one search over the whole chain, leaving a_0 toward b_0 leads
-        # down every diamond before the closing side c_0 is tried; a node
-        # that cannot reach a_0 stays blocked, so each is entered about
-        # once instead of once per path (without blocking: 49,149 lookups)
-        edges = block_multigraph(build_family(diamond_chain_blocks(14)))[1]
+        # labels run forward along the chain, and one search over the whole
+        # chain (no biconnected split) from its least element 1, side c_0
+        # to joint a_1, may go down every later diamond before it closes
+        # through b_0; a node that cannot reach c_0 stays blocked, so each
+        # is entered about once instead of once per path (2^13 paths)
+        blocks = [[57 - g for g in b] for b in diamond_chain_blocks(14)]
+        edges = block_multigraph(build_family(blocks))[1]
+        c0, a1 = [p for p, arcs in enumerate(edges) for e, _ in arcs if e == 1]
         lookups = []
 
         class Counting(dict):
@@ -278,16 +293,18 @@ class TestMultigraphCensus:
                 lookups.append(v)
                 return dict.__getitem__(self, v)
 
-        first, b0 = edges[0][0]
-        circuits = list(graphs._circuits(Counting(enumerate(edges)), 0, first, b0))
-        assert circuits == [[53, 54, 56, 55]]
+        arcs = {v: [(e, w) for e, w in edges[v] if e > 1] for v in range(len(edges))}
+        cycles = list(graphs._cycles_from(Counting(arcs), 1, c0, a1))
+        assert cycles == [[1, 3, 4, 2]]
+        assert len(set(lookups)) == len(edges) - 1
         assert len(lookups) <= 2 * len(edges)
 
     def test_tree_parts_are_not_searched(self, monkeypatch):
         # a hexagon of H with a comb of 1500 teeth hanging off it: only the
         # hexagon is a component of three or more nodes, and only its
-        # lowest node starts a search (without the split, every spine node
-        # would search the rest of the spine)
+        # least element 1 has its ends joined by larger elements, so it
+        # starts the one search (without the split, every element of the
+        # spine would be taken into the union-find with the hexagon's)
         ring = [[i, i % 6 + 1] for i in range(1, 7)]
         comb = [[] for _ in range(3000)]
         for i in range(1500):
@@ -296,18 +313,24 @@ class TestMultigraphCensus:
             if i:
                 comb[2 * i - 2].append(100 + i)
         ring[0].append(100)
-        fam = build_family(ring + comb)
         searches = []
-        circuits = graphs._circuits
+        search = graphs._cycles_from
 
-        def counting(arcs, s, first, v1):
-            searches.append((s, first))
-            return circuits(arcs, s, first, v1)
+        def counting(arcs, g, a, b):
+            searches.append(g)
+            return search(arcs, g, a, b)
 
-        monkeypatch.setattr(graphs, "_circuits", counting)
+        monkeypatch.setattr(graphs, "_cycles_from", counting)
+        fam = build_family(ring + comb)
         cycles = find_primitive_cycles(build_graph(fam), fam)
         assert cycles == (Path(tuple(range(1, 7)), is_cycle=True),)
-        assert searches == [(0, 1)]
+        assert searches == [1]
+        # a ring of 3000 is searched once too, from its least element
+        searches.clear()
+        fam = cycle_family(3000)
+        cycles = find_primitive_cycles(build_graph(fam), fam)
+        assert cycles == (Path(tuple(range(1, 3001)), is_cycle=True),)
+        assert searches == [1]
 
     def test_diamond_chain(self, monkeypatch):
         refuse_walks(monkeypatch)
