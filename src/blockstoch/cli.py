@@ -13,7 +13,8 @@ import functools
 import random
 import sys
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 from .demos import DEMOS, run_demo
 from .errors import BudgetError, InputError, PreconditionError
@@ -130,25 +131,32 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write each line to stdout, a bounded chunk of lines per write, so
+    that a long listing is never held whole as one text."""
+    rest = iter(lines)
+    while chunk := list(islice(rest, 4096)):
+        sys.stdout.write("\n".join(chunk) + "\n")
+
+
 def _cmd_graph(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     graph = build_graph(instance.family)
     name = {g: str(g) for g in graph.vertices}
-    lines = [f"vertices: {len(graph.vertices)}", f"edges: {len(graph.edge_blocks)}"]
-    lines += [
+    sys.stdout.write(f"vertices: {len(graph.vertices)}\nedges: {len(graph.edge_blocks)}\n")
+    _write_lines(
         f"  {name[g]} -- {name[h]} (blocks {', '.join(map(str, ks))})"
         for (g, h), ks in sorted(graph.edge_blocks.items())
-    ]
-    sys.stdout.write("\n".join(lines) + "\n")
+    )
     cycles = find_primitive_cycles(graph, instance.family)
     odd = sum(len(c.vertices) % 2 for c in cycles)
-    lines = [f"primitive cycles: {len(cycles)} ({odd} odd, {len(cycles) - odd} even)"]
-    lines += [
+    even = len(cycles) - odd
+    sys.stdout.write(f"primitive cycles: {len(cycles)} ({odd} odd, {even} even)\n")
+    _write_lines(
         f"  {'odd' if len(c.vertices) % 2 else 'even'}:"
         f" ({', '.join(map(name.__getitem__, c.vertices))})"
         for c in cycles
-    ]
-    sys.stdout.write("\n".join(lines) + "\n")
+    )
     return 0
 
 

@@ -9,9 +9,9 @@ build that pair of stochastic weight functions so callers can check
 non-extremality by hand.  Every witness is validated before it is
 returned: both halves must be stochastic, average back to the input,
 and differ.  The support is read through its blocks, one breadth-first
-pass per component; an element graph is built only to search for an
-even cycle and for the checks of a cycle handed to the public
-constructor.
+pass per component, and its canonical cycles are the least cycles of
+the block multigraph H; an element graph is built only for the checks
+of the public cycle-attachment constructor.
 """
 
 from __future__ import annotations
@@ -38,9 +38,7 @@ from .family import (
 from .family import _block_sums, _common_denominator, _from_numerators, _numerators
 from .graphs import (
     Path,
-    _has_even_cycle,
-    _multigraph_cycles,
-    _shortest_cycle,
+    _least_cycle,
     biconnected_components,
     block_multigraph,
     block_vertex_counts,
@@ -117,10 +115,11 @@ def construct_two_coloring(
     The subgraph must lie in the support and contain no odd primitive
     cycle.  Each component is two-colored and the full headroom of the
     involved values is added on one color and subtracted on the other,
-    which cancels inside every block.  No block holds more than two of
-    the subgraph's elements, so every cycle of the induced subgraph is
-    primitive, and an edge inside one BFS color class is exactly an odd
-    primitive cycle.
+    which cancels inside every block.  Each block the subgraph touches
+    holds two of its elements, a pair that must get opposite colors, so
+    the pairs are the edges of the induced subgraph; every cycle of them
+    is primitive, and a pair inside one BFS color class is exactly an
+    odd primitive cycle.
     """
     require_stochastic(family, w)
     verts = tuple(sorted(set(vertices)))
@@ -128,14 +127,20 @@ def construct_two_coloring(
         raise ConditionsViolatedError("the subgraph has no vertices")
     if not set(verts) <= set(w.support):
         raise ConditionsViolatedError("the subgraph must lie in the support")
-    for count in block_vertex_counts(family, verts).values():
-        if count != 2:
-            raise ConditionsViolatedError(
-                "every block must contain zero or exactly two subgraph elements"
-            )
+    pairs: dict[int, list[int]] = {}
+    for g in verts:
+        for k in family.membership(g):
+            pairs.setdefault(k, []).append(g)
+    if any(len(pair) != 2 for pair in pairs.values()):
+        raise ConditionsViolatedError(
+            "every block must contain zero or exactly two subgraph elements"
+        )
     index = {g: i for i, g in enumerate(verts)}
-    induced = build_graph(family, within=verts)
-    color = two_color([[(g, index[u]) for u in induced.neighbors_of(g)] for g in verts])
+    arcs: list[list[tuple[int, int]]] = [[] for _ in verts]
+    for k, (g, h) in pairs.items():
+        arcs[index[g]].append((k, index[h]))
+        arcs[index[h]].append((k, index[g]))
+    color = two_color(arcs)
     if color is None:
         raise ConditionsViolatedError("the subgraph contains an odd primitive cycle")
     return _two_coloring(family, w, {g: 1 - 2 * c for g, c in zip(verts, color)})
@@ -302,7 +307,7 @@ def construct_cycle_attachment(
         raise InternalPropertyError("cycle spans several components")
     _require_distinct_pairs(family, comp)
     edges = block_multigraph(family, comp)[1]
-    if _has_even_cycle(edges, biconnected_components(edges)):
+    if _least_cycle(edges, biconnected_components(edges), (0,)) is not None:
         raise EvenCyclePresentError(
             "the component contains an even primitive cycle;"
             " a two-coloring witness applies instead"
@@ -449,33 +454,26 @@ def _witness_for_component(
     as its :func:`_spread` from its smallest element.
 
     The canonical cycles are the shortest even and odd primitive cycles
-    of the component, lexicographically first among equals.  Only an
-    even one needs a walk over the element graph
-    (:func:`_shortest_cycle`); it gets a two-coloring with signs
-    alternating along it (the graph induced on a primitive cycle of H is
-    the cycle).  Otherwise an equal-membership pair gets one.  Otherwise
-    every biconnected component of H of three or more blocks is one odd
-    cycle, so the odd canonical cycle is the least cycle of H; a
-    component without one gets a tree propagation and any other a cycle
-    attachment on it.  H is split into its biconnected components once,
-    for both the even test and the odd listing.  Each answer is a
-    condition the public constructor checks, so none is checked again.
+    of the component, lexicographically first among equals: the least
+    cycles of H of each parity (:func:`_least_cycle`), from one split of
+    H into its biconnected components.  An even one gets a two-coloring
+    with signs alternating along it (the graph induced on a primitive
+    cycle of H is the cycle).  Otherwise an equal-membership pair gets
+    one.  Otherwise a component without an odd cycle gets a tree
+    propagation and any other a cycle attachment on its odd one.  Each
+    answer is a condition the public constructor checks, so none is
+    checked again.
     """
     comp = tuple(sorted(tree))
     edges = block_multigraph(family, comp)[1]
     components = biconnected_components(edges)
-    if _has_even_cycle(edges, components):
-        even = _shortest_cycle(build_graph(family, within=comp), family, "even")
-        sign = {v: (-1) ** i for i, v in enumerate(even.vertices)}
-        return _two_coloring(family, w, sign)
+    even = _least_cycle(edges, components, (0,))
+    if even is not None:
+        return _two_coloring(family, w, {v: (-1) ** i for i, v in enumerate(even)})
     pair = check_injectivity(family, subset=comp)
     if pair is not None:
         return _two_coloring(family, w, {pair[0]: 1, pair[1]: -1})
-    odd = min(
-        _multigraph_cycles(edges, components, (1,)),
-        key=lambda c: (len(c), c),
-        default=None,
-    )
+    odd = _least_cycle(edges, components, (1,))
     if odd is None:
         return _tree_propagation(family, w, tree)
     return _cycle_attachment(family, w, comp, Path(odd, is_cycle=True))

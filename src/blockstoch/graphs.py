@@ -8,10 +8,9 @@ path or cycle is primitive when no block contains more than two of its
 vertices.  The element graph serves every family: exact, deterministic
 enumeration of primitive paths by depth-first primitive walks, and the
 same walks list the primitive cycles of graphs with an element in three
-or more blocks, and the first cycle in walk order (``first_only``).  The
-classifier's canonical even cycle, the first of the sorted census, is
-found by a bounded shortest-cycle search (:func:`_shortest_cycle`) that
-enumerates nothing else; its odd one is the least cycle of H.
+or more blocks, the first cycle in walk order (``first_only``), and, by
+branch and bound (:func:`_shortest_cycle`), their first cycle of the
+sorted census.
 
 When every multiplicity is at most two, the family is also a multigraph
 H on its blocks: an element in two blocks is an edge, an element in one
@@ -20,15 +19,17 @@ least three.  The census lists them one biconnected component at a
 time, each from its least element: a descending union-find marks the
 elements whose ends larger ones already join, and Johnson's blocked
 search from each marked element lists the cycles it is least in, already
-canonical, so that the census is one sort of vertex tuples.  Questions
-that need only bipartiteness (:func:`bipartition`, the vertex search,
-the odd cycle search) are answered by one BFS two-coloring of H, and
-whether an even cycle exists by its biconnected components.  Linear
-algebra on the block-sum columns is the frame matroid of H
-(:func:`frame_rank`, :func:`frame_circuit`): an edge's column is
-e_a + e_b and a half-edge's is e_a.  The same core gives ``decompose``
-its kernel vectors and the cycle-attachment witness its perturbation,
-the circuit through an odd cycle listed first.
+canonical, so that the census is one sort of vertex tuples.  The
+census's first cycle of each parity, the classifier's canonical cycles,
+is the least cycle of H (:func:`_least_cycle`), found alone by a branch
+and bound over each cycle's least element whose cuts are walk lengths
+of both parities.  Questions that need only bipartiteness
+(:func:`bipartition`, the vertex search) are answered by one BFS
+two-coloring of H.  Linear algebra on the block-sum columns is the
+frame matroid of H (:func:`frame_rank`, :func:`frame_circuit`): an
+edge's column is e_a + e_b and a half-edge's is e_a.  The same core
+gives ``decompose`` its kernel vectors and the cycle-attachment witness
+its perturbation, the circuit through an odd cycle listed first.
 """
 
 from __future__ import annotations
@@ -485,8 +486,12 @@ def shortest_primitive_cycle(
 ) -> Path | None:
     """``find_primitive_cycles(graph, family, parity)[0]``, or None, found alone.
 
-    The least canonical primitive cycle by (vertex count, vertices),
-    found by branch and bound over the same depth-first walks.  Starts
+    When every element of the graph lies in at most two blocks, the
+    primitive cycles are the cycles of H on those elements, and the
+    least of them is found on H (:func:`_least_cycle`) with no walk.
+    Otherwise the least canonical primitive cycle by (vertex count,
+    vertices) is found by branch and bound over the same depth-first
+    walks of the element graph (:func:`_shortest_cycle`).  Starts
     run in ascending order and the walks of one length from one start
     come in lexicographic order, so a later cycle replaces the best one
     only when it is shorter: by two vertices for "odd" and "even", by
@@ -502,25 +507,18 @@ def shortest_primitive_cycle(
       itself leads back to ``s`` there, so ``dist(u)`` is defined);
     - the search stops at the first cycle of the least possible length,
       three vertices for "odd" and "any", four for "even".
-
-    When every element of the graph lies in at most two blocks, the
-    primitive cycles are the cycles of H on those elements, so H answers
-    first whether any cycle of the parity exists: an odd search returns
-    None at once if H is bipartite (:func:`two_color`), an even one if H
-    has no even cycle (:func:`_has_even_cycle`).  The walks would find
-    none only after exhausting every cycle of the other parity.
     """
+    want = _parity_classes(parity)
     edges = _multigraph_edges(graph, family)
-    if edges is not None:
-        if parity == "odd" and two_color(edges) is not None:
-            return None
-        if parity == "even" and not _has_even_cycle(edges, biconnected_components(edges)):
-            return None
-    return _shortest_cycle(graph, family, parity)
+    if edges is None:
+        return _shortest_cycle(graph, family, parity)
+    cycle = _least_cycle(edges, biconnected_components(edges), want)
+    return None if cycle is None else Path(cycle, is_cycle=True)
 
 
 def _shortest_cycle(graph: AssociatedGraph, family: SetFamily, parity: str) -> Path | None:
-    """The walk search of :func:`shortest_primitive_cycle`, with no test on H."""
+    """The walk search of :func:`shortest_primitive_cycle` on the element
+    graph, for graphs with an element in three or more blocks."""
     want = _parity_classes(parity)
     step = 1 if parity == "any" else 2
     least = 4 if parity == "even" else 3
@@ -544,6 +542,135 @@ def _shortest_cycle(graph: AssociatedGraph, family: SetFamily, parity: str) -> P
                 if limit < least:
                     return best
     return best
+
+
+def _least_cycle(
+    edges: list[list[tuple[int, int]]], components: list[set[int]], want: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """The least cycle of H with three or more nodes and a wanted parity,
+    by (length, canonical element tuple), or None.
+
+    ``edges`` is H as :func:`block_multigraph` gives it and
+    ``components`` its :func:`biconnected_components`.  A component with
+    as many node pairs as nodes is one cycle, its only one, through each
+    pair's least element, and a bipartite one has no odd cycle: both are
+    answered in linear time.  In the others each element g = (a, b) is
+    tried in ascending order as the cycle's least (:func:`_least_through`),
+    and a later cycle replaces the best only when it is shorter.
+    """
+    cycles: list[list[int]] = []
+    starts = []
+    for nodes in components:
+        if len(nodes) < 3:
+            continue
+        arcs = {v: [(g, u) for g, u in edges[v] if u in nodes] for v in nodes}
+        if len({(v, u) for v in nodes for _, u in arcs[v] if v < u}) == len(nodes):
+            if len(nodes) % 2 in want:
+                g, a, b = min((g, a, b) for a in nodes for g, b in arcs[a])
+                ring, back, v = [g], a, b
+                while v != a:
+                    e, u = next((e, u) for e, u in arcs[v] if u != back)
+                    ring.append(e)
+                    back, v = v, u
+                if ring[1] > ring[-1]:
+                    ring[1:] = ring[:0:-1]
+                cycles.append(ring)
+            continue
+        root = min(nodes)
+        # no closed walk of odd length: bipartite
+        if want == (1,) and (root, 1) not in _walk_lengths(arcs, root, -1, set()):
+            continue
+        starts += [(g, a, b, arcs) for a in nodes for g, b in arcs[a] if a < b]
+    # no cycle has more nodes than H
+    limit = min(map(len, cycles), default=len(edges))
+    for g, a, b, arcs in sorted(starts, key=lambda start: start[0]):
+        if limit < (4 if want == (0,) else 3):
+            break
+        cycle = _least_through(arcs, g, a, b, want, limit)
+        if cycle is not None:
+            cycles.append(cycle)
+            limit = len(cycle) - 1
+    return tuple(min(cycles, key=lambda c: (len(c), c))) if cycles else None
+
+
+def _least_through(
+    arcs: dict[int, list[tuple[int, int]]],
+    g: int,
+    a: int,
+    b: int,
+    want: tuple[int, ...],
+    limit: int,
+) -> list[int] | None:
+    """The least cycle of at most ``limit`` elements and a wanted parity
+    whose least element is g = (a, b), as its canonical element list.
+
+    ``arcs`` lists each node's (element, other node) pairs by element.
+    The search leaves g from both its ends at once over the larger
+    elements in ascending order, so the cycles come in the order of
+    their lists, each before its reverse, and each one found lowers the
+    limit below its length.  A step is cut by :func:`_fits`.  The walk
+    lengths it reads are taken again only at nodes of three or more
+    arcs: elsewhere the path has one way on, and lengths taken with
+    fewer nodes off the walks are lower bounds still.
+    """
+    best = None
+    other = {a: b, b: a}
+    lengths = {s: _walk_lengths(arcs, other[s], g, {s}) for s in other}
+    firsts = sorted((e, u, s) for s in other for e, u in arcs[s] if e > g and u != other[s])
+    for first, u, s in firsts:
+        target = other[s]
+        path, on_path = [g], {s}
+        stack = [(s, iter([(first, u)]), lengths[s])]
+        while stack:
+            v, it, dist = stack[-1]
+            for e, u in it:
+                if e <= g or u in on_path:
+                    continue
+                n = len(path) + 1
+                if u == target:
+                    if n % 2 in want and n <= limit:
+                        best = path + [e]
+                        limit = n - 1
+                    continue
+                if not _fits(dist, u, n, want, limit):
+                    continue
+                path.append(e)
+                on_path.add(u)
+                if len(arcs[u]) > 2:
+                    dist = _walk_lengths(arcs, target, g, on_path)
+                stack.append((u, iter(arcs[u]), dist))
+                break
+            else:
+                stack.pop()
+                path.pop()
+                on_path.remove(v)
+    return best
+
+
+def _fits(
+    dist: dict[tuple[int, int], int], u: int, n: int, want: tuple[int, ...], limit: int
+) -> bool:
+    """Whether a path of ``n`` elements ending at ``u`` can still close a
+    cycle of a wanted parity within ``limit`` elements, by the least
+    walks back of each parity (:func:`_walk_lengths`)."""
+    return n + min(dist.get((u, (q - n) % 2), limit) for q in want) <= limit
+
+
+def _walk_lengths(
+    arcs: dict[int, list[tuple[int, int]]], target: int, floor: int, off: set[int]
+) -> dict[tuple[int, int], int]:
+    """The least length of each parity of a walk from each node to
+    ``target`` over elements above ``floor`` and nodes outside ``off``,
+    keyed by (node, parity): a BFS on (node, parity) pairs."""
+    dist = {(target, 0): 0}
+    queue = [(target, 0)]
+    for v, p in queue:
+        d = dist[v, p] + 1
+        for e, u in arcs[v]:
+            if e > floor and u not in off and (u, 1 - p) not in dist:
+                dist[u, 1 - p] = d
+                queue.append((u, 1 - p))
+    return dist
 
 
 @dataclass(frozen=True)
@@ -709,28 +836,6 @@ def two_color(edges: list[list[tuple[int, int]]]) -> list[int] | None:
                 elif color[v] == color[u]:
                     return None
     return color
-
-
-def _has_even_cycle(
-    edges: list[list[tuple[int, int]]], components: list[set[int]]
-) -> bool:
-    """Whether H has a cycle of four or more nodes and even length.
-
-    Such a cycle lies in one of H's ``components`` (its biconnected
-    ones) of three or more nodes.  A component that is one cycle through
-    its nodes (as many distinct node pairs as nodes, parallel elements
-    aside) has only cycles of its node count.  Any other such component
-    holds a theta, three paths between two nodes, two of which have
-    equal parity and close an even cycle.
-    """
-    for nodes in components:
-        if len(nodes) >= 3 and (
-            len(nodes) % 2 == 0
-            or len({(u, v) for u in nodes for _, v in edges[u] if u < v and v in nodes})
-            > len(nodes)
-        ):
-            return True
-    return False
 
 
 def biconnected_components(edges: list[list[tuple[int, int]]]) -> list[set[int]]:

@@ -86,14 +86,18 @@ def assert_cycle_pieces(
                 assert len(shared) <= 1
 
 
-def count_calls(monkeypatch, owner, *names) -> Counter:
-    """Count the calls of ``owner``'s methods ``names`` until the patch is undone."""
+def count_calls(monkeypatch, owner, *names, cap=None) -> Counter:
+    """Count the calls of ``owner``'s methods ``names`` until the patch is
+    undone.  A call past ``cap`` calls of its name raises, so that a
+    search gone exponential fails at once instead of running on."""
     counts = Counter()
     for name in names:
         original = getattr(owner, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
+            if cap is not None and counts[_name] > cap:
+                raise AssertionError(f"more than {cap} calls of {_name}")
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counting)
@@ -374,6 +378,43 @@ def odd_ring_chain(k: int, n: int) -> tuple[list[list[int]], dict[int, Fraction]
             for j in range(n):
                 total[base + j + 1] += (1 if (j - first) % 2 == 0 and j >= first else 0) - half
     return blocks, {g: v / k for g, v in total.items()}
+
+
+def necklace(
+    k: int, sides: int, half_edges: bool, seed: int
+) -> tuple[list[list[int]], dict[int, Fraction]]:
+    """A ring of ``k`` triangles (``sides`` 3) or squares (4) of blocks,
+    each joined to the next at a corner block, with seeded shuffled
+    labels, and a point of its polytope.
+
+    Bead i holds a ring element in corner blocks i and i+1 (mod k) and a
+    detour of ``sides`` - 1 elements between them through ``sides`` - 2
+    blocks of its own, so the cycles of the block multigraph are the
+    beads and the rounds of the ring, which take the ring element or the
+    detour of each bead: the rounds of squares all have the parity of k,
+    and those of triangles both.  With ``half_edges`` every block also
+    holds an element of its own.  The
+    point puts 1/2 on every detour element; with half-edges it puts 1/8
+    on the ring elements, 1/4 on the detour elements and on the corners'
+    own elements and 1/2 on the other blocks' own elements, so its
+    support is everything.
+    """
+    rng = random.Random(seed)
+    blocks: list[list[int]] = [[] for _ in range(k)]
+    values: list[tuple[tuple[int, ...], Fraction]] = []
+    ring, detour = (Fraction(1, 8), Fraction(1, 4)) if half_edges else (0, Fraction(1, 2))
+    for i in range(k):
+        ends = [i] + [len(blocks) + j for j in range(sides - 2)] + [(i + 1) % k]
+        blocks += [[] for _ in range(sides - 2)]
+        values.append(((i, (i + 1) % k), ring))
+        values += [(pair, detour) for pair in zip(ends, ends[1:])]
+    if half_edges:
+        values += [((b,), detour if b < k else Fraction(1, 2)) for b in range(len(blocks))]
+    labels = rng.sample(range(1, 2 * len(values) + 1), len(values))
+    for g, (ends, _) in zip(labels, values):
+        for b in ends:
+            blocks[b].append(g)
+    return blocks, {g: v for g, (_, v) in zip(labels, values) if v}
 
 
 # The full block scan of the extension walk, kept as the reference for
@@ -816,16 +857,16 @@ def layered_tree_propagation(
 def _graph_witness(
     family: SetFamily, w: WeightFunction, induced: AssociatedGraph
 ) -> Witness:
-    """The witness of an offending component from walk searches for its
-    canonical even and odd cycles on the induced element graph."""
-    even = graphs.shortest_primitive_cycle(induced, family, parity="even")
+    """The witness of an offending component from the first even and odd
+    cycles of the census of the induced element graph."""
+    even = (graphs.find_primitive_cycles(induced, family, "even") or (None,))[0]
     if even is not None:
         sign = {v: (-1) ** i for i, v in enumerate(even.vertices)}
         return extremality._two_coloring(family, w, sign)
     pair = check_injectivity(family, subset=induced.vertices)
     if pair is not None:
         return extremality._two_coloring(family, w, {pair[0]: 1, pair[1]: -1})
-    odd = graphs.shortest_primitive_cycle(induced, family, parity="odd")
+    odd = (graphs.find_primitive_cycles(induced, family, "odd") or (None,))[0]
     if odd is None:
         return layered_tree_propagation(family, w, induced)
     return chain_cycle_attachment(family, w, induced.vertices, odd)
@@ -910,11 +951,11 @@ def graph_cycle_attachment(
     family: SetFamily, w: WeightFunction, cycle: Path | None = None
 ) -> Witness:
     """``construct_cycle_attachment`` with the cycle's component and the
-    even-cycle refusal from the element graph."""
+    even-cycle refusal from the element graph and its census."""
     require_stochastic(family, w)
     graph = graphs.build_graph(family, within=w.support)
     if cycle is None:
-        cycle = graphs.shortest_primitive_cycle(graph, family, parity="odd")
+        cycle = (graphs.find_primitive_cycles(graph, family, "odd") or (None,))[0]
         if cycle is None:
             raise ConditionsViolatedError("the support has no odd primitive cycle")
     graphs.require_simple(graph, cycle)
@@ -925,7 +966,7 @@ def graph_cycle_attachment(
     comp = tuple(sorted(graphs.bfs_layers(graph, cycle.vertices[0])))
     extremality._require_distinct_pairs(family, comp)
     induced = graphs.build_graph(family, within=comp)
-    if graphs.shortest_primitive_cycle(induced, family, parity="even") is not None:
+    if graphs.find_primitive_cycles(induced, family, "even"):
         raise EvenCyclePresentError(
             "the component contains an even primitive cycle;"
             " a two-coloring witness applies instead"

@@ -229,6 +229,27 @@ class TestGraph:
             "  even: (" + ", ".join(map(str, range(1, 3001))) + ")",
         ]
 
+    def test_long_listing_is_written_in_chunks(self, tmp_path, capsys, monkeypatch):
+        n = 9000
+        path = write(tmp_path, {"blocks": [[i, i % n + 1] for i in range(1, n + 1)]})
+        captured = sys.stdout
+        sizes = []
+
+        class Recording:
+            def write(self, text):
+                sizes.append(text.count("\n"))
+                return captured.write(text)
+
+        monkeypatch.setattr(sys, "stdout", Recording())
+        assert main(["graph", path]) == 0
+        monkeypatch.undo()
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [f"vertices: {n}", f"edges: {n}"]
+        assert lines[-2] == "primitive cycles: 1 (0 odd, 1 even)"
+        # the 9000 edge lines take three writes
+        assert sum(sizes) == len(lines) == n + 4
+        assert sorted(sizes, reverse=True)[:3] == [4096, 4096, 808]
+
     def test_diamond_chain_without_walks(self, tmp_path, capsys, monkeypatch):
         # labels reversed along the chain: the walks from the smallest label
         # run down every diamond, 2^29 ways

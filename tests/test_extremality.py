@@ -42,6 +42,7 @@ from helpers import (
     graph_two_coloring,
     half_edge_trees,
     kappa2_sweep,
+    necklace,
     odd_ring_cacti,
     odd_ring_chain,
 )
@@ -225,7 +226,7 @@ class TestVerdictShape:
 
 
 class TestWitnessCycleIsNotEnumerated:
-    """The canonical witness cycle comes from the bounded search."""
+    """The canonical witness cycle comes from the search on H."""
 
     def test_verdicts_without_the_full_census(self, monkeypatch):
         square = cycle_family(4)
@@ -298,6 +299,25 @@ class TestOddCycleChains:
         verdict = classify_extreme(fam, w)
         assert verdict.witness.construction == "cycle_attachment"
         assert_valid_witness(fam, w, verdict.witness)
+
+
+class TestTriangleNecklaces:
+    """A ring of triangles, every short cycle odd, classifies within a
+    number of parity bounds quadratic in its length; its canonical even
+    cycle is a round of the ring with one detour when its length is odd."""
+
+    @pytest.mark.parametrize("k", [17, 33, 65])
+    def test_classify(self, monkeypatch, k):
+        blocks, weights = necklace(k, 3, True, seed=k)
+        fam, w = build_family(blocks), WeightFunction(weights)
+        counts = count_calls(monkeypatch, graphs, "_fits", "_walk_lengths", cap=2 * k * k)
+        verdict = classify_extreme(fam, w)
+        monkeypatch.undo()
+        assert counts["_walk_lengths"] <= k * k
+        assert verdict.witness.construction == "two_coloring"
+        assert_valid_witness(fam, w, verdict.witness)
+        moved = [g for g in w.support if verdict.witness.w_plus(g) != w(g)]
+        assert len(moved) == k + k % 2
 
 
 def _outcome(call):
@@ -581,14 +601,14 @@ class TestStochasticCheckedOnce:
 class TestOneAnalysisPerComponent:
     """The classifier reads the support through its blocks, decides each
     structural question of the offending component once and hands its
-    answers to the witness builder, which does not re-derive them.  An
-    element graph is built only to search for an even cycle."""
+    answers to the witness builder, which does not re-derive them.  No
+    element graph is built: both canonical cycles are searched on H."""
 
     COUNTED = {
         extremality: (
             "build_graph",
             "block_multigraph",
-            "_shortest_cycle",
+            "_least_cycle",
             "check_injectivity",
             "biconnected_components",
         ),
@@ -619,9 +639,10 @@ class TestOneAnalysisPerComponent:
         assert verdict.witness.construction == "cycle_attachment"
         assert counts["build_graph"] == 0
         assert counts["connected_components"] == 0
-        assert counts["_shortest_cycle"] == 0
+        # the even search, then the odd one
+        assert counts["_least_cycle"] == 2
         assert counts["block_multigraph"] == 1
-        # one split for both the even test and the odd cycles' listing
+        # one split for both searches
         assert counts["biconnected_components"] == 1
         assert counts["check_injectivity"] == 1
         assert verdict.witness == construct_cycle_attachment(fam, w)
@@ -633,26 +654,26 @@ class TestOneAnalysisPerComponent:
         assert verdict.witness.construction == "tree_propagation"
         assert counts["build_graph"] == 0
         assert counts["connected_components"] == 0
-        assert counts["_shortest_cycle"] == 0
+        assert counts["_least_cycle"] == 2
         assert counts["block_multigraph"] == 1
         assert counts["check_injectivity"] == 1
         assert verdict.witness == construct_tree_propagation(fam, w)
 
-    def test_even_cycle_builds_one_element_graph(self, monkeypatch):
+    def test_even_cycle_builds_no_element_graph(self, monkeypatch):
         fam = cycle_family(200)
         w = WeightFunction({g: HALF for g in range(1, 201)})
         verdict, counts = self._classify_counting(monkeypatch, fam, w)
         assert verdict.witness.construction == "two_coloring"
-        assert counts["build_graph"] == 1
+        assert counts["build_graph"] == 0
         assert counts["connected_components"] == 0
-        assert counts["_shortest_cycle"] == 1
+        assert counts["_least_cycle"] == 1
         assert counts["block_multigraph"] == 1
         assert counts["check_injectivity"] == 0
 
     def test_one_support_graph_for_every_point_of_the_sweep(self, monkeypatch):
-        """Extreme or not, whatever the witness, a classification builds
-        one element graph for a witness from an even cycle and none for
-        any other point."""
+        """Extreme or not, whatever the witness, a classification reads
+        the support through its blocks and builds no element graph, a
+        witness from an even cycle included."""
         points = []
         for fam in islice(kappa2_sweep(), 150):
             vertices = enumerate_vertices(fam)
@@ -668,7 +689,7 @@ class TestOneAnalysisPerComponent:
             if v.witness and v.witness.construction == "two_coloring"
             and sum(v.witness.w_plus(g) != w(g) for g in w.support) >= 4
         ]
-        assert 0 < counts["build_graph"] == len(from_even) < len(points)
+        assert counts["build_graph"] == 0 < len(from_even) < len(points)
         constructions = {v.witness.construction for v in verdicts if v.witness}
         assert constructions == {"two_coloring", "tree_propagation", "cycle_attachment"}
 

@@ -38,7 +38,13 @@ from blockstoch.graphs import (
 )
 from blockstoch.oracle import enumerate_vertices
 
-from helpers import diamond_chain_blocks, matrix_cycle_count, walk_census
+from helpers import (
+    count_calls,
+    diamond_chain_blocks,
+    matrix_cycle_count,
+    necklace,
+    walk_census,
+)
 
 
 def cycle_family(n):
@@ -370,13 +376,16 @@ class TestShortestPrimitiveCycle:
         expected = (find_primitive_cycles(graph, fam, parity) or (None,))[0]
         assert shortest_primitive_cycle(graph, fam, parity) == expected
 
-    def test_long_ring_is_its_own_cycle(self):
+    def test_long_ring_is_its_own_cycle(self, monkeypatch):
         fam = cycle_family(2000)
         graph = build_graph(fam)
         ring = Path(tuple(range(1, 2001)), is_cycle=True)
+        # a component that is one cycle is answered without a search
+        counts = count_calls(monkeypatch, graphs, "_least_through")
         assert shortest_primitive_cycle(graph, fam) == ring
         assert shortest_primitive_cycle(graph, fam, parity="even") == ring
         assert shortest_primitive_cycle(graph, fam, parity="odd") is None
+        assert counts["_least_through"] == 0
 
     def test_large_matrix_gives_the_first_square(self):
         fam = grid_family(20)
@@ -419,7 +428,6 @@ class TestShortestPrimitiveCycle:
             for start in graph.vertices
             for walk in graphs._primitive_walks(graph, fam, start, floor=start)
         }
-        no_even = not find_primitive_cycles(graph, fam, "even")
         walks = graphs._primitive_walks
         visited = []
 
@@ -430,16 +438,9 @@ class TestShortestPrimitiveCycle:
 
         monkeypatch.setattr(graphs, "_primitive_walks", recording)
         shortest_primitive_cycle(graph, fam, parity)
-        # an odd search on a bipartite H is answered by the two-coloring
-        # alone and walks nothing, and so is an even search on an H
-        # without an even cycle; every other search walks something
-        bipartite_h = (
-            max_multiplicity(fam) <= 2 and two_color(block_multigraph(fam)[1]) is not None
-        )
-        answered_by_h = max_multiplicity(fam) <= 2 and (
-            (parity == "odd" and bipartite_h) or (parity == "even" and no_even)
-        )
-        assert bool(visited) != answered_by_h
+        # a graph whose elements lie in at most two blocks is searched on
+        # H and walks nothing; the others walk something
+        assert bool(visited) == (max_multiplicity(fam) > 2)
         assert set(visited) <= census_walks
 
     def test_bad_parity_rejected(self):
@@ -457,7 +458,50 @@ class TestShortestPrimitiveCycle:
             raise AssertionError("the odd search walked a bipartite H")
 
         monkeypatch.setattr(graphs, "_primitive_walks", no_walks)
+        # nor is any least element tried on H
+        counts = count_calls(monkeypatch, graphs, "_least_through")
         assert shortest_primitive_cycle(graph, fam, parity="odd") is None
+        assert counts["_least_through"] == 0
+
+
+class TestLeastCycleOnNecklaces:
+    """On rings of triangles and of squares, whose short cycles all have
+    one parity, the search on H finds the walks' cycle, and its parity
+    bounds keep its work within the square of the ring's length."""
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 11])
+    @pytest.mark.parametrize("half_edges", [False, True])
+    @pytest.mark.parametrize("sides", [3, 4])
+    def test_matches_the_walks(self, sides, half_edges, k):
+        fam = build_family(necklace(k, sides, half_edges, seed=k)[0])
+        graph = build_graph(fam)
+        edges = block_multigraph(fam)[1]
+        components = biconnected_components(edges)
+        for parity in ("any", "odd", "even"):
+            walked = graphs._shortest_cycle(graph, fam, parity)
+            assert walked == (walk_census(graph, fam, parity) or (None,))[0]
+            found = graphs._least_cycle(edges, components, graphs._parity_classes(parity))
+            assert found == (walked and walked.vertices), parity
+
+    @pytest.mark.parametrize("k", [17, 33, 65])
+    @pytest.mark.parametrize("sides", [3, 4])
+    def test_work_is_quadratic(self, monkeypatch, sides, k):
+        """The steps tried (one cut each) and the walk-length searches."""
+        fam = build_family(necklace(k, sides, True, seed=k)[0])
+        graph = build_graph(fam)
+        lengths = (
+            {"any": 3, "odd": 3, "even": k + k % 2}
+            if sides == 3
+            else {"any": 4, "odd": k, "even": 4}
+        )
+        for parity, length in lengths.items():
+            counts = count_calls(
+                monkeypatch, graphs, "_fits", "_walk_lengths", cap=2 * k * k
+            )
+            cycle = shortest_primitive_cycle(graph, fam, parity)
+            monkeypatch.undo()
+            assert len(cycle) == length
+            assert counts["_walk_lengths"] <= k * k, parity
 
 
 class TestDecomposeCycle:

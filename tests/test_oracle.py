@@ -283,11 +283,10 @@ class TestCrossValidate:
         assert report.samples_checked == 5
         assert inits["__init__"] == 0
 
-    def test_checks_each_point_once_and_builds_one_graph(self, monkeypatch):
-        """Each vertex is checked once and gets no element graph; each
-        mixture is checked once, gets one element graph for the search of
-        its even cycle (every mixture here has one), and both witness
-        halves get their own membership check."""
+    def test_checks_each_point_once_and_builds_no_graph(self, monkeypatch):
+        """Each point is checked once and gets no element graph, a mixture
+        with an even cycle (every mixture here has one) included, and both
+        witness halves get their own membership check."""
         counters = [
             count_calls(monkeypatch, extremality, "require_stochastic", "build_graph"),
             count_calls(monkeypatch, oracle, "classify_membership", "require_stochastic"),
@@ -304,7 +303,7 @@ class TestCrossValidate:
         assert n_mixtures == 15
         assert counts["require_stochastic"] == n_vertices + n_mixtures
         assert counts["classify_membership"] == n_vertices + 3 * n_mixtures
-        assert counts["build_graph"] == n_mixtures
+        assert counts["build_graph"] == 0
 
 
 class TestCrossValidateCatchesAWrongClassifier:

@@ -484,35 +484,40 @@ def test_shortest_cycle_matches_census_on_seeded_sweep():
         assert outcomes[f"{parity} found"] > 0 and outcomes[f"{parity} none"] > 0
 
 
-def _check_even_test(fam, outcomes):
-    """The even-cycle test on H against the walk census, on every graph of
-    the pool whose elements lie in at most two blocks."""
+def _check_least_cycle(fam, outcomes):
+    """The least cycle of H against the walk census's first, at every
+    parity, on every graph of the pool whose elements lie in at most two
+    blocks."""
     for graph in _graph_pool(fam):
         if all(len(fam.gamma[g]) <= 2 for g in graph.vertices):
             edges = block_multigraph(fam, graph.vertices)[1]
-            expected = bool(walk_census(graph, fam, "even"))
-            found = graphs._has_even_cycle(edges, biconnected_components(edges))
-            assert found == expected, (fam.blocks, graph.vertices)
-            outcomes[expected] += 1
+            components = biconnected_components(edges)
+            for parity in ("any", "odd", "even"):
+                expected = (walk_census(graph, fam, parity) or (None,))[0]
+                found = graphs._least_cycle(
+                    edges, components, graphs._parity_classes(parity)
+                )
+                assert found == (expected and expected.vertices), (fam.blocks, parity)
+                outcomes[parity, expected is not None] += 1
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_families())
 def test_even_test_on_h_matches_walks(fam):
-    _check_even_test(fam, Counter())
+    _check_least_cycle(fam, Counter())
 
 
 @settings(max_examples=100, deadline=None)
 @given(chorded_cycles())
 def test_even_test_on_h_matches_walks_on_chorded_cycles(case):
-    _check_even_test(case[0], Counter())
+    _check_least_cycle(case[0], Counter())
 
 
 def test_even_test_on_h_matches_walks_on_seeded_sweep():
     outcomes = Counter()
     for fam in kappa2_sweep():
-        _check_even_test(fam, outcomes)
-    assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
+        _check_least_cycle(fam, outcomes)
+    assert min(outcomes.values()) > 100 and len(outcomes) == 6, outcomes
 
 
 def _check_census(fam, outcomes):
