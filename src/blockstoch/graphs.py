@@ -28,15 +28,17 @@ of both parities.  Questions that need only bipartiteness
 two-coloring of H.  Linear algebra on the block-sum columns is the
 frame matroid of H (:func:`frame_rank`, :func:`frame_circuit`): an
 edge's column is e_a + e_b and a half-edge's is e_a.  The same core
-gives ``decompose`` its kernel vectors and the cycle-attachment witness
-its perturbation, the circuit through an odd cycle listed first.
+gives the cycle-attachment witness its perturbation, the circuit
+through an odd cycle listed first, and ``decompose``'s vertex walk its
+integer circuits, from one forest that drops the columns each step
+zeroes (:meth:`_FrameForest.remove`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -886,47 +888,46 @@ def biconnected_components(edges: list[list[tuple[int, int]]]) -> list[set[int]]
 
 
 class _FrameForest:
-    """Greedy independence in the frame matroid of H, every edge negative.
+    """Independence in the frame matroid of H, every edge negative, under
+    column additions and removals.
 
     A column is given by its ends, the nodes (blocks) it lies in: two
     for an edge, whose column is e_a + e_b, one for a half-edge, whose
     column is e_a, none for the zero column.  A set of such columns is
     linearly independent exactly when each of its components is a tree,
     a tree plus one edge closing an odd cycle, or a tree plus one
-    half-edge (Zaslavsky, "Signed graphs", 1982).  A union-find over the
-    nodes keeps each node's color parity relative to its root, and each
-    root whose component already holds its one odd cycle or half-edge
-    records that "unbalancing" column in ``extra``.  The union edges
-    form a spanning forest, kept in ``tree`` for :meth:`circuit`.
+    half-edge (Zaslavsky, "Signed graphs", 1982).  The taken columns are
+    kept in that shape: the tree edges in ``tree``, from each node to
+    its tree columns and their far ends, and each component's odd-cycle
+    edge or half-edge, its "unbalancing" column, in ``extra``.  Every
+    node holds its component's label and a color that tree edges
+    alternate.  Joining two components relabels the smaller one, and
+    recolors it when the new edge's ends share a color, so a node is
+    relabelled at most log2 n times by additions.  Removing a tree edge
+    (:meth:`remove`) relabels the smaller side of the split; when the
+    component's odd-cycle edge spans the split it instead recolors that
+    side and keeps the component whole, with that edge as its tree edge.
     """
 
     def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
-        self.parity: dict[int, int] = {}
+        self.label: dict[int, int] = {}
+        self.color: dict[int, int] = {}
         self.size: dict[int, int] = {}
         self.extra: dict[int, tuple[int, Sequence[int]]] = {}
-        self.tree: dict[int, list[tuple[int, int]]] = {}
+        self.tree: dict[int, dict[int, int]] = {}
+        self.fresh = count()
 
-    def _find(self, v: int) -> tuple[int, int]:
-        """The root of ``v`` and the parity of ``v`` relative to it."""
-        parent = self.parent
-        if v not in parent:
-            parent[v] = v
-            self.parity[v] = 0
-            self.size[v] = 1
-            self.tree[v] = []
-            return v, 0
-        path = []
-        while parent[v] != v:
-            path.append(v)
-            v = parent[v]
-        parity = self.parity
-        acc = 0
-        for u in reversed(path):
-            acc ^= parity[u]
-            parity[u] = acc
-            parent[u] = v
-        return v, acc
+    def _node(self, v: int) -> tuple[int, int]:
+        """The label of ``v``'s component and the color of ``v``; a node
+        not seen before is a component of its own."""
+        label = self.label.get(v)
+        if label is None:
+            label = self.label[v] = next(self.fresh)
+            self.color[v] = 0
+            self.size[label] = 1
+            self.tree[v] = {}
+            return label, 0
+        return label, self.color[v]
 
     def add(self, column: int, ends: Sequence[int]) -> bool:
         """Take the column if it is independent of those taken; say whether."""
@@ -934,32 +935,98 @@ class _FrameForest:
             return False
         extra = self.extra
         if len(ends) == 1:
-            root, _ = self._find(ends[0])
-            if root in extra:
+            la, _ = self._node(ends[0])
+            if la in extra:
                 return False
-            extra[root] = (column, ends)
+            extra[la] = (column, ends)
             return True
         a, b = ends
-        ra, pa = self._find(a)
-        rb, pb = self._find(b)
-        if ra == rb:
-            # equal parities close an odd cycle, unequal ones an even cycle
-            if pa != pb or ra in extra:
-                return False
-            extra[ra] = (column, ends)
+        label, color, tree = self.label, self.color, self.tree
+        if a not in label:
+            a, b = b, a
+        la, ca = self._node(a)
+        if b not in label:
+            # a node not seen before joins as a leaf
+            label[b] = la
+            color[b] = ca ^ 1
+            self.size[la] += 1
+            tree[b] = {column: a}
+            tree[a][column] = b
             return True
-        if ra in extra and rb in extra:
+        lb, cb = label[b], color[b]
+        if la == lb:
+            # equal colors close an odd cycle, unequal ones an even cycle
+            if ca != cb or la in extra:
+                return False
+            extra[la] = (column, ends)
+            return True
+        if la in extra and lb in extra:
             return False
-        if self.size[ra] < self.size[rb]:
-            ra, pa, rb, pb = rb, pb, ra, pa
-        self.parent[rb] = ra
-        self.parity[rb] = pa ^ pb ^ 1
-        self.size[ra] += self.size[rb]
-        if rb in extra:
-            extra[ra] = extra.pop(rb)
-        self.tree[a].append((column, b))
-        self.tree[b].append((column, a))
+        if self.size[la] < self.size[lb]:
+            a, b, la, lb = b, a, lb, la
+        flip = ca ^ cb ^ 1
+        nodes = [b]
+        for u in nodes:
+            label[u] = la
+            color[u] ^= flip
+            for v in tree[u].values():
+                if label[v] != la:
+                    nodes.append(v)
+        self.size[la] += self.size.pop(lb)
+        if lb in extra:
+            extra[la] = extra.pop(lb)
+        tree[a][column] = b
+        tree[b][column] = a
         return True
+
+    def remove(self, column: int, ends: Sequence[int]) -> None:
+        """Give up a taken column; the other taken columns stay taken."""
+        a = ends[0]
+        la = self.label[a]
+        tree = self.tree
+        if column not in tree[a]:
+            del self.extra[la]
+            return
+        b = ends[1]
+        del tree[a][column], tree[b][column]
+        side = self._smaller_side(a, b)
+        inside = set(side)
+        extra = self.extra.get(la)
+        if extra is not None and len(extra[1]) == 2:
+            c, (u, v) = extra
+            if (u in inside) != (v in inside):
+                # the odd-cycle edge rejoins the two sides as a tree edge
+                del self.extra[la]
+                for w in side:
+                    self.color[w] ^= 1
+                tree[u][c] = v
+                tree[v][c] = u
+                return
+        new = next(self.fresh)
+        for w in side:
+            self.label[w] = new
+        self.size[new] = len(side)
+        self.size[la] -= len(side)
+        if extra is not None and extra[1][0] in inside:
+            self.extra[new] = self.extra.pop(la)
+
+    def _smaller_side(self, a: int, b: int) -> list[int]:
+        """The nodes on the smaller side of a split tree, ``a``'s or
+        ``b``'s: both sides are searched in turn, one node at a time, so
+        the search stops after about twice the smaller side's size."""
+        tree = self.tree
+        sides = ([a], [b])
+        seen = {a, b}
+        i = 0
+        while True:
+            for nodes in sides:
+                if i == len(nodes):
+                    return nodes
+                for v in tree[nodes[i]].values():
+                    if v not in seen:
+                        seen.add(v)
+                        nodes.append(v)
+            i += 1
 
     def circuit(self, column: int, ends: Sequence[int]) -> dict[int, int]:
         """The circuit a rejected column closes, with that column at 2.
@@ -976,15 +1043,15 @@ class _FrameForest:
         x = {column: 2}
         solved: set[int] = set()
         for start in ends:
-            root, _ = self._find(start)
-            if root in solved:
+            label = self.label[start]
+            if label in solved:
                 continue
-            solved.add(root)
-            extra = self.extra.get(root)
+            solved.add(label)
+            extra = self.extra.get(label)
             order = [start]
             up: dict[int, tuple[int, int] | None] = {start: None}
             for u in order:
-                for c, v in self.tree[u]:
+                for c, v in self.tree[u].items():
                     if v not in up:
                         up[v] = (c, u)
                         order.append(v)
@@ -1038,7 +1105,9 @@ def frame_circuit(ends: Sequence[Sequence[int]]) -> dict[int, Fraction] | None:
     first free column.  The result is the unique kernel vector supported
     on them and that column, with that column at 1: the nonzero entries,
     by column, of the vector ``oracle._kernel_vector`` returns for the
-    same 0/1 matrix.
+    same 0/1 matrix.  The cycle-attachment witness takes its
+    perturbation from here; ``decompose``'s vertex walk asks one live
+    forest for the same circuits, at twice these values, step after step.
     """
     forest = _FrameForest()
     for c, e in enumerate(ends):

@@ -14,22 +14,27 @@ column set is solved exactly.  The basis search needs no structure at
 all, so it also serves as the reference the multigraph search and the
 structural classifier are tested against.
 
-Everything here runs over exact rationals.  The rank and kernel
-vectors that :func:`is_vertex`, :func:`decompose` and its vertex walk,
-and the extension checks need come from one pair,
-:func:`column_rank` and :func:`column_circuit`.  When every column
-meets at most two rows it is an incidence column of a multigraph, and
-they answer from the frame matroid core of :mod:`graphs`
-(:func:`graphs.frame_rank`, :func:`graphs.frame_circuit`) with no row
-reduction.  Otherwise, and for the basis search, the answer comes from
-one sparse elimination kernel (:func:`_rref`).  A row is a dict from
-column to its nonzero value, and a column index (column -> rows holding
-it) lets each pivot touch only the rows that hold its column; on the
-block-incidence matrices of long rings and paths the work stays close
-to the number of nonzeros.  Which row serves as a pivot is a matter of
-fill only: the reduced row echelon form is unique, so pivot columns,
-reduced rows, kernel vectors, vertices and decompositions come out the
-same whatever the choice, and the same as the frame matroid core's.
+Everything here is exact.  The rank questions of :func:`is_vertex`
+and the extension checks go through :func:`column_rank`.  When every
+column meets at most two rows it is an incidence column of a
+multigraph, and the answer comes from the frame matroid core of
+:mod:`graphs` (:func:`graphs.frame_rank`) with no row reduction.
+Otherwise, and for the basis search, the answer comes from one sparse
+elimination kernel (:func:`_rref`).  A row is a dict from column to its
+nonzero value, and a column index (column -> rows holding it) lets each
+pivot touch only the rows that hold its column; on the block-incidence
+matrices of long rings and paths the work stays close to the number of
+nonzeros.  Which row serves as a pivot is a matter of fill only: the
+reduced row echelon form is unique, so pivot columns, reduced rows,
+kernel vectors, vertices and decompositions come out the same whatever
+the choice, and the same as the frame matroid core's.
+
+:func:`decompose` and its vertex walk (:func:`_vertex_within`) keep
+the point as integer numerators over one common denominator.  The walk
+steps along integer circuits: on supports whose elements lie in at most
+two blocks they come from one frame forest kept for the whole walk,
+which drops the columns each step zeroes, and otherwise from the sparse
+kernel's vector scaled to integers.
 """
 
 from __future__ import annotations
@@ -58,8 +63,14 @@ from .family import (
     max_multiplicity,
     require_stochastic,
 )
-from .family import _block_sums, _combination, _common_denominator, _numerators
-from .graphs import block_multigraph, frame_circuit, frame_rank, two_color
+from .family import (
+    _block_sums,
+    _combination,
+    _common_denominator,
+    _from_numerators,
+    _numerators,
+)
+from .graphs import _FrameForest, block_multigraph, frame_rank, two_color
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -352,17 +363,6 @@ def column_rank(columns: Sequence[Sequence[int]]) -> int:
     return _rank(_column_rows(columns))
 
 
-def column_circuit(columns: Sequence[Sequence[int]]) -> dict[int, Fraction] | None:
-    """The nonzero entries, by column, of :func:`_kernel_vector` of the
-    matrix of :func:`column_rank`, or None at full column rank; from the
-    frame matroid core (:func:`graphs.frame_circuit`) when every column
-    meets at most two rows."""
-    if max(map(len, columns), default=0) <= 2:
-        return frame_circuit(columns)
-    x = _kernel_vector(_column_rows(columns), len(columns))
-    return None if x is None else {c: v for c, v in enumerate(x) if v}
-
-
 def is_vertex(family: SetFamily, w: WeightFunction) -> bool:
     """Whether a stochastic weight function is a vertex of the polytope.
 
@@ -373,31 +373,90 @@ def is_vertex(family: SetFamily, w: WeightFunction) -> bool:
     return column_rank([family.gamma[g] for g in w.support]) == len(w.support)
 
 
-def _vertex_within(family: SetFamily, start: WeightFunction) -> WeightFunction:
+def _step(numerators: dict[int, int], scale: int, circuit: dict[int, int]) -> int:
+    """Move a point along an integer circuit until a value reaches zero.
+
+    The point is ``numerators`` over ``scale``, keyed by element, and is
+    moved in place; zeroed elements are deleted.  The step is the least
+    ``numerators[c] / -circuit[c]`` over the circuit's negative entries,
+    found by cross-multiplication.  When that ratio, in lowest terms
+    p/q, does not make every ``p * circuit[c] / q`` an integer, every
+    numerator and the scale are first multiplied by what q lacks, and
+    afterwards divided by their greatest common divisor.  Returns the
+    new scale.
+    """
+    p = q = 0
+    for c, k in circuit.items():
+        if k < 0 and (not q or numerators[c] * q < p * -k):
+            p, q = numerators[c], -k
+    d = math.gcd(p, q)
+    p, q = p // d, q // d
+    rescale = q // math.gcd(q, *circuit.values())
+    if rescale > 1:
+        for c in numerators:
+            numerators[c] *= rescale
+        scale *= rescale
+    for c, k in circuit.items():
+        value = numerators[c] + p * k * rescale // q
+        if value:
+            numerators[c] = value
+        else:
+            del numerators[c]
+    if rescale > 1:
+        d = math.gcd(scale, *numerators.values())
+        if d > 1:
+            for c in numerators:
+                numerators[c] //= d
+            scale //= d
+    return scale
+
+
+def _vertex_within(
+    family: SetFamily, start: dict[int, int], scale: int
+) -> tuple[dict[int, int], int]:
     """Walk from a stochastic point to a vertex without growing the support.
 
-    Each step moves along :func:`column_circuit` of the current support
-    until a value reaches zero, so the support shrinks until its columns
-    are independent.  The walk updates a plain dict, which stays in
-    ascending label order because keys are only updated or deleted, and
-    builds one ``WeightFunction`` at the end.
+    The point is integer numerators over one common denominator
+    ``scale``, in ascending label order, and so is the vertex returned.
+    Each step moves along a circuit of the support's columns with
+    :func:`_step`, so the support shrinks until its columns are
+    independent.  The circuit is the one the first dependent column, in
+    ascending order, closes with those before it: the one
+    :func:`_kernel_vector` gives, scaled to integers.
+
+    When every support element lies in at most two blocks, one
+    :class:`graphs._FrameForest` serves the whole walk.  The columns
+    before the first dependent one are independent and a step only
+    zeroes some of them, so they stay independent: the zeroed ones are
+    removed from the forest, and the walk resumes adding columns at the
+    old first dependent one.  Otherwise each step solves the support
+    again with the sparse kernel.
     """
     gamma = family.gamma
-    current = dict(start.items())
-    for _ in range(len(family.ground) + 2):
-        supp = tuple(current)
-        kernel = column_circuit([gamma[g] for g in supp])
-        if kernel is None:
-            return WeightFunction._trusted(current)
-        moves = [(supp[c], kv) for c, kv in kernel.items()]
-        step = min(-current[g] / kv for g, kv in moves if kv < 0)
-        for g, kv in moves:
-            value = current[g] + step * kv
-            if value:
-                current[g] = value
-            else:
-                del current[g]
-    raise DepthExceededError("vertex walk did not terminate")
+    current = dict(start)
+    order = list(current)
+    if max((len(gamma[g]) for g in order), default=0) > 2:
+        while True:
+            x = _kernel_vector(_column_rows([gamma[g] for g in order]), len(order))
+            if x is None:
+                return current, scale
+            d = math.lcm(*(v.denominator for v in x))
+            circuit = {g: v.numerator * (d // v.denominator) for g, v in zip(order, x) if v}
+            scale = _step(current, scale, circuit)
+            order = list(current)
+    forest = _FrameForest()
+    i = 0
+    while i < len(order):
+        g = order[i]
+        if g not in current or forest.add(g, gamma[g]):
+            i += 1
+            continue
+        circuit = forest.circuit(g, gamma[g])
+        scale = _step(current, scale, circuit)
+        for c in circuit:
+            if c != g and c not in current:
+                forest.remove(c, gamma[c])
+    return current, scale
 
 
 @dataclass(frozen=True)
@@ -427,17 +486,33 @@ def decompose(family: SetFamily, w: WeightFunction) -> Decomposition:
     require_stochastic(family, w)
     terms: list[tuple[Fraction, WeightFunction]] = []
     coef = ONE
-    current = w
+    scale = _common_denominator(w)
+    current = _numerators(w, scale)
     for _ in range(len(family.ground) + 2):
-        vertex = _vertex_within(family, current)
-        if vertex == current:
-            terms.append((coef, current))
+        vertex, vscale = _vertex_within(family, current, scale)
+        if len(vertex) == len(current):
+            terms.append((coef, _from_numerators(current, scale)))
             break
-        t = min(current(g) / vertex(g) for g in vertex.support)
-        if t >= 1:
+        # t = min current(g) / vertex(g) = a / b, by cross-multiplication
+        a = b = 0
+        for g, n in vertex.items():
+            if not b or current[g] * vscale * b < a * n * scale:
+                a, b = current[g] * vscale, n * scale
+        if a >= b:
             raise InternalPropertyError("peeling step did not reduce the point")
-        terms.append((coef * t, vertex))
-        current = _combination(((1 / (ONE - t), current), (t / (t - ONE), vertex)))
+        t = Fraction(a, b)
+        a, b = t.numerator, t.denominator
+        terms.append((coef * t, _from_numerators(vertex, vscale)))
+        # (current - t * vertex) / (1 - t), over scale * vscale * (b - a)
+        current = {
+            g: value
+            for g, n in current.items()
+            if (value := b * vscale * n - a * scale * vertex.get(g, 0))
+        }
+        scale *= vscale * (b - a)
+        d = math.gcd(scale, *current.values())
+        current = {g: n // d for g, n in current.items()}
+        scale //= d
         coef = coef * (ONE - t)
     else:
         raise DepthExceededError("vertex peeling did not terminate")

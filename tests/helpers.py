@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
-from blockstoch import extremality, graphs
+from blockstoch import extremality, graphs, oracle
 from blockstoch.cli import gen_random
 from blockstoch.errors import (
     ConditionsViolatedError,
@@ -345,6 +345,62 @@ def sparse_rows(matrix: list[list[Fraction]]) -> list[dict[int, Fraction]]:
 
 def dense_row(row: dict[int, Fraction], width: int) -> list[Fraction]:
     return [row.get(c, Fraction(0)) for c in range(width)]
+
+
+# The vertex walk and peel over Fractions, rebuilding the frame forest
+# (or solving the sparse kernel) from the first support column at every
+# step, kept as the reference for the integer walk on one live forest in
+# blockstoch.oracle.
+
+
+def fraction_vertex_within(family: SetFamily, start: WeightFunction, steps: list):
+    """The vertex the walk from ``start`` reaches; each step's zeroed
+    columns are appended to ``steps`` as a sorted tuple."""
+    gamma = family.gamma
+    current = dict(start.items())
+    while True:
+        supp = tuple(current)
+        ends = [gamma[g] for g in supp]
+        if max(map(len, ends), default=0) <= 2:
+            kernel = graphs.frame_circuit(ends)
+        else:
+            x = oracle._kernel_vector(oracle._column_rows(ends), len(ends))
+            kernel = None if x is None else {c: v for c, v in enumerate(x) if v}
+        if kernel is None:
+            return WeightFunction(current)
+        moves = [(supp[c], kv) for c, kv in kernel.items()]
+        step = min(-current[g] / kv for g, kv in moves if kv < 0)
+        zeroed = []
+        for g, kv in moves:
+            value = current[g] + step * kv
+            if value:
+                current[g] = value
+            else:
+                del current[g]
+                zeroed.append(g)
+        steps.append(tuple(sorted(zeroed)))
+
+
+def fraction_decompose(family: SetFamily, w: WeightFunction):
+    """``(terms, vertices, steps)``: the terms of ``oracle.decompose``,
+    the vertex each walk reached and every walk step's zeroed columns,
+    with each peel ``(current - t * vertex) / (1 - t)`` in ``Fraction``
+    arithmetic."""
+    terms, vertices, steps = [], [], []
+    coef = Fraction(1)
+    current = w
+    while True:
+        vertex = fraction_vertex_within(family, current, steps)
+        vertices.append(vertex)
+        if vertex == current:
+            terms.append((coef, current))
+            break
+        t = min(current(g) / vertex(g) for g in vertex.support)
+        terms.append((coef * t, vertex))
+        current = fraction_combination(((1 / (1 - t), current), (t / (t - 1), vertex)))
+        coef *= 1 - t
+    terms.sort(key=lambda cw: (-cw[0], cw[1].sort_key()))
+    return tuple(terms), vertices, steps
 
 
 def odd_ring_chain(k: int, n: int) -> tuple[list[list[int]], dict[int, Fraction]]:

@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from blockstoch import extremality, family, oracle
-from blockstoch.cli import main
+from blockstoch import extremality, family, graphs, oracle
+from blockstoch.cli import gen_random, main
 from blockstoch.errors import (
     ConditionsViolatedError,
     InputError,
@@ -18,7 +18,12 @@ from blockstoch.errors import (
 )
 from blockstoch.extension import _support_rank
 from blockstoch.extremality import Verdict, Witness
-from blockstoch.family import WeightFunction, build_family, max_multiplicity
+from blockstoch.family import (
+    WeightFunction,
+    _from_numerators,
+    build_family,
+    max_multiplicity,
+)
 from blockstoch.instance_io import dump_instance
 from blockstoch.oracle import (
     basis_vertices,
@@ -30,7 +35,14 @@ from blockstoch.oracle import (
     support_width,
 )
 
-from helpers import KAPPA3_BLOCKS, count_calls, kappa2_sweep
+from helpers import (
+    KAPPA3_BLOCKS,
+    count_calls,
+    fraction_combination,
+    fraction_decompose,
+    kappa2_sweep,
+    necklace,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -227,25 +239,20 @@ class TestDecompose:
 
     def test_one_independence_answer_per_peel(self, monkeypatch):
         # each peel ends when the walk to a vertex finds the point's
-        # columns independent; no separate rank query repeats that answer
+        # columns independent, and each walk keeps one frame forest; no
+        # separate rank query repeats that answer
         fam = matrix_family(5)
         mix = permutation_mean(5, count=4)
         expected = decompose(fam, mix)
-        circuit = oracle.column_circuit
-        answers = []
-
-        def counting(columns):
-            answers.append(circuit(columns))
-            return answers[-1]
 
         def refuse(columns):
             raise AssertionError("decompose asked column_rank")
 
-        monkeypatch.setattr(oracle, "column_circuit", counting)
+        calls = count_calls(monkeypatch, oracle, "_vertex_within", "_FrameForest")
         monkeypatch.setattr(oracle, "column_rank", refuse)
         assert decompose(fam, mix) == expected
         assert len(expected.terms) > 1
-        assert sum(answer is None for answer in answers) == len(expected.terms)
+        assert calls["_vertex_within"] == calls["_FrameForest"] == len(expected.terms)
 
 
 class TestCrossValidate:
@@ -486,3 +493,94 @@ class TestFrameCore:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "29e454891c821ccc98102d4109ed47a604b54441e882472e7a3a462eeef82656"
         )
+
+
+def barycentre(fam):
+    """The mean of every vertex of ``fam``, or None when it has none."""
+    vertices = enumerate_vertices(fam)
+    if not vertices:
+        return None
+    return fraction_combination((F(1, len(vertices)), v) for v in vertices)
+
+
+def walk_cases(source):
+    """The (family, point) pairs of one source of the walk differential."""
+    if source == "kappa2-sweep":
+        for fam in kappa2_sweep():
+            w = barycentre(fam)
+            if w is not None:
+                yield fam, w
+    elif source == "kappa3-random":
+        rng = random.Random(23)
+        for i in range(200):
+            fam, w = gen_random(rng.randint(3, 10), rng.randint(2, 8), 3, seed=80_000 + i)
+            # a support with an element in three blocks takes the sparse kernel
+            if w is not None and max(len(fam.gamma[g]) for g in w.support) == 3:
+                yield fam, w
+    elif source == "rings":
+        for n in range(3, 15):
+            yield ring_family(n), barycentre(ring_family(n))
+    elif source == "necklaces":
+        for k in (3, 4, 5, 7):
+            for sides in (3, 4):
+                for half_edges in (False, True):
+                    blocks, values = necklace(k, sides, half_edges, seed=k)
+                    yield build_family(blocks), WeightFunction(values)
+    else:
+        yield matrix_family(16), permutation_mean(16)
+
+
+def recorded_decompose(monkeypatch, fam, w):
+    """``(terms, vertices, steps)`` as :func:`helpers.fraction_decompose`
+    gives them, read off ``decompose``'s walks and steps."""
+    vertices, steps = [], []
+    step, walk = oracle._step, oracle._vertex_within
+
+    def recording_step(numerators, scale, circuit):
+        before = set(numerators)
+        scale = step(numerators, scale, circuit)
+        steps.append(tuple(sorted(before - set(numerators))))
+        return scale
+
+    def recording_walk(family, start, scale):
+        vertex, vscale = walk(family, start, scale)
+        vertices.append(_from_numerators(vertex, vscale))
+        return vertex, vscale
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_step", recording_step)
+        patch.setattr(oracle, "_vertex_within", recording_walk)
+        terms = decompose(fam, w).terms
+    return terms, vertices, steps
+
+
+class TestIntegerWalk:
+    """The integer walk on one live forest against the Fraction walk that
+    rebuilds its forest at every step."""
+
+    @pytest.mark.parametrize(
+        "source", ["kappa2-sweep", "kappa3-random", "rings", "necklaces", "mean16"]
+    )
+    def test_walk_matches_the_fraction_walk(self, monkeypatch, source):
+        steps = 0
+        for fam, w in walk_cases(source):
+            expected = fraction_decompose(fam, w)
+            assert recorded_decompose(monkeypatch, fam, w) == expected, fam.blocks
+            steps += len(expected[2])
+        assert steps > 0
+
+    def test_forest_adds_per_walk_stay_under_twice_the_support(self, monkeypatch):
+        adds = count_calls(monkeypatch, graphs._FrameForest, "add")
+        walk = oracle._vertex_within
+        per_walk = []
+
+        def counting(family, start, scale):
+            before = adds["add"]
+            result = walk(family, start, scale)
+            per_walk.append((adds["add"] - before, len(start)))
+            return result
+
+        monkeypatch.setattr(oracle, "_vertex_within", counting)
+        decompose(matrix_family(20), permutation_mean(20))
+        assert len(per_walk) == 20
+        assert all(count < 2 * size for count, size in per_walk), per_walk
