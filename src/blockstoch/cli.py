@@ -338,7 +338,8 @@ def _add_oracle_flags(parser: argparse.ArgumentParser) -> None:
         type=_integer,
         default=DEFAULT_BUDGET,
         help="vertex enumeration budget: search nodes when every multiplicity"
-        " is at most two, candidate supports otherwise",
+        " is at most two, otherwise the rank-sized candidate supports,"
+        " counted before the search starts",
     )
     parser.add_argument(
         "--jobs",

@@ -1100,14 +1100,14 @@ def frame_rank(ends: Sequence[Sequence[int]]) -> int:
 def frame_circuit(ends: Sequence[Sequence[int]]) -> dict[int, Fraction] | None:
     """The nonzero entries of the first dependent column's circuit, or None.
 
-    Columns are taken in ascending order as in ``oracle._eliminate``, so
-    those before the first rejected column are pivots and it is the
-    first free column.  The result is the unique kernel vector supported
-    on them and that column, with that column at 1: the nonzero entries,
-    by column, of the vector ``oracle._kernel_vector`` returns for the
-    same 0/1 matrix.  The cycle-attachment witness takes its
-    perturbation from here; ``decompose``'s vertex walk asks one live
-    forest for the same circuits, at twice these values, step after step.
+    Columns are taken in ascending order as in ``oracle._first_circuit``,
+    so those before the first rejected column are independent and it is
+    the first dependent column.  The result is the unique kernel vector
+    supported on them and that column, with that column at 1, which
+    ``oracle._first_circuit`` gives scaled to coprime integers.  The
+    cycle-attachment witness takes its perturbation from here;
+    ``decompose``'s vertex walk asks one live forest for the same
+    circuits, at twice these values, step after step.
     """
     forest = _FrameForest()
     for c, e in enumerate(ends):

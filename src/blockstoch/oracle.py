@@ -9,32 +9,31 @@ Two enumerations share that definition.  When every multiplicity is at
 most two, the family is the block multigraph H of :mod:`graphs`, shared
 with :func:`graphs.bipartition`, and the vertices are read off its exact
 covers by edges, half-edges and odd cycles (the half-integrality of the
-fractional matching polytope).  Otherwise every rank-sized independent
-column set is solved exactly.  The basis search needs no structure at
-all, so it also serves as the reference the multigraph search and the
-structural classifier are tested against.
+fractional matching polytope).  Otherwise a depth-first walk over
+independent column sets (:func:`basis_vertices`) reads each vertex off
+the all-ones system.  The walk needs no structure at all, so it also
+serves as the reference the multigraph search and the structural
+classifier are tested against.
 
 Everything here is exact.  The rank questions of :func:`is_vertex`
 and the extension checks go through :func:`column_rank`.  When every
 column meets at most two rows it is an incidence column of a
 multigraph, and the answer comes from the frame matroid core of
 :mod:`graphs` (:func:`graphs.frame_rank`) with no row reduction.
-Otherwise, and for the basis search, the answer comes from one sparse
-elimination kernel (:func:`_rref`).  A row is a dict from column to its
-nonzero value, and a column index (column -> rows holding it) lets each
-pivot touch only the rows that hold its column; on the block-incidence
-matrices of long rings and paths the work stays close to the number of
-nonzeros.  Which row serves as a pivot is a matter of fill only: the
-reduced row echelon form is unique, so pivot columns, reduced rows,
-kernel vectors, vertices and decompositions come out the same whatever
-the choice, and the same as the frame matroid core's.
+Otherwise, and for the basis walk, it comes from one fraction-free
+integer elimination (:class:`_Elimination`) that takes columns one at
+a time, as sparse vectors keyed by block; a column is reduced only by
+the basis vectors whose pivots it holds or picks up, so on tall sparse
+matrices the work stays close to the number of nonzeros.  Ranks, the circuit a dependent
+column closes and the solution of the all-ones system are unique, so
+the pivot choice changes no vertex and no decomposition.
 
 :func:`decompose` and its vertex walk (:func:`_vertex_within`) keep
 the point as integer numerators over one common denominator.  The walk
 steps along integer circuits: on supports whose elements lie in at most
 two blocks they come from one frame forest kept for the whole walk,
-which drops the columns each step zeroes, and otherwise from the sparse
-kernel's vector scaled to integers.
+which drops the columns each step zeroes, and otherwise from the
+integer elimination (:func:`_first_circuit`).
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from .errors import (
@@ -56,7 +55,6 @@ from .errors import (
 from .family import (
     HALF,
     ONE,
-    ZERO,
     SetFamily,
     WeightFunction,
     classify_membership,
@@ -74,117 +72,77 @@ from .graphs import _FrameForest, block_multigraph, frame_rank, two_color
 
 DEFAULT_BUDGET = 1 << 20
 
-Row = dict[int, Fraction]
 
-
-def _eliminate(rows: list[Row], ncols: int) -> tuple[list[int], list[int], dict]:
-    """Forward elimination in place over the columns below ``ncols``.
-
-    Columns are taken in ascending order, so the pivot columns are the
-    lexicographically first independent ones, the same for every choice
-    of pivot row; the row with the fewest entries is chosen, which keeps
-    the fill small.  Entries at ``ncols`` and beyond (a right-hand side)
-    are carried along but never pivoted on.  Returns the pivot columns,
-    the row holding each pivot and the column index (column -> rows
-    holding it).
-    """
-    holders: dict[int, set[int]] = {}
-    for i, row in enumerate(rows):
-        for c in row:
-            if c < ncols:
-                holders.setdefault(c, set()).add(i)
-    pivots: list[int] = []
-    pivot_rows: list[int] = []
-    used: set[int] = set()
-    for c in sorted(holders):
-        free = [i for i in holders[c] if i not in used]
-        if not free:
-            continue
-        p = min(free, key=lambda i: (len(rows[i]), i))
-        used.add(p)
-        pivot = rows[p]
-        pv = pivot[c]
-        if pv != 1:
-            pivot = rows[p] = {k: v / pv for k, v in pivot.items()}
-        for i in free:
-            if i != p:
-                _subtract(rows[i], i, rows[i][c], pivot, holders, ncols)
-        pivots.append(c)
-        pivot_rows.append(p)
-    return pivots, pivot_rows, holders
-
-
-def _subtract(
-    row: Row, i: int, f: Fraction, pivot: Row, holders: dict, ncols: int
-) -> None:
-    """``row -= f * pivot`` in place, keeping the column index of row ``i``."""
-    for k, v in pivot.items() if f == 1 else ((k, f * v) for k, v in pivot.items()):
-        old = row.get(k)
-        if old is None:
-            row[k] = -v
-            if k < ncols:
-                holders[k].add(i)
-        elif old != v:
-            row[k] = old - v
+def _combine(d: int, v: dict[int, int], f: int, w: dict[int, int]) -> dict[int, int]:
+    """The row operation ``d·v − f·w``, divided by the gcd of its entries."""
+    out = {k: d * x for k, x in v.items()}
+    for k, y in w.items():
+        x = out.get(k, 0) - f * y
+        if x:
+            out[k] = x
         else:
-            del row[k]
-            if k < ncols:
-                holders[k].discard(i)
+            del out[k]
+    g = math.gcd(*out.values())
+    return {k: x // g for k, x in out.items()} if g > 1 else out
 
 
-def _rref(rows: list[Row], ncols: int) -> list[int]:
-    """Reduce sparse rows in place to reduced row echelon form; return pivots.
+class _Elimination:
+    """Fraction-free elimination of sparse integer vectors, one at a time.
 
-    Each row maps a column to its nonzero value; entries at ``ncols``
-    and beyond are an augmented right-hand side.  Forward elimination
-    (:func:`_eliminate`) is followed by back substitution from the last
-    pivot up, and the column index means each pivot touches only the
-    rows holding its column.  Afterwards ``rows[i]`` is the reduced row
-    of pivot ``i`` and the rows past the pivots are zero below
-    ``ncols``.  The reduced row echelon form of a matrix is unique, so
-    the pivots and reduced rows do not depend on which row served as
-    each pivot (on the right-hand side this holds whenever the system
-    is consistent).
+    A vector maps a key to its nonzero integer entry: a key ``b >= 0``
+    is block ``b`` and a negative key is a coefficient the caller
+    tracks, such as ``~c`` for its column ``c``.  A row operation is
+    ``d·v − f·w`` (``d`` the pivot entry of the basis vector ``w``, ``f``
+    the entry of ``v`` there) divided by the gcd of its entries, after
+    Bareiss, so entries stay small integers and the coefficients express
+    the reduced vector in the columns it came from.
+
+    The basis is keyed by pivot, each vector's largest block, and is a
+    stack: each vector is zero at the pivots below it, so a reduction
+    brings in only pivots further up and :meth:`reduce` clears them
+    bottom up.  :meth:`pop` undoes the last :meth:`add` that joined it.
     """
-    pivots, pivot_rows, holders = _eliminate(rows, ncols)
-    for c, p in zip(reversed(pivots), reversed(pivot_rows)):
-        pivot = rows[p]
-        for i in [i for i in holders[c] if i != p]:
-            _subtract(rows[i], i, rows[i][c], pivot, holders, ncols)
-    used = set(pivot_rows)
-    rows[:] = [rows[p] for p in pivot_rows] + [
-        row for i, row in enumerate(rows) if i not in used
-    ]
-    return pivots
 
+    def __init__(self) -> None:
+        self.basis: dict[int, tuple[int, dict[int, int]]] = {}
 
-def _rank(rows: list[Row]) -> int:
-    """Rank of sparse rows: the pivot count of forward elimination alone."""
-    ncols = 1 + max((c for row in rows for c in row), default=-1)
-    return len(_eliminate([dict(row) for row in rows], ncols)[0])
+    def reduce(self, v: dict[int, int]) -> dict[int, int]:
+        """``v`` with every pivot entry eliminated; ``v`` itself is kept."""
+        basis = self.basis
+        heap = [(basis[k][0], k) for k in v if k in basis]
+        heapify(heap)
+        while heap:
+            _, p = heappop(heap)
+            f = v.get(p)
+            if f is None:
+                continue
+            w = basis[p][1]
+            v = _combine(w[p], v, f, w)
+            for k in w:
+                if k != p and k in basis:
+                    heappush(heap, (basis[k][0], k))
+        return v
 
-
-def _solve_all_ones(rows: list[Row], ncols: int) -> list[Fraction] | None:
-    """Unique solution of ``rows @ x = 1``, or None if absent or non-unique."""
-    aug = [{**row, ncols: ONE} for row in rows]
-    pivots = _rref(aug, ncols)
-    if len(pivots) < ncols or any(ncols in row for row in aug[len(pivots):]):
+    def add(self, v: dict[int, int]) -> dict[int, int] | None:
+        """Reduce ``v``; if a block entry is left it joins the basis and
+        None is returned, else the reduced vector, a dependence of the
+        tracked coefficients, is returned."""
+        v = self.reduce(v)
+        p = max(v, default=-1)
+        if p < 0:
+            return v
+        self.basis[p] = (len(self.basis), v)
         return None
-    return [row.get(ncols, ZERO) for row in aug[:ncols]]
+
+    def pop(self) -> None:
+        self.basis.popitem()
 
 
-def _kernel_vector(rows: list[Row], ncols: int) -> list[Fraction] | None:
-    """A nonzero exact solution of ``rows @ x = 0``, or None at full column rank."""
-    reduced = [dict(row) for row in rows]
-    pivots = _rref(reduced, ncols)
-    if len(pivots) == ncols:
-        return None
-    free = next(c for c in range(ncols) if c not in pivots)
-    x = [ZERO] * ncols
-    x[free] = ONE
-    for row, c in zip(reduced, pivots):
-        x[c] = -row.get(free, ZERO)
-    return x
+def _column(ends: Sequence[int], c: int) -> dict[int, int]:
+    """Column ``c``: a one at each of its blocks and on its own coefficient."""
+    v = dict.fromkeys(ends, 1)
+    v[~c] = 1
+    return v
 
 
 def enumerate_vertices(
@@ -195,10 +153,11 @@ def enumerate_vertices(
     When every multiplicity is at most two, a backtracking search over
     the block multigraph lists the vertices directly; ``budget`` then
     bounds the search nodes visited (pieces placed plus cycle-search
-    steps).  Otherwise :func:`basis_vertices` solves every candidate
-    support, and ``budget`` bounds the raw candidate count before any
-    work starts.  Either way an exhausted budget raises
-    ``InstanceTooLargeError``, and the result is sorted.
+    steps).  Otherwise :func:`basis_vertices` walks the independent
+    column sets, and ``budget`` bounds the raw count C(n, r) of
+    rank-sized candidate supports, counted before the walk starts.
+    Either way an exhausted budget raises ``InstanceTooLargeError``, and
+    the result is sorted.
     """
     if budget < 1:
         raise InputError("budget must be at least 1")
@@ -308,12 +267,19 @@ class _CoverSearch:
 def basis_vertices(
     family: SetFamily, budget: int = DEFAULT_BUDGET
 ) -> tuple[WeightFunction, ...]:
-    """All vertices, by solving every candidate support exactly.
+    """All vertices, by a pruned depth-first walk over column subsets.
 
-    Candidate supports are the rank-sized column subsets that touch
-    every block; they are walked one at a time, each is solved exactly
-    and kept when the unique solution is nonnegative.  Raises
-    ``InstanceTooLargeError`` when the raw candidate count exceeds
+    A vertex is the nonnegative unique solution of the all-ones system
+    on r independent columns that touch every block, r the rank.  The
+    walk adds columns in ascending order to one :class:`_Elimination`,
+    which also reduces the all-ones vector, and cuts a branch when its
+    new column is dependent, when the columns chosen and those left
+    cannot touch every block, or when too few columns are left to reach
+    r.  Once the all-ones vector is in the span, the point is read from
+    its coefficients, kept if nonnegative, and not extended, as every
+    extension gives it again; so each depth visits at most C(n, r)
+    column sets.  ``InstanceTooLargeError`` is raised before the walk
+    when C(n, r), the count of rank-sized candidate supports, exceeds
     ``budget``.  The result is sorted.  Works for any family, and is
     the reference the multigraph search is tested against.
     """
@@ -321,46 +287,82 @@ def basis_vertices(
         raise InputError("budget must be at least 1")
     columns = family.ground
     ends = [family.gamma[g] for g in columns]
-    r = _rank(_column_rows(ends))
-    total = math.comb(len(columns), r)
+    n, r = len(columns), column_rank(ends)
+    total = math.comb(n, r)
     if total > budget:
         raise InstanceTooLargeError(
             f"{total} candidate supports exceed the budget of {budget}"
         )
     masks = [sum(1 << k for k in e) for e in ends]
+    reach = [0] * (n + 1)  # reach[i]: the blocks met by columns i and later
+    for i in reversed(range(n)):
+        reach[i] = reach[i + 1] | masks[i]
     full = sum(1 << b.index for b in family.blocks)
+    ones = ~n  # the key of the all-ones vector's coefficient
+    elimination = _Elimination()
+    chosen: list[int] = []
+    covered = [0]
+    residuals = [{**{b.index: 1 for b in family.blocks}, ones: 1}]
     found: set[tuple[tuple[int, Fraction], ...]] = set()
-    for combo in combinations(range(len(columns)), r):
-        covered = 0
-        for i in combo:
-            covered |= masks[i]
-        if covered != full:
+    i = 0
+    while True:
+        k = len(chosen)
+        if k == r or i > n - r + k or covered[-1] | reach[i] != full:
+            if not chosen:
+                break
+            i = chosen.pop() + 1
+            elimination.pop()
+            covered.pop()
+            residuals.pop()
             continue
-        support = tuple(columns[i] for i in combo)
-        x = _solve_all_ones(_column_rows([ends[i] for i in combo]), r)
-        if x is not None and all(v >= 0 for v in x):
-            found.add(tuple((g, v) for g, v in zip(support, x) if v != 0))
+        if elimination.add(_column(ends[i], i)) is not None:
+            i += 1
+            continue
+        residual = elimination.reduce(residuals[-1])
+        if max(residual) < 0:
+            # e * ones + sum of a_c * column c = 0, so x_c = -a_c / e
+            e = residual[ones]
+            point = [(columns[~c], Fraction(-a, e)) for c, a in residual.items() if c != ones]
+            if all(v > 0 for _, v in point):
+                found.add(tuple(sorted(point)))
+            elimination.pop()
+            i += 1
+            continue
+        chosen.append(i)
+        covered.append(covered[-1] | masks[i])
+        residuals.append(residual)
+        i += 1
     vertices = (WeightFunction._trusted(dict(items)) for items in found)
     return tuple(sorted(vertices, key=lambda w: w.sort_key()))
-
-
-def _column_rows(columns: Sequence[Sequence[int]]) -> list[Row]:
-    """The sparse rows of the 0/1 matrix whose column ``c`` has ones at
-    the rows ``columns[c]``; rows meeting no column are left out."""
-    rows: dict[int, Row] = {}
-    for c, ends in enumerate(columns):
-        for r in ends:
-            rows.setdefault(r, {})[c] = ONE
-    return list(rows.values())
 
 
 def column_rank(columns: Sequence[Sequence[int]]) -> int:
     """Rank of the 0/1 matrix whose column ``c`` has ones at the rows
     ``columns[c]``: from the frame matroid core (:func:`graphs.frame_rank`)
-    when every column meets at most two rows, else from the sparse kernel."""
+    when every column meets at most two rows, else by :class:`_Elimination`."""
     if max(map(len, columns), default=0) <= 2:
         return frame_rank(columns)
-    return _rank(_column_rows(columns))
+    elimination = _Elimination()
+    return sum(elimination.add(dict.fromkeys(e, 1)) is None for e in columns)
+
+
+def _first_circuit(ends: Sequence[Sequence[int]]) -> dict[int, int] | None:
+    """The integer circuit the first dependent column closes with the
+    columns before it, or None when every column is independent.
+
+    Columns are added to an :class:`_Elimination` in ascending order;
+    the first to reduce to zero leaves the dependence in its tracked
+    coefficients.  The result is its nonzero entries by column, with
+    no common divisor and that column positive: the kernel vector of
+    the sparse ``Fraction`` kernel scaled by the lcm of its denominators.
+    """
+    elimination = _Elimination()
+    for i, e in enumerate(ends):
+        circuit = elimination.add(_column(e, i))
+        if circuit is not None:
+            sign = 1 if circuit[~i] > 0 else -1
+            return {~c: sign * a for c, a in circuit.items()}
+    return None
 
 
 def is_vertex(family: SetFamily, w: WeightFunction) -> bool:
@@ -421,29 +423,25 @@ def _vertex_within(
     Each step moves along a circuit of the support's columns with
     :func:`_step`, so the support shrinks until its columns are
     independent.  The circuit is the one the first dependent column, in
-    ascending order, closes with those before it: the one
-    :func:`_kernel_vector` gives, scaled to integers.
+    ascending order, closes with those before it, in integers with no
+    common divisor and that column positive.
 
     When every support element lies in at most two blocks, one
     :class:`graphs._FrameForest` serves the whole walk.  The columns
     before the first dependent one are independent and a step only
     zeroes some of them, so they stay independent: the zeroed ones are
     removed from the forest, and the walk resumes adding columns at the
-    old first dependent one.  Otherwise each step solves the support
-    again with the sparse kernel.
+    old first dependent one.  Otherwise each step adds the support's
+    columns to a fresh integer elimination (:func:`_first_circuit`).
     """
     gamma = family.gamma
     current = dict(start)
     order = list(current)
     if max((len(gamma[g]) for g in order), default=0) > 2:
-        while True:
-            x = _kernel_vector(_column_rows([gamma[g] for g in order]), len(order))
-            if x is None:
-                return current, scale
-            d = math.lcm(*(v.denominator for v in x))
-            circuit = {g: v.numerator * (d // v.denominator) for g, v in zip(order, x) if v}
-            scale = _step(current, scale, circuit)
+        while (circuit := _first_circuit([gamma[g] for g in order])) is not None:
+            scale = _step(current, scale, {order[c]: a for c, a in circuit.items()})
             order = list(current)
+        return current, scale
     forest = _FrameForest()
     i = 0
     while i < len(order):

@@ -4,7 +4,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 
 from blockstoch import extremality, graphs, oracle
 from blockstoch.cli import gen_random
@@ -119,6 +119,53 @@ def kappa2_sweep():
         blocks = rng.randint(1, 8)
         fam, _ = gen_random(elements, blocks, kappa_max=2, seed=30_000 + i)
         yield fam
+
+
+def planar_cube_blocks(m: int) -> list[list[int]]:
+    """The planar 3-index assignment family: the m³ cells of an m×m×m
+    cube, cell (i, j, k) labelled ``i·m² + j·m + k + 1``, and its 3m²
+    axis lines as blocks, so every cell lies in three blocks."""
+    def label(i, j, k):
+        return i * m * m + j * m + k + 1
+
+    span = range(m)
+    return (
+        [[label(t, a, b) for t in span] for a in span for b in span]
+        + [[label(a, t, b) for t in span] for a in span for b in span]
+        + [[label(a, b, t) for t in span] for a in span for b in span]
+    )
+
+
+def kappa3_sweep():
+    """The seeded κ = 3 families the basis walk is checked on: those
+    ``gen_random`` draws with ``kappa_max=3``, near-full-rank ones
+    (10 to 15 elements, rank 1 to 3 below the element count),
+    ``KAPPA3_BLOCKS`` and the planar assignment cube at m = 2."""
+    rng = random.Random(3)
+    for i in range(120):
+        fam, _ = gen_random(rng.randint(3, 11), rng.randint(2, 8), 3, seed=90_000 + i)
+        if max_multiplicity(fam) == 3:
+            yield fam
+    rng = random.Random(4)
+    kept = 0
+    while kept < 12:
+        n = rng.randint(10, 15)
+        mult = Counter()
+        blocks = set()
+        for _ in range(n - rng.randint(0, 3)):
+            pool = [g for g in range(1, n + 1) if mult[g] < 3]
+            block = tuple(sorted(rng.sample(pool, rng.randint(2, min(4, len(pool))))))
+            if block not in blocks:
+                blocks.add(block)
+                mult.update(block)
+        fam = build_family(sorted(blocks))
+        ends = [fam.gamma[g] for g in fam.ground]
+        r = sparse_rank(column_rows(ends))
+        if max_multiplicity(fam) == 3 and len(ends) - 3 <= r < len(ends):
+            kept += 1
+            yield fam
+    yield build_family(KAPPA3_BLOCKS)
+    yield build_family(planar_cube_blocks(2))
 
 
 def walk_census(graph: AssociatedGraph, family: SetFamily, parity: str = "any"):
@@ -278,8 +325,168 @@ def fraction_finish(family, w, deltas, epsilon, slack, construction):
     return Witness(w_plus, w_minus, epsilon, slack, construction)
 
 
-# Dense exact elimination, kept as the reference for the sparse kernel in
-# blockstoch.oracle: rows are full lists of Fractions.
+# The sparse Fraction kernel: rows are dicts from column to nonzero
+# Fraction, with a column -> rows index so that each pivot touches only
+# the rows holding its column.  With the C(n, r) basis search built on
+# it, it is the reference for the incremental integer elimination and
+# the basis walk in blockstoch.oracle.
+
+Row = dict[int, Fraction]
+
+
+def sparse_eliminate(rows: list[Row], ncols: int) -> tuple[list[int], list[int], dict]:
+    """Forward elimination in place over the columns below ``ncols``.
+
+    Columns are taken in ascending order, so the pivot columns are the
+    lexicographically first independent ones, the same for every choice
+    of pivot row; the row with the fewest entries is chosen, which keeps
+    the fill small.  Entries at ``ncols`` and beyond (a right-hand side)
+    are carried along but never pivoted on.  Returns the pivot columns,
+    the row holding each pivot and the column index (column -> rows
+    holding it).
+    """
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            if c < ncols:
+                holders.setdefault(c, set()).add(i)
+    pivots: list[int] = []
+    pivot_rows: list[int] = []
+    used: set[int] = set()
+    for c in sorted(holders):
+        free = [i for i in holders[c] if i not in used]
+        if not free:
+            continue
+        p = min(free, key=lambda i: (len(rows[i]), i))
+        used.add(p)
+        pivot = rows[p]
+        pv = pivot[c]
+        if pv != 1:
+            pivot = rows[p] = {k: v / pv for k, v in pivot.items()}
+        for i in free:
+            if i != p:
+                sparse_subtract(rows[i], i, rows[i][c], pivot, holders, ncols)
+        pivots.append(c)
+        pivot_rows.append(p)
+    return pivots, pivot_rows, holders
+
+
+def sparse_subtract(
+    row: Row, i: int, f: Fraction, pivot: Row, holders: dict, ncols: int
+) -> None:
+    """``row -= f * pivot`` in place, keeping the column index of row ``i``."""
+    for k, v in pivot.items() if f == 1 else ((k, f * v) for k, v in pivot.items()):
+        old = row.get(k)
+        if old is None:
+            row[k] = -v
+            if k < ncols:
+                holders[k].add(i)
+        elif old != v:
+            row[k] = old - v
+        else:
+            del row[k]
+            if k < ncols:
+                holders[k].discard(i)
+
+
+def sparse_rref(rows: list[Row], ncols: int) -> list[int]:
+    """Reduce sparse rows in place to reduced row echelon form; return pivots.
+
+    Each row maps a column to its nonzero value; entries at ``ncols``
+    and beyond are an augmented right-hand side.  Forward elimination
+    (:func:`sparse_eliminate`) is followed by back substitution from the
+    last pivot up.  Afterwards ``rows[i]`` is the reduced row of pivot
+    ``i`` and the rows past the pivots are zero below ``ncols``.  The
+    reduced row echelon form of a matrix is unique, so the pivots and
+    reduced rows do not depend on which row served as each pivot (on the
+    right-hand side this holds whenever the system is consistent).
+    """
+    pivots, pivot_rows, holders = sparse_eliminate(rows, ncols)
+    for c, p in zip(reversed(pivots), reversed(pivot_rows)):
+        pivot = rows[p]
+        for i in [i for i in holders[c] if i != p]:
+            sparse_subtract(rows[i], i, rows[i][c], pivot, holders, ncols)
+    used = set(pivot_rows)
+    rows[:] = [rows[p] for p in pivot_rows] + [
+        row for i, row in enumerate(rows) if i not in used
+    ]
+    return pivots
+
+
+def sparse_rank(rows: list[Row]) -> int:
+    """Rank of sparse rows: the pivot count of forward elimination alone."""
+    ncols = 1 + max((c for row in rows for c in row), default=-1)
+    return len(sparse_eliminate([dict(row) for row in rows], ncols)[0])
+
+
+def sparse_solve_all_ones(rows: list[Row], ncols: int) -> list[Fraction] | None:
+    """Unique solution of ``rows @ x = 1``, or None if absent or non-unique."""
+    aug = [{**row, ncols: Fraction(1)} for row in rows]
+    pivots = sparse_rref(aug, ncols)
+    if len(pivots) < ncols or any(ncols in row for row in aug[len(pivots):]):
+        return None
+    return [row.get(ncols, Fraction(0)) for row in aug[:ncols]]
+
+
+def sparse_kernel_vector(rows: list[Row], ncols: int) -> list[Fraction] | None:
+    """A nonzero exact solution of ``rows @ x = 0``, or None at full column rank."""
+    reduced = [dict(row) for row in rows]
+    pivots = sparse_rref(reduced, ncols)
+    if len(pivots) == ncols:
+        return None
+    free = next(c for c in range(ncols) if c not in pivots)
+    x = [Fraction(0)] * ncols
+    x[free] = Fraction(1)
+    for row, c in zip(reduced, pivots):
+        x[c] = -row.get(free, Fraction(0))
+    return x
+
+
+def column_rows(columns) -> list[Row]:
+    """The sparse rows of the 0/1 matrix whose column ``c`` has ones at
+    the rows ``columns[c]``; rows meeting no column are left out."""
+    rows: dict[int, Row] = {}
+    for c, ends in enumerate(columns):
+        for r in ends:
+            rows.setdefault(r, {})[c] = Fraction(1)
+    return list(rows.values())
+
+
+def scaled_kernel_circuit(ends) -> dict[int, int] | None:
+    """The kernel vector of the 0/1 columns ``ends`` scaled by the lcm of
+    its denominators, as its nonzero integer entries by column."""
+    x = sparse_kernel_vector(column_rows(ends), len(ends))
+    if x is None:
+        return None
+    d = math.lcm(*(v.denominator for v in x))
+    return {c: v.numerator * (d // v.denominator) for c, v in enumerate(x) if v}
+
+
+def subset_vertices(family: SetFamily) -> tuple[WeightFunction, ...]:
+    """All vertices, by solving every rank-sized column subset that
+    touches every block: the C(n, r) reference for
+    ``oracle.basis_vertices``.  The result is sorted."""
+    columns = family.ground
+    ends = [family.gamma[g] for g in columns]
+    r = sparse_rank(column_rows(ends))
+    masks = [sum(1 << k for k in e) for e in ends]
+    full = sum(1 << b.index for b in family.blocks)
+    found = set()
+    for combo in combinations(range(len(columns)), r):
+        covered = 0
+        for i in combo:
+            covered |= masks[i]
+        if covered != full:
+            continue
+        x = sparse_solve_all_ones(column_rows([ends[i] for i in combo]), r)
+        if x is not None and all(v >= 0 for v in x):
+            found.add(tuple((columns[i], v) for i, v in zip(combo, x) if v != 0))
+    vertices = (WeightFunction._trusted(dict(items)) for items in found)
+    return tuple(sorted(vertices, key=lambda w: w.sort_key()))
+
+
+# Dense exact elimination, kept as the reference for the sparse kernel
+# above: rows are full lists of Fractions.
 
 
 def dense_rref(aug: list[list[Fraction]], ncols: int) -> list[int]:
@@ -364,7 +571,7 @@ def fraction_vertex_within(family: SetFamily, start: WeightFunction, steps: list
         if max(map(len, ends), default=0) <= 2:
             kernel = graphs.frame_circuit(ends)
         else:
-            x = oracle._kernel_vector(oracle._column_rows(ends), len(ends))
+            x = sparse_kernel_vector(column_rows(ends), len(ends))
             kernel = None if x is None else {c: v for c, v in enumerate(x) if v}
         if kernel is None:
             return WeightFunction(current)

@@ -1,13 +1,16 @@
 """The exact kernels against dense and sympy references.
 
-The kernel in ``blockstoch.oracle`` stores only nonzero entries and
-picks pivot rows by size, so its row operations differ from the dense
-elimination kept in ``helpers``; the reduced row echelon form is unique,
-so pivots, reduced rows, ranks, solutions and kernel vectors must agree
-all the same.  The frame matroid core in ``blockstoch.graphs`` answers
-rank and kernel questions for 0/1 matrices with at most two ones per
-column without any row reduction, and must agree with both exactly.
-``sympy`` is used here only, as a third opinion.
+The sparse ``Fraction`` kernel in ``helpers`` stores only nonzero
+entries and picks pivot rows by size, so its row operations differ from
+the dense elimination kept beside it; the reduced row echelon form is
+unique, so pivots, reduced rows, ranks, solutions and kernel vectors
+must agree all the same.  The two are the references for the exact
+answers of ``blockstoch``: the incremental integer elimination of
+``blockstoch.oracle`` must give their ranks and their kernel vectors
+scaled to integers, and the frame matroid core in ``blockstoch.graphs``
+answers rank and kernel questions for 0/1 matrices with at most two
+ones per column without any row reduction, and must agree with both
+exactly.  ``sympy`` is used here only, as a third opinion.
 """
 
 import random
@@ -18,22 +21,21 @@ from hypothesis import given, settings, strategies as st
 
 from blockstoch.cli import gen_random
 from blockstoch.graphs import _FrameForest, frame_circuit, frame_rank
-from blockstoch.oracle import (
-    _column_rows,
-    _kernel_vector,
-    _rank,
-    _rref,
-    _solve_all_ones,
-    column_rank,
-)
+from blockstoch.oracle import _first_circuit, column_rank
 
 from helpers import (
+    column_rows,
     dense_kernel_vector,
     dense_rank,
     dense_row,
     dense_rref,
     dense_solve_all_ones,
+    scaled_kernel_circuit,
+    sparse_kernel_vector,
+    sparse_rank,
     sparse_rows,
+    sparse_rref,
+    sparse_solve_all_ones,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -79,7 +81,7 @@ def matrices(draw):
 
 def check_rref(matrix, ncols):
     rows = sparse_rows(matrix)
-    pivots = _rref(rows, ncols)
+    pivots = sparse_rref(rows, ncols)
     dense = [row[:] for row in matrix]
     assert pivots == dense_rref(dense, ncols)
     for i, row in enumerate(rows):
@@ -96,7 +98,7 @@ def check_rref(matrix, ncols):
 def check_augmented(matrix, ncols, rhs):
     aug = [row + [b] for row, b in zip(matrix, rhs)]
     rows = sparse_rows(aug)
-    pivots = _rref(rows, ncols)
+    pivots = sparse_rref(rows, ncols)
     dense = [row[:] for row in aug]
     assert pivots == dense_rref(dense, ncols)
     ok = consistent(rows, pivots, ncols)
@@ -115,13 +117,13 @@ def check_augmented(matrix, ncols, rhs):
 
 def check_solvers(matrix, ncols):
     rows = sparse_rows(matrix)
-    rank = _rank(rows)
+    rank = sparse_rank(rows)
     assert rank == dense_rank(matrix, ncols) == to_sympy(matrix, ncols).rank()
-    x = _solve_all_ones(sparse_rows(matrix), ncols)
+    x = sparse_solve_all_ones(sparse_rows(matrix), ncols)
     assert x == dense_solve_all_ones(matrix, ncols)
     if x is not None:
         assert all(sum(a * b for a, b in zip(row, x)) == 1 for row in matrix)
-    k = _kernel_vector(rows, ncols)
+    k = sparse_kernel_vector(rows, ncols)
     assert rows == sparse_rows(matrix), "the kernel vector must not touch its input"
     assert k == dense_kernel_vector(matrix, ncols)
     if k is None:
@@ -168,10 +170,10 @@ def test_kernel_on_special_matrices():
     ]
     for matrix, ncols in cases:
         check_all(matrix, ncols, rng)
-    assert _solve_all_ones(sparse_rows([[F(2)], [F(-4)]]), 1) is None
-    assert _solve_all_ones(sparse_rows([[F(2)], [F(4)]]), 1) is None
-    assert _solve_all_ones(sparse_rows([[F(2)], [F(2)]]), 1) == [half]
-    assert _kernel_vector(sparse_rows([[one, one, F(0)]]), 3) == [-one, one, F(0)]
+    assert sparse_solve_all_ones(sparse_rows([[F(2)], [F(-4)]]), 1) is None
+    assert sparse_solve_all_ones(sparse_rows([[F(2)], [F(4)]]), 1) is None
+    assert sparse_solve_all_ones(sparse_rows([[F(2)], [F(2)]]), 1) == [half]
+    assert sparse_kernel_vector(sparse_rows([[one, one, F(0)]]), 3) == [-one, one, F(0)]
 
 
 def test_rref_ignores_row_order():
@@ -180,10 +182,10 @@ def test_rref_ignores_row_order():
         matrix = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
         ncols = len(matrix[0])
         first = sparse_rows(matrix)
-        pivots = _rref(first, ncols)
+        pivots = sparse_rref(first, ncols)
         shuffled = sparse_rows(matrix)
         rng.shuffle(shuffled)
-        assert _rref(shuffled, ncols) == pivots
+        assert sparse_rref(shuffled, ncols) == pivots
         assert first[: len(pivots)] == shuffled[: len(pivots)]
 
 
@@ -196,19 +198,35 @@ def test_block_rows_match_dense_on_seeded_families():
         # rows come in the order of their first column, so they are
         # compared as a multiset; there is still one per block, as every
         # block meets the ground set and a stochastic point's support
-        matrix = [dense_row(row, len(columns)) for row in _column_rows(ends)]
+        matrix = [dense_row(row, len(columns)) for row in column_rows(ends)]
         assert sorted(matrix) == sorted(
             [F(1) if g in b.member_set else F(0) for g in columns] for b in fam.blocks
         )
         check_all(matrix, len(columns), rng)
         assert column_rank(ends) == dense_rank(matrix, len(columns))
-        kernel = _kernel_vector(_column_rows(ends), len(columns))
+        kernel = sparse_kernel_vector(column_rows(ends), len(columns))
         assert kernel == dense_kernel_vector(matrix, len(columns))
         if max(map(len, ends), default=0) <= 2:
             circuit = frame_circuit(ends)
             assert kernel == (
                 None if circuit is None else [circuit.get(c, F(0)) for c in range(len(columns))]
             )
+
+
+def test_integer_elimination_matches_the_fraction_kernel_on_seeded_columns():
+    # 0/1 columns with one to four ones, repeated columns included; the
+    # first circuit's integers are the kernel vector's, scaled
+    rng = random.Random(31)
+    for _ in range(1500):
+        nrows = rng.randint(1, 8)
+        ends = [
+            tuple(sorted(rng.sample(range(nrows), rng.randint(1, min(4, nrows)))))
+            for _ in range(rng.randint(0, 10))
+        ]
+        if ends and rng.random() < 0.3:
+            ends.insert(rng.randrange(len(ends)), rng.choice(ends))
+        assert column_rank(ends) == sparse_rank(column_rows(ends)), ends
+        assert _first_circuit(ends) == scaled_kernel_circuit(ends), ends
 
 
 def random_incidence(rng, nrows, ncols):
@@ -242,11 +260,11 @@ def check_frame(nrows, ends):
     matrix = incidence_matrix(nrows, ends)
     ncols = len(ends)
     rank = frame_rank(ends)
-    assert rank == _rank(sparse_rows(matrix)) == dense_rank(matrix, ncols)
+    assert rank == sparse_rank(sparse_rows(matrix)) == dense_rank(matrix, ncols)
     assert rank == to_sympy(matrix, ncols).rank()
     circuit = frame_circuit(ends)
     kernel = None if circuit is None else [circuit.get(c, F(0)) for c in range(ncols)]
-    assert kernel == _kernel_vector(sparse_rows(matrix), ncols)
+    assert kernel == sparse_kernel_vector(sparse_rows(matrix), ncols)
     assert kernel == dense_kernel_vector(matrix, ncols)
     if kernel is None:
         assert rank == ncols
@@ -277,10 +295,10 @@ def test_frame_core_matches_sparse_and_dense_on_seeded_incidences():
         ends = random_incidence(rng, nrows, rng.randint(0, 12))
         matrix = incidence_matrix(nrows, ends)
         ncols = len(ends)
-        assert frame_rank(ends) == _rank(sparse_rows(matrix))
+        assert frame_rank(ends) == sparse_rank(sparse_rows(matrix))
         circuit = frame_circuit(ends)
         kernel = None if circuit is None else [circuit.get(c, F(0)) for c in range(ncols)]
-        assert kernel == _kernel_vector(sparse_rows(matrix), ncols)
+        assert kernel == sparse_kernel_vector(sparse_rows(matrix), ncols)
 
 
 @pytest.mark.parametrize(

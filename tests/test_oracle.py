@@ -27,6 +27,7 @@ from blockstoch.family import (
 from blockstoch.instance_io import dump_instance
 from blockstoch.oracle import (
     basis_vertices,
+    column_rank,
     cross_validate,
     decompose,
     enumerate_vertices,
@@ -41,7 +42,10 @@ from helpers import (
     fraction_combination,
     fraction_decompose,
     kappa2_sweep,
+    kappa3_sweep,
     necklace,
+    scaled_kernel_circuit,
+    subset_vertices,
 )
 
 F = Fraction
@@ -134,6 +138,61 @@ class TestBasisPath:
             match="^84 candidate supports exceed the budget of 83$",
         ):
             enumerate_vertices(self.KAPPA3, budget=83)
+
+
+class TestBasisWalk:
+    """The depth-first basis walk against the C(n, r) search in helpers,
+    with its work counted rather than timed."""
+
+    def test_matches_the_subset_search_on_the_kappa3_sweep(self):
+        families = list(kappa3_sweep())
+        assert len(families) > 90
+        assert all(max_multiplicity(fam) == 3 for fam in families)
+        for fam in families:
+            assert basis_vertices(fam) == subset_vertices(fam), fam.blocks
+
+    def test_walk_nodes_stay_within_r_plus_one_candidate_counts(self, monkeypatch):
+        # every column the walk tries is one node; the rank pre-check
+        # adds each column once more.  The sweep's total is pinned at its
+        # count, so a lost cut shows (extending sets that already span
+        # the all-ones vector gives 7,912)
+        adds = count_calls(monkeypatch, oracle._Elimination, "add")
+        total = 0
+        for fam in kappa3_sweep():
+            n = len(fam.ground)
+            r = column_rank([fam.gamma[g] for g in fam.ground])
+            before = adds["add"]
+            basis_vertices(fam)
+            nodes = adds["add"] - before - n
+            assert nodes <= (r + 1) * math.comb(n, r), fam.blocks
+            total += nodes
+        assert total <= 6573
+
+    def test_tall_strip_rank_takes_linear_row_operations(self, monkeypatch):
+        # block k holds the elements k, k + 1 and k + 2, so element g
+        # lies in the blocks g - 2, g - 1 and g
+        blocks = 3000
+        columns = [
+            tuple(k for k in (g - 2, g - 1, g) if 0 <= k < blocks) for g in range(blocks + 2)
+        ]
+        ops = count_calls(monkeypatch, oracle, "_combine")
+        assert column_rank(columns) == blocks
+        assert ops["_combine"] <= 2 * blocks
+
+    def test_circuits_are_scaled_kernel_vectors(self, monkeypatch):
+        first = oracle._first_circuit
+        circuits = []
+
+        def checking(ends):
+            circuit = first(ends)
+            assert circuit == scaled_kernel_circuit(ends), ends
+            circuits.append(circuit)
+            return circuit
+
+        monkeypatch.setattr(oracle, "_first_circuit", checking)
+        for fam, w in walk_cases("kappa3-sweep"):
+            decompose(fam, w)
+        assert sum(c is not None for c in circuits) > 80
 
 
 class TestEnumerateVertices:
@@ -448,9 +507,9 @@ class TestFrameCore:
         expected = [call() for call in calls]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a κ ≤ 2 call reached the sparse elimination")
+            raise AssertionError("a κ ≤ 2 call reached the integer elimination")
 
-        monkeypatch.setattr(oracle, "_eliminate", refuse)
+        monkeypatch.setattr(oracle, "_Elimination", refuse)
         assert [call() for call in calls] == expected
         assert len(expected[0].terms) > 1
         assert expected[1] is False and all(expected[2])
@@ -461,22 +520,29 @@ class TestFrameCore:
         first, *_, last = enumerate_vertices(fam)
         mix = (first + last).scaled(HALF)
         assert max(len(fam.gamma[g]) for g in mix.support) == 3
-        eliminate = oracle._eliminate
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return eliminate(*args, **kwargs)
+        class Counting(oracle._Elimination):
+            """Records, per elimination, the columns added to it."""
 
-        monkeypatch.setattr(oracle, "_eliminate", counting)
+            def __init__(self):
+                super().__init__()
+                self.added = 0
+                calls.append(self)
+
+            def add(self, v):
+                self.added += 1
+                return super().add(v)
+
+        monkeypatch.setattr(oracle, "_Elimination", Counting)
         assert not is_vertex(fam, mix)
-        assert len(calls) == 1
+        assert [e.added for e in calls] == [len(mix.support)]
         combo = decompose(fam, mix)
         assert combo.combined() == mix
         assert len(calls) > 2
         calls.clear()
         assert _support_rank([[1, 2], [1, 3], [1, 4]]) == 3
-        assert calls == [4]
+        assert [e.added for e in calls] == [4]
 
     def test_decompose_16x16_permutation_mean_stdout(self, tmp_path, capsys):
         # the SHA-256 of this stdout as the sparse-kernel vertex walk printed it
@@ -514,8 +580,13 @@ def walk_cases(source):
         rng = random.Random(23)
         for i in range(200):
             fam, w = gen_random(rng.randint(3, 10), rng.randint(2, 8), 3, seed=80_000 + i)
-            # a support with an element in three blocks takes the sparse kernel
+            # a support with an element in three blocks takes the elimination
             if w is not None and max(len(fam.gamma[g]) for g in w.support) == 3:
+                yield fam, w
+    elif source == "kappa3-sweep":
+        for fam in kappa3_sweep():
+            w = barycentre(fam)
+            if w is not None:
                 yield fam, w
     elif source == "rings":
         for n in range(3, 15):
@@ -559,7 +630,8 @@ class TestIntegerWalk:
     rebuilds its forest at every step."""
 
     @pytest.mark.parametrize(
-        "source", ["kappa2-sweep", "kappa3-random", "rings", "necklaces", "mean16"]
+        "source",
+        ["kappa2-sweep", "kappa3-random", "kappa3-sweep", "rings", "necklaces", "mean16"],
     )
     def test_walk_matches_the_fraction_walk(self, monkeypatch, source):
         steps = 0

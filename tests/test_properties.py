@@ -43,9 +43,6 @@ from blockstoch.graphs import (
 from blockstoch.instance_io import dump_instance, parse_instance
 from blockstoch.graphs import frame_circuit, frame_rank
 from blockstoch.oracle import (
-    _column_rows,
-    _kernel_vector,
-    _rank,
     basis_vertices,
     column_rank,
     cross_validate,
@@ -56,12 +53,15 @@ from blockstoch.oracle import (
 from helpers import (
     assert_cycle_pieces,
     assert_valid_witness,
+    column_rows,
     dense_rank,
     fraction_combination,
     fraction_finish,
     kappa2_sweep,
     nested_families,
     restart_normalize,
+    sparse_kernel_vector,
+    sparse_rank,
     walk_census,
 )
 
@@ -156,10 +156,10 @@ def test_frame_core_matches_sparse_kernel_on_seeded_sweep():
             supports.append(tuple(sorted({g for v in picked for g in v.support})))
         for supp in supports:
             ends = [fam.gamma[g] for g in supp]
-            rows = _column_rows(ends)
-            assert frame_rank(ends) == _rank(rows) == column_rank(ends), (fam.blocks, supp)
+            rows = column_rows(ends)
+            assert frame_rank(ends) == sparse_rank(rows) == column_rank(ends), (fam.blocks, supp)
             circuit = frame_circuit(ends)
-            kernel = _kernel_vector(rows, len(supp))
+            kernel = sparse_kernel_vector(rows, len(supp))
             if circuit is None:
                 assert kernel is None, (fam.blocks, supp)
             else:
