@@ -379,19 +379,13 @@ class ExtensionResult:
 def _eligible(
     others: tuple[int, ...],
     delta: dict[int, int],
-    bound: int,
+    cap: int,
     chosen_in: dict[int, list[tuple[int, str]]],
 ) -> bool:
-    """Whether a label's other blocks each sum below ``bound`` (exactly
-    zero when ``bound`` is 0) and hold no earlier chosen element."""
+    """Whether a label's other blocks each sum below ``cap`` and hold no
+    earlier chosen element."""
     for k in others:
-        if k in chosen_in:
-            return False
-        current = delta.get(k, 0)
-        if bound > 0:
-            if current >= bound:
-                return False
-        elif current != 0:
+        if k in chosen_in or delta.get(k, 0) >= cap:
             return False
     return True
 
@@ -448,6 +442,8 @@ def extend_truncation(
         need = scale - bound
         if need <= 0:
             raise InternalPropertyError("an unsaturated block lacks headroom")
+        # block sums are nonnegative integers, so a cap of 1 asks for zero
+        cap = max(bound, 1)
         chosen = None
         scanned = 0
         for g in islice(generator.fresh_elements(k_j), SCAN_LIMIT):
@@ -462,7 +458,7 @@ def extend_truncation(
                     f"block {k_j} yields label {g} as fresh, but its first"
                     f" block is {gamma[0]}"
                 )
-            if _eligible(gamma[1:], delta, bound, chosen_in):
+            if _eligible(gamma[1:], delta, cap, chosen_in):
                 chosen = (g, gamma)
                 break
         if chosen is None:

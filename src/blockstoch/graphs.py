@@ -8,9 +8,8 @@ path or cycle is primitive when no block contains more than two of its
 vertices.  The element graph serves every family: exact, deterministic
 enumeration of primitive paths by depth-first primitive walks, and the
 same walks list the primitive cycles of graphs with an element in three
-or more blocks, the first cycle in walk order (``first_only``), and, by
-branch and bound (:func:`_shortest_cycle`), their first cycle of the
-sorted census.
+or more blocks and, by branch and bound (:func:`_shortest_cycle`), their
+first cycle of the sorted census.
 
 When every multiplicity is at most two, the family is also a multigraph
 H on its blocks: an element in two blocks is an edge, an element in one
@@ -31,7 +30,8 @@ edge's column is e_a + e_b and a half-edge's is e_a.  The same core
 gives the cycle-attachment witness its perturbation, the circuit
 through an odd cycle listed first, and ``decompose``'s vertex walk its
 integer circuits, from one forest that drops the columns each step
-zeroes (:meth:`_FrameForest.remove`).
+zeroes (:meth:`_FrameForest.remove`) and rejoins a split component only
+through :meth:`_FrameForest.add`.
 """
 
 from __future__ import annotations
@@ -332,7 +332,6 @@ def find_primitive_cycles(
     graph: AssociatedGraph,
     family: SetFamily,
     parity: str = "any",
-    first_only: bool = False,
 ) -> tuple[Path, ...]:
     """Primitive cycles of the graph, one representative per cycle.
 
@@ -343,15 +342,14 @@ def find_primitive_cycles(
     blocks (:func:`_multigraph_cycles`), else those the primitive walks
     close (:func:`_walk_cycles`), as canonical vertex tuples that one
     sort by vertices and a stable one by length put in (vertex count,
-    vertices) order.  With ``first_only`` the walks stop at their first
-    match, which need not be the first cycle of the census.
+    vertices) order.
     """
     want = _parity_classes(parity)
-    edges = None if first_only else _multigraph_edges(graph, family)
+    edges = _multigraph_edges(graph, family)
     if edges is not None:
         cycles = list(_multigraph_cycles(edges, biconnected_components(edges), want))
     else:
-        cycles = list(islice(_walk_cycles(graph, family, want), 1 if first_only else None))
+        cycles = list(_walk_cycles(graph, family, want))
     cycles.sort()
     cycles.sort(key=len)
     return tuple(Path(c, is_cycle=True) for c in cycles)
@@ -905,8 +903,8 @@ class _FrameForest:
     recolors it when the new edge's ends share a color, so a node is
     relabelled at most log2 n times by additions.  Removing a tree edge
     (:meth:`remove`) relabels the smaller side of the split; when the
-    component's odd-cycle edge spans the split it instead recolors that
-    side and keeps the component whole, with that edge as its tree edge.
+    component's odd-cycle edge spans the split, :meth:`add` takes it
+    again and so rejoins the two sides.
     """
 
     def __init__(self) -> None:
@@ -990,25 +988,19 @@ class _FrameForest:
         b = ends[1]
         del tree[a][column], tree[b][column]
         side = self._smaller_side(a, b)
-        inside = set(side)
-        extra = self.extra.get(la)
-        if extra is not None and len(extra[1]) == 2:
-            c, (u, v) = extra
-            if (u in inside) != (v in inside):
-                # the odd-cycle edge rejoins the two sides as a tree edge
-                del self.extra[la]
-                for w in side:
-                    self.color[w] ^= 1
-                tree[u][c] = v
-                tree[v][c] = u
-                return
         new = next(self.fresh)
         for w in side:
             self.label[w] = new
         self.size[new] = len(side)
         self.size[la] -= len(side)
-        if extra is not None and extra[1][0] in inside:
-            self.extra[new] = self.extra.pop(la)
+        extra = self.extra.pop(la, None)
+        if extra is not None:
+            # an odd-cycle edge across the split rejoins its two sides
+            labels = {self.label[v] for v in extra[1]}
+            if len(labels) == 2:
+                self.add(*extra)
+            else:
+                self.extra[labels.pop()] = extra
 
     def _smaller_side(self, a: int, b: int) -> list[int]:
         """The nodes on the smaller side of a split tree, ``a``'s or

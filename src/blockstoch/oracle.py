@@ -29,11 +29,12 @@ column closes and the solution of the all-ones system are unique, so
 the pivot choice changes no vertex and no decomposition.
 
 :func:`decompose` and its vertex walk (:func:`_vertex_within`) keep
-the point as integer numerators over one common denominator.  The walk
-steps along integer circuits: on supports whose elements lie in at most
-two blocks they come from one frame forest kept for the whole walk,
-which drops the columns each step zeroes, and otherwise from the
-integer elimination (:func:`_first_circuit`).
+the point as integer numerators over one common denominator and move it
+with one :func:`_step`.  The walk steps along integer circuits: on
+supports whose elements lie in at most two blocks they come from one
+frame forest kept for the whole walk, which drops the columns each step
+zeroes, and otherwise from the integer elimination
+(:func:`_first_circuit`).  Each peel steps away from the vertex reached.
 """
 
 from __future__ import annotations
@@ -375,30 +376,32 @@ def is_vertex(family: SetFamily, w: WeightFunction) -> bool:
     return column_rank([family.gamma[g] for g in w.support]) == len(w.support)
 
 
-def _step(numerators: dict[int, int], scale: int, circuit: dict[int, int]) -> int:
-    """Move a point along an integer circuit until a value reaches zero.
+def _step(
+    numerators: dict[int, int], scale: int, direction: dict[int, int]
+) -> tuple[int, int, int]:
+    """Move a point along an integer direction until a value reaches zero.
 
     The point is ``numerators`` over ``scale``, keyed by element, and is
     moved in place; zeroed elements are deleted.  The step is the least
-    ``numerators[c] / -circuit[c]`` over the circuit's negative entries,
-    found by cross-multiplication.  When that ratio, in lowest terms
-    p/q, does not make every ``p * circuit[c] / q`` an integer, every
-    numerator and the scale are first multiplied by what q lacks, and
-    afterwards divided by their greatest common divisor.  Returns the
-    new scale.
+    ``numerators[c] / -direction[c]`` over the direction's negative
+    entries, found by cross-multiplication.  When that ratio, in lowest
+    terms p/q, does not make every ``p * direction[c] / q`` an integer,
+    every numerator and the scale are first multiplied by what q lacks,
+    and afterwards divided by their greatest common divisor.  Returns
+    the new scale, p and q.
     """
     p = q = 0
-    for c, k in circuit.items():
+    for c, k in direction.items():
         if k < 0 and (not q or numerators[c] * q < p * -k):
             p, q = numerators[c], -k
     d = math.gcd(p, q)
     p, q = p // d, q // d
-    rescale = q // math.gcd(q, *circuit.values())
+    rescale = q // math.gcd(q, *direction.values())
     if rescale > 1:
         for c in numerators:
             numerators[c] *= rescale
         scale *= rescale
-    for c, k in circuit.items():
+    for c, k in direction.items():
         value = numerators[c] + p * k * rescale // q
         if value:
             numerators[c] = value
@@ -410,7 +413,7 @@ def _step(numerators: dict[int, int], scale: int, circuit: dict[int, int]) -> in
             for c in numerators:
                 numerators[c] //= d
             scale //= d
-    return scale
+    return scale, p, q
 
 
 def _vertex_within(
@@ -439,7 +442,7 @@ def _vertex_within(
     order = list(current)
     if max((len(gamma[g]) for g in order), default=0) > 2:
         while (circuit := _first_circuit([gamma[g] for g in order])) is not None:
-            scale = _step(current, scale, {order[c]: a for c, a in circuit.items()})
+            scale, _, _ = _step(current, scale, {order[c]: a for c, a in circuit.items()})
             order = list(current)
         return current, scale
     forest = _FrameForest()
@@ -450,7 +453,7 @@ def _vertex_within(
             i += 1
             continue
         circuit = forest.circuit(g, gamma[g])
-        scale = _step(current, scale, circuit)
+        scale, _, _ = _step(current, scale, circuit)
         for c in circuit:
             if c != g and c not in current:
                 forest.remove(c, gamma[c])
@@ -472,7 +475,9 @@ def decompose(family: SetFamily, w: WeightFunction) -> Decomposition:
 
     Peels off one vertex at a time, shrinking the support at every step,
     until the walk to a vertex (:func:`_vertex_within`) returns the point
-    itself, whose support columns are then independent.
+    itself, whose support columns are then independent.  A peel,
+    ``(current - t * vertex) / (1 - t)``, is one :func:`_step` from the
+    point away from the vertex, whose ratio p/q is t/(1 - t).
     Each peel removes from the point an element of the peeled vertex's
     support, and later vertices lie in the point's shrunken support, so
     every term holds an element that no later term holds.  The terms are
@@ -491,27 +496,16 @@ def decompose(family: SetFamily, w: WeightFunction) -> Decomposition:
         if len(vertex) == len(current):
             terms.append((coef, _from_numerators(current, scale)))
             break
-        # t = min current(g) / vertex(g) = a / b, by cross-multiplication
-        a = b = 0
-        for g, n in vertex.items():
-            if not b or current[g] * vscale * b < a * n * scale:
-                a, b = current[g] * vscale, n * scale
-        if a >= b:
+        away = {g: n * vscale - vertex.get(g, 0) * scale for g, n in current.items()}
+        if min(away.values()) >= 0:
             raise InternalPropertyError("peeling step did not reduce the point")
-        t = Fraction(a, b)
-        a, b = t.numerator, t.denominator
-        terms.append((coef * t, _from_numerators(vertex, vscale)))
-        # (current - t * vertex) / (1 - t), over scale * vscale * (b - a)
-        current = {
-            g: value
-            for g, n in current.items()
-            if (value := b * vscale * n - a * scale * vertex.get(g, 0))
-        }
-        scale *= vscale * (b - a)
+        current = {g: n * vscale for g, n in current.items()}
+        scale, p, q = _step(current, scale * vscale, away)
         d = math.gcd(scale, *current.values())
         current = {g: n // d for g, n in current.items()}
         scale //= d
-        coef = coef * (ONE - t)
+        terms.append((coef * Fraction(p, p + q), _from_numerators(vertex, vscale)))
+        coef = coef * Fraction(q, p + q)
     else:
         raise DepthExceededError("vertex peeling did not terminate")
     total = sum(c for c, _ in terms)

@@ -590,9 +590,9 @@ def fraction_vertex_within(family: SetFamily, start: WeightFunction, steps: list
 
 def fraction_decompose(family: SetFamily, w: WeightFunction):
     """``(terms, vertices, steps)``: the terms of ``oracle.decompose``,
-    the vertex each walk reached and every walk step's zeroed columns,
-    with each peel ``(current - t * vertex) / (1 - t)`` in ``Fraction``
-    arithmetic."""
+    the vertex each walk reached and the zeroed columns of every walk
+    step and every peel ``(current - t * vertex) / (1 - t)``, in order,
+    in ``Fraction`` arithmetic."""
     terms, vertices, steps = [], [], []
     coef = Fraction(1)
     current = w
@@ -604,7 +604,9 @@ def fraction_decompose(family: SetFamily, w: WeightFunction):
             break
         t = min(current(g) / vertex(g) for g in vertex.support)
         terms.append((coef * t, vertex))
-        current = fraction_combination(((1 / (1 - t), current), (t / (t - 1), vertex)))
+        peeled = fraction_combination(((1 / (1 - t), current), (t / (t - 1), vertex)))
+        steps.append(tuple(sorted(set(current.support) - set(peeled.support))))
+        current = peeled
         coef *= 1 - t
     terms.sort(key=lambda cw: (-cw[0], cw[1].sort_key()))
     return tuple(terms), vertices, steps

@@ -27,7 +27,7 @@ from blockstoch.family import (
     classify_membership,
     emptiness_test,
 )
-from blockstoch.graphs import Path, build_graph, decompose_cycle, find_primitive_cycles
+from blockstoch.graphs import Path, _walk_cycles, build_graph, decompose_cycle
 from blockstoch.oracle import (
     cross_validate,
     decompose,
@@ -167,7 +167,7 @@ def test_criterion_05_half_integrality_and_covers(announce, sweep):
             for v in vertices:
                 assert {value for _, value in v.items()} <= {HALF, F(1)}
             graph = build_graph(fam)
-            if not find_primitive_cycles(graph, fam, parity="odd", first_only=True):
+            if next(_walk_cycles(graph, fam, (1,)), None) is None:
                 no_odd_cycle_families += 1
                 assert set(vertices) == set(brute_force_exact_covers(fam))
         assert no_odd_cycle_families > 0

@@ -176,15 +176,6 @@ class TestPrimitiveCycles:
         graph = build_graph(fam)
         assert find_primitive_cycles(graph, fam) == ()
 
-    def test_first_only_stops_early(self):
-        fam = grid_family(3)
-        graph = build_graph(fam)
-        first = find_primitive_cycles(graph, fam, first_only=True)
-        assert len(first) == 1
-        everything = find_primitive_cycles(graph, fam)
-        assert len(everything) > 1
-        assert first[0].vertices == everything[0].vertices
-
     def test_bad_parity_rejected(self):
         fam = cycle_family(3)
         graph = build_graph(fam)
@@ -262,17 +253,12 @@ class TestMultigraphCensus:
             c for c in expected if len(c) % 2 in wanted
         ]
 
-    def test_kappa3_graph_and_first_only_walk(self, monkeypatch):
+    def test_kappa3_graph_walks(self, monkeypatch):
         fam = build_family([[0, 1, 2], [0, 2, 3], [0, 3, 4], [1, 4]])
-        grid = grid_family(3)
-        census = find_primitive_cycles(build_graph(fam), fam)
-        first = find_primitive_cycles(build_graph(grid), grid, first_only=True)
-        assert census and first
+        assert find_primitive_cycles(build_graph(fam), fam)
         refuse_walks(monkeypatch)
         with pytest.raises(AssertionError, match="walked"):
             find_primitive_cycles(build_graph(fam), fam)
-        with pytest.raises(AssertionError, match="walked"):
-            find_primitive_cycles(build_graph(grid), grid, first_only=True)
         # a κ = 3 family's graph induced on elements in at most two blocks
         inner = build_graph(fam, within=[1, 2, 3, 4])
         assert find_primitive_cycles(inner, fam) == (Path((1, 2, 3, 4), is_cycle=True),)
@@ -608,11 +594,6 @@ class TestLongFamilies:
 
     def test_long_odd_ring_has_no_bipartition(self):
         assert bipartition(cycle_family(1501)) is None
-
-    def test_first_cycle_of_long_ring(self):
-        fam = cycle_family(1500)
-        cycles = find_primitive_cycles(build_graph(fam), fam, first_only=True)
-        assert cycles == (Path(tuple(range(1, 1501)), is_cycle=True),)
 
     def test_primitive_path_across_long_path_family(self):
         fam = build_family([[i, i + 1] for i in range(1, 1501)])

@@ -603,15 +603,16 @@ def walk_cases(source):
 
 def recorded_decompose(monkeypatch, fam, w):
     """``(terms, vertices, steps)`` as :func:`helpers.fraction_decompose`
-    gives them, read off ``decompose``'s walks and steps."""
+    gives them, read off ``decompose``'s walks and its steps, those of
+    the walks and the peels alike."""
     vertices, steps = [], []
     step, walk = oracle._step, oracle._vertex_within
 
-    def recording_step(numerators, scale, circuit):
+    def recording_step(numerators, scale, direction):
         before = set(numerators)
-        scale = step(numerators, scale, circuit)
+        moved = step(numerators, scale, direction)
         steps.append(tuple(sorted(before - set(numerators))))
-        return scale
+        return moved
 
     def recording_walk(family, start, scale):
         vertex, vscale = walk(family, start, scale)

@@ -304,7 +304,7 @@ def _block_components(fam):
 def _check_bipartition(fam):
     split = bipartition(fam)
     odd = max_multiplicity(fam) > 2 or bool(
-        find_primitive_cycles(build_graph(fam), fam, parity="odd", first_only=True)
+        next(graphs._walk_cycles(build_graph(fam), fam, (1,)), None)
     )
     assert (split is None) == odd
     if split is None:
@@ -325,7 +325,7 @@ def _check_two_coloring(fam, w, outcomes):
             if any(c != 2 for c in block_vertex_counts(fam, subset).values()):
                 continue
             induced = build_graph(fam, within=subset)
-            if find_primitive_cycles(induced, fam, parity="odd", first_only=True):
+            if next(graphs._walk_cycles(induced, fam, (1,)), None):
                 with pytest.raises(ConditionsViolatedError, match="odd primitive"):
                     construct_two_coloring(fam, w, subset)
                 outcomes["two_coloring refused"] += 1
@@ -344,7 +344,7 @@ def _check_tree_count(fam, w, outcomes):
         ):
             continue
         induced = build_graph(fam, within=comp)
-        if find_primitive_cycles(induced, fam, first_only=True):
+        if next(graphs._walk_cycles(induced, fam, (0, 1)), None):
             with pytest.raises(ConditionsViolatedError, match="primitive cycle"):
                 construct_tree_propagation(fam, w, comp)
             outcomes["tree refused"] += 1
