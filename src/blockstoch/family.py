@@ -115,7 +115,8 @@ class SetFamily:
 
 
 def _assemble(indexed_blocks: list[tuple[int, tuple[int, ...]]]) -> SetFamily:
-    """Build a SetFamily from (index, sorted members) pairs, validated."""
+    """Build a SetFamily from (index, sorted members) pairs of checked
+    labels, refusing empty, repeated and duplicate blocks."""
     if not indexed_blocks:
         raise EmptyFamilyError("a family needs at least one block")
     seen: dict[frozenset[int], int] = {}
@@ -124,7 +125,8 @@ def _assemble(indexed_blocks: list[tuple[int, tuple[int, ...]]]) -> SetFamily:
     for index, members in indexed_blocks:
         if not members:
             raise EmptyBlockError(f"block {index} is empty")
-        key = frozenset(members)
+        block = Block(index=index, members=members)
+        key = block.member_set
         if len(key) != len(members):
             raise InputError(f"block {index} repeats a member")
         if key in seen:
@@ -132,15 +134,30 @@ def _assemble(indexed_blocks: list[tuple[int, tuple[int, ...]]]) -> SetFamily:
                 f"blocks {seen[key]} and {index} have identical members"
             )
         seen[key] = index
-        blocks.append(Block(index=index, members=members))
+        blocks.append(block)
         for g in members:
             gamma.setdefault(g, []).append(index)
-    ground = tuple(sorted(gamma))
     return SetFamily(
         blocks=tuple(blocks),
-        ground=ground,
-        gamma={g: tuple(ks) for g, ks in gamma.items()},
+        ground=tuple(sorted(gamma)),
+        gamma=dict(zip(gamma, map(tuple, gamma.values()))),
     )
+
+
+def _check_ground(family: SetFamily, labels: Iterable[int]) -> None:
+    """Refuse declared ground labels, checked to be non-negative integers,
+    that repeat or differ from the union of the blocks."""
+    declared: set[int] = set()
+    for g in labels:
+        if g in declared:
+            raise InputError(f"ground label {g} is given twice")
+        declared.add(g)
+    extra = sorted(declared - family.gamma.keys())[:5]
+    if extra:
+        raise InputError(f"ground labels {extra} belong to no block")
+    missing = sorted(family.gamma.keys() - declared)[:5]
+    if missing:
+        raise InputError(f"block members {missing} are missing from ground")
 
 
 def build_family(
@@ -149,8 +166,8 @@ def build_family(
     """Create a family from member lists, indexing blocks 1, 2, ... in order.
 
     Labels must be nonnegative integers.  When ``ground`` is given it must
-    equal the union of the blocks; elements outside every block would
-    violate the covering invariant and are rejected.
+    equal the union of the blocks, each label once; elements outside every
+    block would violate the covering invariant and are rejected.
     """
     indexed = []
     for pos, raw in enumerate(blocks, start=1):
@@ -164,18 +181,11 @@ def build_family(
         indexed.append((pos, tuple(sorted(members))))
     family = _assemble(indexed)
     if ground is not None:
-        declared = set()
-        for g in ground:
+        declared = list(ground)
+        for g in declared:
             if isinstance(g, bool) or not isinstance(g, int) or g < 0:
                 raise InputError(f"ground label {g!r} is not a nonnegative integer")
-            declared.add(g)
-        union = set(family.ground)
-        if declared - union:
-            extra = sorted(declared - union)[:5]
-            raise InputError(f"ground labels {extra} belong to no block")
-        if union - declared:
-            missing = sorted(union - declared)[:5]
-            raise InputError(f"block members {missing} are missing from ground")
+        _check_ground(family, declared)
     return family
 
 
@@ -230,7 +240,8 @@ class WeightFunction:
     @classmethod
     def _trusted(cls, values: dict[int, Fraction]) -> "WeightFunction":
         """The function of ``values``, integer labels to nonzero ``Fraction``s
-        the package computed itself, built without the checks."""
+        the package computed or parsed and checked itself, built without
+        the checks."""
         w = object.__new__(cls)
         w._map = values
         w._items = tuple(sorted(values.items()))

@@ -7,6 +7,12 @@ from label to an exact rational), and ``feasible`` (an optional flag
 attached to generated instances).  Rationals are written as ``"p/q"``
 strings, or as plain integers when the denominator is one.  Decimal
 floats are rejected: every value must parse exactly.
+
+A document is read in one pass that checks each label and value once,
+and the first fault found is refused, in this order: every block's
+labels, the ground labels, empty, repeated and duplicate blocks, a
+repeated ground label and ground agreement, weight keys and values,
+and weights for labels in no block.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .errors import InputError, UnknownElementError
-from .family import SetFamily, WeightFunction, build_family, format_rational
+from .family import SetFamily, WeightFunction, _assemble, _check_ground, format_rational
 
 # ASCII digits only: ``int`` would also read other scripts' digits and "_"
 _LABEL_RE = re.compile(r"[+-]?[0-9]+")
@@ -111,24 +117,42 @@ def _parse_object(text: str, what: str) -> dict:
 
 
 def _parse_weights(raw: dict) -> dict[int, Fraction]:
-    """Parse a map from label to rational; two keys naming one label are refused."""
+    """Parse a map from label to rational; two keys naming one label are
+    refused.  Each distinct string value is parsed once.  Only strings are
+    looked up: ``True == 1`` with one hash, so ``true`` would pass as 1."""
     values: dict[int, Fraction] = {}
+    parsed: dict[str, Fraction] = {}
     for key, value in raw.items():
         if not _LABEL_RE.fullmatch(key.strip()):
             raise InputError(f"weight key {key!r} is not an integer label")
         label = _int(key)
         if label in values:
             raise InputError(f"weight label {label} is given twice")
-        values[label] = parse_rational(value)
+        if type(value) is str:
+            exact = parsed.get(value)
+            if exact is None:
+                exact = parsed[value] = parse_rational(value)
+        else:
+            exact = parse_rational(value)
+        values[label] = exact
     return values
 
 
-def _parse_label(value: object, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{where}: labels must be integers, got {value!r}")
-    if value < 0:
-        raise InputError(f"{where}: labels must be non-negative, got {value}")
-    return value
+def _weight_function(values: dict[int, Fraction]) -> WeightFunction:
+    """The function of parsed ``values``, zeros dropped, with no second check."""
+    return WeightFunction._trusted({g: v for g, v in values.items() if v})
+
+
+def _check_labels(raw: list, where: str) -> None:
+    """Refuse the first label that is not a non-negative integer.  A list
+    of plain ``int``s (``bool`` is a type of its own) passes at C speed."""
+    if set(map(type, raw)) <= {int} and min(raw, default=0) >= 0:
+        return
+    for value in raw:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InputError(f"{where}: labels must be integers, got {value!r}")
+        if value < 0:
+            raise InputError(f"{where}: labels must be non-negative, got {value}")
 
 
 def parse_instance(text: str) -> Instance:
@@ -143,18 +167,19 @@ def parse_instance(text: str) -> Instance:
     if not isinstance(raw_blocks, list):
         raise InputError('"blocks" must be a list of lists of labels')
     blocks = []
-    for pos, raw in enumerate(raw_blocks):
+    for pos, raw in enumerate(raw_blocks, start=1):
         if not isinstance(raw, list):
-            raise InputError(f"block {pos + 1} must be a list of labels")
-        blocks.append(
-            [_parse_label(item, f"block {pos + 1}") for item in raw]
-        )
-    ground = None
-    if "ground" in doc and doc["ground"] is not None:
-        if not isinstance(doc["ground"], list):
+            raise InputError(f"block {pos} must be a list of labels")
+        _check_labels(raw, f"block {pos}")
+        blocks.append((pos, tuple(sorted(raw))))
+    ground = doc.get("ground")
+    if ground is not None:
+        if not isinstance(ground, list):
             raise InputError('"ground" must be a list of labels')
-        ground = [_parse_label(item, '"ground"') for item in doc["ground"]]
-    family = build_family(blocks, ground)
+        _check_labels(ground, '"ground"')
+    family = _assemble(blocks)
+    if ground is not None:
+        _check_ground(family, ground)
 
     weights: WeightFunction | None = None
     if "weights" in doc and doc["weights"] is not None:
@@ -165,7 +190,7 @@ def parse_instance(text: str) -> Instance:
         for label in values:
             if label not in family.gamma:
                 raise UnknownElementError(f"weight for unknown element {label}")
-        weights = WeightFunction(values)
+        weights = _weight_function(values)
 
     feasible: bool | None = None
     if "feasible" in doc and doc["feasible"] is not None:
@@ -207,7 +232,7 @@ def parse_weights_document(text: str) -> WeightFunction:
     for label in values:
         if label < 0:
             raise InputError(f"weight label {label} is negative")
-    return WeightFunction(values)
+    return _weight_function(values)
 
 
 def load_weights_document(path: str) -> WeightFunction:

@@ -443,6 +443,12 @@ FAMILY_REFUSALS = [
     (lambda: check_freshness(triangle(), -1), InputError, "m must lie in [0, 3]"),
     (lambda: check_freshness(triangle(), 4), InputError, "m must lie in [0, 3]"),
     (lambda: triangle().block(4), InputError, "no block with index 4"),
+    # a repeated ground label, after the ground labels' type checks and
+    # before the comparison with the union
+    (lambda: build_family([[1, 2]], ground=[1, 1, 2]), InputError, "ground label 1 is given twice"),
+    (lambda: build_family([[1, 2]], ground=[1, 1, "x"]),
+     InputError, "ground label 'x' is not a nonnegative integer"),
+    (lambda: build_family([[1, 2], [3]], ground=[3, 3]), InputError, "ground label 3 is given twice"),
 ]
 
 

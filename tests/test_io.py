@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from blockstoch.errors import InputError, UnknownElementError
+from blockstoch.errors import EmptyBlockError, InputError, UnknownElementError
 from blockstoch.family import WeightFunction, build_family
 from blockstoch.instance_io import (
     dump_instance,
@@ -17,6 +17,8 @@ from blockstoch.instance_io import (
     parse_weights_document,
     weights_to_document,
 )
+
+from helpers import kappa2_sweep, kappa3_sweep, necklace
 
 F = Fraction
 
@@ -202,31 +204,134 @@ class TestDumpInstance:
 
 
 # Refusals of documents with the wrong shape, each a document, the
-# exception class and the exact message.
+# exception class and the exact message.  The later rows pin the order
+# of the checks: every block's labels, the ground labels, empty, repeated
+# and duplicate blocks, a repeated ground label and ground agreement,
+# weight keys and values, weights for labels in no block.
 DOCUMENT_REFUSALS = [
-    (parse_instance, '{"blocks": 5}', '"blocks" must be a list of lists of labels'),
-    (parse_instance, '{"blocks": [[1], 2]}', "block 2 must be a list of labels"),
-    (parse_instance, '{"blocks": [[1, "a"]]}', "block 1: labels must be integers, got 'a'"),
-    (parse_instance, '{"blocks": [[1, true]]}', "block 1: labels must be integers, got True"),
-    (parse_instance, '{"blocks": [[1]], "ground": 1}', '"ground" must be a list of labels'),
-    (parse_instance, '{"blocks": [[1]], "ground": [[1]]}',
+    (parse_instance, '{"blocks": 5}', InputError, '"blocks" must be a list of lists of labels'),
+    (parse_instance, '{"blocks": [[1], 2]}', InputError, "block 2 must be a list of labels"),
+    (parse_instance, '{"blocks": [[1, "a"]]}', InputError,
+     "block 1: labels must be integers, got 'a'"),
+    (parse_instance, '{"blocks": [[1, true]]}', InputError,
+     "block 1: labels must be integers, got True"),
+    (parse_instance, '{"blocks": [[1]], "ground": 1}', InputError,
+     '"ground" must be a list of labels'),
+    (parse_instance, '{"blocks": [[1]], "ground": [[1]]}', InputError,
      '"ground": labels must be integers, got [1]'),
-    (parse_instance, '{"blocks": [[1]], "weights": [1]}',
+    (parse_instance, '{"blocks": [[1]], "weights": [1]}', InputError,
      '"weights" must be a map from label to rational'),
-    (parse_instance, '{"blocks": [[1]], "weights": {"1": [1]}}', "expected a rational, got list"),
-    (parse_instance, '{"blocks": [[1]], "weights": {"1": null}}',
+    (parse_instance, '{"blocks": [[1]], "weights": {"1": [1]}}', InputError,
+     "expected a rational, got list"),
+    (parse_instance, '{"blocks": [[1]], "weights": {"1": null}}', InputError,
      "expected a rational, got NoneType"),
-    (parse_weights_document, '{"weights": {"-1": 1}}', "weight label -1 is negative"),
-    (parse_weights_document, '{"weights": [1]}', 'document must hold a "weights" map'),
-    (parse_weights_document, "[]", "document must be a JSON object"),
+    (parse_instance, '{"blocks": [[1, 2]], "ground": [2, 1, 2]}', InputError,
+     "ground label 2 is given twice"),
+    (parse_instance, '{"blocks": [[1, 1], [2, "a"]]}', InputError,
+     "block 2: labels must be integers, got 'a'"),
+    (parse_instance, '{"blocks": [[1, 2], []], "ground": [1, -2]}', InputError,
+     '"ground": labels must be non-negative, got -2'),
+    (parse_instance, '{"blocks": [[1, 2], []], "weights": {"9": "1/2"}}', EmptyBlockError,
+     "block 2 is empty"),
+    (parse_instance, '{"blocks": [[1, 2], [3]], "ground": [1, 1, 2]}', InputError,
+     "ground label 1 is given twice"),
+    (parse_instance, '{"blocks": [[1, 2]], "ground": [1], "weights": {"x": 1}}', InputError,
+     "block members [2] are missing from ground"),
+    (parse_instance, '{"blocks": [[1, 2]], "weights": {"9": 1, "1": "x"}}', InputError,
+     'cannot parse \'x\' as an exact rational; write "p/q" or an integer'),
+    # True == 1 with one hash: a parsed value is looked up only by its string
+    (parse_instance, '{"blocks": [[1, 2]], "weights": {"1": 1, "2": true}}', InputError,
+     "expected a rational, got True"),
+    (parse_instance, '{"blocks": [[1, 2]], "weights": {"1": "1", "2": true}}', InputError,
+     "expected a rational, got True"),
+    (parse_weights_document, '{"weights": {"-1": 1}}', InputError, "weight label -1 is negative"),
+    (parse_weights_document, '{"weights": {"1": "1/2", "2": true}}', InputError,
+     "expected a rational, got True"),
+    (parse_weights_document, '{"weights": [1]}', InputError, 'document must hold a "weights" map'),
+    (parse_weights_document, "[]", InputError, "document must be a JSON object"),
 ]
 
 
 @pytest.mark.parametrize(
-    "parse, text, message", DOCUMENT_REFUSALS, ids=[row[1] for row in DOCUMENT_REFUSALS]
+    "parse, text, error, message", DOCUMENT_REFUSALS, ids=[row[1] for row in DOCUMENT_REFUSALS]
 )
-def test_document_shape_refusals(parse, text, message):
-    with pytest.raises(InputError) as caught:
+def test_document_shape_refusals(parse, text, error, message):
+    with pytest.raises(error) as caught:
         parse(text)
-    assert type(caught.value) is InputError
+    assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+# The loader checks each label and value once and builds the family and
+# the weights without the public constructors' second check; those
+# constructors, on the same document, are its reference.
+SPELLINGS = [1, "1", "2/2", "1/2", "2/4", "0"]
+
+
+def reference_load(text):
+    doc = json.loads(text)
+    family = build_family(doc["blocks"], doc.get("ground"))
+    raw = doc.get("weights")
+    weights = None if raw is None else WeightFunction(
+        {int(key): parse_rational(value) for key, value in raw.items()}
+    )
+    return family, weights
+
+
+def _documents():
+    """Instance documents: the seeded sweeps and necklaces with every
+    spelling of one value in turn, an own-family extension start on the
+    60x60 matrix, the 201-ring at 1/2 and the uniform 24x24 matrix."""
+    families = list(kappa2_sweep()) + list(kappa3_sweep())
+    for i, fam in enumerate(families):
+        doc = json.loads(dump_instance(fam))
+        doc["weights"] = {
+            str(g): SPELLINGS[(i + j) % len(SPELLINGS)] for j, g in enumerate(fam.ground)
+        }
+        yield json.dumps(doc)
+    for k in (3, 5):
+        for sides in (3, 4):
+            for half_edges in (False, True):
+                blocks, values = necklace(k, sides, half_edges, seed=k)
+                yield dump_instance(build_family(blocks), WeightFunction(values))
+    rows = [[60 * r + c + 1 for c in range(60)] for r in range(60)]
+    yield json.dumps({"blocks": rows + [list(c) for c in zip(*rows)], "weights": {"1": 1}})
+    ring = [[201 if k == 1 else k - 1, k] for k in range(1, 202)]
+    yield json.dumps({"blocks": ring, "weights": {str(g): "1/2" for g in range(1, 202)}})
+    rows = [[24 * r + c + 1 for c in range(24)] for r in range(24)]
+    yield json.dumps({
+        "blocks": rows + [list(c) for c in zip(*rows)],
+        "weights": {str(g): "1/24" for g in range(1, 577)},
+    })
+
+
+class TestLoaderAgainstConstructors:
+    def test_documents_load_as_the_constructors_build_them(self):
+        count = 0
+        for text in _documents():
+            family, weights = reference_load(text)
+            inst = parse_instance(text)
+            assert inst.family.blocks == family.blocks
+            assert [b.member_set for b in inst.family.blocks] == [
+                b.member_set for b in family.blocks
+            ]
+            assert inst.family.ground == family.ground
+            assert inst.family.gamma == family.gamma
+            for b in family.blocks:
+                assert inst.family.block(b.index) == b
+            assert inst.weights.items() == weights.items()
+            assert parse_weights_document(
+                json.dumps({"weights": json.loads(text)["weights"]})
+            ).items() == weights.items()
+            count += 1
+        assert count > 600
+
+    def test_spellings_of_one_value_and_dropped_zeros(self):
+        text = json.dumps({
+            "blocks": [[1, 2, 3, 4, 5, 6]],
+            "weights": {str(g): v for g, v in enumerate(SPELLINGS, start=1)},
+        })
+        inst = parse_instance(text)
+        assert inst.weights.items() == ((1, 1), (2, 1), (3, 1), (4, F(1, 2)), (5, F(1, 2)))
+        assert inst.weights.items() == reference_load(text)[1].items()
+        assert inst.weights.support == (1, 2, 3, 4, 5)
