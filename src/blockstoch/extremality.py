@@ -43,12 +43,12 @@ from .graphs import (
     block_multigraph,
     block_vertex_counts,
     build_graph,
-    frame_circuit,
     is_primitive,
     require_simple,
     shortest_primitive_cycle,
     two_color,
 )
+from .oracle import _first_circuit
 
 
 @dataclass(frozen=True)
@@ -320,17 +320,18 @@ def _cycle_attachment(
 ) -> Witness:
     """The witness on a support component ``comp`` and its odd cycle.
 
-    The deltas are the first circuit of the frame matroid of H
-    (:func:`frame_circuit`) over the component's elements, listed cycle
-    first in cycle order, then breadth-first from the cycle's blocks,
-    each layer's blocks by index and each block's members by label.  The
-    odd cycle is independent and holds the component's one unbalancing
-    cycle, so the first element rejected is the first that lies in one
-    block or reaches a block met before, and the circuit is the cycle,
-    a tree path out of one cycle block, the anchor, and a half-edge or a
-    second odd cycle.  It is scaled so that the first end of the
-    anchor's cycle edge moves by minus half of epsilon, half the
-    headroom of the circuit's elements.
+    The deltas are the first circuit (:func:`oracle._first_circuit`,
+    which takes these columns into the frame forest of H) of the
+    component's elements, listed cycle first in cycle order, then
+    breadth-first from the cycle's blocks, each layer's blocks by index
+    and each block's members by label.  The odd cycle is independent and
+    holds the component's one unbalancing cycle, so the first element
+    rejected is the first that lies in one block or reaches a block met
+    before, and the circuit is the cycle, a tree path out of one cycle
+    block, the anchor, and a half-edge or a second odd cycle.  Its
+    integers are scaled so that the first end of the anchor's cycle edge
+    moves by minus half of epsilon, half the headroom of the circuit's
+    elements.
     """
     members = set(comp)
     edge_blocks = _cycle_edge_blocks(family, cycle)
@@ -352,7 +353,7 @@ def _cycle_attachment(
                         seen.add(k)
                         upcoming.append(k)
         frontier = sorted(upcoming)
-    circuit = frame_circuit([family.membership(e) for e in order])
+    circuit = _first_circuit([family.membership(e) for e in order])
     if circuit is None:
         raise ConditionsViolatedError(
             "no support element is attached to the cycle's blocks"

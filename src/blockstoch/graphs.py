@@ -25,19 +25,18 @@ and bound over each cycle's least element whose cuts are walk lengths
 of both parities.  Questions that need only bipartiteness
 (:func:`bipartition`, the vertex search) are answered by one BFS
 two-coloring of H.  Linear algebra on the block-sum columns is the
-frame matroid of H (:func:`frame_rank`, :func:`frame_circuit`): an
-edge's column is e_a + e_b and a half-edge's is e_a.  The same core
-gives the cycle-attachment witness its perturbation, the circuit
-through an odd cycle listed first, and ``decompose``'s vertex walk its
-integer circuits, from one forest that drops the columns each step
-zeroes (:meth:`_FrameForest.remove`) and rejoins a split component only
-through :meth:`_FrameForest.add`.
+frame matroid of H, kept by :class:`_FrameForest`: an edge's column
+is e_a + e_b and a half-edge's is e_a.  The forest takes, rejects and
+gives up columns one at a time and solves the circuit a rejected column
+closes, with the same interface as the integer elimination of
+:mod:`oracle`, whose ``_kernel`` chooses between the two.  A removal
+(:meth:`_FrameForest.remove`) splits a tree, and a split component
+rejoins only through :meth:`_FrameForest.add`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -1021,11 +1020,13 @@ class _FrameForest:
             i += 1
 
     def circuit(self, column: int, ends: Sequence[int]) -> dict[int, int]:
-        """The circuit a rejected column closes, with that column at 2.
+        """The circuit a rejected column closes with the taken columns, by
+        column: integers with no common divisor and that column positive.
 
         The values solve ``sum(x[c] * col_c) = 0`` over the taken columns
         and this one, which is unique because the taken ones are
-        independent; with the rejected column at 2 they are integers.
+        independent; with the rejected column at 2 they are integers,
+        and they are halved when all are even.
         Each component the column's ends lie in is solved from its
         leaves up: a tree edge carries what its lower side still lacks,
         as a constant plus a multiple of the unknown value ``t`` of the
@@ -1076,33 +1077,6 @@ class _FrameForest:
             for c, f0, f1 in flows:
                 if f0 + f1 * t:
                     x[c] = f0 + f1 * t
+        if all(v % 2 == 0 for v in x.values()):
+            return {c: v // 2 for c, v in x.items()}
         return x
-
-
-def frame_rank(ends: Sequence[Sequence[int]]) -> int:
-    """Rank of the 0/1 matrix whose column ``c`` has ones at ``ends[c]``.
-
-    Every column lies in at most two rows, so this is the rank of those
-    columns in the frame matroid of H (see :class:`_FrameForest`).
-    """
-    forest = _FrameForest()
-    return sum(forest.add(c, e) for c, e in enumerate(ends))
-
-
-def frame_circuit(ends: Sequence[Sequence[int]]) -> dict[int, Fraction] | None:
-    """The nonzero entries of the first dependent column's circuit, or None.
-
-    Columns are taken in ascending order as in ``oracle._first_circuit``,
-    so those before the first rejected column are independent and it is
-    the first dependent column.  The result is the unique kernel vector
-    supported on them and that column, with that column at 1, which
-    ``oracle._first_circuit`` gives scaled to coprime integers.  The
-    cycle-attachment witness takes its perturbation from here;
-    ``decompose``'s vertex walk asks one live forest for the same
-    circuits, at twice these values, step after step.
-    """
-    forest = _FrameForest()
-    for c, e in enumerate(ends):
-        if not forest.add(c, e):
-            return {k: Fraction(v, 2) for k, v in forest.circuit(c, e).items()}
-    return None

@@ -15,26 +15,26 @@ the all-ones system.  The walk needs no structure at all, so it also
 serves as the reference the multigraph search and the structural
 classifier are tested against.
 
-Everything here is exact.  The rank questions of :func:`is_vertex`
-and the extension checks go through :func:`column_rank`.  When every
-column meets at most two rows it is an incidence column of a
-multigraph, and the answer comes from the frame matroid core of
-:mod:`graphs` (:func:`graphs.frame_rank`) with no row reduction.
-Otherwise, and for the basis walk, it comes from one fraction-free
-integer elimination (:class:`_Elimination`) that takes columns one at
-a time, as sparse vectors keyed by block; a column is reduced only by
-the basis vectors whose pivots it holds or picks up, so on tall sparse
-matrices the work stays close to the number of nonzeros.  Ranks, the circuit a dependent
-column closes and the solution of the all-ones system are unique, so
-the pivot choice changes no vertex and no decomposition.
+Everything here is exact.  Every rank and circuit question goes to
+one column kernel chosen by :func:`_kernel`, which takes, rejects and
+gives up 0/1 columns one at a time and solves the circuit a rejected
+column closes.  When every column meets at most two rows it is an
+incidence column of a multigraph, and the kernel is the frame forest
+of :mod:`graphs` (:class:`graphs._FrameForest`), with no row reduction.
+Otherwise it is one fraction-free integer elimination
+(:class:`_Elimination`) of sparse vectors keyed by block; a column is
+reduced only by the basis vectors whose pivots it holds or picks up, so
+on tall sparse matrices the work stays close to the number of nonzeros.
+The basis walk always uses the elimination, which also reduces its
+all-ones vector.  Ranks, the circuit a dependent column closes and the
+solution of the all-ones system are unique, so the kernel and its pivot
+choice change no vertex and no decomposition.
 
 :func:`decompose` and its vertex walk (:func:`_vertex_within`) keep
 the point as integer numerators over one common denominator and move it
-with one :func:`_step`.  The walk steps along integer circuits: on
-supports whose elements lie in at most two blocks they come from one
-frame forest kept for the whole walk, which drops the columns each step
-zeroes, and otherwise from the integer elimination
-(:func:`_first_circuit`).  Each peel steps away from the vertex reached.
+with one :func:`_step`.  The walk steps along integer circuits from one
+kernel kept for the whole walk, which gives up the columns each step
+zeroes.  Each peel steps away from the vertex reached.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     ConditionsViolatedError,
@@ -69,7 +69,7 @@ from .family import (
     _from_numerators,
     _numerators,
 )
-from .graphs import _FrameForest, block_multigraph, frame_rank, two_color
+from .graphs import _FrameForest, block_multigraph, two_color
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -88,24 +88,32 @@ def _combine(d: int, v: dict[int, int], f: int, w: dict[int, int]) -> dict[int, 
 
 
 class _Elimination:
-    """Fraction-free elimination of sparse integer vectors, one at a time.
+    """Fraction-free elimination of 0/1 columns, taken one at a time.
 
-    A vector maps a key to its nonzero integer entry: a key ``b >= 0``
-    is block ``b`` and a negative key is a coefficient the caller
-    tracks, such as ``~c`` for its column ``c``.  A row operation is
-    ``d·v − f·w`` (``d`` the pivot entry of the basis vector ``w``, ``f``
-    the entry of ``v`` there) divided by the gcd of its entries, after
-    Bareiss, so entries stay small integers and the coefficients express
-    the reduced vector in the columns it came from.
+    It answers :meth:`add`, :meth:`circuit` and :meth:`remove` as
+    :class:`graphs._FrameForest` does, for columns that meet any number
+    of rows.  Column ``c``, a non-negative id, with ones at the blocks
+    ``ends`` is the sparse integer vector with a one at each block
+    ``b >= 0`` and at its own coefficient key ``~c``; the negative keys
+    are coefficients that express a reduced vector in the columns it
+    came from.  A row operation is ``d·v − f·w`` (``d`` the pivot entry
+    of the basis vector ``w``, ``f`` the entry of ``v`` there) divided
+    by the gcd of its entries, after Bareiss, so entries stay small
+    integers.
 
     The basis is keyed by pivot, each vector's largest block, and is a
     stack: each vector is zero at the pivots below it, so a reduction
     brings in only pivots further up and :meth:`reduce` clears them
-    bottom up.  :meth:`pop` undoes the last :meth:`add` that joined it.
+    bottom up.  ``taken`` lists the columns in stack order, ``pending``
+    those a removal popped, taken again before the next add, and
+    ``rejected`` the last column rejected with its reduced vector.
     """
 
     def __init__(self) -> None:
         self.basis: dict[int, tuple[int, dict[int, int]]] = {}
+        self.taken: list[tuple[int, Sequence[int]]] = []
+        self.pending: list[tuple[int, Sequence[int]]] = []
+        self.rejected: tuple[int, dict[int, int]] | None = None
 
     def reduce(self, v: dict[int, int]) -> dict[int, int]:
         """``v`` with every pivot entry eliminated; ``v`` itself is kept."""
@@ -124,26 +132,54 @@ class _Elimination:
                     heappush(heap, (basis[k][0], k))
         return v
 
-    def add(self, v: dict[int, int]) -> dict[int, int] | None:
-        """Reduce ``v``; if a block entry is left it joins the basis and
-        None is returned, else the reduced vector, a dependence of the
-        tracked coefficients, is returned."""
+    def add(self, column: int, ends: Sequence[int]) -> bool:
+        """Take the column if it is independent of those taken; say whether."""
+        if self.pending:
+            pending, self.pending = self.pending, []
+            for c, e in pending:
+                self.add(c, e)
+        v = dict.fromkeys(ends, 1)
+        v[~column] = 1
         v = self.reduce(v)
-        p = max(v, default=-1)
+        p = max(v)
         if p < 0:
-            return v
+            self.rejected = (column, v)
+            return False
         self.basis[p] = (len(self.basis), v)
-        return None
+        self.taken.append((column, ends))
+        return True
 
-    def pop(self) -> None:
-        self.basis.popitem()
+    def circuit(self, column: int, ends: Sequence[int]) -> dict[int, int]:
+        """The circuit the column :meth:`add` just rejected closes with the
+        taken columns, by column: integers with no common divisor and
+        that column positive, read off its reduced vector."""
+        _, v = self.rejected
+        sign = 1 if v[~column] > 0 else -1
+        return {~c: sign * a for c, a in v.items()}
+
+    def remove(self, column: int, ends: Sequence[int]) -> None:
+        """Give up a taken column: the basis pops back to it, and the
+        columns taken after it are taken again before the next add, so
+        that the removals of one step take each of them again once."""
+        kept = [(c, e) for c, e in self.pending if c != column]
+        if len(kept) < len(self.pending):
+            self.pending = kept
+            return
+        while True:
+            self.basis.popitem()
+            c, e = self.taken.pop()
+            if c == column:
+                break
+            self.pending.insert(0, (c, e))
 
 
-def _column(ends: Sequence[int], c: int) -> dict[int, int]:
-    """Column ``c``: a one at each of its blocks and on its own coefficient."""
-    v = dict.fromkeys(ends, 1)
-    v[~c] = 1
-    return v
+def _kernel(ends: Iterable[Sequence[int]]) -> _FrameForest | _Elimination:
+    """The column kernel for 0/1 columns with ones at ``ends``: the frame
+    forest of H when every column meets at most two rows, else the
+    integer elimination.  Both answer add, circuit and remove alike."""
+    if max(map(len, ends), default=0) <= 2:
+        return _FrameForest()
+    return _Elimination()
 
 
 def enumerate_vertices(
@@ -311,12 +347,12 @@ def basis_vertices(
         if k == r or i > n - r + k or covered[-1] | reach[i] != full:
             if not chosen:
                 break
+            elimination.remove(chosen[-1], ends[chosen[-1]])
             i = chosen.pop() + 1
-            elimination.pop()
             covered.pop()
             residuals.pop()
             continue
-        if elimination.add(_column(ends[i], i)) is not None:
+        if not elimination.add(i, ends[i]):
             i += 1
             continue
         residual = elimination.reduce(residuals[-1])
@@ -326,7 +362,7 @@ def basis_vertices(
             point = [(columns[~c], Fraction(-a, e)) for c, a in residual.items() if c != ones]
             if all(v > 0 for _, v in point):
                 found.add(tuple(sorted(point)))
-            elimination.pop()
+            elimination.remove(i, ends[i])
             i += 1
             continue
         chosen.append(i)
@@ -339,30 +375,20 @@ def basis_vertices(
 
 def column_rank(columns: Sequence[Sequence[int]]) -> int:
     """Rank of the 0/1 matrix whose column ``c`` has ones at the rows
-    ``columns[c]``: from the frame matroid core (:func:`graphs.frame_rank`)
-    when every column meets at most two rows, else by :class:`_Elimination`."""
-    if max(map(len, columns), default=0) <= 2:
-        return frame_rank(columns)
-    elimination = _Elimination()
-    return sum(elimination.add(dict.fromkeys(e, 1)) is None for e in columns)
+    ``columns[c]``, taking the columns into one :func:`_kernel`."""
+    kernel = _kernel(columns)
+    return sum(kernel.add(c, e) for c, e in enumerate(columns))
 
 
 def _first_circuit(ends: Sequence[Sequence[int]]) -> dict[int, int] | None:
-    """The integer circuit the first dependent column closes with the
-    columns before it, or None when every column is independent.
-
-    Columns are added to an :class:`_Elimination` in ascending order;
-    the first to reduce to zero leaves the dependence in its tracked
-    coefficients.  The result is its nonzero entries by column, with
-    no common divisor and that column positive: the kernel vector of
-    the sparse ``Fraction`` kernel scaled by the lcm of its denominators.
-    """
-    elimination = _Elimination()
-    for i, e in enumerate(ends):
-        circuit = elimination.add(_column(e, i))
-        if circuit is not None:
-            sign = 1 if circuit[~i] > 0 else -1
-            return {~c: sign * a for c, a in circuit.items()}
+    """The circuit the first dependent column, in ascending order, closes
+    with those before it, from one :func:`_kernel`, or None when every
+    column is independent: the first kernel vector of the columns, in
+    integers with no common divisor and that column positive."""
+    kernel = _kernel(ends)
+    for c, e in enumerate(ends):
+        if not kernel.add(c, e):
+            return kernel.circuit(c, e)
     return None
 
 
@@ -429,34 +455,27 @@ def _vertex_within(
     ascending order, closes with those before it, in integers with no
     common divisor and that column positive.
 
-    When every support element lies in at most two blocks, one
-    :class:`graphs._FrameForest` serves the whole walk.  The columns
-    before the first dependent one are independent and a step only
-    zeroes some of them, so they stay independent: the zeroed ones are
-    removed from the forest, and the walk resumes adding columns at the
-    old first dependent one.  Otherwise each step adds the support's
-    columns to a fresh integer elimination (:func:`_first_circuit`).
+    One :func:`_kernel` serves the whole walk.  The columns before the
+    first dependent one are independent and a step only zeroes some of
+    them, so they stay independent: the zeroed ones are removed from the
+    kernel, and the walk resumes adding columns at the old first
+    dependent one.
     """
     gamma = family.gamma
     current = dict(start)
     order = list(current)
-    if max((len(gamma[g]) for g in order), default=0) > 2:
-        while (circuit := _first_circuit([gamma[g] for g in order])) is not None:
-            scale, _, _ = _step(current, scale, {order[c]: a for c, a in circuit.items()})
-            order = list(current)
-        return current, scale
-    forest = _FrameForest()
+    kernel = _kernel(gamma[g] for g in order)
     i = 0
     while i < len(order):
         g = order[i]
-        if g not in current or forest.add(g, gamma[g]):
+        if g not in current or kernel.add(g, gamma[g]):
             i += 1
             continue
-        circuit = forest.circuit(g, gamma[g])
+        circuit = kernel.circuit(g, gamma[g])
         scale, _, _ = _step(current, scale, circuit)
         for c in circuit:
             if c != g and c not in current:
-                forest.remove(c, gamma[c])
+                kernel.remove(c, gamma[c])
     return current, scale
 
 

@@ -429,12 +429,19 @@ def sparse_solve_all_ones(rows: list[Row], ncols: int) -> list[Fraction] | None:
 
 
 def sparse_kernel_vector(rows: list[Row], ncols: int) -> list[Fraction] | None:
-    """A nonzero exact solution of ``rows @ x = 0``, or None at full column rank."""
-    reduced = [dict(row) for row in rows]
-    pivots = sparse_rref(reduced, ncols)
-    if len(pivots) == ncols:
+    """A nonzero exact solution of ``rows @ x = 0``, or None at full column rank.
+
+    It is the kernel vector of the reduced row echelon form's first free
+    column.  The columns before that one are independent, so there are
+    at most ``len(rows)`` of them, and only the columns up to there are
+    reduced.
+    """
+    width = min(ncols, len(rows) + 1)
+    reduced = [{c: v for c, v in row.items() if c < width} for row in rows]
+    pivots = sparse_rref(reduced, width)
+    if len(pivots) == width:
         return None
-    free = next(c for c in range(ncols) if c not in pivots)
+    free = next(c for c in range(width) if c not in pivots)
     x = [Fraction(0)] * ncols
     x[free] = Fraction(1)
     for row, c in zip(reduced, pivots):
@@ -554,10 +561,9 @@ def dense_row(row: dict[int, Fraction], width: int) -> list[Fraction]:
     return [row.get(c, Fraction(0)) for c in range(width)]
 
 
-# The vertex walk and peel over Fractions, rebuilding the frame forest
-# (or solving the sparse kernel) from the first support column at every
-# step, kept as the reference for the integer walk on one live forest in
-# blockstoch.oracle.
+# The vertex walk and peel over Fractions, solving the sparse kernel of
+# the whole support at every step, kept as the reference for the integer
+# walk on one live kernel in blockstoch.oracle.
 
 
 def fraction_vertex_within(family: SetFamily, start: WeightFunction, steps: list):
@@ -568,11 +574,8 @@ def fraction_vertex_within(family: SetFamily, start: WeightFunction, steps: list
     while True:
         supp = tuple(current)
         ends = [gamma[g] for g in supp]
-        if max(map(len, ends), default=0) <= 2:
-            kernel = graphs.frame_circuit(ends)
-        else:
-            x = sparse_kernel_vector(column_rows(ends), len(ends))
-            kernel = None if x is None else {c: v for c, v in enumerate(x) if v}
+        x = sparse_kernel_vector(column_rows(ends), len(ends))
+        kernel = None if x is None else {c: v for c, v in enumerate(x) if v}
         if kernel is None:
             return WeightFunction(current)
         moves = [(supp[c], kv) for c, kv in kernel.items()]

@@ -10,7 +10,10 @@ answers of ``blockstoch``: the incremental integer elimination of
 scaled to integers, and the frame matroid core in ``blockstoch.graphs``
 answers rank and kernel questions for 0/1 matrices with at most two
 ones per column without any row reduction, and must agree with both
-exactly.  ``sympy`` is used here only, as a third opinion.
+exactly.  The two integer kernels share one column interface, so on
+such columns the elimination must also follow the forest step for step,
+and after removals each must answer as one built afresh.  ``sympy`` is
+used here only, as a third opinion.
 """
 
 import random
@@ -20,8 +23,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockstoch.cli import gen_random
-from blockstoch.graphs import _FrameForest, frame_circuit, frame_rank
-from blockstoch.oracle import _first_circuit, column_rank
+from blockstoch.graphs import _FrameForest
+from blockstoch.oracle import _Elimination, _first_circuit, column_rank
 
 from helpers import (
     column_rows,
@@ -206,11 +209,7 @@ def test_block_rows_match_dense_on_seeded_families():
         assert column_rank(ends) == dense_rank(matrix, len(columns))
         kernel = sparse_kernel_vector(column_rows(ends), len(columns))
         assert kernel == dense_kernel_vector(matrix, len(columns))
-        if max(map(len, ends), default=0) <= 2:
-            circuit = frame_circuit(ends)
-            assert kernel == (
-                None if circuit is None else [circuit.get(c, F(0)) for c in range(len(columns))]
-            )
+        assert as_kernel(_first_circuit(ends), len(columns)) == kernel
 
 
 def test_integer_elimination_matches_the_fraction_kernel_on_seeded_columns():
@@ -229,10 +228,20 @@ def test_integer_elimination_matches_the_fraction_kernel_on_seeded_columns():
         assert _first_circuit(ends) == scaled_kernel_circuit(ends), ends
 
 
-def random_incidence(rng, nrows, ncols):
-    """Columns with at most two ones: edges, repeated (parallel) edges,
-    half-edges and empty columns, often kept inside one of two row
-    groups so that the matrix splits into several components."""
+def as_kernel(circuit, ncols):
+    """An integer circuit as the kernel vector with its last column at 1,
+    or None for None."""
+    if circuit is None:
+        return None
+    top = circuit[max(circuit)]
+    return [F(circuit.get(c, 0), top) for c in range(ncols)]
+
+
+def random_incidence(rng, nrows, ncols, kappa=2):
+    """Columns with at most ``kappa`` ones: edges (two or more ones),
+    repeated (parallel) edges, half-edges and empty columns, often kept
+    inside one of two row groups so that the matrix splits into several
+    components."""
     split = rng.randint(0, nrows)
     groups = [g for g in (list(range(split)), list(range(split, nrows))) if g]
     ends = []
@@ -248,7 +257,8 @@ def random_incidence(rng, nrows, ncols):
             pool = rng.choice(groups) if rng.random() < 0.6 else range(nrows)
             if len(pool) < 2:
                 pool = range(nrows)
-            ends.append(tuple(sorted(rng.sample(pool, 2))))
+            size = 2 if kappa == 2 else rng.randint(2, min(kappa, len(pool)))
+            ends.append(tuple(sorted(rng.sample(pool, size))))
     return ends
 
 
@@ -259,11 +269,12 @@ def incidence_matrix(nrows, ends):
 def check_frame(nrows, ends):
     matrix = incidence_matrix(nrows, ends)
     ncols = len(ends)
-    rank = frame_rank(ends)
+    rank = column_rank(ends)
     assert rank == sparse_rank(sparse_rows(matrix)) == dense_rank(matrix, ncols)
     assert rank == to_sympy(matrix, ncols).rank()
-    circuit = frame_circuit(ends)
-    kernel = None if circuit is None else [circuit.get(c, F(0)) for c in range(ncols)]
+    circuit = _first_circuit(ends)
+    assert circuit == scaled_kernel_circuit(ends)
+    kernel = as_kernel(circuit, ncols)
     assert kernel == sparse_kernel_vector(sparse_rows(matrix), ncols)
     assert kernel == dense_kernel_vector(matrix, ncols)
     if kernel is None:
@@ -295,9 +306,8 @@ def test_frame_core_matches_sparse_and_dense_on_seeded_incidences():
         ends = random_incidence(rng, nrows, rng.randint(0, 12))
         matrix = incidence_matrix(nrows, ends)
         ncols = len(ends)
-        assert frame_rank(ends) == sparse_rank(sparse_rows(matrix))
-        circuit = frame_circuit(ends)
-        kernel = None if circuit is None else [circuit.get(c, F(0)) for c in range(ncols)]
+        assert column_rank(ends) == sparse_rank(sparse_rows(matrix))
+        kernel = as_kernel(_first_circuit(ends), ncols)
         assert kernel == sparse_kernel_vector(sparse_rows(matrix), ncols)
 
 
@@ -305,47 +315,44 @@ def test_frame_core_matches_sparse_and_dense_on_seeded_incidences():
     "nrows, ends, circuit",
     [
         # an empty column is its own circuit
-        (2, [(0, 1), ()], {1: F(1)}),
+        (2, [(0, 1), ()], {1: 1}),
         # parallel edges
-        (2, [(0, 1), (0, 1)], {0: F(-1), 1: F(1)}),
+        (2, [(0, 1), (0, 1)], {0: -1, 1: 1}),
         # an even cycle alternates
-        (4, [(0, 1), (1, 2), (2, 3), (0, 3)], {0: F(-1), 1: F(1), 2: F(-1), 3: F(1)}),
+        (4, [(0, 1), (1, 2), (2, 3), (0, 3)], {0: -1, 1: 1, 2: -1, 3: 1}),
         # an odd cycle is independent
         (3, [(0, 1), (1, 2), (0, 2)], None),
         # a path between two half-edges
-        (3, [(0,), (0, 1), (1, 2), (2,)], {0: F(-1), 1: F(1), 2: F(-1), 3: F(1)}),
-        # a path from a half-edge to an odd cycle
+        (3, [(0,), (0, 1), (1, 2), (2,)], {0: -1, 1: 1, 2: -1, 3: 1}),
+        # a path from a half-edge to an odd cycle, the path doubled
         (
             4,
             [(0, 1), (1, 2), (0, 2), (2, 3), (3,)],
-            {0: F(-1, 2), 1: F(1, 2), 2: F(1, 2), 3: F(-1), 4: F(1)},
+            {0: -1, 1: 1, 2: 1, 3: -2, 4: 2},
         ),
         # two odd cycles, in two components joined by the last edge
         (
             6,
             [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)],
-            {
-                0: F(1, 2), 1: F(-1, 2), 2: F(-1, 2),
-                3: F(-1, 2), 4: F(1, 2), 5: F(-1, 2), 6: F(1),
-            },
+            {0: 1, 1: -1, 2: -1, 3: -1, 4: 1, 5: -1, 6: 2},
         ),
         # an even cycle inside a component that already holds a half-edge
         (
             4,
             [(0,), (0, 1), (1, 2), (2, 3), (0, 3)],
-            {1: F(-1), 2: F(1), 3: F(-1), 4: F(1)},
+            {1: -1, 2: 1, 3: -1, 4: 1},
         ),
         # an odd cycle closed in such a component, with the path doubled
         (
             4,
             [(0,), (0, 1), (1, 2), (2, 3), (1, 3)],
-            {0: F(2), 1: F(-2), 2: F(1), 3: F(-1), 4: F(1)},
+            {0: 2, 1: -2, 2: 1, 3: -1, 4: 1},
         ),
     ],
 )
 def test_frame_circuit_shapes(nrows, ends, circuit):
     check_frame(nrows, ends)
-    got = frame_circuit(ends)
+    got = _first_circuit(ends)
     assert got == circuit
 
 
@@ -380,42 +387,81 @@ def forest_shape(forest, taken):
     return {frozenset(vs): label in forest.extra for label, vs in nodes.items()}
 
 
+def assert_answers_alike(kernel, other, probes):
+    """``kernel`` and ``other`` take or reject every probe column alike,
+    with the same circuit, and give up each one they take."""
+    for c, e in probes.items():
+        independent = kernel.add(c, e)
+        assert other.add(c, e) == independent, (c, e)
+        if independent:
+            kernel.remove(c, e)
+            other.remove(c, e)
+        else:
+            assert kernel.circuit(c, e) == other.circuit(c, e), (c, e)
+
+
 def assert_same_as_fresh(forest, taken, probes):
     """``forest`` holds the columns of ``taken`` and answers every probe
     column as a fresh forest built from them does, circuit included."""
     check_forest(forest)
     fresh = _FrameForest()
     assert all(fresh.add(c, e) for c, e in taken.items())
-    assert frame_rank(list(taken.values())) == len(taken)
+    assert column_rank(list(taken.values())) == len(taken)
     assert forest_shape(forest, taken) == forest_shape(fresh, taken)
-    for c, e in probes.items():
-        independent = forest.add(c, e)
-        assert fresh.add(c, e) == independent
-        if independent:
-            forest.remove(c, e)
-            fresh.remove(c, e)
-        else:
-            assert forest.circuit(c, e) == fresh.circuit(c, e)
+    assert_answers_alike(forest, fresh, probes)
     check_forest(forest)
 
 
 def test_frame_forest_removals_match_a_fresh_forest_on_seeded_sequences():
+    # an elimination follows the forest through every add and removal,
+    # with the same verdicts and circuits
     rng = random.Random(29)
     removals = 0
     for _ in range(400):
         nrows = rng.randint(1, 9)
         pool = dict(enumerate(random_incidence(rng, nrows, rng.randint(1, 14))))
         forest = _FrameForest()
+        elimination = _Elimination()
         taken = {}
         for c, e in pool.items():
-            if forest.add(c, e):
+            independent = forest.add(c, e)
+            assert elimination.add(c, e) == independent
+            if independent:
                 taken[c] = e
+            else:
+                assert elimination.circuit(c, e) == forest.circuit(c, e)
             while taken and rng.random() < 0.4:
                 gone = rng.choice(sorted(taken))
-                forest.remove(gone, taken.pop(gone))
+                forest.remove(gone, taken[gone])
+                elimination.remove(gone, taken.pop(gone))
                 removals += 1
             probes = {k: v for k, v in pool.items() if k not in taken}
             assert_same_as_fresh(forest, taken, probes)
+            assert_answers_alike(elimination, forest, probes)
+    assert removals > 1000
+
+
+def test_elimination_removals_match_a_fresh_elimination_on_seeded_sequences():
+    # columns with up to four ones; a removal pops the basis back to its
+    # column, so the columns taken after it are taken again
+    rng = random.Random(41)
+    removals = 0
+    for _ in range(400):
+        nrows = rng.randint(1, 9)
+        pool = dict(enumerate(random_incidence(rng, nrows, rng.randint(1, 14), kappa=4)))
+        elimination = _Elimination()
+        taken = {}
+        for c, e in pool.items():
+            if elimination.add(c, e):
+                taken[c] = e
+            while taken and rng.random() < 0.4:
+                gone = rng.choice(sorted(taken))
+                elimination.remove(gone, taken.pop(gone))
+                removals += 1
+            fresh = _Elimination()
+            assert all(fresh.add(c, e) for c, e in taken.items())
+            probes = {k: v for k, v in pool.items() if k not in taken}
+            assert_answers_alike(elimination, fresh, probes)
     assert removals > 1000
 
 

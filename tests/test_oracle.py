@@ -180,19 +180,48 @@ class TestBasisWalk:
         assert ops["_combine"] <= 2 * blocks
 
     def test_circuits_are_scaled_kernel_vectors(self, monkeypatch):
-        first = oracle._first_circuit
+        # each circuit of the walks, against the kernel vector of the
+        # columns taken and the one rejected, in the order taken
+        solve = oracle._Elimination.circuit
         circuits = []
 
-        def checking(ends):
-            circuit = first(ends)
-            assert circuit == scaled_kernel_circuit(ends), ends
+        def checking(self, column, ends):
+            circuit = solve(self, column, ends)
+            columns = [c for c, _ in self.taken] + [column]
+            kernel = scaled_kernel_circuit([e for _, e in self.taken] + [ends])
+            assert circuit == {columns[k]: v for k, v in kernel.items()}, columns
             circuits.append(circuit)
             return circuit
 
-        monkeypatch.setattr(oracle, "_first_circuit", checking)
+        monkeypatch.setattr(oracle._Elimination, "circuit", checking)
         for fam, w in walk_cases("kappa3-sweep"):
             decompose(fam, w)
-        assert sum(c is not None for c in circuits) > 80
+        assert len(circuits) > 80
+
+    def test_one_elimination_per_kappa3_walk(self, monkeypatch):
+        # each walk keeps one kernel: one elimination when its support
+        # has an element in three blocks, else none; the sweep's adds,
+        # columns taken again after removals included, are pinned at
+        # their count (a fresh elimination at every step makes 723)
+        cases = list(walk_cases("kappa3-sweep"))
+        adds = count_calls(monkeypatch, oracle._Elimination, "add")
+        calls = count_calls(monkeypatch, oracle, "_Elimination")
+        walk = oracle._vertex_within
+        walks = Counter()
+
+        def counting(family, start, scale):
+            before = calls["_Elimination"]
+            result = walk(family, start, scale)
+            kappa = max(len(family.gamma[g]) for g in start)
+            walks[kappa, calls["_Elimination"] - before] += 1
+            return result
+
+        monkeypatch.setattr(oracle, "_vertex_within", counting)
+        for fam, w in cases:
+            decompose(fam, w)
+        assert set(walks) == {(2, 0), (3, 1)}
+        assert walks[3, 1] > 80
+        assert adds["add"] <= 663
 
 
 class TestEnumerateVertices:
@@ -530,16 +559,20 @@ class TestFrameCore:
                 self.added = 0
                 calls.append(self)
 
-            def add(self, v):
+            def add(self, column, ends):
                 self.added += 1
-                return super().add(v)
+                return super().add(column, ends)
 
         monkeypatch.setattr(oracle, "_Elimination", Counting)
         assert not is_vertex(fam, mix)
         assert [e.added for e in calls] == [len(mix.support)]
+        calls.clear()
         combo = decompose(fam, mix)
         assert combo.combined() == mix
-        assert len(calls) > 2
+        # one elimination per walk: the first takes the six columns, the
+        # rejected one again after its step and one column popped by a
+        # removal; the second finds the peeled point's three independent
+        assert [e.added for e in calls] == [8, 3]
         calls.clear()
         assert _support_rank([[1, 2], [1, 3], [1, 4]]) == 3
         assert [e.added for e in calls] == [4]
