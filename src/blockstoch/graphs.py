@@ -29,9 +29,11 @@ frame matroid of H, kept by :class:`_FrameForest`: an edge's column
 is e_a + e_b and a half-edge's is e_a.  The forest takes, rejects and
 gives up columns one at a time and solves the circuit a rejected column
 closes, with the same interface as the integer elimination of
-:mod:`oracle`, whose ``_kernel`` chooses between the two.  A removal
-(:meth:`_FrameForest.remove`) splits a tree, and a split component
-rejoins only through :meth:`_FrameForest.add`.
+:mod:`oracle`, whose ``_kernel`` chooses between the two.  Each tree is
+rooted by a parent pointer per node, so a circuit is solved on the tree
+paths from its columns' ends up to the root, not on the whole
+component.  A removal (:meth:`_FrameForest.remove`) splits a tree, and
+a split component rejoins only through :meth:`_FrameForest.add`.
 """
 
 from __future__ import annotations
@@ -897,13 +899,18 @@ class _FrameForest:
     kept in that shape: the tree edges in ``tree``, from each node to
     its tree columns and their far ends, and each component's odd-cycle
     edge or half-edge, its "unbalancing" column, in ``extra``.  Every
-    node holds its component's label and a color that tree edges
-    alternate.  Joining two components relabels the smaller one, and
-    recolors it when the new edge's ends share a color, so a node is
-    relabelled at most log2 n times by additions.  Removing a tree edge
-    (:meth:`remove`) relabels the smaller side of the split; when the
-    component's odd-cycle edge spans the split, :meth:`add` takes it
-    again and so rejoins the two sides.
+    node holds its component's label, a color that tree edges alternate,
+    and in ``up`` its tree column towards its component's root and the
+    far end of that column, or None at the root.  Joining two components
+    relabels the smaller one, recolors it when the new edge's ends share
+    a color, and hangs it from the new edge, so a node is relabelled at
+    most log2 n times by additions.  :meth:`add` reads labels and never
+    climbs; naming each component by its root instead would make every
+    addition climb to both roots.
+    Removing a tree edge (:meth:`remove`) makes its lower end a root and
+    relabels the smaller side of the split; when the component's
+    odd-cycle edge spans the split, :meth:`add` takes it again and so
+    rejoins the two sides.
     """
 
     def __init__(self) -> None:
@@ -912,6 +919,7 @@ class _FrameForest:
         self.size: dict[int, int] = {}
         self.extra: dict[int, tuple[int, Sequence[int]]] = {}
         self.tree: dict[int, dict[int, int]] = {}
+        self.up: dict[int, tuple[int, int] | None] = {}
         self.fresh = count()
 
     def _node(self, v: int) -> tuple[int, int]:
@@ -923,6 +931,7 @@ class _FrameForest:
             self.color[v] = 0
             self.size[label] = 1
             self.tree[v] = {}
+            self.up[v] = None
             return label, 0
         return label, self.color[v]
 
@@ -949,6 +958,7 @@ class _FrameForest:
             self.size[la] += 1
             tree[b] = {column: a}
             tree[a][column] = b
+            self.up[b] = (column, a)
             return True
         lb, cb = label[b], color[b]
         if la == lb:
@@ -962,18 +972,21 @@ class _FrameForest:
         if self.size[la] < self.size[lb]:
             a, b, la, lb = b, a, lb, la
         flip = ca ^ cb ^ 1
+        up = self.up
         nodes = [b]
         for u in nodes:
             label[u] = la
             color[u] ^= flip
-            for v in tree[u].values():
+            for c, v in tree[u].items():
                 if label[v] != la:
+                    up[v] = (c, u)
                     nodes.append(v)
         self.size[la] += self.size.pop(lb)
         if lb in extra:
             extra[la] = extra.pop(lb)
         tree[a][column] = b
         tree[b][column] = a
+        up[b] = (column, a)
         return True
 
     def remove(self, column: int, ends: Sequence[int]) -> None:
@@ -986,6 +999,11 @@ class _FrameForest:
             return
         b = ends[1]
         del tree[a][column], tree[b][column]
+        # the end that hangs from the column becomes a root
+        if self.up[a] == (column, b):
+            self.up[a] = None
+        else:
+            self.up[b] = None
         side = self._smaller_side(a, b)
         new = next(self.fresh)
         for w in side:
@@ -1027,13 +1045,17 @@ class _FrameForest:
         and this one, which is unique because the taken ones are
         independent; with the rejected column at 2 they are integers,
         and they are halved when all are even.
-        Each component the column's ends lie in is solved from its
-        leaves up: a tree edge carries what its lower side still lacks,
-        as a constant plus a multiple of the unknown value ``t`` of the
-        component's unbalancing column, and the root's remainder, which
-        must vanish, fixes ``t``.
+        Only the tree paths from the column's ends and from the extra's
+        ends to their component's root carry a nonzero value, so each
+        component is solved on those paths alone: each end climbs ``up``
+        until it meets a node already entered, and the paths are solved
+        from their lower ends up, the later paths first.  A tree edge
+        carries what its lower side still lacks, as a constant plus a
+        multiple of the unknown value ``t`` of the component's unbalancing
+        column, and the root's remainder, which must vanish, fixes ``t``.
         """
         x = {column: 2}
+        up = self.up
         solved: set[int] = set()
         for start in ends:
             label = self.label[start]
@@ -1041,15 +1063,22 @@ class _FrameForest:
                 continue
             solved.add(label)
             extra = self.extra.get(label)
-            order = [start]
-            up: dict[int, tuple[int, int] | None] = {start: None}
-            for u in order:
-                for c, v in self.tree[u].items():
-                    if v not in up:
-                        up[v] = (c, u)
-                        order.append(v)
-            # remainder at each node: (constant, coefficient of t)
-            rest = {v: [0, 0] for v in order}
+            points = [v for v in ends if self.label[v] == label]
+            if extra is not None:
+                points.extend(extra[1])
+            # remainder at each entered node: (constant, coefficient of t);
+            # ``order`` lists each path top down, the root first
+            rest: dict[int, list[int]] = {}
+            order: list[int] = []
+            for v in points:
+                path = []
+                while v not in rest:
+                    rest[v] = [0, 0]
+                    path.append(v)
+                    if up[v] is None:
+                        break
+                    v = up[v][1]
+                order.extend(reversed(path))
             for v in ends:
                 if v in rest:
                     rest[v][0] -= 2
@@ -1063,7 +1092,7 @@ class _FrameForest:
                 flows.append((c, r0, r1))
                 rest[u][0] -= r0
                 rest[u][1] -= r1
-            r0, r1 = rest[start]
+            r0, r1 = rest[order[0]]
             if r1 == 0:
                 if r0 != 0:
                     raise InternalPropertyError("a balanced component does not close")

@@ -362,7 +362,8 @@ def test_frame_circuit_shapes(nrows, ends, circuit):
 
 
 def check_forest(forest):
-    """Labels, sizes and colors agree with the tree and the extras."""
+    """Labels, sizes, colors and parent pointers agree with the tree and
+    the extras."""
     labels = {}
     for v, label in forest.label.items():
         labels.setdefault(label, []).append(v)
@@ -375,6 +376,20 @@ def check_forest(forest):
     for label, (c, ends) in forest.extra.items():
         assert all(forest.label[v] == label for v in ends)
         assert len(ends) == 1 or forest.color[ends[0]] == forest.color[ends[1]]
+    # each component hangs from one root by tree columns of its own
+    assert forest.up.keys() == forest.label.keys()
+    roots = [forest.label[v] for v, link in forest.up.items() if link is None]
+    assert sorted(roots) == sorted(forest.size)
+    for v, link in forest.up.items():
+        if link is not None:
+            c, u = link
+            assert forest.tree[v][c] == u
+            assert forest.label[u] == forest.label[v]
+        steps = 0
+        while link is not None:
+            steps += 1
+            assert steps < forest.size[forest.label[v]]
+            link = forest.up[link[1]]
 
 
 def forest_shape(forest, taken):

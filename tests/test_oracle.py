@@ -579,19 +579,30 @@ class TestFrameCore:
 
     def test_decompose_16x16_permutation_mean_stdout(self, tmp_path, capsys):
         # the SHA-256 of this stdout as the sparse-kernel vertex walk printed it
-        m = 16
-        rows = [[m * r + c + 1 for c in range(m)] for r in range(m)]
-        fam = build_family(rows + [list(c) for c in zip(*rows)])
-        w = permutation_mean(m)
-        assert len(w.support) == 191
-        path = tmp_path / "mean16.json"
-        path.write_text(dump_instance(fam, w))
-        assert main(["decompose", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("terms: 20\n")
-        assert hashlib.sha256(out.encode()).hexdigest() == (
+        assert_decompose_stdout(tmp_path, capsys, 16, 191, (
             "29e454891c821ccc98102d4109ed47a604b54441e882472e7a3a462eeef82656"
-        )
+        ))
+
+    def test_decompose_50x50_permutation_mean_stdout(self, tmp_path, capsys):
+        # the SHA-256 of this stdout as the breadth-first circuits printed it
+        assert_decompose_stdout(tmp_path, capsys, 50, 846, (
+            "dae1623117d6f6220a2f1869b6f78dc9cd4ed90d1519a701105bd6b993b1f24b"
+        ))
+
+
+def assert_decompose_stdout(tmp_path, capsys, m, support, digest):
+    """``decompose`` of the m×m permutation mean prints 20 terms, and
+    its stdout has the SHA-256 ``digest``."""
+    rows = [[m * r + c + 1 for c in range(m)] for r in range(m)]
+    fam = build_family(rows + [list(c) for c in zip(*rows)])
+    w = permutation_mean(m)
+    assert len(w.support) == support
+    path = tmp_path / f"mean{m}.json"
+    path.write_text(dump_instance(fam, w))
+    assert main(["decompose", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("terms: 20\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def barycentre(fam):
@@ -690,3 +701,34 @@ class TestIntegerWalk:
         decompose(matrix_family(20), permutation_mean(20))
         assert len(per_walk) == 20
         assert all(count < 2 * size for count, size in per_walk), per_walk
+
+    def test_circuits_enter_only_the_paths_to_the_root(self, monkeypatch):
+        # a circuit climbs the parent pointers from the column's ends and
+        # the extra's ends; a node counts as entered when the circuit
+        # reads its tree arcs or its pointer, and searching each end's
+        # whole component entered 331,992 nodes here
+        calls = count_calls(monkeypatch, graphs._FrameForest, "add", "remove")
+        entered = set()
+        nodes = []
+
+        class Entering(dict):
+            def __getitem__(self, v):
+                entered.add(v)
+                return super().__getitem__(v)
+
+        circuit = graphs._FrameForest.circuit
+
+        def counting(forest, column, ends):
+            tree, up = forest.tree, forest.up
+            forest.tree, forest.up = Entering(tree), Entering(up)
+            try:
+                return circuit(forest, column, ends)
+            finally:
+                forest.tree, forest.up = tree, up
+                nodes.append(len(entered))
+                entered.clear()
+
+        monkeypatch.setattr(graphs._FrameForest, "circuit", counting)
+        decompose(matrix_family(50), permutation_mean(50))
+        assert (calls["add"], calls["remove"], len(nodes)) == (14_483, 8_174, 5_309)
+        assert sum(nodes) <= 66_000
