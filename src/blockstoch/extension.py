@@ -230,15 +230,13 @@ class Truncation:
 
 def _label_index(
     generator: FamilyGenerator, labels: Iterable[int]
-) -> tuple[dict[int, tuple[int, ...]], dict[int, list[int]]]:
-    """``gamma_of`` of each of ``labels``, and the labels in every block
-    meeting them, by block and in the order given.
+) -> dict[int, tuple[int, ...]]:
+    """``gamma_of`` of each of ``labels``, in the order given.
 
     Each label's ``gamma_of`` is read once, and each block it lists is
     cross-checked with ``contains``.
     """
     gammas: dict[int, tuple[int, ...]] = {}
-    members: dict[int, list[int]] = {}
     for g in labels:
         gamma = gammas[g] = generator.gamma_of(g)
         for k in gamma:
@@ -247,8 +245,7 @@ def _label_index(
                     f"gamma_of({g}) lists block {k} but contains({k}, {g})"
                     " is false"
                 )
-            members.setdefault(k, []).append(g)
-    return gammas, members
+    return gammas
 
 
 def validate_truncation(
@@ -280,7 +277,7 @@ def _validated_sums(
         )
     if not trunc.w.nonnegative:
         raise InputError("truncation weights must be nonnegative")
-    gammas, _ = _label_index(generator, trunc.w.support)
+    gammas = _label_index(generator, trunc.w.support)
     for g, gamma in gammas.items():
         if not gamma:
             raise InputError(f"element {g} lies in no block")
@@ -551,15 +548,6 @@ class ExtensionReport:
         return not self.violations
 
 
-def _support_rank(rows: list[list[int]]) -> int:
-    """Rank of the 0/1 rows, one per block, over the element labels."""
-    ends: dict[int, list[int]] = {}
-    for k, row in enumerate(rows):
-        for g in set(row):
-            ends.setdefault(g, []).append(k)
-    return column_rank(list(ends.values()))
-
-
 def verify_extension(
     result: ExtensionResult,
     generator: FamilyGenerator,
@@ -578,14 +566,15 @@ def verify_extension(
 
     The overlaps are found through an index from each block to the
     chosen elements in it, built here from ``gamma_of`` independently of
-    the walk.  The block sums and the rows of the rank checks come from
-    one label index per call, over every label the completion, the
+    the walk.  The block sums and the columns of the rank checks come
+    from one label index per call, over every label the completion, the
     truncation, the packings and the steps name: it reads each label's
     ``gamma_of`` once and cross-checks each block listed with
     ``contains``.  So they trust the protocol's promise that
     ``gamma_of`` lists every block containing an element.  A function's
     block sums add its own values over its labels' blocks, and its rank
-    rows keep only its own labels of each block's members.
+    check takes one column per label of its support, the label's blocks
+    among those the function must fill.
 
     Values, differences, block sums and the packing cover are compared
     as integers over one common denominator, taken here from the values
@@ -608,7 +597,7 @@ def verify_extension(
         for g, s in chosen.items()
     }
     labels = sorted(set(chosen).union(*(w.support for w in functions)))
-    gammas, members = _label_index(generator, labels)
+    gammas = _label_index(generator, labels)
     # extended - base, only where the two differ, in label order
     diff: dict[int, int] = {}
     for g in labels:
@@ -685,20 +674,15 @@ def verify_extension(
         if value > cover.get(g, 0):
             violations.append(f"added value at {g} exceeds the packing cover")
 
-    base_rows = [
-        [g for g in members[k] if g in base_values]
-        for k, total in sorted(_block_sums(base_values, gammas).items())
-        if total == scale or k <= trunc.n
-    ]
-    vertex_input = _support_rank(base_rows) == len(base_values)
+    base_sums = _block_sums(base_values, gammas)
+    filled = {k for k, total in base_sums.items() if total == scale or k <= trunc.n}
+    base_columns = [[k for k in gammas[g] if k in filled] for g in base_values]
+    vertex_input = column_rank(base_columns) == len(base_values)
     vertex_shadow: bool | None = None
     if vertex_input:
-        saturated_rows = [
-            [g for g in members[k] if g in extended_values]
-            for k, total in sorted(sums.items())
-            if total == scale
-        ]
-        vertex_shadow = _support_rank(saturated_rows) == len(extended_values)
+        saturated = {k for k, total in sums.items() if total == scale}
+        columns = [[k for k in gammas[g] if k in saturated] for g in extended_values]
+        vertex_shadow = column_rank(columns) == len(extended_values)
         if not vertex_shadow:
             violations.append(
                 "an extreme truncation completed to a non-extreme function"
@@ -751,7 +735,7 @@ def approximate_by_extremes(
         raise InputError("the horizon must exceed the truncation depth")
     if not w_full.nonnegative:
         raise InputError("the target function must be nonnegative")
-    gammas, members = _label_index(generator, w_full.support)
+    gammas = _label_index(generator, w_full.support)
     scale = _common_denominator(w_full)
     values = _numerators(w_full, scale)
     sums = _block_sums(values, gammas)
@@ -759,9 +743,10 @@ def approximate_by_extremes(
     _require_block_sums(sums, scale, last_block)
 
     star = {g: value for g, value in w_full.items() if min(gammas[g]) <= n}
-    touched = {
-        k: kept for k, gs in members.items() if (kept := [g for g in gs if g in star])
-    }
+    touched: dict[int, list[int]] = {}
+    for g in star:
+        for k in gammas[g]:
+            touched.setdefault(k, []).append(g)
     star_sums = _block_sums({g: values[g] for g in star}, gammas)
     augmented = dict(star)
     # every label from first_slack on is a slack element
@@ -790,8 +775,7 @@ def approximate_by_extremes(
 
     combined_scale = lcm(scale, _common_denominator(combined))
     # only the combination's labels outside w_full's support are new
-    fresh, _ = _label_index(generator, [g for g in combined.support if g not in gammas])
-    gammas |= fresh
+    gammas |= _label_index(generator, [g for g in combined.support if g not in gammas])
     combined_sums = _block_sums(_numerators(combined, combined_scale), gammas)
     factor = combined_scale // scale
     block_gap: dict[int, Fraction] = {}

@@ -135,15 +135,14 @@ def construct_two_coloring(
         raise ConditionsViolatedError(
             "every block must contain zero or exactly two subgraph elements"
         )
-    index = {g: i for i, g in enumerate(verts)}
-    arcs: list[list[tuple[int, int]]] = [[] for _ in verts]
+    arcs: dict[int, list[tuple[int, int]]] = {g: [] for g in verts}
     for k, (g, h) in pairs.items():
-        arcs[index[g]].append((k, index[h]))
-        arcs[index[h]].append((k, index[g]))
+        arcs[g].append((k, h))
+        arcs[h].append((k, g))
     color = two_color(arcs)
     if color is None:
         raise ConditionsViolatedError("the subgraph contains an odd primitive cycle")
-    return _two_coloring(family, w, {g: 1 - 2 * c for g, c in zip(verts, color)})
+    return _two_coloring(family, w, {g: 1 - 2 * c for g, c in color.items()})
 
 
 def _two_coloring(family: SetFamily, w: WeightFunction, sign: dict[int, int]) -> Witness:
@@ -306,7 +305,7 @@ def construct_cycle_attachment(
     if not set(cycle.vertices) <= set(comp):
         raise InternalPropertyError("cycle spans several components")
     _require_distinct_pairs(family, comp)
-    edges = block_multigraph(family, comp)[1]
+    edges = block_multigraph(family, comp)
     if _least_cycle(edges, biconnected_components(edges), (0,)) is not None:
         raise EvenCyclePresentError(
             "the component contains an even primitive cycle;"
@@ -466,7 +465,7 @@ def _witness_for_component(
     checked again.
     """
     comp = tuple(sorted(tree))
-    edges = block_multigraph(family, comp)[1]
+    edges = block_multigraph(family, comp)
     components = biconnected_components(edges)
     even = _least_cycle(edges, components, (0,))
     if even is not None:

@@ -14,26 +14,28 @@ first cycle of the sorted census.
 When every multiplicity is at most two, the family is also a multigraph
 H on its blocks: an element in two blocks is an edge, an element in one
 block a half-edge, and primitive cycles are the cycles of H of length at
-least three.  The census lists them one biconnected component at a
-time, each from its least element: a descending union-find marks the
-elements whose ends larger ones already join, and Johnson's blocked
-search from each marked element lists the cycles it is least in, already
-canonical, so that the census is one sort of vertex tuples.  The
-census's first cycle of each parity, the classifier's canonical cycles,
-is the least cycle of H (:func:`_least_cycle`), found alone by a branch
-and bound over each cycle's least element whose cuts are walk lengths
-of both parities.  Questions that need only bipartiteness
-(:func:`bipartition`, the vertex search) are answered by one BFS
-two-coloring of H.  Linear algebra on the block-sum columns is the
-frame matroid of H, kept by :class:`_FrameForest`: an edge's column
-is e_a + e_b and a half-edge's is e_a.  The forest takes, rejects and
-gives up columns one at a time and solves the circuit a rejected column
-closes, with the same interface as the integer elimination of
-:mod:`oracle`, whose ``_kernel`` chooses between the two.  Each tree is
-rooted by a parent pointer per node, so a circuit is solved on the tree
-paths from its columns' ends up to the root, not on the whole
-component.  A removal (:meth:`_FrameForest.remove`) splits a tree, and
-a split component rejoins only through :meth:`_FrameForest.add`.
+least three.  Every reader of H takes it as :func:`block_multigraph`
+gives it, the edges at each block keyed by block index.  The census
+lists them one biconnected component at a time, each from its least
+element: a descending union-find marks the elements whose ends larger
+ones already join, and Johnson's blocked search from each marked element
+lists the cycles it is least in, already canonical, so that the census
+is one sort of vertex tuples.  The census's first cycle of each parity,
+the classifier's canonical cycles, is the least cycle of H
+(:func:`_least_cycle`), found alone by a branch and bound over each
+cycle's least element whose cuts are walk lengths of both parities.
+Questions that need only bipartiteness (:func:`bipartition`, the vertex
+search) are answered by one BFS two-coloring of H.  Linear algebra on
+the block-sum columns is the frame matroid of H, kept by
+:class:`_FrameForest`: an edge's column is e_a + e_b and a half-edge's
+is e_a.  The forest takes, rejects and gives up columns one at a time
+and solves the circuit a rejected column closes, with the same interface
+as the integer elimination of :mod:`oracle`, whose ``_kernel`` chooses
+between the two.  Each tree is rooted by a parent pointer per node, so a
+circuit is solved on the tree paths from its columns' ends up to the
+root, not on the whole component.  A removal
+(:meth:`_FrameForest.remove`) splits a tree, and a split component
+rejoins only through :meth:`_FrameForest.add`.
 """
 
 from __future__ import annotations
@@ -370,7 +372,7 @@ def _walk_cycles(
 
 
 def _multigraph_cycles(
-    edges: list[list[tuple[int, int]]], components: list[set[int]], want: tuple[int, ...]
+    edges: dict[int, list[tuple[int, int]]], components: list[set[int]], want: tuple[int, ...]
 ) -> Iterator[tuple[int, ...]]:
     """Every cycle of H with at least three nodes and a wanted parity, once,
     as its canonical element tuple.
@@ -454,12 +456,12 @@ def _cycles_from(
 
 def _multigraph_edges(
     graph: AssociatedGraph, family: SetFamily
-) -> list[list[tuple[int, int]]] | None:
+) -> dict[int, list[tuple[int, int]]] | None:
     """H on the graph's vertices when each lies in at most two blocks, so
     that its primitive cycles are the cycles of H; otherwise None."""
     if any(len(family.gamma[g]) > 2 for g in graph.vertices):
         return None
-    return block_multigraph(family, graph.vertices)[1]
+    return block_multigraph(family, graph.vertices)
 
 
 def _parity_classes(parity: str) -> tuple[int, ...]:
@@ -546,7 +548,7 @@ def _shortest_cycle(graph: AssociatedGraph, family: SetFamily, parity: str) -> P
 
 
 def _least_cycle(
-    edges: list[list[tuple[int, int]]], components: list[set[int]], want: tuple[int, ...]
+    edges: dict[int, list[tuple[int, int]]], components: list[set[int]], want: tuple[int, ...]
 ) -> tuple[int, ...] | None:
     """The least cycle of H with three or more nodes and a wanted parity,
     by (length, canonical element tuple), or None.
@@ -784,47 +786,44 @@ def bipartition(family: SetFamily) -> Bipartition | None:
     """
     if max_multiplicity(family) > 2:
         return None
-    color = two_color(block_multigraph(family)[1])
+    color = two_color(block_multigraph(family))
     if color is None:
         return None
-    plus = tuple(b.index for b, c in zip(family.blocks, color) if c == 0)
-    minus = tuple(b.index for b, c in zip(family.blocks, color) if c == 1)
+    plus = tuple(k for k, c in color.items() if c == 0)
+    minus = tuple(k for k, c in color.items() if c == 1)
     return Bipartition(plus=plus, minus=minus)
 
 
 def block_multigraph(
     family: SetFamily, elements: Iterable[int] | None = None
-) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
+) -> dict[int, list[tuple[int, int]]]:
     """The block multigraph H of a family whose multiplicities are at most two.
 
-    Nodes are block positions in ``family.blocks``.  Returns, for each
-    position, the elements lying in that block alone (half-edges) and
-    the ``(element, other position)`` pairs of the elements it shares
-    with one other block (edges), both in ascending element order.  With
-    ``elements`` only those elements are taken, and only they need lie
-    in at most two blocks.
+    Nodes are the block indices, in the family's ascending order.
+    Returns, for each block index, the ``(element, other index)`` pairs
+    of the elements the block shares with one other block (edges), in
+    ascending element order; an element lying in one block alone (a
+    half-edge) is left out.  With ``elements`` only those elements are
+    taken, and only they need lie in at most two blocks.
     """
-    position = {b.index: p for p, b in enumerate(family.blocks)}
-    halves: list[list[int]] = [[] for _ in family.blocks]
-    edges: list[list[tuple[int, int]]] = [[] for _ in family.blocks]
+    edges: dict[int, list[tuple[int, int]]] = {b.index: [] for b in family.blocks}
     for g in family.ground if elements is None else sorted(elements):
-        ends = [position[k] for k in family.gamma[g]]
-        if len(ends) == 1:
-            halves[ends[0]].append(g)
-        else:
+        ends = family.gamma[g]
+        if len(ends) > 1:
             p, q = ends
             edges[p].append((g, q))
             edges[q].append((g, p))
-    return halves, edges
+    return edges
 
 
-def two_color(edges: list[list[tuple[int, int]]]) -> list[int] | None:
-    """A BFS two-coloring of H's nodes, or None when H is not bipartite.
+def two_color(edges: dict[int, list[tuple[int, int]]]) -> dict[int, int] | None:
+    """A BFS two-coloring of H's nodes, keyed as ``edges`` is, or None
+    when H is not bipartite.
 
-    Every component's lowest position gets color 0.
+    Every component's first node in ``edges`` gets color 0.
     """
-    color: list[int | None] = [None] * len(edges)
-    for start in range(len(edges)):
+    color: dict[int, int | None] = dict.fromkeys(edges)
+    for start in edges:
         if color[start] is not None:
             continue
         color[start] = 0
@@ -839,7 +838,7 @@ def two_color(edges: list[list[tuple[int, int]]]) -> list[int] | None:
     return color
 
 
-def biconnected_components(edges: list[list[tuple[int, int]]]) -> list[set[int]]:
+def biconnected_components(edges: dict[int, list[tuple[int, int]]]) -> list[set[int]]:
     """The node sets of H's biconnected components, in the order found.
 
     Every element belongs to exactly one component, and parallel
@@ -847,10 +846,10 @@ def biconnected_components(edges: list[list[tuple[int, int]]]) -> list[set[int]]
     elements belongs to none.  Tarjan's depth-first lowpoints, with a
     stack of nodes and of pending elements in place of recursion.
     """
-    depth = [-1] * len(edges)
-    low = [0] * len(edges)
+    depth = dict.fromkeys(edges, -1)
+    low = dict.fromkeys(edges, 0)
     components: list[set[int]] = []
-    for root in range(len(edges)):
+    for root in edges:
         if depth[root] >= 0:
             continue
         depth[root] = 0

@@ -207,28 +207,34 @@ class _CoverSearch:
     """Vertex enumeration on the block multigraph H of a family with κ ≤ 2.
 
     H is the one built by :func:`graphs.block_multigraph`: the blocks
-    are its nodes, an element in two blocks is an edge and an element in
-    one block is a half-edge.  At a vertex the support columns are
-    independent and every block sums to one with positive values.  A support component with k blocks therefore has at most k
-    elements: it is a tree, plus at most one half-edge or one edge
-    closing an odd cycle (an even cycle's columns are dependent).  A
-    block met by a single support element forces it to 1 and every other
-    element at its far end to 0, so a component with such a block is one
-    edge or one half-edge.  Every other component is an odd cycle (length
-    at least three) at 1/2.  Conversely every exact cover of the blocks
-    by such pieces is a vertex.
+    are its nodes, keyed by index, and an element in two blocks is an
+    edge; an element in one block is a half-edge, read off
+    ``family.gamma`` here.  At a vertex the support columns are
+    independent and every block sums to one with positive values.  A
+    support component with k blocks therefore has at most k elements:
+    it is a tree, plus at most one half-edge or one edge closing an odd
+    cycle (an even cycle's columns are dependent).  A block met by a
+    single support element forces it to 1 and every other element at
+    its far end to 0, so a component with such a block is one edge or
+    one half-edge.  Every other component is an odd cycle (length at
+    least three) at 1/2.  Conversely every exact cover of the blocks by
+    such pieces is a vertex.
 
     The search takes the lowest uncovered block and tries every piece
     through it over uncovered blocks, so each cover is reached once;
     cycles are taken in one direction, and are not sought at all when
-    :func:`graphs.two_color` shows H bipartite.  Both searches keep
-    explicit stacks, so long rings do not reach the interpreter's
-    recursion limit.
+    :func:`graphs.two_color` shows H bipartite.  Block sets are masks
+    with one bit per block index.  Both searches keep explicit stacks,
+    so long rings do not reach the interpreter's recursion limit.
     """
 
     def __init__(self, family: SetFamily, budget: int):
-        self.halves, self.edges = block_multigraph(family)
-        self.full = (1 << len(family.blocks)) - 1
+        self.edges = block_multigraph(family)
+        self.halves: dict[int, list[int]] = {k: [] for k in self.edges}
+        for g in family.ground:
+            if len(family.gamma[g]) == 1:
+                self.halves[family.gamma[g][0]].append(g)
+        self.full = sum(1 << k for k in self.edges)
         self.odd = two_color(self.edges) is None
         self.budget = budget
         self.nodes = 0
@@ -245,7 +251,7 @@ class _CoverSearch:
     def vertices(self) -> tuple[WeightFunction, ...]:
         covered = 0
         chosen: list[tuple[int, tuple[int, ...], Fraction]] = []
-        stack = [self._pieces(0, 0)]
+        stack = [self._pieces(0)]
         while stack:
             piece = next(stack[-1], None)
             if piece is None:
@@ -262,12 +268,13 @@ class _CoverSearch:
                 )
                 covered &= ~chosen.pop()[0]
             else:
-                lowest = (~covered & (covered + 1)).bit_length() - 1
-                stack.append(self._pieces(lowest, covered))
+                stack.append(self._pieces(covered))
         return tuple(sorted(self.found, key=lambda w: w.sort_key()))
 
-    def _pieces(self, b: int, covered: int):
-        """(block mask, elements, value) of every piece through block ``b``."""
+    def _pieces(self, covered: int):
+        """Every piece through the lowest uncovered block: (block mask, elements, value)."""
+        free = self.full & ~covered
+        b = (free & -free).bit_length() - 1
         bit = 1 << b
         for g in self.halves[b]:
             yield bit, (g,), ONE

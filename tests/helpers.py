@@ -21,7 +21,6 @@ from blockstoch.extension import (
     ChosenStep,
     ExtensionReport,
     ExtensionResult,
-    _support_rank,
 )
 from blockstoch.family import (
     MembershipReport,
@@ -52,6 +51,31 @@ def assert_valid_witness(family: SetFamily, w: WeightFunction, witness) -> None:
     average = (witness.w_plus + witness.w_minus).scaled(Fraction(1, 2))
     assert average == w
     assert witness.epsilon > 0
+
+
+def cycle_family(n: int) -> SetFamily:
+    """The ring of ``n`` two-element blocks: block i holds i and i + 1,
+    and block n holds n and 1."""
+    return build_family([[i, i % n + 1] for i in range(1, n + 1)])
+
+
+def matrix_family(m: int) -> SetFamily:
+    """The m×m doubly stochastic family: cell (r, c) is labelled
+    ``m·r + c + 1``, and its rows, then its columns, are the blocks."""
+    rows = [[m * r + c + 1 for c in range(m)] for r in range(m)]
+    cols = [[m * r + c + 1 for r in range(m)] for c in range(m)]
+    return build_family(rows + cols)
+
+
+def permutation_mean(m: int, count: int = 20) -> WeightFunction:
+    """The mean of ``count`` permutation matrices drawn from ``random.Random(m)``."""
+    rng = random.Random(m)
+    w = {}
+    for _ in range(count):
+        for r, c in enumerate(rng.sample(range(m), m)):
+            g = m * r + c + 1
+            w[g] = w.get(g, Fraction(0)) + Fraction(1, count)
+    return WeightFunction(w)
 
 
 def assert_cycle_pieces(
@@ -873,19 +897,23 @@ def fraction_verify_extension(result, generator, trunc):
         if value > cover.value(g):
             violations.append(f"added value at {g} exceeds the packing cover")
 
+    # rank rows keyed by label, one per block the function must fill
+    one = Fraction(1)
     saturated_rows = [
-        extended_members[k] for k, total in sorted(sums.items()) if total == 1
+        dict.fromkeys(extended_members[k], one)
+        for k, total in sorted(sums.items())
+        if total == 1
     ]
     base_members, base_sums = _fraction_touched_sums(generator, base)
     base_rows = [
-        base_members[k]
+        dict.fromkeys(base_members[k], one)
         for k, total in sorted(base_sums.items())
         if total == 1 or k <= trunc.n
     ]
-    vertex_input = _support_rank(base_rows) == len(base.support)
+    vertex_input = sparse_rank(base_rows) == len(base.support)
     vertex_shadow = None
     if vertex_input:
-        vertex_shadow = _support_rank(saturated_rows) == len(full_support)
+        vertex_shadow = sparse_rank(saturated_rows) == len(full_support)
         if not vertex_shadow:
             violations.append(
                 "an extreme truncation completed to a non-extreme function"

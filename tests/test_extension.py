@@ -5,12 +5,12 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import chain, islice, permutations
 from math import lcm
 
 import pytest
 
-from blockstoch import cli, extension
+from blockstoch import cli, extension, oracle
 from blockstoch.errors import (
     GeneratorInconsistentError,
     HorizonExhaustedError,
@@ -31,7 +31,7 @@ from blockstoch.extension import (
     validate_truncation,
     verify_extension,
 )
-from blockstoch.family import WeightFunction, build_family
+from blockstoch.family import WeightFunction, build_family, max_multiplicity
 from blockstoch.instance_io import format_rational, weights_to_document
 from blockstoch.oracle import is_vertex
 
@@ -42,6 +42,7 @@ from helpers import (
     full_scan_result,
     full_scan_steps,
     kappa2_sweep,
+    kappa3_sweep,
     random_truncation,
 )
 
@@ -460,11 +461,15 @@ class TestFullScanOracle:
         report = verify_extension(result, gen, trunc)
         assert report == fraction_verify_extension(result, gen, trunc)
 
-    def test_wrapped_walk_matches_the_full_scan_on_seeded_sweep(self):
-        compared = exhausted = 0
-        for fam in kappa2_sweep():
+    def test_wrapped_walk_matches_the_full_scan_on_seeded_sweep(self, monkeypatch):
+        # κ = 3 families also reach verify_extension's integer elimination
+        adds = count_calls(monkeypatch, oracle._Elimination, "add")
+        compared, exhausted = Counter(), Counter()
+        eliminated = 0
+        for fam in chain(kappa2_sweep(), kappa3_sweep()):
             if len(fam.blocks) < 2:
                 continue
+            kappa3 = max_multiplicity(fam) > 2
             gen = WrappedFamilyGenerator(fam)
             horizon = len(fam.blocks)
             for weights in _wrapped_truncations(fam):
@@ -480,16 +485,19 @@ class TestFullScanOracle:
                     assert reference is None, fam.blocks
                     with pytest.raises(HorizonExhaustedError):
                         extend_truncation(FullScanGenerator(gen), trunc, horizon)
-                    exhausted += 1
+                    exhausted[kappa3] += 1
                     continue
                 assert result == extend_truncation(FullScanGenerator(gen), trunc, horizon)
                 steps = tuple((s.element, s.block_index, s.value) for s in result.steps)
                 assert steps == reference, fam.blocks
+                before = adds["add"]
                 assert verify_extension(result, gen, trunc) == fraction_verify_extension(
                     result, gen, trunc
                 ), fam.blocks
-                compared += 1
-        assert compared > 300 and exhausted > 500
+                eliminated += adds["add"] > before
+                compared[kappa3] += 1
+        assert compared[False] > 300 and exhausted[False] > 500
+        assert compared[True] > 20 and exhausted[True] > 100 and eliminated > 10
 
 
 def _valid_truncations():

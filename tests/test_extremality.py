@@ -34,8 +34,10 @@ from blockstoch.graphs import Path
 from blockstoch.oracle import enumerate_vertices
 
 from helpers import (
+    assert_valid_witness,
     chain_cycle_attachment,
     count_calls,
+    cycle_family,
     graph_classify_extreme,
     graph_cycle_attachment,
     graph_tree_propagation,
@@ -49,19 +51,6 @@ from helpers import (
 
 F = Fraction
 HALF = F(1, 2)
-
-
-def cycle_family(n):
-    return build_family([[i, i % n + 1] for i in range(1, n + 1)])
-
-
-def assert_valid_witness(family, w, witness: Witness):
-    assert classify_membership(family, witness.w_plus).stochastic
-    assert classify_membership(family, witness.w_minus).stochastic
-    assert witness.w_plus != witness.w_minus
-    average = witness.w_plus.scaled(HALF) + witness.w_minus.scaled(HALF)
-    assert average == w
-    assert witness.epsilon > 0
 
 
 class TestClassifyExtreme:

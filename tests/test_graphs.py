@@ -36,25 +36,17 @@ from blockstoch.graphs import (
     unique_primitive_paths,
     validate_path,
 )
-from blockstoch.oracle import enumerate_vertices
+from blockstoch.oracle import _CoverSearch, enumerate_vertices
 
 from helpers import (
     count_calls,
+    cycle_family,
     diamond_chain_blocks,
     matrix_cycle_count,
+    matrix_family,
     necklace,
     walk_census,
 )
-
-
-def cycle_family(n):
-    return build_family([[i, i % n + 1] for i in range(1, n + 1)])
-
-
-def grid_family(m):
-    rows = [[m * r + c + 1 for c in range(m)] for r in range(m)]
-    cols = [[m * r + c + 1 for r in range(m)] for c in range(m)]
-    return build_family(rows + cols)
 
 
 class TestBuildGraph:
@@ -195,7 +187,7 @@ class TestMultigraphCensus:
 
     @pytest.mark.parametrize("m", range(2, 7))
     def test_matrix_counts(self, monkeypatch, m):
-        fam = grid_family(m)
+        fam = matrix_family(m)
         graph = build_graph(fam)
         if m <= 5:
             expected = walk_census(graph, fam)
@@ -276,8 +268,8 @@ class TestMultigraphCensus:
         # through b_0; a node that cannot reach c_0 stays blocked, so each
         # is entered about once instead of once per path (2^13 paths)
         blocks = [[57 - g for g in b] for b in diamond_chain_blocks(14)]
-        edges = block_multigraph(build_family(blocks))[1]
-        c0, a1 = [p for p, arcs in enumerate(edges) for e, _ in arcs if e == 1]
+        edges = block_multigraph(build_family(blocks))
+        c0, a1 = [k for k, arcs in edges.items() for e, _ in arcs if e == 1]
         lookups = []
 
         class Counting(dict):
@@ -285,7 +277,7 @@ class TestMultigraphCensus:
                 lookups.append(v)
                 return dict.__getitem__(self, v)
 
-        arcs = {v: [(e, w) for e, w in edges[v] if e > 1] for v in range(len(edges))}
+        arcs = {v: [(e, w) for e, w in vs if e > 1] for v, vs in edges.items()}
         cycles = list(graphs._cycles_from(Counting(arcs), 1, c0, a1))
         assert cycles == [[1, 3, 4, 2]]
         assert len(set(lookups)) == len(edges) - 1
@@ -335,18 +327,18 @@ class TestMultigraphCensus:
 
 class TestBiconnectedComponents:
     def test_cut_nodes_bridges_and_parallels(self):
-        # H: triangle 0-1-2, triangle 2-3-4 sharing node 2, bridge 4-5,
-        # parallel pair 5-6, isolated node 7
+        # H: triangle 1-2-3, triangle 3-4-5 sharing block 3, bridge 5-6,
+        # parallel pair 6-7, isolated block 8
         fam = build_family(
             [[1, 3], [1, 2], [2, 3, 4, 6], [4, 5], [5, 6, 7], [7, 8, 9], [8, 9], [10]]
         )
-        edges = block_multigraph(fam)[1]
+        edges = block_multigraph(fam)
         components = sorted(sorted(c) for c in biconnected_components(edges))
-        assert components == [[0, 1, 2], [2, 3, 4], [4, 5], [5, 6]]
+        assert components == [[1, 2, 3], [3, 4, 5], [5, 6], [6, 7]]
 
     def test_long_ring_is_one_component(self):
-        edges = block_multigraph(cycle_family(3000))[1]
-        assert biconnected_components(edges) == [set(range(3000))]
+        edges = block_multigraph(cycle_family(3000))
+        assert biconnected_components(edges) == [set(range(1, 3001))]
 
 
 class TestShortestPrimitiveCycle:
@@ -354,7 +346,7 @@ class TestShortestPrimitiveCycle:
 
     @pytest.mark.parametrize(
         "fam",
-        [grid_family(m) for m in range(2, 6)] + [cycle_family(n) for n in range(3, 13)],
+        [matrix_family(m) for m in range(2, 6)] + [cycle_family(n) for n in range(3, 13)],
     )
     @pytest.mark.parametrize("parity", ["any", "odd", "even"])
     def test_matches_the_census(self, fam, parity):
@@ -374,7 +366,7 @@ class TestShortestPrimitiveCycle:
         assert counts["_least_through"] == 0
 
     def test_large_matrix_gives_the_first_square(self):
-        fam = grid_family(20)
+        fam = matrix_family(20)
         graph = build_graph(fam)
         square = Path((1, 2, 22, 21), is_cycle=True)
         assert shortest_primitive_cycle(graph, fam) == square
@@ -400,7 +392,7 @@ class TestShortestPrimitiveCycle:
     @pytest.mark.parametrize(
         "fam",
         [
-            grid_family(4),
+            matrix_family(4),
             cycle_family(9),
             build_family([[i, i % 6 + 1] for i in range(1, 7)] + [[2, 7], [7, 8], [8, 2]]),
             build_family([[1, 2], [2, 3], [3, 4], [4, 5], [5, 1], [1, 3, 6], [6, 4]]),
@@ -437,7 +429,7 @@ class TestShortestPrimitiveCycle:
     def test_bipartite_odd_search_walks_nothing(self, monkeypatch):
         # H of the uniform 20 x 20 matrix joins rows to columns, so it is
         # bipartite; the exhaustive walks would not finish in reasonable time
-        fam = grid_family(20)
+        fam = matrix_family(20)
         graph = build_graph(fam)
 
         def no_walks(*args, **kwargs):
@@ -461,7 +453,7 @@ class TestLeastCycleOnNecklaces:
     def test_matches_the_walks(self, sides, half_edges, k):
         fam = build_family(necklace(k, sides, half_edges, seed=k)[0])
         graph = build_graph(fam)
-        edges = block_multigraph(fam)[1]
+        edges = block_multigraph(fam)
         components = biconnected_components(edges)
         for parity in ("any", "odd", "even"):
             walked = graphs._shortest_cycle(graph, fam, parity)
@@ -532,7 +524,7 @@ class TestDecomposeCycle:
 
 class TestBipartition:
     def test_grid_splits_rows_and_columns(self):
-        fam = grid_family(3)
+        fam = matrix_family(3)
         split = bipartition(fam)
         assert split is not None
         sides = {frozenset(split.plus), frozenset(split.minus)}
@@ -540,7 +532,7 @@ class TestBipartition:
         assert frozenset([4, 5, 6]) in sides
 
     def test_same_side_blocks_are_disjoint(self):
-        fam = grid_family(3)
+        fam = matrix_family(3)
         split = bipartition(fam)
         for side in (split.plus, split.minus):
             for i, a in enumerate(side):
@@ -564,24 +556,25 @@ class TestBipartition:
 
 
 class TestBlockMultigraph:
-    def test_edges_and_half_edges_by_position(self):
+    # H leaves half-edges out; the vertex search reads them off gamma
+    def test_edges_and_half_edges_by_index(self):
         fam = build_family([[1, 2, 3], [3, 4], [2, 4, 5]])
-        halves, edges = block_multigraph(fam)
-        assert halves == [[1], [], [5]]
-        assert edges == [[(2, 2), (3, 1)], [(3, 0), (4, 2)], [(2, 0), (4, 1)]]
+        assert block_multigraph(fam) == {
+            1: [(2, 3), (3, 2)], 2: [(3, 1), (4, 3)], 3: [(2, 1), (4, 2)]
+        }
+        assert _CoverSearch(fam, 1).halves == {1: [1], 2: [], 3: [5]}
 
     def test_parallel_edges_stay_separate(self):
         fam = build_family([[1, 2, 3], [2, 3, 4]])
-        halves, edges = block_multigraph(fam)
-        assert halves == [[1], [4]]
-        assert edges == [[(2, 1), (3, 1)], [(2, 0), (3, 0)]]
+        assert block_multigraph(fam) == {1: [(2, 2), (3, 2)], 2: [(2, 1), (3, 1)]}
+        assert _CoverSearch(fam, 1).halves == {1: [1], 2: [4]}
 
     def test_two_color_puts_each_component_root_at_zero(self):
         fam = build_family([[1, 2], [2, 3], [4, 5], [5, 6], [6, 7]])
-        assert two_color(block_multigraph(fam)[1]) == [0, 1, 0, 1, 0]
+        assert two_color(block_multigraph(fam)) == {1: 0, 2: 1, 3: 0, 4: 1, 5: 0}
 
     def test_two_color_refuses_odd_ring(self):
-        assert two_color(block_multigraph(cycle_family(5))[1]) is None
+        assert two_color(block_multigraph(cycle_family(5))) is None
 
 
 class TestLongFamilies:
@@ -615,11 +608,11 @@ class TestNoCycleSearch:
         ring = cycle_family(6)
         on_ring = WeightFunction({g: half for g in ring.ground})
         calls = [
-            lambda: bipartition(grid_family(3)),
+            lambda: bipartition(matrix_family(3)),
             lambda: bipartition(cycle_family(5)),
             lambda: construct_two_coloring(square, on_square, square.ground),
             lambda: construct_tree_propagation(chain, on_chain),
-            lambda: enumerate_vertices(grid_family(3)),
+            lambda: enumerate_vertices(matrix_family(3)),
             lambda: enumerate_vertices(cycle_family(5)),
         ]
         expected = [call() for call in calls]

@@ -16,7 +16,6 @@ from blockstoch.errors import (
     InstanceTooLargeError,
     NotStochasticError,
 )
-from blockstoch.extension import _support_rank
 from blockstoch.extremality import Verdict, Witness
 from blockstoch.family import (
     WeightFunction,
@@ -39,27 +38,20 @@ from blockstoch.oracle import (
 from helpers import (
     KAPPA3_BLOCKS,
     count_calls,
+    cycle_family,
     fraction_combination,
     fraction_decompose,
     kappa2_sweep,
     kappa3_sweep,
+    matrix_family,
     necklace,
+    permutation_mean,
     scaled_kernel_circuit,
     subset_vertices,
 )
 
 F = Fraction
 HALF = F(1, 2)
-
-
-def matrix_family(m):
-    rows = [[m * r + c + 1 for c in range(m)] for r in range(m)]
-    cols = [[m * r + c + 1 for r in range(m)] for c in range(m)]
-    return build_family(rows + cols)
-
-
-def ring_family(n):
-    return build_family([(i, i % n + 1) for i in range(1, n + 1)])
 
 
 def complete_block_graph(n):
@@ -71,7 +63,7 @@ def complete_block_graph(n):
 
 MULTIGRAPH_CASES = {
     **{f"matrix-{m}": matrix_family(m) for m in (2, 3, 4)},
-    **{f"ring-{n}": ring_family(n) for n in (3, 4, 5, 6, 7, 8)},
+    **{f"ring-{n}": cycle_family(n) for n in (3, 4, 5, 6, 7, 8)},
     **{f"K{n}": complete_block_graph(n) for n in (4, 5, 6)},
     "parallel-pair": build_family([[1, 2], [1, 2, 3]]),
     "parallel-triangle": build_family([[1, 2, 4], [2, 3], [3, 1, 4]]),
@@ -116,7 +108,7 @@ class TestMultigraphSearch:
     def test_budget_counts_cycle_search_steps(self):
         # Three pieces are placed on the triangle; the other four nodes
         # are steps of the cycle search, two per direction.
-        fam = ring_family(3)
+        fam = cycle_family(3)
         assert len(enumerate_vertices(fam, budget=7)) == 1
         with pytest.raises(InstanceTooLargeError, match="7 visited, 1 found"):
             enumerate_vertices(fam, budget=6)
@@ -388,7 +380,7 @@ class TestCrossValidate:
             count_calls(monkeypatch, family, "classify_membership"),
         ]
         n_vertices, n_mixtures = 0, 0
-        for fam in [matrix_family(3), matrix_family(4), ring_family(6)]:
+        for fam in [matrix_family(3), matrix_family(4), cycle_family(6)]:
             report = cross_validate(fam, samples=5, seed=1)
             assert report.ok
             n_vertices += report.vertex_count
@@ -499,30 +491,19 @@ class TestNorms:
         assert support_width(fam, WeightFunction.zero()) == 0
 
 
-def permutation_mean(m, count=20):
-    """The mean of ``count`` permutation matrices drawn from ``random.Random(m)``."""
-    rng = random.Random(m)
-    w = {}
-    for _ in range(count):
-        for r, c in enumerate(rng.sample(range(m), m)):
-            g = m * r + c + 1
-            w[g] = w.get(g, F(0)) + F(1, count)
-    return WeightFunction(w)
-
-
 class TestFrameCore:
     """κ ≤ 2 rank and kernel questions are answered without row reduction."""
 
     def test_kappa2_calls_never_eliminate(self, monkeypatch):
         fam = matrix_family(5)
         mix = permutation_mean(5, count=4)
-        ring = ring_family(7)
+        ring = cycle_family(7)
         on_ring = WeightFunction({g: HALF for g in ring.ground})
         pendant = build_family([[1, 2], [2, 3], [3, 1, 4], [4, 5, 6]])
         on_pendant = WeightFunction(
             {1: F(1, 4), 2: F(3, 4), 3: F(1, 4), 4: HALF, 5: F(1, 4), 6: F(1, 4)}
         )
-        rows = [list(b.members) for b in fam.blocks]
+        columns = [fam.gamma[g] for g in fam.ground]
         calls = [
             lambda: decompose(fam, mix),
             lambda: is_vertex(fam, mix),
@@ -530,8 +511,8 @@ class TestFrameCore:
             lambda: decompose(ring, on_ring),
             lambda: decompose(pendant, on_pendant),
             lambda: is_vertex(pendant, on_pendant),
-            lambda: _support_rank(rows),
-            lambda: _support_rank([[1, 2], [2, 3], [3, 1], [4]]),
+            lambda: column_rank(columns),
+            lambda: column_rank([[0, 2], [0, 1], [1, 2], [3]]),
         ]
         expected = [call() for call in calls]
 
@@ -574,7 +555,7 @@ class TestFrameCore:
         # removal; the second finds the peeled point's three independent
         assert [e.added for e in calls] == [8, 3]
         calls.clear()
-        assert _support_rank([[1, 2], [1, 3], [1, 4]]) == 3
+        assert column_rank([[0, 1, 2], [0], [1], [2]]) == 3
         assert [e.added for e in calls] == [4]
 
     def test_decompose_16x16_permutation_mean_stdout(self, tmp_path, capsys):
@@ -634,7 +615,7 @@ def walk_cases(source):
                 yield fam, w
     elif source == "rings":
         for n in range(3, 15):
-            yield ring_family(n), barycentre(ring_family(n))
+            yield cycle_family(n), barycentre(cycle_family(n))
     elif source == "necklaces":
         for k in (3, 4, 5, 7):
             for sides in (3, 4):
