@@ -64,8 +64,8 @@ class FamilyGenerator(Protocol):
         """Whether block ``k`` contains label ``g``."""
 
 
-def _check_index(k: int, block_count: int | None) -> None:
-    if k < 1 or (block_count is not None and k > block_count):
+def _check_index(k: int) -> None:
+    if k < 1:
         raise InputError(f"block index {k} is out of range")
 
 
@@ -77,11 +77,11 @@ class PathGenerator:
     claims_fresh_supply = True
 
     def block_elements(self, k: int) -> Iterator[int]:
-        _check_index(k, None)
+        _check_index(k)
         return iter((k, k + 1))
 
     def fresh_elements(self, k: int) -> Iterator[int]:
-        _check_index(k, None)
+        _check_index(k)
         return iter((1, 2) if k == 1 else (k + 1,))
 
     def gamma_of(self, g: int) -> tuple[int, ...]:
@@ -90,7 +90,7 @@ class PathGenerator:
         return (1,) if g == 1 else (g - 1, g)
 
     def contains(self, k: int, g: int) -> bool:
-        _check_index(k, None)
+        _check_index(k)
         return g in (k, k + 1)
 
 
@@ -102,7 +102,7 @@ class DisjointGrowingGenerator:
     claims_fresh_supply = True
 
     def block_elements(self, k: int) -> Iterator[int]:
-        _check_index(k, None)
+        _check_index(k)
         start = k * (k - 1) // 2 + 1
         return iter(range(start, start + k))
 
@@ -115,7 +115,7 @@ class DisjointGrowingGenerator:
         return ((isqrt(8 * g - 7) + 1) // 2,)
 
     def contains(self, k: int, g: int) -> bool:
-        _check_index(k, None)
+        _check_index(k)
         start = k * (k - 1) // 2 + 1
         return start <= g < start + k
 
@@ -151,7 +151,7 @@ class GridGenerator:
 
     def _line(self, k: int, start: int) -> Iterator[int]:
         """The cells of block ``k`` from its ``start``-th on, in label order."""
-        _check_index(k, None)
+        _check_index(k)
         if k % 2 == 1:
             r = (k + 1) // 2
             return (self.label(r, c) for c in count(start))
@@ -170,7 +170,7 @@ class GridGenerator:
         return tuple(sorted((2 * r - 1, 2 * c)))
 
     def contains(self, k: int, g: int) -> bool:
-        _check_index(k, None)
+        _check_index(k)
         r, c = self.cell(g)
         return k == 2 * r - 1 or k == 2 * c
 
@@ -239,13 +239,18 @@ def _label_index(
     gammas: dict[int, tuple[int, ...]] = {}
     for g in labels:
         gamma = gammas[g] = generator.gamma_of(g)
-        for k in gamma:
-            if not generator.contains(k, g):
-                raise GeneratorInconsistentError(
-                    f"gamma_of({g}) lists block {k} but contains({k}, {g})"
-                    " is false"
-                )
+        _cross_check(generator, g, gamma)
     return gammas
+
+
+def _cross_check(generator: FamilyGenerator, g: int, gamma: tuple[int, ...]) -> None:
+    """Raise unless ``contains(k, g)`` holds for each block ``k`` of
+    ``gamma``, the blocks ``gamma_of(g)`` lists."""
+    for k in gamma:
+        if not generator.contains(k, g):
+            raise GeneratorInconsistentError(
+                f"gamma_of({g}) lists block {k} but contains({k}, {g}) is false"
+            )
 
 
 def validate_truncation(
@@ -479,12 +484,8 @@ def extend_truncation(
             pattern = "a" if other_pattern == "b" else "b"
         else:
             overlap_with, pattern = None, "a"
+        _cross_check(generator, g_j, gamma)
         for k in gamma:
-            if not generator.contains(k, g_j):
-                raise GeneratorInconsistentError(
-                    f"gamma_of({g_j}) lists block {k} but contains({k}, {g_j})"
-                    " is false"
-                )
             new_total = delta.get(k, 0) + need
             if new_total > scale:
                 raise InternalPropertyError(

@@ -9,10 +9,12 @@ strings, or as plain integers when the denominator is one.  Decimal
 floats are rejected: every value must parse exactly.
 
 A document is read in one pass that checks each label and value once,
-and the first fault found is refused, in this order: every block's
-labels, the ground labels, empty, repeated and duplicate blocks, a
-repeated ground label and ground agreement, weight keys and values,
-and weights for labels in no block.
+and the first fault found is refused, in this order: the JSON shapes of
+the fields, then :func:`~blockstoch.family.build_family`'s checks
+(every block's labels, the ground labels, empty, repeated and duplicate
+blocks, a repeated ground label and ground agreement), then weight keys
+and values, and weights for labels in no block.  The family is built
+by ``build_family``, so a load and a library call refuse alike.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .errors import InputError, UnknownElementError
-from .family import SetFamily, WeightFunction, _assemble, _check_ground, format_rational
+from .family import SetFamily, WeightFunction, build_family, format_rational
 
 # ASCII digits only: ``int`` would also read other scripts' digits and "_"
 _LABEL_RE = re.compile(r"[+-]?[0-9]+")
@@ -143,18 +145,6 @@ def _weight_function(values: dict[int, Fraction]) -> WeightFunction:
     return WeightFunction._trusted({g: v for g, v in values.items() if v})
 
 
-def _check_labels(raw: list, where: str) -> None:
-    """Refuse the first label that is not a non-negative integer.  A list
-    of plain ``int``s (``bool`` is a type of its own) passes at C speed."""
-    if set(map(type, raw)) <= {int} and min(raw, default=0) >= 0:
-        return
-    for value in raw:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InputError(f"{where}: labels must be integers, got {value!r}")
-        if value < 0:
-            raise InputError(f"{where}: labels must be non-negative, got {value}")
-
-
 def parse_instance(text: str) -> Instance:
     """Parse a JSON instance document into a family and optional weights."""
     doc = _parse_object(text, "instance")
@@ -166,20 +156,13 @@ def parse_instance(text: str) -> Instance:
     raw_blocks = doc["blocks"]
     if not isinstance(raw_blocks, list):
         raise InputError('"blocks" must be a list of lists of labels')
-    blocks = []
     for pos, raw in enumerate(raw_blocks, start=1):
         if not isinstance(raw, list):
             raise InputError(f"block {pos} must be a list of labels")
-        _check_labels(raw, f"block {pos}")
-        blocks.append((pos, tuple(sorted(raw))))
     ground = doc.get("ground")
-    if ground is not None:
-        if not isinstance(ground, list):
-            raise InputError('"ground" must be a list of labels')
-        _check_labels(ground, '"ground"')
-    family = _assemble(blocks)
-    if ground is not None:
-        _check_ground(family, ground)
+    if ground is not None and not isinstance(ground, list):
+        raise InputError('"ground" must be a list of labels')
+    family = build_family(raw_blocks, ground)
 
     weights: WeightFunction | None = None
     if "weights" in doc and doc["weights"] is not None:

@@ -90,6 +90,17 @@ class TestBuildFamily:
         with pytest.raises(InputError):
             build_family([[-1, 2]])
 
+    def test_single_use_iterables(self):
+        blocks, ground = [[3, 1], [2, 3], [4]], [4, 3, 2, 1]
+        built = build_family(blocks, ground)
+        for once in (
+            build_family(iter(map(iter, blocks)), iter(ground)),
+            build_family((iter(b) for b in blocks), (g for g in ground)),
+        ):
+            assert once.blocks == built.blocks
+            assert once.ground == built.ground
+            assert once.gamma == built.gamma
+
     def test_declared_ground_must_match_union(self):
         build_family([[1, 2]], ground=[1, 2])
         with pytest.raises(InputError):
@@ -433,11 +444,11 @@ class TestStructureConditions:
 FAMILY_REFUSALS = [
     (lambda: build_family([[1, 2], [3, 3, 4]]), InputError, "block 2 repeats a member"),
     (lambda: build_family([[1]], ground=[-1]),
-     InputError, "ground label -1 is not a nonnegative integer"),
+     InputError, '"ground": labels must be non-negative, got -1'),
     (lambda: build_family([[1]], ground=[True]),
-     InputError, "ground label True is not a nonnegative integer"),
+     InputError, '"ground": labels must be integers, got True'),
     (lambda: build_family([[1]], ground=["1"]),
-     InputError, "ground label '1' is not a nonnegative integer"),
+     InputError, '"ground": labels must be integers, got \'1\''),
     (lambda: WeightFunction([(1, F(1, 2)), (2, 1), (1, F(1, 2))]),
      InputError, "label 1 appears twice"),
     (lambda: check_freshness(triangle(), -1), InputError, "m must lie in [0, 3]"),
@@ -447,7 +458,7 @@ FAMILY_REFUSALS = [
     # before the comparison with the union
     (lambda: build_family([[1, 2]], ground=[1, 1, 2]), InputError, "ground label 1 is given twice"),
     (lambda: build_family([[1, 2]], ground=[1, 1, "x"]),
-     InputError, "ground label 'x' is not a nonnegative integer"),
+     InputError, '"ground": labels must be integers, got \'x\''),
     (lambda: build_family([[1, 2], [3]], ground=[3, 3]), InputError, "ground label 3 is given twice"),
 ]
 

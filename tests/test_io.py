@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from blockstoch import instance_io
 from blockstoch.errors import EmptyBlockError, InputError, UnknownElementError
 from blockstoch.family import WeightFunction, build_family
 from blockstoch.instance_io import (
@@ -18,7 +19,7 @@ from blockstoch.instance_io import (
     weights_to_document,
 )
 
-from helpers import kappa2_sweep, kappa3_sweep, necklace
+from helpers import count_calls, kappa2_sweep, kappa3_sweep, necklace
 
 F = Fraction
 
@@ -205,12 +206,15 @@ class TestDumpInstance:
 
 # Refusals of documents with the wrong shape, each a document, the
 # exception class and the exact message.  The later rows pin the order
-# of the checks: every block's labels, the ground labels, empty, repeated
-# and duplicate blocks, a repeated ground label and ground agreement,
-# weight keys and values, weights for labels in no block.
+# of the checks: the JSON shapes, every block's labels, the ground
+# labels, empty, repeated and duplicate blocks, a repeated ground label
+# and ground agreement, weight keys and values, weights for labels in no
+# block.
 DOCUMENT_REFUSALS = [
     (parse_instance, '{"blocks": 5}', InputError, '"blocks" must be a list of lists of labels'),
     (parse_instance, '{"blocks": [[1], 2]}', InputError, "block 2 must be a list of labels"),
+    # every block is a list before any label is read
+    (parse_instance, '{"blocks": [[1, "a"], 2]}', InputError, "block 2 must be a list of labels"),
     (parse_instance, '{"blocks": [[1, "a"]]}', InputError,
      "block 1: labels must be integers, got 'a'"),
     (parse_instance, '{"blocks": [[1, true]]}', InputError,
@@ -262,9 +266,67 @@ def test_document_shape_refusals(parse, text, error, message):
     assert str(caught.value) == message
 
 
-# The loader checks each label and value once and builds the family and
-# the weights without the public constructors' second check; those
-# constructors, on the same document, are its reference.
+def _faulty_lists():
+    """Block and ground lists with one or two seeded faults each: a label
+    that is a string, null, true, a list or negative in block 1, block 2
+    or the ground; an empty, a repeated-member or a duplicate block; a
+    repeated, an extra or a missing ground label."""
+    rng = random.Random(29)
+
+    def bad_label(where, label):
+        def put(blocks, ground):
+            labels = ground if where == "ground" else blocks[where]
+            labels.insert(rng.randrange(len(labels) + 1), label)
+        return put
+
+    def missing(blocks, ground):
+        label = rng.choice([1, 3, 4])
+        ground[:] = [g for g in ground if g != label]
+
+    faults = [
+        bad_label(where, label)
+        for where in (0, 1, "ground")
+        for label in ("a", None, True, [1], -4)
+    ] + [
+        lambda blocks, ground: blocks.insert(rng.randrange(len(blocks) + 1), []),
+        # every non-empty block holds 2
+        lambda blocks, ground: rng.choice([b for b in blocks if b]).append(2),
+        lambda blocks, ground: blocks.append(blocks[rng.randrange(2)][::-1]),
+        lambda blocks, ground: ground.append(rng.choice(ground)),
+        lambda blocks, ground: ground.insert(rng.randrange(len(ground) + 1), 9),
+        missing,
+    ]
+    chosen = [[fault] for fault in faults]
+    chosen += [rng.sample(faults, 2) for _ in range(40)]
+    for pair in chosen:
+        blocks, ground = [[1, 2], [2, 3, 4]], [1, 2, 3, 4]
+        for fault in pair:
+            fault(blocks, ground)
+        yield blocks, ground
+
+
+class TestOneBuilder:
+    def test_loader_and_constructor_refuse_alike(self):
+        count = 0
+        for blocks, ground in _faulty_lists():
+            with pytest.raises(InputError) as built:
+                build_family(blocks, ground)
+            with pytest.raises(InputError) as loaded:
+                parse_instance(json.dumps({"blocks": blocks, "ground": ground}))
+            assert type(loaded.value) is type(built.value), (blocks, ground)
+            assert str(loaded.value) == str(built.value), (blocks, ground)
+            count += 1
+        assert count == 61
+
+    def test_one_load_is_one_build(self, monkeypatch):
+        calls = count_calls(monkeypatch, instance_io, "build_family")
+        parse_instance('{"blocks": [[1, 2], [2, 3]], "ground": [1, 2, 3]}')
+        assert calls["build_family"] == 1
+
+
+# The loader builds the family with build_family and the weights without
+# WeightFunction's second check; the public constructors, on the same
+# document, are its reference.
 SPELLINGS = [1, "1", "2/2", "1/2", "2/4", "0"]
 
 
