@@ -36,7 +36,7 @@ from .extension import (
     extend_truncation,
     get_generator,
 )
-from .graphs import build_graph, find_primitive_cycles
+from .graphs import _census, build_graph
 from .instance_io import (
     _LABEL_RE,
     Instance,
@@ -91,8 +91,7 @@ def _require_weights(instance: Instance) -> WeightFunction:
 def _print_membership(family: SetFamily, w: WeightFunction) -> None:
     report = classify_membership(family, w)
     print("block sums:")
-    for k, s in report.block_sums:
-        print(f"  block {k}: {format_rational(s)}")
+    _write_lines(f"  block {k}: {format_rational(s)}" for k, s in report.block_sums)
     print(f"nonnegative: {'yes' if report.nonnegative else 'no'}")
     print(f"stochastic: {'yes' if report.stochastic else 'no'}")
     print(f"substochastic: {'yes' if report.substochastic else 'no'}")
@@ -140,6 +139,9 @@ def _write_lines(lines: Iterable[str]) -> None:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
+    """The edge list, then the census of :func:`graphs._census`: its
+    counts from the group sizes, and each group's lines under one fixed
+    parity prefix, with no :class:`graphs.Path` built."""
     instance = load_instance(args.instance)
     graph = build_graph(instance.family)
     name = {g: str(g) for g in graph.vertices}
@@ -148,15 +150,13 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         f"  {name[g]} -- {name[h]} (blocks {', '.join(map(str, ks))})"
         for (g, h), ks in sorted(graph.edge_blocks.items())
     )
-    cycles = find_primitive_cycles(graph, instance.family)
-    odd = sum(len(c.vertices) % 2 for c in cycles)
-    even = len(cycles) - odd
-    sys.stdout.write(f"primitive cycles: {len(cycles)} ({odd} odd, {even} even)\n")
-    _write_lines(
-        f"  {'odd' if len(c.vertices) % 2 else 'even'}:"
-        f" ({', '.join(map(name.__getitem__, c.vertices))})"
-        for c in cycles
-    )
+    groups = _census(graph, instance.family, (0, 1))
+    total = sum(map(len, groups))
+    odd = sum(len(group) for group in groups if len(group[0]) % 2)
+    sys.stdout.write(f"primitive cycles: {total} ({odd} odd, {total - odd} even)\n")
+    for group in groups:
+        prefix = "  odd: (" if len(group[0]) % 2 else "  even: ("
+        _write_lines(f"{prefix}{', '.join(map(name.__getitem__, c))})" for c in group)
     return 0
 
 
@@ -197,8 +197,10 @@ def _cmd_vertices(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     vertices = enumerate_vertices(instance.family, budget=args.budget)
     print(f"vertex count: {len(vertices)}")
-    for pos, vertex in enumerate(vertices, start=1):
-        print(f"  vertex {pos}: {format_weights(vertex)}")
+    _write_lines(
+        f"  vertex {pos}: {format_weights(vertex)}"
+        for pos, vertex in enumerate(vertices, start=1)
+    )
     return 0
 
 
@@ -207,8 +209,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     w = _require_weights(instance)
     combo = decompose(instance.family, w)
     print(f"terms: {len(combo.terms)}")
-    for coef, vertex in combo.terms:
-        print(f"  {format_rational(coef)} * {format_weights(vertex)}")
+    _write_lines(
+        f"  {format_rational(coef)} * {format_weights(vertex)}" for coef, vertex in combo.terms
+    )
     print(f"recombines exactly: {'yes' if combo.combined() == w else 'no'}")
     return 0
 
@@ -225,15 +228,12 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     print(f"generator: {generator.name}")
     print(f"assigned blocks: {result.n}, horizon: {result.horizon}")
     print(f"steps: {len(result.steps)}")
-    for pos, step in enumerate(result.steps, start=1):
-        overlap = (
-            "none" if step.overlap_with is None else str(step.overlap_with)
-        )
-        print(
-            f"  step {pos}: element {step.element} -> block {step.block_index},"
-            f" value {format_rational(step.value)}, pattern {step.pattern},"
-            f" overlaps {overlap}"
-        )
+    _write_lines(
+        f"  step {pos}: element {step.element} -> block {step.block_index},"
+        f" value {format_rational(step.value)}, pattern {step.pattern},"
+        f" overlaps {'none' if step.overlap_with is None else step.overlap_with}"
+        for pos, step in enumerate(result.steps, start=1)
+    )
     print(f"extended: {format_weights(result.extended)}")
     print(f"packing a: {format_weights(result.packing_a)}")
     print(f"packing b: {format_weights(result.packing_b)}")

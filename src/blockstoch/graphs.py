@@ -20,9 +20,9 @@ lists them one biconnected component at a time, each from its least
 element: a descending union-find marks the elements whose ends larger
 ones already join, and Johnson's blocked search from each marked element
 lists the cycles it is least in, already canonical, so that the census
-is one sort of vertex tuples.  The census's first cycle of each parity,
-the classifier's canonical cycles, is the least cycle of H
-(:func:`_least_cycle`), found alone by a branch and bound over each
+sorts the vertex tuples of each length once.  The census's first cycle
+of each parity, the classifier's canonical cycles, is the least cycle of
+H (:func:`_least_cycle`), found alone by a branch and bound over each
 cycle's least element whose cuts are walk lengths of both parities.
 Questions that need only bipartiteness (:func:`bipartition`, the vertex
 search) are answered by one BFS two-coloring of H.  Linear algebra on
@@ -340,22 +340,31 @@ def find_primitive_cycles(
 
     A cycle is reported once, in canonical form: smallest vertex first,
     then the smaller of its two cycle neighbors.  ``parity`` may be
-    "any", "odd" or "even" (by vertex count).  The census lists the
-    cycles of H on the graph's elements when each lies in at most two
-    blocks (:func:`_multigraph_cycles`), else those the primitive walks
-    close (:func:`_walk_cycles`), as canonical vertex tuples that one
-    sort by vertices and a stable one by length put in (vertex count,
-    vertices) order.
+    "any", "odd" or "even" (by vertex count).  The cycles are those of
+    :func:`_census`, in (vertex count, vertices) order, each wrapped in
+    a :class:`Path`.
     """
-    want = _parity_classes(parity)
+    groups = _census(graph, family, _parity_classes(parity))
+    return tuple(Path(c, is_cycle=True) for group in groups for c in group)
+
+
+def _census(
+    graph: AssociatedGraph, family: SetFamily, want: tuple[int, ...]
+) -> list[list[tuple[int, ...]]]:
+    """The canonical primitive cycles with a wanted parity as vertex
+    tuples, one sorted list per vertex count, shortest first: the cycles
+    of H when each of the graph's elements lies in at most two blocks
+    (:func:`_multigraph_cycles`), else those the primitive walks close
+    (:func:`_walk_cycles`)."""
     edges = _multigraph_edges(graph, family)
     if edges is not None:
-        cycles = list(_multigraph_cycles(edges, biconnected_components(edges), want))
+        cycles = _multigraph_cycles(edges, biconnected_components(edges), want)
     else:
-        cycles = list(_walk_cycles(graph, family, want))
-    cycles.sort()
-    cycles.sort(key=len)
-    return tuple(Path(c, is_cycle=True) for c in cycles)
+        cycles = _walk_cycles(graph, family, want)
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for c in cycles:
+        groups.setdefault(len(c), []).append(c)
+    return [sorted(groups[n]) for n in sorted(groups)]
 
 
 def _walk_cycles(

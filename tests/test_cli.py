@@ -169,6 +169,13 @@ class TestGraph:
             "e033975c29870f5bc288f0a2930f6314cda2e433b53266ad77b86bbe3d1f0b21"
         )
 
+    def test_census_builds_no_path(self, tmp_path, capsys, monkeypatch):
+        def no_path(*args, **kwargs):
+            raise AssertionError("the census built a graphs.Path")
+
+        monkeypatch.setattr(graphs, "Path", no_path)
+        self.test_matrix_5x5_stdout(tmp_path, capsys)
+
     @pytest.mark.parametrize(
         "blocks, digest",
         [

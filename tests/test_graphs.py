@@ -42,6 +42,8 @@ from helpers import (
     count_calls,
     cycle_family,
     diamond_chain_blocks,
+    kappa2_sweep,
+    kappa3_sweep,
     matrix_cycle_count,
     matrix_family,
     necklace,
@@ -323,6 +325,22 @@ class TestMultigraphCensus:
         assert [c.vertices for c in cycles] == [
             (b + 1, b + 2, b + 4, b + 3) for b in range(0, 120, 4)
         ]
+
+
+class TestCensusGroups:
+    """The library's paths and the CLI's tuple groups are one census."""
+
+    @pytest.mark.parametrize("sweep", [kappa2_sweep, kappa3_sweep])
+    @pytest.mark.parametrize("parity", ["any", "odd", "even"])
+    def test_paths_wrap_the_groups_in_order(self, sweep, parity):
+        for fam in sweep():
+            graph = build_graph(fam)
+            groups = graphs._census(graph, fam, graphs._parity_classes(parity))
+            assert all(len({len(c) for c in group}) == 1 for group in groups)
+            flat = [c for group in groups for c in group]
+            paths = tuple(Path(c, is_cycle=True) for c in flat)
+            assert find_primitive_cycles(graph, fam, parity) == paths
+            assert flat == sorted(flat, key=lambda c: (len(c), c))
 
 
 class TestBiconnectedComponents:
