@@ -9,11 +9,14 @@ Two enumerations share that definition.  When every multiplicity is at
 most two, the family is the block multigraph H of :mod:`graphs`, shared
 with :func:`graphs.bipartition`, and the vertices are read off its exact
 covers by edges, half-edges and odd cycles (the half-integrality of the
-fractional matching polytope).  Otherwise a depth-first walk over
+fractional matching polytope).  Otherwise a pivot search over
 independent column sets (:func:`basis_vertices`) reads each vertex off
-the all-ones system.  The walk needs no structure at all, so it also
-serves as the reference the multigraph search and the structural
-classifier are tested against.
+the all-ones system: it branches on the unresolved block that the
+fewest candidate columns meet, so each support is reached once, and a
+one-row sign test skips the states below which no vertex lies.  The
+search needs no structure at all, so it also serves as the reference
+the multigraph search and the structural classifier are tested
+against.
 
 Everything here is exact.  Every rank and circuit question goes to
 one column kernel chosen by :func:`_kernel`, which takes, rejects and
@@ -25,10 +28,11 @@ Otherwise it is one fraction-free integer elimination
 (:class:`_Elimination`) of sparse vectors keyed by block; a column is
 reduced only by the basis vectors whose pivots it holds or picks up, so
 on tall sparse matrices the work stays close to the number of nonzeros.
-The basis walk always uses the elimination, which also reduces its
-all-ones vector.  Ranks, the circuit a dependent column closes and the
-solution of the all-ones system are unique, so the kernel and its pivot
-choice change no vertex and no decomposition.
+The pivot search makes the same row operations (:func:`_combine`) on
+the all-ones vector and on every candidate column, not on one basis.
+Ranks, the circuit a dependent column closes and the solution of the
+all-ones system are unique, so the kernel and its pivot choice change
+no vertex and no decomposition.
 
 :func:`decompose` and its vertex walk (:func:`_vertex_within`) keep
 the point as integer numerators over one common denominator and move it
@@ -41,9 +45,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -76,7 +82,7 @@ DEFAULT_BUDGET = 1 << 20
 
 def _combine(d: int, v: dict[int, int], f: int, w: dict[int, int]) -> dict[int, int]:
     """The row operation ``d·v − f·w``, divided by the gcd of its entries."""
-    out = {k: d * x for k, x in v.items()}
+    out = v.copy() if d == 1 else {k: d * x for k, x in v.items()}
     for k, y in w.items():
         x = out.get(k, 0) - f * y
         if x:
@@ -190,9 +196,9 @@ def enumerate_vertices(
     When every multiplicity is at most two, a backtracking search over
     the block multigraph lists the vertices directly; ``budget`` then
     bounds the search nodes visited (pieces placed plus cycle-search
-    steps).  Otherwise :func:`basis_vertices` walks the independent
-    column sets, and ``budget`` bounds the raw count C(n, r) of
-    rank-sized candidate supports, counted before the walk starts.
+    steps).  Otherwise :func:`basis_vertices` runs its pivot search,
+    and ``budget`` bounds the raw count C(n, r) of rank-sized candidate
+    supports, counted before the search starts.
     Either way an exhausted budget raises ``InstanceTooLargeError``, and
     the result is sorted.
     """
@@ -311,21 +317,24 @@ class _CoverSearch:
 def basis_vertices(
     family: SetFamily, budget: int = DEFAULT_BUDGET
 ) -> tuple[WeightFunction, ...]:
-    """All vertices, by a pruned depth-first walk over column subsets.
+    """All vertices, by a pivot search over independent column sets.
 
-    A vertex is the nonnegative unique solution of the all-ones system
-    on r independent columns that touch every block, r the rank.  The
-    walk adds columns in ascending order to one :class:`_Elimination`,
-    which also reduces the all-ones vector, and cuts a branch when its
-    new column is dependent, when the columns chosen and those left
-    cannot touch every block, or when too few columns are left to reach
-    r.  Once the all-ones vector is in the span, the point is read from
-    its coefficients, kept if nonnegative, and not extended, as every
-    extension gives it again; so each depth visits at most C(n, r)
-    column sets.  ``InstanceTooLargeError`` is raised before the walk
-    when C(n, r), the count of rank-sized candidate supports, exceeds
-    ``budget``.  The result is sorted.  Works for any family, and is
-    the reference the multigraph search is tested against.
+    A vertex is the positive solution of the all-ones system on
+    independent columns, its support.  The search keeps the all-ones
+    vector, with coefficient key ``~n``, and every candidate column
+    reduced with :func:`_combine` against the columns chosen so far,
+    and :func:`_branches` picks the next column to pivot in.  A state
+    below which :func:`_may_reach_vertex` rules out every vertex is not
+    expanded.  Once the reduced all-ones vector has no block entry left,
+    the chosen columns span it, and the point they give is a vertex
+    exactly when every chosen column's coefficient has the sign opposite
+    to the all-ones coefficient's.  That is checked on integers, so only
+    vertices are built as ``Fraction``s, and since each support is
+    reached once, no point is built twice and no set of found points is
+    kept.
+    ``InstanceTooLargeError`` is raised before the search when C(n, r),
+    the count of rank-sized candidate supports, r the rank, exceeds
+    ``budget``.  The result is sorted.  Works for any family.
     """
     if budget < 1:
         raise InputError("budget must be at least 1")
@@ -337,47 +346,112 @@ def basis_vertices(
         raise InstanceTooLargeError(
             f"{total} candidate supports exceed the budget of {budget}"
         )
-    masks = [sum(1 << k for k in e) for e in ends]
-    reach = [0] * (n + 1)  # reach[i]: the blocks met by columns i and later
-    for i in reversed(range(n)):
-        reach[i] = reach[i + 1] | masks[i]
-    full = sum(1 << b.index for b in family.blocks)
     ones = ~n  # the key of the all-ones vector's coefficient
-    elimination = _Elimination()
-    chosen: list[int] = []
-    covered = [0]
-    residuals = [{**{b.index: 1 for b in family.blocks}, ones: 1}]
-    found: set[tuple[tuple[int, Fraction], ...]] = set()
-    i = 0
-    while True:
-        k = len(chosen)
-        if k == r or i > n - r + k or covered[-1] | reach[i] != full:
-            if not chosen:
-                break
-            elimination.remove(chosen[-1], ends[chosen[-1]])
-            i = chosen.pop() + 1
-            covered.pop()
-            residuals.pop()
+    residual = {**{b.index: 1 for b in family.blocks}, ones: 1}
+    candidates = [(c, {**dict.fromkeys(e, 1), ~c: 1}) for c, e in enumerate(ends)]
+    found: list[WeightFunction] = []
+    stack = [_branches(residual, candidates, ())]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
             continue
-        if not elimination.add(i, ends[i]):
-            i += 1
+        residual, candidates, chosen = state
+        if max(residual) >= 0:
+            if _may_reach_vertex(residual, candidates, chosen, residual[ones]):
+                stack.append(_branches(residual, candidates, chosen))
             continue
-        residual = elimination.reduce(residuals[-1])
-        if max(residual) < 0:
-            # e * ones + sum of a_c * column c = 0, so x_c = -a_c / e
-            e = residual[ones]
-            point = [(columns[~c], Fraction(-a, e)) for c, a in residual.items() if c != ones]
-            if all(v > 0 for _, v in point):
-                found.add(tuple(sorted(point)))
-            elimination.remove(i, ends[i])
-            i += 1
-            continue
-        chosen.append(i)
-        covered.append(covered[-1] | masks[i])
-        residuals.append(residual)
-        i += 1
-    vertices = (WeightFunction._trusted(dict(items)) for items in found)
-    return tuple(sorted(vertices, key=lambda w: w.sort_key()))
+        # e * ones + sum of a_c * column c = 0, so x_c = -a_c / e, and the
+        # point is a vertex when every chosen column's a_c is nonzero
+        # with the sign opposite to e's
+        e = residual.pop(ones)
+        if len(residual) == len(chosen) and all(a * e < 0 for a in residual.values()):
+            found.append(
+                WeightFunction._trusted(
+                    {columns[~c]: Fraction(-a, e) for c, a in residual.items()}
+                )
+            )
+    return tuple(sorted(found, key=lambda w: w.sort_key()))
+
+
+def _branches(
+    residual: dict[int, int],
+    candidates: list[tuple[int, dict[int, int]]],
+    chosen: tuple[int, ...],
+):
+    """The search states one pivot below a state of :func:`basis_vertices`.
+
+    ``residual`` is the all-ones vector and ``candidates`` the columns
+    still open, by column id, both reduced against the ``chosen``
+    columns; each branch yields the three again.  The columns of a
+    support below this state that are not chosen yet must clear every
+    block where the residual is nonzero, so at each such block one of
+    them is a candidate nonzero there.  The block
+    taken is the one the fewest candidates meet, the lowest on ties
+    (the "fewest options first" rule of Knuth's Algorithm X).  There is
+    one branch per candidate nonzero at that block, in ascending order,
+    and each drops the candidates before it, so the branch taken toward
+    a support is the one on its first column there: each support is
+    reached once.  A branch pivots its column in at the block: the
+    residual and the later candidates nonzero there are cleared with
+    its vector, and a candidate left with no block entry, spanned by
+    the chosen columns, is dropped, as a support's columns are
+    independent.  Once the chosen columns span the all-ones vector,
+    they are the whole support of any vertex below, since its values
+    are positive and its columns independent.
+    """
+    meets = Counter(chain.from_iterable(v for _, v in candidates))
+    b = min((k for k in residual if k >= 0), key=lambda k: (meets[k], k))
+    options, others = [], []
+    for c, v in candidates:
+        (options if b in v else others).append((c, v))
+    options.sort()  # by column: the ids differ, so no vectors are compared
+    for t, (c, w) in enumerate(options):
+        d = w[b]
+        rest = others.copy()
+        for c2, v in options[t + 1 :]:
+            v = _combine(d, v, v[b], w)
+            if max(v) >= 0:
+                rest.append((c2, v))
+        yield _combine(d, residual, residual[b], w), rest, (*chosen, c)
+
+
+def _may_reach_vertex(
+    residual: dict[int, int],
+    candidates: list[tuple[int, dict[int, int]]],
+    chosen: tuple[int, ...],
+    e: int,
+) -> bool:
+    """Whether a vertex may lie below a search state: one sign test per
+    row of the reduced system, a necessary condition in the manner of
+    Farkas' lemma.
+
+    A vertex below adds candidates t to the chosen columns, each with a
+    value ``x_t > 0``.  Its reduced all-ones vector is, up to a factor,
+    ``residual − Σ μ_t·v_t`` with no block entry left, where ``v_t`` is
+    t's vector, ``o_t`` its entry at t's own key ``~t``, ``e`` the
+    all-ones coefficient and ``μ_t = x_t·e / o_t``, and a chosen column
+    c has the value ``−(residual[~c] − Σ μ_t·v_t[~c]) / e``.  So a block b
+    where the residual is nonzero needs a candidate with ``o_t·v_t[b]``
+    of the sign of ``e·residual[b]``, and a chosen column whose value
+    at the residual alone, ``−residual[~c] / e``, is not positive needs
+    a candidate with ``o_t·v_t[~c] > 0``.  A state that fails either
+    test holds no vertex.
+    """
+    # need[k]: whether some candidate's o_t·v_t[k] must be positive
+    # (True) or negative (False)
+    need = {k: e * x > 0 for k, x in residual.items() if k >= 0}
+    for c in chosen:
+        if residual.get(~c, 0) * e >= 0:
+            need[~c] = True
+    for t, v in candidates:
+        o = v[~t]
+        for k in need.keys() & v.keys():
+            if (o * v[k] > 0) is need[k]:
+                del need[k]
+        if not need:
+            return True
+    return False
 
 
 def column_rank(columns: Sequence[Sequence[int]]) -> int:

@@ -128,6 +128,25 @@ def count_calls(monkeypatch, owner, *names, cap=None) -> Counter:
     return counts
 
 
+def count_pivots(monkeypatch, cap: int) -> list[int]:
+    """A list whose one entry counts the states ``oracle._branches``
+    yields, each one pivot of the vertex search, until the patch is
+    undone.  Past ``cap`` pivots the search raises, so that a lost cut
+    fails at once instead of running on."""
+    branches = oracle._branches
+    pivots = [0]
+
+    def counting(*args):
+        for state in branches(*args):
+            pivots[0] += 1
+            if pivots[0] > cap:
+                raise AssertionError(f"more than {cap} pivots")
+            yield state
+
+    monkeypatch.setattr(oracle, "_branches", counting)
+    return pivots
+
+
 # a family whose elements 1, 5 and 9 lie in three blocks each, so vertex
 # enumeration takes the basis search
 KAPPA3_BLOCKS = [
@@ -161,7 +180,7 @@ def planar_cube_blocks(m: int) -> list[list[int]]:
 
 
 def kappa3_sweep():
-    """The seeded κ = 3 families the basis walk is checked on: those
+    """The seeded κ = 3 families the pivot search is checked on: those
     ``gen_random`` draws with ``kappa_max=3``, near-full-rank ones
     (10 to 15 elements, rank 1 to 3 below the element count),
     ``KAPPA3_BLOCKS`` and the planar assignment cube at m = 2."""
@@ -190,6 +209,31 @@ def kappa3_sweep():
             yield fam
     yield build_family(KAPPA3_BLOCKS)
     yield build_family(planar_cube_blocks(2))
+
+
+def kappa4_sweep():
+    """Seeded families of 5 to 12 elements whose blocks of two to four
+    elements give some element three or four blocks: 200 of them, for
+    the pivot search's differential against the walk and the C(n, r)
+    search."""
+    rng = random.Random(5)
+    kept = 0
+    while kept < 200:
+        n = rng.randint(5, 12)
+        mult = Counter()
+        blocks = set()
+        for _ in range(rng.randint(3, n)):
+            pool = [g for g in range(1, n + 1) if mult[g] < 4]
+            if len(pool) < 2:
+                break
+            block = tuple(sorted(rng.sample(pool, rng.randint(2, min(4, len(pool))))))
+            if block not in blocks:
+                blocks.add(block)
+                mult.update(block)
+        fam = build_family(sorted(blocks))
+        if max_multiplicity(fam) > 2:
+            kept += 1
+            yield fam
 
 
 def walk_census(graph: AssociatedGraph, family: SetFamily, parity: str = "any"):
@@ -353,7 +397,7 @@ def fraction_finish(family, w, deltas, epsilon, slack, construction):
 # Fraction, with a column -> rows index so that each pivot touches only
 # the rows holding its column.  With the C(n, r) basis search built on
 # it, it is the reference for the incremental integer elimination and
-# the basis walk in blockstoch.oracle.
+# the pivot search in blockstoch.oracle.
 
 Row = dict[int, Fraction]
 
@@ -512,6 +556,66 @@ def subset_vertices(family: SetFamily) -> tuple[WeightFunction, ...]:
         x = sparse_solve_all_ones(column_rows([ends[i] for i in combo]), r)
         if x is not None and all(v >= 0 for v in x):
             found.add(tuple((columns[i], v) for i, v in zip(combo, x) if v != 0))
+    vertices = (WeightFunction._trusted(dict(items)) for items in found)
+    return tuple(sorted(vertices, key=lambda w: w.sort_key()))
+
+
+def walk_vertices(family: SetFamily) -> tuple[WeightFunction, ...]:
+    """All vertices, by a pruned depth-first walk over column subsets:
+    the reference for ``oracle.basis_vertices``'s pivot search.
+
+    The walk adds columns in ascending order to one
+    ``oracle._Elimination``, which also reduces the all-ones vector, and
+    cuts a branch when its new column is dependent, when the columns
+    chosen and those left cannot touch every block, or when too few
+    columns are left to reach the rank r.  Once the all-ones vector is
+    in the span, the point is read from its coefficients, kept if
+    nonnegative, and not extended.  A vertex is reached at every
+    independent column set that holds its support and first spans the
+    all-ones vector at its last column, so the points found go into a
+    set.  The result is sorted."""
+    columns = family.ground
+    ends = [family.gamma[g] for g in columns]
+    n, r = len(columns), sparse_rank(column_rows(ends))
+    masks = [sum(1 << k for k in e) for e in ends]
+    reach = [0] * (n + 1)  # reach[i]: the blocks met by columns i and later
+    for i in reversed(range(n)):
+        reach[i] = reach[i + 1] | masks[i]
+    full = sum(1 << b.index for b in family.blocks)
+    ones = ~n  # the key of the all-ones vector's coefficient
+    elimination = oracle._Elimination()
+    chosen: list[int] = []
+    covered = [0]
+    residuals = [{**{b.index: 1 for b in family.blocks}, ones: 1}]
+    found = set()
+    i = 0
+    while True:
+        k = len(chosen)
+        if k == r or i > n - r + k or covered[-1] | reach[i] != full:
+            if not chosen:
+                break
+            elimination.remove(chosen[-1], ends[chosen[-1]])
+            i = chosen.pop() + 1
+            covered.pop()
+            residuals.pop()
+            continue
+        if not elimination.add(i, ends[i]):
+            i += 1
+            continue
+        residual = elimination.reduce(residuals[-1])
+        if max(residual) < 0:
+            # e * ones + sum of a_c * column c = 0, so x_c = -a_c / e
+            e = residual[ones]
+            point = [(columns[~c], Fraction(-a, e)) for c, a in residual.items() if c != ones]
+            if all(v > 0 for _, v in point):
+                found.add(tuple(sorted(point)))
+            elimination.remove(i, ends[i])
+            i += 1
+            continue
+        chosen.append(i)
+        covered.append(covered[-1] | masks[i])
+        residuals.append(residual)
+        i += 1
     vertices = (WeightFunction._trusted(dict(items)) for items in found)
     return tuple(sorted(vertices, key=lambda w: w.sort_key()))
 

@@ -38,16 +38,19 @@ from blockstoch.oracle import (
 from helpers import (
     KAPPA3_BLOCKS,
     count_calls,
+    count_pivots,
     cycle_family,
     fraction_combination,
     fraction_decompose,
     kappa2_sweep,
     kappa3_sweep,
+    kappa4_sweep,
     matrix_family,
     necklace,
     permutation_mean,
     scaled_kernel_circuit,
     subset_vertices,
+    walk_vertices,
 )
 
 F = Fraction
@@ -133,32 +136,63 @@ class TestBasisPath:
 
 
 class TestBasisWalk:
-    """The depth-first basis walk against the C(n, r) search in helpers,
-    with its work counted rather than timed."""
+    """The pivot search against the walk and the C(n, r) search in
+    helpers, with its work counted rather than timed."""
 
-    def test_matches_the_subset_search_on_the_kappa3_sweep(self):
+    def test_search_walk_and_subset_search_agree_on_seeded_sweeps(self):
+        # the κ = 3 sweep, 120 gen_random draws with κ ≤ 3 and the κ ≤ 4
+        # sweep, with their vertex counts pinned so a sweep cannot shrink
+        rng = random.Random(7)
+        draws = [
+            gen_random(rng.randint(3, 11), rng.randint(2, 8), 3, seed=70_000 + i)[0]
+            for i in range(120)
+        ]
+        sweeps = {"kappa3": list(kappa3_sweep()), "draws": draws, "kappa4": list(kappa4_sweep())}
+        assert all(max_multiplicity(fam) == 3 for fam in sweeps["kappa3"])
+        assert {max_multiplicity(fam) for fam in sweeps["kappa4"]} == {3, 4}
+        counts = {}
+        for name, families in sweeps.items():
+            counts[name] = 0
+            for fam in families:
+                vertices = basis_vertices(fam)
+                assert vertices == walk_vertices(fam) == subset_vertices(fam), fam.blocks
+                counts[name] += len(vertices)
+        assert counts == {"kappa3": 126, "draws": 226, "kappa4": 526}
+
+    def test_search_pivots_are_pinned_and_reach_each_support_once(self, monkeypatch):
+        # a state's chosen columns are reached once, so the pivots at
+        # depth k are at most C(n, k).  The sweep's total is pinned at its
+        # count (without the sign test 6,566; the walk it replaced made
+        # 6,573 elimination adds)
         families = list(kappa3_sweep())
-        assert len(families) > 90
-        assert all(max_multiplicity(fam) == 3 for fam in families)
-        for fam in families:
-            assert basis_vertices(fam) == subset_vertices(fam), fam.blocks
-
-    def test_walk_nodes_stay_within_r_plus_one_candidate_counts(self, monkeypatch):
-        # every column the walk tries is one node; the rank pre-check
-        # adds each column once more.  The sweep's total is pinned at its
-        # count, so a lost cut shows (extending sets that already span
-        # the all-ones vector gives 7,912)
-        adds = count_calls(monkeypatch, oracle._Elimination, "add")
+        pivots = count_pivots(monkeypatch, cap=10_000)
         total = 0
-        for fam in kappa3_sweep():
+        for fam in families:
             n = len(fam.ground)
             r = column_rank([fam.gamma[g] for g in fam.ground])
-            before = adds["add"]
-            basis_vertices(fam)
-            nodes = adds["add"] - before - n
-            assert nodes <= (r + 1) * math.comb(n, r), fam.blocks
+            before = pivots[0]
+            vertices = basis_vertices(fam)
+            assert len({v.support for v in vertices}) == len(vertices), fam.blocks
+            nodes = pivots[0] - before
+            assert nodes <= sum(math.comb(n, k) for k in range(1, r + 1)), fam.blocks
             total += nodes
-        assert total <= 6573
+        assert total == 2719
+
+    def test_tall_strip_takes_linear_pivots(self, monkeypatch):
+        # block k holds the elements k + 1 to k + 3, so the strip has the
+        # three vertices of the residues mod 3, and the sets spanning the
+        # all-ones vector with some coefficient of the wrong sign grow
+        # exponentially with its length; the sign test cuts them (without
+        # it 18 blocks took 14,860 pivots), so the pivots grow as 16·B − 35
+        def strip(blocks):
+            return build_family([[g + 1 for g in range(k, k + 3)] for k in range(blocks)])
+
+        assert basis_vertices(strip(30)) == walk_vertices(strip(30))
+        pivots = count_pivots(monkeypatch, cap=4000)
+        for blocks in (30, 60, 120):
+            before = pivots[0]
+            assert len(basis_vertices(strip(blocks))) == 3
+            assert pivots[0] - before == 16 * blocks - 35
 
     def test_tall_strip_rank_takes_linear_row_operations(self, monkeypatch):
         # block k holds the elements k, k + 1 and k + 2, so element g
