@@ -337,9 +337,7 @@ def _add_oracle_flags(parser: argparse.ArgumentParser) -> None:
         "--budget",
         type=_integer,
         default=DEFAULT_BUDGET,
-        help="vertex enumeration budget: search nodes when every multiplicity"
-        " is at most two, otherwise the rank-sized candidate supports,"
-        " counted before the search starts",
+        help="vertex enumeration budget, in search nodes visited",
     )
     parser.add_argument(
         "--jobs",

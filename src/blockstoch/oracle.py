@@ -188,19 +188,30 @@ def _kernel(ends: Iterable[Sequence[int]]) -> _FrameForest | _Elimination:
     return _Elimination()
 
 
+def _tick(nodes: int, budget: int, found: list[WeightFunction]) -> int:
+    """One more node of either vertex search: ``nodes + 1``, or the
+    refusal once that passes ``budget``."""
+    nodes += 1
+    if nodes > budget:
+        raise InstanceTooLargeError(
+            f"vertex search exceeded the budget of {budget} search nodes:"
+            f" {nodes} visited, {len(found)} found"
+        )
+    return nodes
+
+
 def enumerate_vertices(
     family: SetFamily, budget: int = DEFAULT_BUDGET
 ) -> tuple[WeightFunction, ...]:
     """All vertices of the polytope of stochastic weight functions.
 
     When every multiplicity is at most two, a backtracking search over
-    the block multigraph lists the vertices directly; ``budget`` then
-    bounds the search nodes visited (pieces placed plus cycle-search
-    steps).  Otherwise :func:`basis_vertices` runs its pivot search,
-    and ``budget`` bounds the raw count C(n, r) of rank-sized candidate
-    supports, counted before the search starts.
-    Either way an exhausted budget raises ``InstanceTooLargeError``, and
-    the result is sorted.
+    the block multigraph lists the vertices directly, and a search node
+    is a piece placed or a cycle-search step.  Otherwise
+    :func:`basis_vertices` runs its pivot search, and a search node is
+    a pivot.  Either way ``budget`` bounds the search nodes visited:
+    past it ``InstanceTooLargeError`` says how many were visited and how
+    many vertices found.  The result is sorted.
     """
     if budget < 1:
         raise InputError("budget must be at least 1")
@@ -246,14 +257,6 @@ class _CoverSearch:
         self.nodes = 0
         self.found: list[WeightFunction] = []
 
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise InstanceTooLargeError(
-                f"vertex search exceeded the budget of {self.budget} search nodes:"
-                f" {self.nodes} visited, {len(self.found)} found"
-            )
-
     def vertices(self) -> tuple[WeightFunction, ...]:
         covered = 0
         chosen: list[tuple[int, tuple[int, ...], Fraction]] = []
@@ -265,7 +268,7 @@ class _CoverSearch:
                 if chosen:
                     covered &= ~chosen.pop()[0]
                 continue
-            self._tick()
+            self.nodes = _tick(self.nodes, self.budget, self.found)
             chosen.append(piece)
             covered |= piece[0]
             if covered == self.full:
@@ -302,7 +305,7 @@ class _CoverSearch:
                     if len(path) % 2 == 0 and len(path) >= 2 and path[0] < g:
                         yield blocked & ~covered, (*path, g), HALF
                 elif not blocked >> v & 1:
-                    self._tick()
+                    self.nodes = _tick(self.nodes, self.budget, self.found)
                     path.append(g)
                     blocked |= 1 << v
                     stack.append((v, iter(self.edges[v])))
@@ -332,30 +335,27 @@ def basis_vertices(
     vertices are built as ``Fraction``s, and since each support is
     reached once, no point is built twice and no set of found points is
     kept.
-    ``InstanceTooLargeError`` is raised before the search when C(n, r),
-    the count of rank-sized candidate supports, r the rank, exceeds
-    ``budget``.  The result is sorted.  Works for any family.
+    Each state taken off the stack, one pivot, is a search node, and
+    past ``budget`` of them :func:`_tick` raises
+    ``InstanceTooLargeError``.  The result is sorted.  Works for any
+    family.
     """
     if budget < 1:
         raise InputError("budget must be at least 1")
     columns = family.ground
     ends = [family.gamma[g] for g in columns]
-    n, r = len(columns), column_rank(ends)
-    total = math.comb(n, r)
-    if total > budget:
-        raise InstanceTooLargeError(
-            f"{total} candidate supports exceed the budget of {budget}"
-        )
-    ones = ~n  # the key of the all-ones vector's coefficient
+    ones = ~len(columns)  # the key of the all-ones vector's coefficient
     residual = {**{b.index: 1 for b in family.blocks}, ones: 1}
     candidates = [(c, {**dict.fromkeys(e, 1), ~c: 1}) for c, e in enumerate(ends)]
     found: list[WeightFunction] = []
+    nodes = 0
     stack = [_branches(residual, candidates, ())]
     while stack:
         state = next(stack[-1], None)
         if state is None:
             stack.pop()
             continue
+        nodes = _tick(nodes, budget, found)
         residual, candidates, chosen = state
         if max(residual) >= 0:
             if _may_reach_vertex(residual, candidates, chosen, residual[ones]):
@@ -639,7 +639,8 @@ def cross_validate(
 
     Every vertex must be classified extreme and random strict mixtures of
     distinct vertices non-extreme, with a witness that averages back; the
-    classifier checks each point and builds its support graph once.
+    classifier checks each point, builds no support graph, and builds
+    the block multigraph H only of a point's first offending component.
     """
     from . import extremality
 

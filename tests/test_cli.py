@@ -357,6 +357,17 @@ class TestVertices:
             " 3 visited, 1 found\n"
         )
 
+    def test_pivot_budget_message_goes_to_stderr(self, tmp_path, capsys):
+        # an element in three blocks: the pivot search, one node a pivot
+        code = main(["vertices", write(tmp_path, {"blocks": KAPPA3_BLOCKS}), "--budget", "105"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: vertex search exceeded the budget of 105 search nodes:"
+            " 106 visited, 5 found\n"
+        )
+
     @pytest.mark.parametrize("budget", ["0", "-1"])
     @pytest.mark.parametrize(
         "blocks", [[[1, 2], [3, 4], [1, 3], [2, 4]], [[1, 2], [1, 3], [1, 4]]]

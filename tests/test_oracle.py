@@ -48,6 +48,7 @@ from helpers import (
     matrix_family,
     necklace,
     permutation_mean,
+    planar_cube_blocks,
     scaled_kernel_circuit,
     subset_vertices,
     walk_vertices,
@@ -127,12 +128,31 @@ class TestBasisPath:
         vertices = enumerate_vertices(self.KAPPA3)
         assert vertices == basis_vertices(self.KAPPA3)
 
-    def test_candidate_budget_precheck(self):
+    def test_budget_counts_pivots(self):
+        # the search takes 106 pivots here, each one search node
+        assert len(enumerate_vertices(self.KAPPA3, budget=106)) == 5
         with pytest.raises(
             InstanceTooLargeError,
-            match="^84 candidate supports exceed the budget of 83$",
+            match=r"^vertex search exceeded the budget of 105 search nodes:"
+            r" 106 visited, 5 found$",
         ):
-            enumerate_vertices(self.KAPPA3, budget=83)
+            enumerate_vertices(self.KAPPA3, budget=105)
+
+    def test_cube_is_refused_once_past_its_budget(self):
+        # the m = 3 planar cube takes 47,405 pivots; a budget of 1000
+        # stops the search at its 1,001st, before any vertex
+        with pytest.raises(
+            InstanceTooLargeError,
+            match=r"^vertex search exceeded the budget of 1000 search nodes:"
+            r" 1001 visited, 0 found$",
+        ):
+            basis_vertices(build_family(planar_cube_blocks(3)), budget=1000)
+
+    def test_search_takes_no_rank(self, monkeypatch):
+        ranks = count_calls(monkeypatch, oracle, "column_rank")
+        adds = count_calls(monkeypatch, oracle._Elimination, "add")
+        assert len(basis_vertices(self.KAPPA3)) == 5
+        assert ranks["column_rank"] == adds["add"] == 0
 
 
 class TestBasisWalk:
