@@ -25,15 +25,15 @@ of each parity, the classifier's canonical cycles, is the least cycle of
 H (:func:`_least_cycle`), found alone by a branch and bound over each
 cycle's least element whose cuts are walk lengths of both parities.
 Questions that need only bipartiteness (:func:`bipartition`, the vertex
-search) are answered by one BFS two-coloring of H.  Linear algebra on
-the block-sum columns is the frame matroid of H, kept by
-:class:`_FrameForest`: an edge's column is e_a + e_b and a half-edge's
-is e_a.  The forest takes, rejects and gives up columns one at a time
-and solves the circuit a rejected column closes, with the same interface
-as the integer elimination of :mod:`oracle`, whose ``_kernel`` chooses
-between the two.  Each tree is rooted by a parent pointer per node, so a
-circuit is solved on the tree paths from its columns' ends up to the
-root, not on the whole component.  A removal
+search, the odd least-cycle search) are answered by one BFS two-coloring
+of H.  Linear algebra on the block-sum columns is the frame matroid of
+H, kept by :class:`_FrameForest`: an edge's column is e_a + e_b and a
+half-edge's is e_a.  The forest takes, rejects and gives up columns one
+at a time and solves the circuit a rejected column closes, with the same
+interface as the integer elimination of :mod:`oracle`, whose ``_kernel``
+chooses between the two.  Each tree is rooted by a parent pointer per
+node, so a circuit is solved on the tree paths from its columns' ends up
+to the root, not on the whole component.  A removal
 (:meth:`_FrameForest.remove`) splits a tree, and a split component
 rejoins only through :meth:`_FrameForest.add`.
 """
@@ -523,18 +523,21 @@ def shortest_primitive_cycle(
     want = _parity_classes(parity)
     edges = _multigraph_edges(graph, family)
     if edges is None:
-        return _shortest_cycle(graph, family, parity)
-    cycle = _least_cycle(edges, biconnected_components(edges), want)
+        cycle = _shortest_cycle(graph, family, want)
+    else:
+        cycle = _least_cycle(edges, biconnected_components(edges), want)
     return None if cycle is None else Path(cycle, is_cycle=True)
 
 
-def _shortest_cycle(graph: AssociatedGraph, family: SetFamily, parity: str) -> Path | None:
+def _shortest_cycle(
+    graph: AssociatedGraph, family: SetFamily, want: tuple[int, ...]
+) -> tuple[int, ...] | None:
     """The walk search of :func:`shortest_primitive_cycle` on the element
-    graph, for graphs with an element in three or more blocks."""
-    want = _parity_classes(parity)
-    step = 1 if parity == "any" else 2
-    least = 4 if parity == "even" else 3
-    best: Path | None = None
+    graph, for graphs with an element in three or more blocks: the least
+    canonical cycle with a wanted parity, or None."""
+    step = 1 if len(want) == 2 else 2
+    least = 4 if want == (0,) else 3
+    best = None
     # no cycle has more vertices than the graph
     limit = len(graph.vertices)
     dist: dict[int, int] = {}
@@ -549,7 +552,7 @@ def _shortest_cycle(graph: AssociatedGraph, family: SetFamily, parity: str) -> P
         walks = _primitive_walks(graph, family, start, floor=start, prune=prune)
         for walk in walks:
             if _closes_cycle(graph, walk, want):
-                best = Path(tuple(walk), is_cycle=True)
+                best = tuple(walk)
                 limit = len(walk) - step
                 if limit < least:
                     return best
@@ -565,10 +568,11 @@ def _least_cycle(
     ``edges`` is H as :func:`block_multigraph` gives it and
     ``components`` its :func:`biconnected_components`.  A component with
     as many node pairs as nodes is one cycle, its only one, through each
-    pair's least element, and a bipartite one has no odd cycle: both are
-    answered in linear time.  In the others each element g = (a, b) is
-    tried in ascending order as the cycle's least (:func:`_least_through`),
-    and a later cycle replaces the best only when it is shorter.
+    pair's least element, and a bipartite one (:func:`two_color`) has no
+    odd cycle: both are answered in linear time.  In the others each
+    element g = (a, b) is tried in ascending order as the cycle's least
+    (:func:`_least_through`), and a later cycle replaces the best only
+    when it is shorter.
     """
     cycles: list[list[int]] = []
     starts = []
@@ -588,9 +592,7 @@ def _least_cycle(
                     ring[1:] = ring[:0:-1]
                 cycles.append(ring)
             continue
-        root = min(nodes)
-        # no closed walk of odd length: bipartite
-        if want == (1,) and (root, 1) not in _walk_lengths(arcs, root, -1, set()):
+        if want == (1,) and two_color(arcs) is not None:
             continue
         starts += [(g, a, b, arcs) for a in nodes for g, b in arcs[a] if a < b]
     # no cycle has more nodes than H

@@ -25,11 +25,12 @@ column closes.  When every column meets at most two rows it is an
 incidence column of a multigraph, and the kernel is the frame forest
 of :mod:`graphs` (:class:`graphs._FrameForest`), with no row reduction.
 Otherwise it is one fraction-free integer elimination
-(:class:`_Elimination`) of sparse vectors keyed by block; a column is
-reduced only by the basis vectors whose pivots it holds or picks up, so
-on tall sparse matrices the work stays close to the number of nonzeros.
-The pivot search makes the same row operations (:func:`_combine`) on
-the all-ones vector and on every candidate column, not on one basis.
+(:class:`_Elimination`) of sparse vectors keyed by block, in row-echelon
+form: while a column's largest key is a pivot, it is cleared with that
+pivot's vector, which holds only smaller keys, so the loop ends at a
+block that is no pivot or at a coefficient, a dependent column.  The
+pivot search makes the same row operations (:func:`_combine`) on the
+all-ones vector and on every candidate column, not on one basis.
 Ranks, the circuit a dependent column closes and the solution of the
 all-ones system are unique, so the kernel and its pivot choice change
 no vertex and no decomposition.
@@ -48,7 +49,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -107,35 +107,30 @@ class _Elimination:
     by the gcd of its entries, after Bareiss, so entries stay small
     integers.
 
-    The basis is keyed by pivot, each vector's largest block, and is a
-    stack: each vector is zero at the pivots below it, so a reduction
-    brings in only pivots further up and :meth:`reduce` clears them
-    bottom up.  ``taken`` lists the columns in stack order, ``pending``
+    The basis maps each pivot, its vector's largest block, to that
+    vector, in the order taken.  :meth:`reduce` is row-echelon
+    reduction: while a column's largest key is a pivot, that key is
+    cleared with the pivot's vector, which brings in only smaller keys.
+    It stops at a block that is no pivot, the column's own pivot, or at
+    a coefficient key, when the column depends on those taken.  The
+    basis order is a stack, since each vector was reduced only by those
+    below it: ``taken`` lists the columns in that order, ``pending``
     those a removal popped, taken again before the next add, and
     ``rejected`` the last column rejected with its reduced vector.
     """
 
     def __init__(self) -> None:
-        self.basis: dict[int, tuple[int, dict[int, int]]] = {}
+        self.basis: dict[int, dict[int, int]] = {}
         self.taken: list[tuple[int, Sequence[int]]] = []
         self.pending: list[tuple[int, Sequence[int]]] = []
         self.rejected: tuple[int, dict[int, int]] | None = None
 
     def reduce(self, v: dict[int, int]) -> dict[int, int]:
-        """``v`` with every pivot entry eliminated; ``v`` itself is kept."""
-        basis = self.basis
-        heap = [(basis[k][0], k) for k in v if k in basis]
-        heapify(heap)
-        while heap:
-            _, p = heappop(heap)
-            f = v.get(p)
-            if f is None:
-                continue
-            w = basis[p][1]
-            v = _combine(w[p], v, f, w)
-            for k in w:
-                if k != p and k in basis:
-                    heappush(heap, (basis[k][0], k))
+        """``v`` with its leading keys cleared until the largest is no
+        pivot; ``v`` itself is kept."""
+        while (p := max(v)) in self.basis:
+            w = self.basis[p]
+            v = _combine(w[p], v, v[p], w)
         return v
 
     def add(self, column: int, ends: Sequence[int]) -> bool:
@@ -151,7 +146,7 @@ class _Elimination:
         if p < 0:
             self.rejected = (column, v)
             return False
-        self.basis[p] = (len(self.basis), v)
+        self.basis[p] = v
         self.taken.append((column, ends))
         return True
 

@@ -480,6 +480,27 @@ def test_elimination_removals_match_a_fresh_elimination_on_seeded_sequences():
     assert removals > 1000
 
 
+def test_elimination_adds_no_fill_along_a_chain():
+    # the two-row columns (i, i + 1) of a chain and one three-row column:
+    # each column's largest block is no pivot yet, or is cleared once, so
+    # every stored vector keeps its pivot as its largest key and at most
+    # three entries, with no fill along the chain
+    n = 400
+    ends = [(i, i + 1) for i in range(n)] + [(0, 1, 2)]
+    assert column_rank(ends) == n + 1
+    elimination = _Elimination()
+    assert all(elimination.add(c, e) for c, e in enumerate(ends))
+    assert len(elimination.basis) == n + 1
+    for p, v in elimination.basis.items():
+        assert max(v) == p and len(v) <= 3, p
+    # the column (0, n) closes a circuit through the whole chain
+    closing = (0, n)
+    assert not elimination.add(n + 1, closing)
+    circuit = elimination.circuit(n + 1, closing)
+    assert circuit == scaled_kernel_circuit(ends + [closing])
+    assert len(circuit) == n + 2
+
+
 def forest_of(columns):
     forest = _FrameForest()
     assert all(forest.add(c, e) for c, e in enumerate(columns))
