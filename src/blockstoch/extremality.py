@@ -6,19 +6,21 @@ single element carrying weight one or an odd primitive cycle carrying
 one half everywhere.  Any other component admits an explicit
 perturbation in two opposite directions, and the constructions here
 build that pair of stochastic weight functions so callers can check
-non-extremality by hand.  Every witness is validated before it is
-returned: both halves must be stochastic, average back to the input,
-and differ.  The support is read through its blocks, one breadth-first
-pass per component, and its canonical cycles are the least cycles of
-the block multigraph H; an element graph is built only for the checks
-of the public cycle-attachment constructor.
+non-extremality by hand.  Each construction reads the point as integer
+numerators over its least common denominator and takes integer steps
+over one scale; every witness is checked on those integers before its
+halves become ``Fraction``s: both must be stochastic, average back to
+the input, and differ.  The support is read through its blocks, one
+breadth-first pass per component, and its canonical cycles are the
+least cycles of the block multigraph H; an element graph is built only
+for the checks of the public cycle-attachment constructor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import (
@@ -28,7 +30,6 @@ from .errors import (
     NotSimpleCycleError,
 )
 from .family import (
-    HALF,
     SetFamily,
     WeightFunction,
     check_injectivity,
@@ -71,28 +72,34 @@ class Verdict:
     detail: str
 
 
-def _headroom(w: WeightFunction, labels: Iterable[int]) -> Fraction:
-    """How far all the given values sit from both 0 and 1."""
-    return min(min(w.value(g), 1 - w.value(g)) for g in labels)
+def _read_point(family: SetFamily, w: WeightFunction) -> tuple[dict[int, int], int]:
+    """Refuse a ``w`` that is not stochastic, else give its values as integer
+    numerators over their least common denominator, and that denominator."""
+    require_stochastic(family, w)
+    scale = _common_denominator(w)
+    return _numerators(w, scale), scale
+
+
+def _headroom(num: dict[int, int], scale: int, labels: Iterable[int]) -> int:
+    """How far all the given values sit from both 0 and 1, over ``scale``."""
+    return min(min(num[g], scale - num[g]) for g in labels)
 
 
 def _finish(
     family: SetFamily,
-    w: WeightFunction,
-    deltas: dict[int, Fraction],
-    epsilon: Fraction,
-    slack: Fraction,
+    base: dict[int, int],
+    steps: dict[int, int],
+    scale: int,
+    epsilon: int,
+    slack: int,
     construction: str,
 ) -> Witness:
-    """The witness ``w ± deltas``, checked on integer numerators over the
-    least common denominator L of ``w`` and ``deltas``: both halves are
-    nonnegative with every block summing to L, average back to ``w`` and
-    differ."""
-    scale = lcm(_common_denominator(w), *(d.denominator for d in deltas.values()))
-    base = _numerators(w, scale)
+    """The witness ``(base ± steps) / scale``, with ``epsilon`` and
+    ``slack`` over ``scale`` too, checked on the integers before any
+    ``Fraction`` is built: both halves are nonnegative with every block
+    summing to ``scale``, average back to ``base`` and differ."""
     plus, minus = dict(base), dict(base)
-    for g, d in deltas.items():
-        step = d.numerator * (scale // d.denominator)
+    for g, step in steps.items():
         plus[g] = plus.get(g, 0) + step
         minus[g] = minus.get(g, 0) - step
     sums = [_block_sums(half, family.gamma) for half in (plus, minus)]
@@ -103,8 +110,8 @@ def _finish(
         or plus == minus
     ):
         raise InternalPropertyError(f"invalid {construction} witness")
-    w_plus, w_minus = _from_numerators(plus, scale), _from_numerators(minus, scale)
-    return Witness(w_plus, w_minus, epsilon, slack, construction)
+    halves = _from_numerators(plus, scale), _from_numerators(minus, scale)
+    return Witness(*halves, Fraction(epsilon, scale), Fraction(slack, scale), construction)
 
 
 def construct_two_coloring(
@@ -121,7 +128,7 @@ def construct_two_coloring(
     is primitive, and a pair inside one BFS color class is exactly an
     odd primitive cycle.
     """
-    require_stochastic(family, w)
+    num, scale = _read_point(family, w)
     verts = tuple(sorted(set(vertices)))
     if not verts:
         raise ConditionsViolatedError("the subgraph has no vertices")
@@ -142,16 +149,18 @@ def construct_two_coloring(
     color = two_color(arcs)
     if color is None:
         raise ConditionsViolatedError("the subgraph contains an odd primitive cycle")
-    return _two_coloring(family, w, {g: 1 - 2 * c for g, c in color.items()})
+    return _two_coloring(family, num, scale, {g: 1 - 2 * c for g, c in color.items()})
 
 
-def _two_coloring(family: SetFamily, w: WeightFunction, sign: dict[int, int]) -> Witness:
-    """The witness moving each element of ``sign`` by the headroom times its sign."""
-    epsilon = _headroom(w, sign)
-    if epsilon <= 0:
+def _two_coloring(
+    family: SetFamily, num: dict[int, int], scale: int, sign: dict[int, int]
+) -> Witness:
+    """The witness moving each element of ``sign`` by ±h, h the headroom."""
+    h = _headroom(num, scale, sign)
+    if h <= 0:
         raise InternalPropertyError("no headroom despite the block condition")
-    deltas = {v: epsilon * s for v, s in sign.items()}
-    return _finish(family, w, deltas, epsilon, epsilon, "two_coloring")
+    steps = {v: h * s for v, s in sign.items()}
+    return _finish(family, num, steps, scale, h, h, "two_coloring")
 
 
 def _require_distinct_pairs(family: SetFamily, comp: tuple[int, ...]) -> None:
@@ -182,7 +191,7 @@ def construct_tree_propagation(
     has fewer edges than nodes, so counting the elements in two blocks
     against the blocks met decides the cycle condition.
     """
-    require_stochastic(family, w)
+    num, scale = _read_point(family, w)
     supp = set(w.support)
     comp = tuple(sorted(supp if component is None else set(component)))
     if not set(comp) <= supp:
@@ -202,7 +211,7 @@ def construct_tree_propagation(
     edges = sum(len(family.membership(g)) == 2 for g in comp)
     if edges >= len({k for g in comp for k in family.membership(g)}):
         raise ConditionsViolatedError("the component contains a primitive cycle")
-    return _tree_propagation(family, w, tree)
+    return _tree_propagation(family, num, scale, tree)
 
 
 def _spread(family: SetFamily, members: set[int], root: int) -> dict[int, int | None]:
@@ -226,7 +235,7 @@ def _spread(family: SetFamily, members: set[int], root: int) -> dict[int, int | 
 
 
 def _tree_propagation(
-    family: SetFamily, w: WeightFunction, tree: dict[int, int | None]
+    family: SetFamily, num: dict[int, int], scale: int, tree: dict[int, int | None]
 ) -> Witness:
     """The witness on a cycle-free component, given as its :func:`_spread`
     from its smallest element, the root.
@@ -235,24 +244,31 @@ def _tree_propagation(
     root.  With no cycle and distinct memberships, each block is first
     entered from its one element closest to the root, the parent of its
     others: their signed fraction is minus the parent's times w/(1 - w)
-    of the parent, so the block sum is preserved.
+    of the parent, so the block sum is preserved.  Each fraction is an
+    integer pair in lowest terms, as unreduced ones grow with the depth,
+    and the steps are over m times the scale, m their denominators' lcm.
     """
     root = next(iter(tree))
-    w0 = w.value(root)
-    slack = min(HALF, (1 - w0) / (2 * w0))
-    epsilon = slack / 2
-    factors: dict[int, Fraction] = {root: epsilon}
+    # slack = min(1/2, (1 - w0) / (2 w0)) = top / bottom, and epsilon half of it
+    top, bottom = (scale - num[root], 2 * num[root]) if 2 * num[root] > scale else (1, 2)
+    factors: dict[int, tuple[int, int]] = {root: (top, 2 * bottom)}
     for g, parent in tree.items():
         if parent is None:
             continue
-        a = w.value(parent)
-        if a >= 1:
+        a = num[parent]
+        if a >= scale:
             raise InternalPropertyError("saturated element inside a component")
-        factors[g] = -factors[parent] * a / (1 - a)
-    if any(abs(f) >= 1 for f in factors.values()):
+        f, d = factors[parent]
+        f, d = -f * a, d * (scale - a)
+        k = gcd(f, d)
+        factors[g] = (f // k, d // k)
+    if any(abs(f) >= d for f, d in factors.values()):
         raise InternalPropertyError("a propagated fraction reached one")
-    deltas = {v: w.value(v) * f for v, f in factors.items()}
-    return _finish(family, w, deltas, epsilon, slack, "tree_propagation")
+    m = lcm(*(d for _, d in factors.values()))
+    steps = {v: num[v] * f * (m // d) for v, (f, d) in factors.items()}
+    base = {g: n * m for g, n in num.items()}
+    eps = top * scale * (m // (2 * bottom))
+    return _finish(family, base, steps, m * scale, eps, 2 * eps, "tree_propagation")
 
 
 def _cycle_edge_blocks(family: SetFamily, cycle: Path) -> dict[tuple[int, int], int]:
@@ -290,7 +306,7 @@ def construct_cycle_attachment(
     circuit is the first that a breadth-first listing of the component
     from its blocks closes.
     """
-    require_stochastic(family, w)
+    num, scale = _read_point(family, w)
     graph = build_graph(family, within=w.support)
     if cycle is None:
         cycle = shortest_primitive_cycle(graph, family, parity="odd")
@@ -311,11 +327,11 @@ def construct_cycle_attachment(
             "the component contains an even primitive cycle;"
             " a two-coloring witness applies instead"
         )
-    return _cycle_attachment(family, w, comp, cycle)
+    return _cycle_attachment(family, num, scale, comp, cycle)
 
 
 def _cycle_attachment(
-    family: SetFamily, w: WeightFunction, comp: tuple[int, ...], cycle: Path
+    family: SetFamily, num: dict[int, int], scale: int, comp: tuple[int, ...], cycle: Path
 ) -> Witness:
     """The witness on a support component ``comp`` and its odd cycle.
 
@@ -329,8 +345,9 @@ def _cycle_attachment(
     before, and the circuit is the cycle, a tree path out of one cycle
     block, the anchor, and a half-edge or a second odd cycle.  Its
     integers are scaled so that the first end of the anchor's cycle edge
-    moves by minus half of epsilon, half the headroom of the circuit's
-    elements.
+    moves by minus half of epsilon, half the headroom h of the circuit's
+    elements: over 4·scale·|c|, c that end's integer, each step is the
+    circuit's integer times -h·sign(c).
     """
     members = set(comp)
     edge_blocks = _cycle_edge_blocks(family, cycle)
@@ -367,11 +384,12 @@ def _cycle_attachment(
             "the circuit does not leave the cycle at exactly one block"
         )
     first = next(edge[0] for edge, k in edge_blocks.items() if k in anchors)
-    slack = _headroom(w, (order[c] for c in circuit))
-    epsilon = slack / 2
-    scale = -epsilon / 2 / circuit[cycle.vertices.index(first)]
-    deltas = {order[c]: v * scale for c, v in circuit.items()}
-    return _finish(family, w, deltas, epsilon, slack, "cycle_attachment")
+    h = _headroom(num, scale, (order[c] for c in circuit))
+    lead = circuit[cycle.vertices.index(first)]
+    steps = {order[c]: v * h * (-1 if lead > 0 else 1) for c, v in circuit.items()}
+    m = 4 * abs(lead)
+    base = {g: n * m for g, n in num.items()}
+    return _finish(family, base, steps, m * scale, h * m // 2, h * m, "cycle_attachment")
 
 
 def _is_odd_cycle(family: SetFamily, comp: tuple[int, ...]) -> bool:
@@ -396,10 +414,11 @@ def classify_extreme(family: SetFamily, w: WeightFunction) -> Verdict:
     structure of the first offending component: a two-coloring for an
     even primitive cycle or an equal-membership pair, a multiplicative
     propagation for a cycle-free component, and a cycle-attachment
-    perturbation otherwise.  The components are read through their
-    blocks (:func:`_spread`), each from its smallest element.
+    perturbation otherwise.  Components are read through their blocks
+    (:func:`_spread`), each from its smallest element, and values as
+    numerators n over one denominator L: saturated is n = L, half 2n = L.
     """
-    require_stochastic(family, w)
+    num, scale = _read_point(family, w)
     if max_multiplicity(family) > 2:
         return Verdict(
             kind="unsupported",
@@ -418,11 +437,11 @@ def classify_extreme(family: SetFamily, w: WeightFunction) -> Verdict:
         seen.update(tree)
         comp = tuple(sorted(tree))
         if len(comp) == 1:
-            if w.value(root) != 1:
+            if num[root] != scale:
                 raise InternalPropertyError("isolated support element not saturated")
             saturated += 1
         elif _is_odd_cycle(family, comp):
-            if any(w.value(v) != HALF for v in comp):
+            if any(2 * num[v] != scale for v in comp):
                 raise InternalPropertyError("odd cycle component not at one half")
             cycles += 1
         elif bad is None:
@@ -436,7 +455,7 @@ def classify_extreme(family: SetFamily, w: WeightFunction) -> Verdict:
                 f" and {cycles} odd primitive cycle(s)"
             ),
         )
-    witness = _witness_for_component(family, w, bad)
+    witness = _witness_for_component(family, num, scale, bad)
     return Verdict(
         kind="not_extreme",
         witness=witness,
@@ -448,7 +467,7 @@ def classify_extreme(family: SetFamily, w: WeightFunction) -> Verdict:
 
 
 def _witness_for_component(
-    family: SetFamily, w: WeightFunction, tree: dict[int, int | None]
+    family: SetFamily, num: dict[int, int], scale: int, tree: dict[int, int | None]
 ) -> Witness:
     """The perturbation witness of one offending support component, given
     as its :func:`_spread` from its smallest element.
@@ -469,11 +488,12 @@ def _witness_for_component(
     components = biconnected_components(edges)
     even = _least_cycle(edges, components, (0,))
     if even is not None:
-        return _two_coloring(family, w, {v: (-1) ** i for i, v in enumerate(even)})
+        sign = {v: (-1) ** i for i, v in enumerate(even)}
+        return _two_coloring(family, num, scale, sign)
     pair = check_injectivity(family, subset=comp)
     if pair is not None:
-        return _two_coloring(family, w, {pair[0]: 1, pair[1]: -1})
+        return _two_coloring(family, num, scale, {pair[0]: 1, pair[1]: -1})
     odd = _least_cycle(edges, components, (1,))
     if odd is None:
-        return _tree_propagation(family, w, tree)
-    return _cycle_attachment(family, w, comp, Path(odd, is_cycle=True))
+        return _tree_propagation(family, num, scale, tree)
+    return _cycle_attachment(family, num, scale, comp, Path(odd, is_cycle=True))

@@ -376,8 +376,9 @@ def fraction_combination(terms) -> WeightFunction:
 
 
 def fraction_finish(family, w, deltas, epsilon, slack, construction):
-    """``extremality._finish`` with the halves ``w + d`` and ``w - d`` in
-    ``Fraction`` arithmetic, checked by the per-block membership reference."""
+    """The witness of ``extremality._finish`` from ``Fraction`` deltas: the
+    halves ``w + d`` and ``w - d`` in ``Fraction`` arithmetic, checked by
+    the per-block membership reference."""
     d = WeightFunction(deltas)
     w_plus = fraction_combination(((1, w), (1, d)))
     w_minus = fraction_combination(((1, w), (-1, d)))
@@ -391,6 +392,74 @@ def fraction_finish(family, w, deltas, epsilon, slack, construction):
     ):
         raise InternalPropertyError(f"invalid {construction} witness")
     return Witness(w_plus, w_minus, epsilon, slack, construction)
+
+
+def fraction_finish_steps(family, base, steps, scale, epsilon, slack, construction):
+    """``fraction_finish`` called as ``extremality._finish`` is: base
+    numerators, integer steps, epsilon and slack all over ``scale``."""
+    return fraction_finish(
+        family,
+        WeightFunction({g: Fraction(n, scale) for g, n in base.items()}),
+        {g: Fraction(step, scale) for g, step in steps.items()},
+        Fraction(epsilon, scale),
+        Fraction(slack, scale),
+        construction,
+    )
+
+
+# The witness constructions in Fraction arithmetic, kept as the reference
+# for the integer steps of blockstoch.extremality.
+
+
+def on_numerators(builder):
+    """A ``builder(family, w, *args)`` of a witness called as the builders of
+    ``extremality`` are, with the point as numerators over one scale."""
+
+    def called(family, num, scale, *args):
+        w = WeightFunction({g: Fraction(n, scale) for g, n in num.items()})
+        return builder(family, w, *args)
+
+    return called
+
+
+def fraction_headroom(w: WeightFunction, labels) -> Fraction:
+    """How far all the given values sit from both 0 and 1."""
+    return min(min(w.value(g), 1 - w.value(g)) for g in labels)
+
+
+def fraction_two_coloring(
+    family: SetFamily, w: WeightFunction, sign: dict[int, int]
+) -> Witness:
+    """The witness moving each element of ``sign`` by the headroom times its sign."""
+    epsilon = fraction_headroom(w, sign)
+    if epsilon <= 0:
+        raise InternalPropertyError("no headroom despite the block condition")
+    deltas = {v: epsilon * s for v, s in sign.items()}
+    return fraction_finish(family, w, deltas, epsilon, epsilon, "two_coloring")
+
+
+def fraction_tree_propagation(
+    family: SetFamily, w: WeightFunction, tree: dict[int, int | None]
+) -> Witness:
+    """The tree propagation on a component given as its ``extremality._spread``
+    from its root: the root moves by epsilon times its value, and each other
+    element by minus its parent's fraction times w/(1 - w) of the parent."""
+    root = next(iter(tree))
+    w0 = w.value(root)
+    slack = min(Fraction(1, 2), (1 - w0) / (2 * w0))
+    epsilon = slack / 2
+    factors: dict[int, Fraction] = {root: epsilon}
+    for g, parent in tree.items():
+        if parent is None:
+            continue
+        a = w.value(parent)
+        if a >= 1:
+            raise InternalPropertyError("saturated element inside a component")
+        factors[g] = -factors[parent] * a / (1 - a)
+    if any(abs(f) >= 1 for f in factors.values()):
+        raise InternalPropertyError("a propagated fraction reached one")
+    deltas = {v: w.value(v) * f for v, f in factors.items()}
+    return fraction_finish(family, w, deltas, epsilon, slack, "tree_propagation")
 
 
 # The sparse Fraction kernel: rows are dicts from column to nonzero
@@ -1172,7 +1241,7 @@ def chain_cycle_attachment(
     )
     seq = _rotate_cycle(cycle.vertices, anchor_edge[0], anchor_edge[1])
     perturbed = set(seq) | set(chain) | set(tail) | set(second)
-    slack = extremality._headroom(w, perturbed)
+    slack = fraction_headroom(w, perturbed)
     epsilon = slack / 2
     deltas = {seq[0]: -epsilon / 2}
     for i in range(2, len(seq) + 1):
@@ -1187,7 +1256,7 @@ def chain_cycle_attachment(
         deltas[second[-1]] = lead * epsilon / 2
         for k in range(2, len(second)):
             deltas[second[k - 1]] = lead * Fraction((-1) ** (k - 1)) * epsilon / 2
-    return extremality._finish(family, w, deltas, epsilon, slack, "cycle_attachment")
+    return fraction_finish(family, w, deltas, epsilon, slack, "cycle_attachment")
 
 
 # The element-graph classifier and its layered tree propagation, kept as
@@ -1251,7 +1320,7 @@ def layered_tree_propagation(
     deltas = {
         v: w.value(v) * factors[v] * (1 if layers[v] % 2 == 0 else -1) for v in comp
     }
-    return extremality._finish(family, w, deltas, epsilon, slack, "tree_propagation")
+    return fraction_finish(family, w, deltas, epsilon, slack, "tree_propagation")
 
 
 def _graph_witness(
@@ -1262,10 +1331,10 @@ def _graph_witness(
     even = (graphs.find_primitive_cycles(induced, family, "even") or (None,))[0]
     if even is not None:
         sign = {v: (-1) ** i for i, v in enumerate(even.vertices)}
-        return extremality._two_coloring(family, w, sign)
+        return fraction_two_coloring(family, w, sign)
     pair = check_injectivity(family, subset=induced.vertices)
     if pair is not None:
-        return extremality._two_coloring(family, w, {pair[0]: 1, pair[1]: -1})
+        return fraction_two_coloring(family, w, {pair[0]: 1, pair[1]: -1})
     odd = (graphs.find_primitive_cycles(induced, family, "odd") or (None,))[0]
     if odd is None:
         return layered_tree_propagation(family, w, induced)
@@ -1327,7 +1396,7 @@ def graph_two_coloring(family: SetFamily, w: WeightFunction, vertices) -> Witnes
         sign.update((g, (-1) ** d) for g, d in graphs.bfs_layers(induced, comp[0]).items())
     if any(sign[g] == sign[h] for g, h in induced.edge_blocks):
         raise ConditionsViolatedError("the subgraph contains an odd primitive cycle")
-    return extremality._two_coloring(family, w, sign)
+    return fraction_two_coloring(family, w, sign)
 
 
 def graph_tree_propagation(family: SetFamily, w: WeightFunction) -> Witness:
@@ -1384,6 +1453,31 @@ def half_edge_trees(count: int, seed: int):
         nodes = rng.randint(2, 8)
         ends = [(rng.randrange(b), b) for b in range(1, nodes)]
         ends += [(rng.randrange(nodes),) for _ in range(rng.randint(0, 4))]
+        blocks: list[list[int]] = [[] for _ in range(nodes)]
+        for g, e in zip(rng.sample(range(1, 4 * len(ends)), len(ends)), ends):
+            for b in e:
+                blocks[b].append(g)
+        yield build_family(dict.fromkeys(tuple(b) for b in blocks))
+
+
+def caterpillar_trees(count: int, seed: int):
+    """Seeded families whose block multigraph is a caterpillar: a spine of
+    1 to 5 blocks, each joined to the next by an element, a half-edge on
+    each end of the spine, and up to two legs on each spine block, a
+    half-edge or a pendant block joined by an element and holding a
+    half-edge of its own.  Labels are shuffled."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        spine = rng.randint(1, 5)
+        ends = [(b, b + 1) for b in range(spine - 1)] + [(0,), (spine - 1,)]
+        nodes = spine
+        for b in range(spine):
+            for _ in range(rng.randint(0, 2)):
+                if rng.random() < 0.5:
+                    ends.append((b,))
+                else:
+                    ends += [(b, nodes), (nodes,)]
+                    nodes += 1
         blocks: list[list[int]] = [[] for _ in range(nodes)]
         for g, e in zip(rng.sample(range(1, 4 * len(ends)), len(ends)), ends):
             for b in e:

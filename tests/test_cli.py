@@ -20,6 +20,11 @@ SQUARE = {
     "blocks": [[1, 2], [3, 4], [1, 3], [2, 4]],
     "weights": {"1": "1/2", "2": "1/2", "3": "1/2", "4": "1/2"},
 }
+# a tree of four blocks whose point gets a tree-propagation witness
+TREE = {
+    "blocks": [[1, 2], [2, 3, 4], [4, 5], [3, 6]],
+    "weights": {"1": "2/3", "2": "1/3", "3": "1/4", "4": "5/12", "5": "7/12", "6": "3/4"},
+}
 SEGMENT = {
     "blocks": [[2, 3], [1, 3], [1, 2], [4, 5]],
     "weights": {"1": "1/2", "2": "1/2", "3": "1/2", "4": "1/2", "5": "1/2"},
@@ -674,6 +679,13 @@ def ring_chain_doc(k, n):
     return {"blocks": blocks, "weights": {str(g): str(v) for g, v in weights.items()}}
 
 
+def half_ring_doc(n):
+    return {
+        "blocks": [[i, i % n + 1] for i in range(1, n + 1)],
+        "weights": {str(g): "1/2" for g in range(1, n + 1)},
+    }
+
+
 ROWS_4 = [[4 * r + c + 1 for c in range(4)] for r in range(4)]
 
 # (argv, instance document placed after the subcommand, SHA-256 of stdout),
@@ -729,6 +741,28 @@ PINNED_RUNS = {
         ["classify"],
         ring_chain_doc(2, 401),
         "1c018221bb8ddf235ebbb34c57aa0ee0bec73d6f062ecb170902e2708cef8ba0",
+    ),
+    # the shapes of the benchmark's sparse ladder, captured before the
+    # witnesses were built on integer numerators
+    "classify-ring-200": (
+        ["classify"],
+        half_ring_doc(200),
+        "f3c8498ca19bfaca64050aaf564575c8da9de153f35c09b2622bd76c5e274f31",
+    ),
+    "classify-ring-201": (
+        ["classify"],
+        half_ring_doc(201),
+        "94d9d4f82a168bca5815b8e62f78c2906411f67bc226243d2c49e5038296bf1d",
+    ),
+    "validate-path-20": (
+        ["validate", "--seed", "7"],
+        {"blocks": [[k, k + 1] for k in range(1, 21)]},
+        "f59c9303553cb67a9a897b57dde27dcbf60dec191907e06c55b8a8e7b05e46e6",
+    ),
+    "witness-tree": (
+        ["witness"],
+        TREE,
+        "3d2f053c01fa39468e11e8b5cf02ad38e973463924cee663d80144866c74b3d2",
     ),
 }
 

@@ -1,5 +1,6 @@
 """Tests for extreme point classification and perturbation witnesses."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, islice
@@ -35,9 +36,12 @@ from blockstoch.oracle import enumerate_vertices
 
 from helpers import (
     assert_valid_witness,
+    caterpillar_trees,
     chain_cycle_attachment,
     count_calls,
     cycle_family,
+    fraction_tree_propagation,
+    fraction_two_coloring,
     graph_classify_extreme,
     graph_cycle_attachment,
     graph_tree_propagation,
@@ -47,6 +51,7 @@ from helpers import (
     necklace,
     odd_ring_cacti,
     odd_ring_chain,
+    on_numerators,
 )
 
 F = Fraction
@@ -355,7 +360,7 @@ class TestCycleAttachmentAgainstChains:
     def _compare(monkeypatch, call):
         new = _outcome(call)
         with monkeypatch.context() as m:
-            m.setattr(extremality, "_cycle_attachment", chain_cycle_attachment)
+            m.setattr(extremality, "_cycle_attachment", on_numerators(chain_cycle_attachment))
             old = _outcome(call)
         assert new == old
         return new
@@ -413,12 +418,147 @@ class TestCycleAttachmentAgainstChains:
         # even-cycle check is bypassed, and the circuit element 6 closes
         # is the square 6 3 4 5, which misses the pentagon's elements 1, 2
         fam = build_family([[1, 5, 6], [1, 2], [2, 3, 6], [3, 4], [4, 5]])
-        w = WeightFunction({g: F(1, 3) for g in range(1, 7)})
+        thirds = {g: 1 for g in range(1, 7)}
         pentagon = Path((1, 2, 3, 4, 5), is_cycle=True)
         with pytest.raises(
             InternalPropertyError, match="the circuit misses a cycle element"
         ):
-            extremality._cycle_attachment(fam, w, fam.ground, pentagon)
+            extremality._cycle_attachment(fam, thirds, 3, fam.ground, pentagon)
+
+
+def _path_points(count, seed):
+    """Seeded paths of 1 to 40 two-element blocks, at x and 1 - x
+    alternately, x a seeded fraction in (0, 1)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k, q = rng.randint(1, 40), rng.randint(2, 60)
+        x = F(rng.randint(1, q - 1), q)
+        fam = build_family([[g, g + 1] for g in range(1, k + 1)])
+        yield fam, WeightFunction({g: x if g % 2 else 1 - x for g in range(1, k + 2)})
+
+
+class TestIntegerWitnessesAgainstFractionOracles:
+    """The classifier and the three doors build on integer numerators the
+    whole witness (halves, epsilon, slack and construction), or the
+    refusal, that the ``Fraction`` constructions of helpers build."""
+
+    ORACLES = {
+        "_two_coloring": fraction_two_coloring,
+        "_tree_propagation": fraction_tree_propagation,
+        "_cycle_attachment": chain_cycle_attachment,
+    }
+
+    def _compare(self, monkeypatch, fam, w):
+        """The verdict and the outcome of each door on the whole support."""
+        calls = [
+            lambda: classify_extreme(fam, w),
+            lambda: construct_two_coloring(fam, w, w.support),
+            lambda: construct_tree_propagation(fam, w),
+            lambda: construct_cycle_attachment(fam, w),
+        ]
+        got = [_outcome(call) for call in calls]
+        with monkeypatch.context() as m:
+            for name, oracle in self.ORACLES.items():
+                m.setattr(extremality, name, on_numerators(oracle))
+            assert got == [_outcome(call) for call in calls], fam.blocks
+        return got
+
+    def _sweep(self, monkeypatch, points):
+        """The constructions of the witnesses compared, the classifier's and
+        the doors', with their count."""
+        seen = Counter()
+        for fam, w in points:
+            for outcome in self._compare(monkeypatch, fam, w):
+                witness = getattr(outcome, "witness", outcome)
+                if isinstance(witness, Witness):
+                    seen[witness.construction] += 1
+        return seen
+
+    def test_kappa2_sweep(self, monkeypatch):
+        points = ((fam, w) for fam in kappa2_sweep() for w in _points(fam))
+        seen = self._sweep(monkeypatch, points)
+        assert min(seen.values()) > 50 and len(seen) == 3, seen
+
+    def test_rings_at_one_half(self, monkeypatch):
+        points = [
+            (cycle_family(n), WeightFunction({g: HALF for g in range(1, n + 1)}))
+            for n in range(3, 42)
+        ]
+        # the 19 even rings, each by the classifier and the two-coloring door
+        assert self._sweep(monkeypatch, points) == {"two_coloring": 38}
+
+    def test_necklaces(self, monkeypatch):
+        points = []
+        for k in range(3, 12):
+            for sides in (3, 4):
+                for half_edges in (False, True):
+                    blocks, values = necklace(k, sides, half_edges, seed=k)
+                    points.append((build_family(blocks), WeightFunction(values)))
+        assert self._sweep(monkeypatch, points)["two_coloring"] > 40
+
+    def test_seeded_paths(self, monkeypatch):
+        seen = self._sweep(monkeypatch, _path_points(150, 17))
+        assert seen["tree_propagation"] > 200 and seen["two_coloring"] > 0, seen
+
+    def test_long_path_keeps_its_scale_small(self, monkeypatch):
+        # the propagated fractions are kept in lowest terms: on a path they
+        # are epsilon and -epsilon·x/(1 - x) in turn, where unreduced pairs
+        # would gain about 20 bits a block
+        k, x = 1000, F(123457, 1_000_000)
+        fam = build_family([[g, g + 1] for g in range(1, k + 1)])
+        w = WeightFunction({g: x if g % 2 else 1 - x for g in range(1, k + 2)})
+        scales = []
+        finish = extremality._finish
+
+        def recording(family, base, steps, scale, *rest):
+            scales.append(scale)
+            return finish(family, base, steps, scale, *rest)
+
+        monkeypatch.setattr(extremality, "_finish", recording)
+        verdict = self._compare(monkeypatch, fam, w)[0]
+        assert verdict.witness.construction == "tree_propagation"
+        assert scales and max(scales).bit_length() < 100
+
+    def test_caterpillar_trees(self, monkeypatch):
+        points = ((fam, w) for fam in caterpillar_trees(60, 23) for w in _points(fam))
+        seen = self._sweep(monkeypatch, points)
+        assert seen["tree_propagation"] > 50 and seen["two_coloring"] > 50, seen
+
+
+class TestNoFractionArithmetic:
+    """The classifier makes as many ``Fraction`` additions, subtractions,
+    multiplications, divisions and order comparisons on a long shape as on
+    a short one: its witness steps are integers.  The operations are
+    counted by wrapping the methods of ``Fraction`` by name."""
+
+    OPERATIONS = (
+        "__add__", "__sub__", "__mul__", "__truediv__", "__lt__", "__le__", "__gt__", "__ge__"
+    )
+
+    @staticmethod
+    def _ring(n):
+        return cycle_family(n), WeightFunction({g: HALF for g in range(1, n + 1)})
+
+    @staticmethod
+    def _path(k):
+        fam = build_family([[g, g + 1] for g in range(1, k + 1)])
+        return fam, WeightFunction({g: F(1 + g % 2, 3) for g in range(1, k + 2)})
+
+    @pytest.mark.parametrize(
+        "shape, sizes, construction",
+        [("_ring", (50, 200), "two_coloring"), ("_path", (10, 40), "tree_propagation")],
+        ids=["ring", "path"],
+    )
+    def test_count_does_not_grow(self, monkeypatch, shape, sizes, construction):
+        counts = []
+        for size in sizes:
+            fam, w = getattr(self, shape)(size)
+            counted = count_calls(monkeypatch, Fraction, *self.OPERATIONS)
+            verdict = classify_extreme(fam, w)
+            monkeypatch.undo()
+            assert verdict.witness.construction == construction
+            counts.append(counted)
+        assert counts[0] == counts[1]
 
 
 class TestBlocksAgainstElementGraph:
@@ -501,20 +641,22 @@ class TestBlocksAgainstElementGraph:
 
 
 class TestFinishSelfChecks:
-    """``_finish`` refuses deltas whose halves leave the polytope or coincide."""
+    """``_finish`` refuses integer deltas whose halves leave the polytope or
+    coincide."""
 
     FAMILY = build_family([[1, 2], [3, 4]])
-    W = WeightFunction({g: HALF for g in range(1, 5)})
+    # every value at 1/2, as numerators over 12
+    BASE = {g: 6 for g in range(1, 5)}
 
     @pytest.mark.parametrize(
         "deltas",
         [
-            {1: F(1, 4)},
-            {1: F(1, 4), 3: F(-1, 4)},
-            {1: F(3, 4), 2: F(-3, 4)},
-            {1: F(-3, 4), 2: F(3, 4)},
+            {1: 3},
+            {1: 3, 3: -3},
+            {1: 9, 2: -9},
+            {1: -9, 2: 9},
             {},
-            {1: F(0), 2: F(0)},
+            {1: 0, 2: 0},
         ],
         ids=[
             "no_cancel",
@@ -527,11 +669,11 @@ class TestFinishSelfChecks:
     )
     def test_invalid_deltas_raise(self, deltas):
         with pytest.raises(InternalPropertyError, match="invalid probe witness"):
-            extremality._finish(self.FAMILY, self.W, deltas, HALF, HALF, "probe")
+            extremality._finish(self.FAMILY, self.BASE, deltas, 12, 6, 6, "probe")
 
     def test_valid_deltas_give_the_halves(self):
-        deltas = {1: F(1, 2), 2: F(-1, 2), 4: F(1, 3), 3: F(-1, 3)}
-        witness = extremality._finish(self.FAMILY, self.W, deltas, HALF, HALF, "probe")
+        deltas = {1: 6, 2: -6, 4: 4, 3: -4}
+        witness = extremality._finish(self.FAMILY, self.BASE, deltas, 12, 6, 6, "probe")
         assert witness == Witness(
             WeightFunction({1: F(1), 3: F(1, 6), 4: F(5, 6)}),
             WeightFunction({2: F(1), 3: F(5, 6), 4: F(1, 6)}),
@@ -539,7 +681,8 @@ class TestFinishSelfChecks:
             HALF,
             "probe",
         )
-        assert_valid_witness(self.FAMILY, self.W, witness)
+        w = WeightFunction({g: HALF for g in range(1, 5)})
+        assert_valid_witness(self.FAMILY, w, witness)
 
 
 class TestStochasticCheckedOnce:

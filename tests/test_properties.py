@@ -56,7 +56,7 @@ from helpers import (
     column_rows,
     dense_rank,
     fraction_combination,
-    fraction_finish,
+    fraction_finish_steps,
     kappa2_sweep,
     nested_families,
     restart_normalize,
@@ -667,7 +667,7 @@ def test_combinations_match_fraction_reference_on_seeded_sweep(monkeypatch):
             yield gen_random(*args)[0], args
 
     reference = {
-        (extremality, "_finish"): fraction_finish,
+        (extremality, "_finish"): fraction_finish_steps,
         (oracle, "_combination"): fraction_combination,
         (cli, "_combination"): fraction_combination,
     }
