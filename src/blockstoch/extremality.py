@@ -36,7 +36,7 @@ from .family import (
     max_multiplicity,
     require_stochastic,
 )
-from .family import _block_sums, _common_denominator, _from_numerators, _numerators
+from .family import _block_sums, _from_numerators
 from .graphs import (
     Path,
     _least_cycle,
@@ -70,14 +70,6 @@ class Verdict:
     kind: str
     witness: Witness | None
     detail: str
-
-
-def _read_point(family: SetFamily, w: WeightFunction) -> tuple[dict[int, int], int]:
-    """Refuse a ``w`` that is not stochastic, else give its values as integer
-    numerators over their least common denominator, and that denominator."""
-    require_stochastic(family, w)
-    scale = _common_denominator(w)
-    return _numerators(w, scale), scale
 
 
 def _headroom(num: dict[int, int], scale: int, labels: Iterable[int]) -> int:
@@ -128,7 +120,7 @@ def construct_two_coloring(
     is primitive, and a pair inside one BFS color class is exactly an
     odd primitive cycle.
     """
-    num, scale = _read_point(family, w)
+    num, scale = require_stochastic(family, w)
     verts = tuple(sorted(set(vertices)))
     if not verts:
         raise ConditionsViolatedError("the subgraph has no vertices")
@@ -191,7 +183,7 @@ def construct_tree_propagation(
     has fewer edges than nodes, so counting the elements in two blocks
     against the blocks met decides the cycle condition.
     """
-    num, scale = _read_point(family, w)
+    num, scale = require_stochastic(family, w)
     supp = set(w.support)
     comp = tuple(sorted(supp if component is None else set(component)))
     if not set(comp) <= supp:
@@ -306,7 +298,7 @@ def construct_cycle_attachment(
     circuit is the first that a breadth-first listing of the component
     from its blocks closes.
     """
-    num, scale = _read_point(family, w)
+    num, scale = require_stochastic(family, w)
     graph = build_graph(family, within=w.support)
     if cycle is None:
         cycle = shortest_primitive_cycle(graph, family, parity="odd")
@@ -418,7 +410,7 @@ def classify_extreme(family: SetFamily, w: WeightFunction) -> Verdict:
     (:func:`_spread`), each from its smallest element, and values as
     numerators n over one denominator L: saturated is n = L, half 2n = L.
     """
-    num, scale = _read_point(family, w)
+    num, scale = require_stochastic(family, w)
     if max_multiplicity(family) > 2:
         return Verdict(
             kind="unsupported",

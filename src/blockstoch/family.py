@@ -6,7 +6,7 @@ rationals.  The central polytope consists of the nonnegative weight
 functions whose sum over every block equals one ("stochastic"); the
 substochastic relaxation allows sums at most one.  The 0/1-valued
 members of the two polytopes are exact covers and packings of the
-family.  All arithmetic is exact, via ``fractions.Fraction``.
+family.  Sums are exact: integers over the least common denominator.
 """
 
 from __future__ import annotations
@@ -339,10 +339,10 @@ def _numerators(w: WeightFunction, scale: int) -> dict[int, int]:
 
 
 def _from_numerators(numerators: dict[int, int], scale: int) -> WeightFunction:
-    """The function whose values are ``numerators`` over ``scale``."""
-    return WeightFunction._trusted(
-        {g: Fraction(n, scale) for g, n in numerators.items() if n}
-    )
+    """The function whose values are ``numerators`` over ``scale``, with
+    one ``Fraction`` per distinct numerator."""
+    values = {n: Fraction(n, scale) for n in set(numerators.values())}
+    return WeightFunction._trusted({g: values[n] for g, n in numerators.items() if n})
 
 
 def _combination(terms: Iterable[tuple[Fraction, WeightFunction]]) -> WeightFunction:
@@ -375,16 +375,25 @@ def _block_sums(
     return sums
 
 
-def classify_membership(family: SetFamily, w: WeightFunction) -> MembershipReport:
-    """Classify ``w`` against the stochastic and substochastic polytopes, summing
-    blocks as integers over one common denominator (:func:`_block_sums`)."""
+def _read(
+    family: SetFamily, w: WeightFunction
+) -> tuple[dict[int, int], int, list[int]]:
+    """``w``'s values as integer numerators over their least common
+    denominator, that denominator and the block sums over it in block
+    order, refusing a support label outside the ground set."""
     scale = _common_denominator(w)
     numerators = _numerators(w, scale)
     for g in numerators:
         if g not in family.gamma:
             raise UnknownElementError(f"support label {g} is not in the ground set")
     by_block = _block_sums(numerators, family.gamma)
-    totals = [by_block.get(b.index, 0) for b in family.blocks]
+    return numerators, scale, [by_block.get(b.index, 0) for b in family.blocks]
+
+
+def classify_membership(family: SetFamily, w: WeightFunction) -> MembershipReport:
+    """Classify ``w`` against the stochastic and substochastic polytopes, summing
+    blocks as integers over one common denominator (:func:`_read`)."""
+    numerators, scale, totals = _read(family, w)
     nonneg = all(n > 0 for n in numerators.values())
     all_at_most_one = max(totals) <= scale
     all_one = all_at_most_one and min(totals) == scale
@@ -402,15 +411,21 @@ def classify_membership(family: SetFamily, w: WeightFunction) -> MembershipRepor
     )
 
 
-def require_stochastic(family: SetFamily, w: WeightFunction) -> MembershipReport:
-    """Return the membership report, or raise if ``w`` is not stochastic."""
-    report = classify_membership(family, w)
-    if not report.stochastic:
-        if not report.nonnegative:
-            raise NotStochasticError("weight function takes a negative value")
-        bad, total = next((k, s) for k, s in report.block_sums if s != 1)
-        raise NotStochasticError(f"block {bad} sums to {format_rational(total)}")
-    return report
+def require_stochastic(
+    family: SetFamily, w: WeightFunction
+) -> tuple[dict[int, int], int]:
+    """A stochastic ``w``'s values as integer numerators over their least
+    common denominator, in label order, and that denominator.  Refused
+    are a support label outside the ground set, then a negative value,
+    then the first block whose sum is not one."""
+    numerators, scale, totals = _read(family, w)
+    if not all(n > 0 for n in numerators.values()):
+        raise NotStochasticError("weight function takes a negative value")
+    for b, s in zip(family.blocks, totals):
+        if s != scale:
+            total = format_rational(Fraction(s, scale))
+            raise NotStochasticError(f"block {b.index} sums to {total}")
+    return numerators, scale
 
 
 @dataclass(frozen=True)
@@ -438,9 +453,7 @@ def counting_identity(family: SetFamily, w: WeightFunction) -> CountingIdentity:
     multiplicity-weighted total mass, which is at most the maximal
     multiplicity times the plain total mass.
     """
-    require_stochastic(family, w)
-    scale = _common_denominator(w)
-    numerators = _numerators(w, scale)
+    numerators, scale = require_stochastic(family, w)
     lhs = len(family.blocks)
     mass = sum(multiplicity(family, g) * n for g, n in numerators.items())
     rhs = Fraction(mass, scale)

@@ -362,9 +362,7 @@ def basis_vertices(
         e = residual.pop(ones)
         if len(residual) == len(chosen) and all(a * e < 0 for a in residual.values()):
             found.append(
-                WeightFunction._trusted(
-                    {columns[~c]: Fraction(-a, e) for c, a in residual.items()}
-                )
+                _from_numerators({columns[~c]: -a for c, a in residual.items()}, e)
             )
     return tuple(sorted(found, key=lambda w: w.sort_key()))
 
@@ -474,8 +472,8 @@ def is_vertex(family: SetFamily, w: WeightFunction) -> bool:
     Holds exactly when the block-sum columns of its support are linearly
     independent (:func:`column_rank`).
     """
-    require_stochastic(family, w)
-    return column_rank([family.gamma[g] for g in w.support]) == len(w.support)
+    support = require_stochastic(family, w)[0]
+    return column_rank([family.gamma[g] for g in support]) == len(support)
 
 
 def _step(
@@ -581,11 +579,9 @@ def decompose(family: SetFamily, w: WeightFunction) -> Decomposition:
     the polytope, and no pruning is needed.  The result recombines to
     the input exactly.
     """
-    require_stochastic(family, w)
+    current, scale = require_stochastic(family, w)
     terms: list[tuple[Fraction, WeightFunction]] = []
     coef = ONE
-    scale = _common_denominator(w)
-    current = _numerators(w, scale)
     for _ in range(len(family.ground) + 2):
         vertex, vscale = _vertex_within(family, current, scale)
         if len(vertex) == len(current):
@@ -682,8 +678,7 @@ def cross_validate(
                 )
                 continue
             for half in (witness.w_plus, witness.w_minus):
-                report = classify_membership(family, half)
-                if not (report.nonnegative and report.stochastic):
+                if not classify_membership(family, half).stochastic:
                     discrepancies.append(
                         f"witness half {dict(half.items())} leaves the polytope"
                     )

@@ -15,6 +15,7 @@ from blockstoch.errors import (
     NotSimpleCycleError,
     NotStochasticError,
     PreconditionError,
+    UnknownElementError,
 )
 from blockstoch.extremality import (
     Witness,
@@ -28,11 +29,12 @@ from blockstoch.family import (
     WeightFunction,
     build_family,
     classify_membership,
+    counting_identity,
     max_multiplicity,
     require_stochastic,
 )
 from blockstoch.graphs import Path
-from blockstoch.oracle import enumerate_vertices
+from blockstoch.oracle import decompose, enumerate_vertices, is_vertex
 
 from helpers import (
     assert_valid_witness,
@@ -728,6 +730,38 @@ class TestStochasticCheckedOnce:
         for call in calls:
             with pytest.raises(NotStochasticError, match="block 1 sums to 2/3"):
                 call()
+        # every door reads the point through require_stochastic, so each
+        # refuses alike: an unknown label before a negative value, and a
+        # negative value before a block sum
+        fam = build_family([[1, 2], [2, 3], [1, 3]])
+        doors = [
+            lambda w: construct_two_coloring(fam, w, fam.ground),
+            lambda w: construct_tree_propagation(fam, w),
+            lambda w: construct_cycle_attachment(fam, w),
+            lambda w: classify_extreme(fam, w),
+            lambda w: decompose(fam, w),
+            lambda w: is_vertex(fam, w),
+            lambda w: counting_identity(fam, w),
+        ]
+        faults = [
+            (
+                {1: F(3, 2), 2: -HALF, 3: HALF},
+                NotStochasticError,
+                "weight function takes a negative value",
+            ),
+            ({1: HALF, 2: HALF, 3: F(3, 4)}, NotStochasticError, "block 2 sums to 5/4"),
+            (
+                {1: -HALF, 2: HALF, 3: HALF, 9: F(1)},
+                UnknownElementError,
+                "support label 9 is not in the ground set",
+            ),
+        ]
+        for values, error, message in faults:
+            for door in doors:
+                with pytest.raises(error) as info:
+                    door(WeightFunction(values))
+                assert type(info.value) is error
+                assert str(info.value) == message
 
 
 class TestOneAnalysisPerComponent:

@@ -30,6 +30,7 @@ from blockstoch.family import (
     require_stochastic,
     saturate,
 )
+from blockstoch.family import _common_denominator, _numerators
 from blockstoch.cli import gen_random
 
 from helpers import (
@@ -305,7 +306,10 @@ class TestIntegerMembershipMatchesFractionOracle:
             assert all(type(s) is Fraction for _, s in got.block_sums)
             message = _stochastic_message(expected)
             if message is None:
-                require_stochastic(fam, w)
+                scale = _common_denominator(w)
+                read = require_stochastic(fam, w)
+                assert read == (_numerators(w, scale), scale)
+                assert list(read[0]) == list(w.support)
                 identity = counting_identity(fam, w)
                 masses = fraction_counting_masses(fam, w)
                 assert (identity.weighted_mass, identity.bound) == masses
