@@ -233,12 +233,15 @@ def _label_index(
 ) -> dict[int, tuple[int, ...]]:
     """``gamma_of`` of each of ``labels``, in the order given.
 
-    Each label's ``gamma_of`` is read once, and each block it lists is
-    cross-checked with ``contains``.
+    The one check of a generator's ``gamma_of`` answers: each label's is
+    read once, a label in no block is refused, and each block it lists
+    is cross-checked with ``contains``.
     """
     gammas: dict[int, tuple[int, ...]] = {}
     for g in labels:
         gamma = gammas[g] = generator.gamma_of(g)
+        if not gamma:
+            raise InputError(f"element {g} lies in no block")
         _cross_check(generator, g, gamma)
     return gammas
 
@@ -272,7 +275,8 @@ def _validated_sums(
 ) -> tuple[int, dict[int, int]]:
     """``validate_truncation``'s checks, returning the least common
     denominator ``L`` of the weights and, over every block meeting the
-    support, the block sum times ``L``, an integer."""
+    support, the block sum times ``L``, an integer.  A label in no block
+    is refused by the support's label index."""
     if trunc.n < 1:
         raise InputError("the truncation depth must be positive")
     if generator.block_count is not None and trunc.n > generator.block_count:
@@ -284,8 +288,6 @@ def _validated_sums(
         raise InputError("truncation weights must be nonnegative")
     gammas = _label_index(generator, trunc.w.support)
     for g, gamma in gammas.items():
-        if not gamma:
-            raise InputError(f"element {g} lies in no block")
         if min(gamma) > trunc.n:
             raise InputError(
                 f"element {g} lies outside the first {trunc.n} blocks"
@@ -329,20 +331,14 @@ def tail_sums(
 
     Entry ``j`` (for ``j`` from ``n+1`` to ``horizon``) is the sum of
     the assigned weights inside block ``j``.  Once ``j`` exceeds every
-    block index meeting the support the entries are zero and stay zero,
-    which is asserted.
+    block index meeting the support the entries are zero.
     """
     scale, sums = _validated_sums(generator, trunc)
     if horizon < trunc.n:
         raise InputError("the horizon must not precede the truncation depth")
-    last_touched = max(sums, default=0)
-    out = []
-    for j in range(trunc.n + 1, horizon + 1):
-        value = sums.get(j, 0)
-        if j > last_touched and value != 0:
-            raise InternalPropertyError("tail sums failed to vanish")
-        out.append(Fraction(value, scale))
-    return tuple(out)
+    return tuple(
+        Fraction(sums.get(j, 0), scale) for j in range(trunc.n + 1, horizon + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -570,12 +566,13 @@ def verify_extension(
     the walk.  The block sums and the columns of the rank checks come
     from one label index per call, over every label the completion, the
     truncation, the packings and the steps name: it reads each label's
-    ``gamma_of`` once and cross-checks each block listed with
-    ``contains``.  So they trust the protocol's promise that
-    ``gamma_of`` lists every block containing an element.  A function's
-    block sums add its own values over its labels' blocks, and its rank
-    check takes one column per label of its support, the label's blocks
-    among those the function must fill.
+    ``gamma_of`` once, raises ``InputError`` on a label in no block and
+    ``GeneratorInconsistentError`` when ``contains`` denies a block
+    listed.  So they trust the protocol's promise that ``gamma_of``
+    lists every block containing an element.  A function's block sums
+    add its own values over its labels' blocks, and its rank check takes
+    one column per label of its support, the label's blocks among those
+    the function must fill.
 
     Values, differences, block sums and the packing cover are compared
     as integers over one common denominator, taken here from the values
@@ -723,11 +720,14 @@ def approximate_by_extremes(
     into extreme points of the truncated polytope (inequality blocks get
     slack elements), and each extreme point is completed through
     ``extend_truncation``.  The same convex combination of completions
-    is then compared with the original: the report lists the exact gaps
-    of the blocks up to the horizon and of every label whose first block
-    is one of them.  Deeper truncations can only see
-    more of the original, so the gaps over a fixed initial range shrink
-    as ``n`` grows; the report makes that measurable rather than
+    is then compared with the original: every gap is a value of the one
+    difference ``w_full - combined``, the absolute block sums of the
+    blocks up to the horizon and the absolute values of the labels whose
+    first block is one of them.  Every completion saturates each block
+    up to the horizon, so the block gaps are zero by construction and
+    the element gaps carry the information.  Deeper truncations can only
+    see more of the original, so the gaps over a fixed initial range
+    shrink as ``n`` grows; the report makes that measurable rather than
     assumed.
     """
     if n < 1:
@@ -774,20 +774,16 @@ def approximate_by_extremes(
     approximation = Decomposition(terms=tuple(terms))
     combined = approximation.combined()
 
-    combined_scale = lcm(scale, _common_denominator(combined))
+    diff = w_full - combined
     # only the combination's labels outside w_full's support are new
-    gammas |= _label_index(generator, [g for g in combined.support if g not in gammas])
-    combined_sums = _block_sums(_numerators(combined, combined_scale), gammas)
-    factor = combined_scale // scale
-    block_gap: dict[int, Fraction] = {}
-    for k in range(1, last_block + 1):
-        gap = abs(sums.get(k, 0) * factor - combined_sums.get(k, 0))
-        block_gap[k] = Fraction(gap, combined_scale)
-    element_gap: dict[int, Fraction] = {}
-    for g in sorted(gammas):
-        gap = abs(w_full.value(g) - combined.value(g))
-        if gap != 0 and min(gammas[g]) <= last_block:
-            element_gap[g] = gap
+    gammas |= _label_index(generator, [g for g in diff.support if g not in gammas])
+    diff_scale = _common_denominator(diff)
+    diff_sums = _block_sums(_numerators(diff, diff_scale), gammas)
+    block_gap = {
+        k: Fraction(abs(diff_sums.get(k, 0)), diff_scale)
+        for k in range(1, last_block + 1)
+    }
+    element_gap = {g: abs(v) for g, v in diff.items() if min(gammas[g]) <= last_block}
     report = ApproximationReport(
         n=n,
         horizon=horizon,

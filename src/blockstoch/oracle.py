@@ -690,8 +690,8 @@ def cross_validate(
 
 
 def sup_block_norm(family: SetFamily, w: WeightFunction) -> Fraction:
-    """The largest absolute block sum, over all blocks; support labels
-    outside the ground set lie in no block."""
+    """The largest sum of absolute values over a block, over all blocks;
+    support labels outside the ground set lie in no block."""
     scale = _common_denominator(w)
     gamma = family.gamma
     numerators = {g: abs(n) for g, n in _numerators(w, scale).items() if g in gamma}

@@ -812,6 +812,16 @@ class TestApproximateByExtremes:
             _, report = approximate_by_extremes(gen, w_full, n, 8)
             gaps.append(report.max_block_discrepancy(2))
         assert gaps[0] >= gaps[1] >= gaps[2]
+        # block gaps are zero by construction, so the element gaps over
+        # the labels whose first block is within the horizon carry the test
+        rng = random.Random(1)
+        for _ in range(3):
+            w_full = _grid_member(rng, 12)
+            totals = []
+            for n in (1, 2, 3, 4, 6, 8):
+                _, report = approximate_by_extremes(GridGenerator(), w_full, n, 20)
+                totals.append(sum(report.element_discrepancy.values()))
+            assert all(a >= b for a, b in zip(totals, totals[1:])), totals
 
 
 def _grid_member(rng, size):
@@ -955,6 +965,13 @@ EXTENSION_REFUSALS = [
     (lambda: GridGenerator.label(0, 1), InputError, "matrix coordinates start at one"),
     (lambda: GridGenerator.label(1, 0), InputError, "matrix coordinates start at one"),
     (lambda: GridGenerator().gamma_of(0), InputError, "label 0 is not positive"),
+    (lambda: approximate_by_extremes(_NoBlockPath(), _w({1: 1, 3: 1, 5: 1}), 1, 3),
+     InputError, "element 5 lies in no block"),
+    # the completion chooses 3, 5 and 7
+    (lambda: verify_extension(
+        extend_truncation(PathGenerator(), Truncation(1, _w({1: 1})), 6),
+        _NoBlockPath(), Truncation(1, _w({1: 1})),
+    ), InputError, "element 5 lies in no block"),
 ]
 
 
