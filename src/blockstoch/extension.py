@@ -8,7 +8,8 @@ blocks in order and places one fresh element per unsaturated block,
 carrying exactly the missing amount, so that every block visited within
 the horizon ends at sum one.  The new values are dominated by two 0/1
 packing patterns, which is what keeps the construction inside the
-original polytope.
+original polytope.  The walk works on the truncation's own integer
+numerators over its scale and builds the completion over that scale.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .errors import (
     InternalPropertyError,
     NotStochasticError,
 )
-from .family import ONE, ZERO, SetFamily, WeightFunction, build_family, format_rational
-from .family import _block_sums, _common_denominator, _numerators
+from .family import ZERO, SetFamily, WeightFunction, build_family, format_rational
+from .family import _block_sums, _numerators
 from .oracle import Decomposition, column_rank, decompose
 
 # fresh elements a completion step inspects in one block before giving up
@@ -292,10 +293,9 @@ def _validated_sums(
             raise InputError(
                 f"element {g} lies outside the first {trunc.n} blocks"
             )
-    scale = _common_denominator(trunc.w)
-    sums = _block_sums(_numerators(trunc.w, scale), gammas)
-    _require_block_sums(sums, scale, trunc.n)
-    return scale, sums
+    sums = _block_sums(trunc.w.numerators, gammas)
+    _require_block_sums(sums, trunc.w.scale, trunc.n)
+    return trunc.w.scale, sums
 
 
 def _require_block_sums(sums: dict[int, int], scale: int, upto: int) -> None:
@@ -422,7 +422,7 @@ def extend_truncation(
             "an unbounded generator must promise fresh elements in"
             " every block"
         )
-    values = dict(trunc.w.items())
+    values = dict(trunc.w.numerators)
     steps: list[ChosenStep] = []
     # block -> (element, pattern) of every chosen element inside it
     chosen_in: dict[int, list[tuple[int, str]]] = {}
@@ -490,24 +490,20 @@ def extend_truncation(
                 )
             delta[k] = new_total
             chosen_in.setdefault(k, []).append((g_j, pattern))
-        values[g_j] = value = Fraction(need, scale)
+        values[g_j] = need
         steps.append(
             ChosenStep(
                 element=g_j,
                 block_index=k_j,
-                value=value,
+                value=Fraction(need, scale),
                 pattern=pattern,
                 overlap_with=overlap_with,
             )
         )
 
-    extended = WeightFunction._trusted(values)
-    packing_a = WeightFunction._trusted(
-        {s.element: ONE for s in steps if s.pattern == "a"}
-    )
-    packing_b = WeightFunction._trusted(
-        {s.element: ONE for s in steps if s.pattern == "b"}
-    )
+    extended = WeightFunction._trusted(values, scale)
+    packing_a = WeightFunction._trusted({s.element: 1 for s in steps if s.pattern == "a"}, 1)
+    packing_b = WeightFunction._trusted({s.element: 1 for s in steps if s.pattern == "b"}, 1)
     result = ExtensionResult(
         n=trunc.n,
         horizon=horizon,
@@ -575,8 +571,8 @@ def verify_extension(
     the function must fill.
 
     Values, differences, block sums and the packing cover are compared
-    as integers over one common denominator, taken here from the values
-    of the result and the truncation, never from the walk.
+    as integers over the least common multiple of the functions' scales
+    and the steps' denominators, never taken from the walk.
     """
     violations: list[str] = []
     base = trunc.w
@@ -585,9 +581,7 @@ def verify_extension(
     if len(chosen) != len(result.steps):
         violations.append("a chosen element repeats")
     functions = (extended, base, result.packing_a, result.packing_b)
-    scale = lcm(
-        _common_denominator(*functions), *{s.value.denominator for s in result.steps}
-    )
+    scale = lcm(*{w.scale for w in functions}, *{s.value.denominator for s in result.steps})
     extended_values = _numerators(extended, scale)
     base_values = _numerators(base, scale)
     step_values = {
@@ -737,35 +731,34 @@ def approximate_by_extremes(
     if not w_full.nonnegative:
         raise InputError("the target function must be nonnegative")
     gammas = _label_index(generator, w_full.support)
-    scale = _common_denominator(w_full)
-    values = _numerators(w_full, scale)
+    values, scale = w_full.numerators, w_full.scale
     sums = _block_sums(values, gammas)
     last_block = _last_block(generator, horizon)
     _require_block_sums(sums, scale, last_block)
 
-    star = {g: value for g, value in w_full.items() if min(gammas[g]) <= n}
+    star = {g: value for g, value in values.items() if min(gammas[g]) <= n}
     touched: dict[int, list[int]] = {}
     for g in star:
         for k in gammas[g]:
             touched.setdefault(k, []).append(g)
-    star_sums = _block_sums({g: values[g] for g in star}, gammas)
+    star_sums = _block_sums(star, gammas)
     augmented = dict(star)
     # every label from first_slack on is a slack element
     first_slack = next_label = max(star, default=0) + 1
     for k in sorted(touched):
         if k > n:
-            augmented[next_label] = Fraction(scale - star_sums[k], scale)
+            augmented[next_label] = scale - star_sums[k]
             touched[k].append(next_label)
             next_label += 1
     # blocks with the same members impose the same equation: keep one
     rows = dict.fromkeys(tuple(touched[k]) for k in sorted(touched))
     finite = build_family(rows)
-    base_decomposition = decompose(finite, WeightFunction(augmented))
+    base_decomposition = decompose(finite, WeightFunction._trusted(augmented, scale))
 
     terms = []
     for coefficient, vertex in base_decomposition.terms:
         stripped = WeightFunction._trusted(
-            {g: v for g, v in vertex.items() if g < first_slack}
+            {g: v for g, v in vertex.numerators.items() if g < first_slack}, vertex.scale
         )
         completion = extend_truncation(
             generator, Truncation(n=n, w=stripped), horizon
@@ -777,11 +770,9 @@ def approximate_by_extremes(
     diff = w_full - combined
     # only the combination's labels outside w_full's support are new
     gammas |= _label_index(generator, [g for g in diff.support if g not in gammas])
-    diff_scale = _common_denominator(diff)
-    diff_sums = _block_sums(_numerators(diff, diff_scale), gammas)
+    diff_sums = _block_sums(diff.numerators, gammas)
     block_gap = {
-        k: Fraction(abs(diff_sums.get(k, 0)), diff_scale)
-        for k in range(1, last_block + 1)
+        k: Fraction(abs(diff_sums.get(k, 0)), diff.scale) for k in range(1, last_block + 1)
     }
     element_gap = {g: abs(v) for g, v in diff.items() if min(gammas[g]) <= last_block}
     report = ApproximationReport(

@@ -6,14 +6,15 @@ single element carrying weight one or an odd primitive cycle carrying
 one half everywhere.  Any other component admits an explicit
 perturbation in two opposite directions, and the constructions here
 build that pair of stochastic weight functions so callers can check
-non-extremality by hand.  Each construction reads the point as integer
-numerators over its least common denominator and takes integer steps
-over one scale; every witness is checked on those integers before its
-halves become ``Fraction``s: both must be stochastic, average back to
-the input, and differ.  The support is read through its blocks, one
-breadth-first pass per component, and its canonical cycles are the
-least cycles of the block multigraph H; an element graph is built only
-for the checks of the public cycle-attachment constructor.
+non-extremality by hand.  Each construction reads the point's own
+integer numerators over its least common denominator and takes integer
+steps over one scale; every witness is checked on those integers
+before its halves are built, as numerators over that scale: both must
+be stochastic, average back to the input, and differ.  The support is
+read through its blocks, one breadth-first pass per component, and its
+canonical cycles are the least cycles of the block multigraph H; an
+element graph is built only for the checks of the public
+cycle-attachment constructor.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .family import (
     max_multiplicity,
     require_stochastic,
 )
-from .family import _block_sums, _from_numerators
+from .family import _block_sums
 from .graphs import (
     Path,
     _least_cycle,
@@ -87,8 +88,8 @@ def _finish(
     construction: str,
 ) -> Witness:
     """The witness ``(base ± steps) / scale``, with ``epsilon`` and
-    ``slack`` over ``scale`` too, checked on the integers before any
-    ``Fraction`` is built: both halves are nonnegative with every block
+    ``slack`` over ``scale`` too, checked on the integers before the
+    halves are built from them: both are nonnegative with every block
     summing to ``scale``, average back to ``base`` and differ."""
     plus, minus = dict(base), dict(base)
     for g, step in steps.items():
@@ -102,7 +103,7 @@ def _finish(
         or plus == minus
     ):
         raise InternalPropertyError(f"invalid {construction} witness")
-    halves = _from_numerators(plus, scale), _from_numerators(minus, scale)
+    halves = WeightFunction._trusted(plus, scale), WeightFunction._trusted(minus, scale)
     return Witness(*halves, Fraction(epsilon, scale), Fraction(slack, scale), construction)
 
 

@@ -2,18 +2,21 @@
 
 A family is a finite list of blocks: nonempty sets of integer labels
 whose union forms the ground set.  A weight function maps labels to
-rationals.  The central polytope consists of the nonnegative weight
-functions whose sum over every block equals one ("stochastic"); the
-substochastic relaxation allows sums at most one.  The 0/1-valued
-members of the two polytopes are exact covers and packings of the
-family.  Sums are exact: integers over the least common denominator.
+rationals, stored as integer numerators over their least common
+denominator, the one form every module reads and writes.  The central
+polytope consists of the nonnegative weight functions whose sum over
+every block equals one ("stochastic"); the substochastic relaxation
+allows sums at most one.  The 0/1-valued members of the two polytopes
+are exact covers and packings of the family.  Sums are exact: integers
+over that denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -49,9 +52,12 @@ def _decimal(n: int) -> str:
 def format_rational(value: Fraction) -> str:
     """Render a rational as ``"p/q"``, or ``"p"`` when the denominator is
     one, as ``str`` does, at any size (:func:`_decimal`)."""
-    if value.denominator == 1:
-        return _decimal(value.numerator)
-    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+    return _format_ratio(value.numerator, value.denominator)
+
+
+def _format_ratio(p: int, q: int) -> str:
+    """:func:`format_rational` of ``p/q``, given in lowest terms, q > 0."""
+    return _decimal(p) if q == 1 else f"{_decimal(p)}/{_decimal(q)}"
 
 
 @dataclass(frozen=True)
@@ -220,14 +226,17 @@ def _as_fraction(value: object) -> Fraction:
 
 
 class WeightFunction:
-    """A finitely supported map from labels to exact rationals.
-
-    Zero values are dropped, so two functions are equal exactly when they
+    """A finitely supported map from labels to exact rationals, stored as
+    ``numerators`` (a read-only mapping from each support label,
+    ascending, to a nonzero integer) over ``scale``, their least common
+    denominator; the ``Fraction`` view is built on each call.  Neither
+    field can be assigned, so a point keeps its value and hash.  Zero
+    values are dropped, so two functions are equal exactly when they
     agree everywhere.  Values may be negative; the membership classifier
     reports on nonnegativity rather than forbidding it.
     """
 
-    __slots__ = ("_items", "_map")
+    __slots__ = ("numerators", "scale")
 
     def __init__(self, mapping: Mapping[int, object] | Iterable[tuple[int, object]]):
         pairs = mapping.items() if isinstance(mapping, Mapping) else mapping
@@ -240,45 +249,61 @@ class WeightFunction:
                 raise InputError(f"label {g} appears twice")
             if value != 0:
                 cleaned[g] = value
-        self._map = cleaned
-        self._items = tuple(sorted(cleaned.items()))
+        scale = lcm(*{v.denominator for v in cleaned.values()})
+        numerators = {
+            g: v.numerator * (scale // v.denominator) for g, v in sorted(cleaned.items())
+        }
+        object.__setattr__(self, "numerators", MappingProxyType(numerators))
+        object.__setattr__(self, "scale", scale)
 
     @classmethod
     def zero(cls) -> "WeightFunction":
         return cls({})
 
     @classmethod
-    def _trusted(cls, values: dict[int, Fraction]) -> "WeightFunction":
-        """The function of ``values``, integer labels to nonzero ``Fraction``s
-        the package computed or parsed and checked itself, built without
-        the checks."""
+    def _trusted(cls, numerators: Mapping[int, int], scale: int) -> "WeightFunction":
+        """The function whose values are ``numerators``, integer labels to
+        integers the package computed itself, over a nonzero ``scale``,
+        built without the checks: labels sorted, zeros dropped, and the
+        greatest common divisor, signed as ``scale``, divided out."""
+        d = gcd(scale, *numerators.values())
+        if scale < 0:
+            d = -d
         w = object.__new__(cls)
-        w._map = values
-        w._items = tuple(sorted(values.items()))
+        reduced = {g: numerators[g] // d for g in sorted(numerators) if numerators[g]}
+        object.__setattr__(w, "numerators", MappingProxyType(reduced))
+        object.__setattr__(w, "scale", scale // d)
         return w
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"WeightFunction.{name} is read-only")
+
+    def __reduce__(self):
+        return type(self), (self.items(),)
+
     def value(self, label: int) -> Fraction:
-        return self._map.get(label, ZERO)
+        return Fraction(self.numerators.get(label, 0), self.scale)
 
     __call__ = value
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(g for g, _ in self._items)
+        return tuple(self.numerators)
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
-        return self._items
+        scale = self.scale
+        return tuple((g, Fraction(n, scale)) for g, n in self.numerators.items())
 
     def total(self) -> Fraction:
-        return sum((v for _, v in self._items), start=ZERO)
+        return Fraction(sum(self.numerators.values()), self.scale)
 
     @property
     def nonnegative(self) -> bool:
-        return all(v > 0 for _, v in self._items)
+        return all(n > 0 for n in self.numerators.values())
 
     @property
     def zero_one(self) -> bool:
-        return all(v == 1 for _, v in self._items)
+        return all(n == self.scale for n in self.numerators.values())
 
     def __add__(self, other: "WeightFunction") -> "WeightFunction":
         return _combination(((ONE, self), (ONE, other)))
@@ -292,16 +317,20 @@ class WeightFunction:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightFunction):
             return NotImplemented
-        return self._items == other._items
+        return self.scale == other.scale and self.numerators == other.numerators
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return hash((self.scale, *self.numerators.items()))
 
     def sort_key(self) -> tuple:
-        return tuple((g, v.numerator, v.denominator) for g, v in self._items)
+        """Each value as (label, numerator, denominator) in lowest terms."""
+        scale = self.scale
+        return tuple(
+            [(g, n // (d := gcd(n, scale)), scale // d) for g, n in self.numerators.items()]
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        body = ", ".join(f"{g}: {v}" for g, v in self._items)
+        body = ", ".join(f"{g}: {v}" for g, v in self.items())
         return f"WeightFunction({{{body}}})"
 
 
@@ -327,36 +356,24 @@ class MembershipReport:
         raise InputError(f"no block with index {index}")
 
 
-def _common_denominator(*functions: WeightFunction) -> int:
-    """The least common denominator of every value of ``functions``."""
-    return lcm(*{v.denominator for w in functions for _, v in w.items()})
-
-
 def _numerators(w: WeightFunction, scale: int) -> dict[int, int]:
-    """The values of ``w`` times ``scale``, a common multiple of their
-    denominators, so each is an integer."""
-    return {g: v.numerator * (scale // v.denominator) for g, v in w.items()}
-
-
-def _from_numerators(numerators: dict[int, int], scale: int) -> WeightFunction:
-    """The function whose values are ``numerators`` over ``scale``, with
-    one ``Fraction`` per distinct numerator."""
-    values = {n: Fraction(n, scale) for n in set(numerators.values())}
-    return WeightFunction._trusted({g: values[n] for g, n in numerators.items() if n})
+    """The values of ``w`` times ``scale``, a multiple of ``w.scale``."""
+    factor = scale // w.scale
+    return {g: n * factor for g, n in w.numerators.items()}
 
 
 def _combination(terms: Iterable[tuple[Fraction, WeightFunction]]) -> WeightFunction:
-    """``Σ c·w`` over the ``(c, w)`` of ``terms``, exactly: every product
-    ``c·v`` is a multiple of 1/L, L the least common multiple of the
-    products of their denominators, so integer numerators over L add up."""
+    """``Σ c·w`` over the ``(c, w)`` of ``terms``, exactly: each ``c·w`` is
+    a function over ``c``'s denominator times ``w.scale``, so integer
+    numerators over L, the least common multiple of those, add up."""
     terms = tuple(terms)
-    scale = lcm(*{c.denominator * v.denominator for c, w in terms for _, v in w._items})
+    scale = lcm(*{c.denominator * w.scale for c, w in terms})
     sums: dict[int, int] = {}
     for c, w in terms:
-        for g, v in w._items:
-            n = c.numerator * v.numerator * (scale // (c.denominator * v.denominator))
-            sums[g] = sums.get(g, 0) + n
-    return _from_numerators(sums, scale)
+        factor = c.numerator * (scale // (c.denominator * w.scale))
+        for g, n in w.numerators.items():
+            sums[g] = sums.get(g, 0) + factor * n
+    return WeightFunction._trusted(sums, scale)
 
 
 def _block_sums(
@@ -375,29 +392,24 @@ def _block_sums(
     return sums
 
 
-def _read(
-    family: SetFamily, w: WeightFunction
-) -> tuple[dict[int, int], int, list[int]]:
-    """``w``'s values as integer numerators over their least common
-    denominator, that denominator and the block sums over it in block
+def _read(family: SetFamily, w: WeightFunction) -> list[int]:
+    """``w``'s block sums as integer numerators over ``w.scale``, in block
     order, refusing a support label outside the ground set."""
-    scale = _common_denominator(w)
-    numerators = _numerators(w, scale)
-    for g in numerators:
+    for g in w.numerators:
         if g not in family.gamma:
             raise UnknownElementError(f"support label {g} is not in the ground set")
-    by_block = _block_sums(numerators, family.gamma)
-    return numerators, scale, [by_block.get(b.index, 0) for b in family.blocks]
+    by_block = _block_sums(w.numerators, family.gamma)
+    return [by_block.get(b.index, 0) for b in family.blocks]
 
 
 def classify_membership(family: SetFamily, w: WeightFunction) -> MembershipReport:
     """Classify ``w`` against the stochastic and substochastic polytopes, summing
-    blocks as integers over one common denominator (:func:`_read`)."""
-    numerators, scale, totals = _read(family, w)
-    nonneg = all(n > 0 for n in numerators.values())
+    blocks as integers over its scale (:func:`_read`)."""
+    totals, scale = _read(family, w), w.scale
+    nonneg = w.nonnegative
     all_at_most_one = max(totals) <= scale
     all_one = all_at_most_one and min(totals) == scale
-    zero_one = all(n == scale for n in numerators.values())
+    zero_one = w.zero_one
     return MembershipReport(
         block_sums=tuple(
             (b.index, ONE if s == scale else Fraction(s, scale))
@@ -413,19 +425,18 @@ def classify_membership(family: SetFamily, w: WeightFunction) -> MembershipRepor
 
 def require_stochastic(
     family: SetFamily, w: WeightFunction
-) -> tuple[dict[int, int], int]:
-    """A stochastic ``w``'s values as integer numerators over their least
-    common denominator, in label order, and that denominator.  Refused
-    are a support label outside the ground set, then a negative value,
-    then the first block whose sum is not one."""
-    numerators, scale, totals = _read(family, w)
-    if not all(n > 0 for n in numerators.values()):
+) -> tuple[Mapping[int, int], int]:
+    """A stochastic ``w``'s own read-only ``numerators`` and its ``scale``,
+    refusing a support label outside the ground set, then a negative
+    value, then the first block whose sum is not one."""
+    totals = _read(family, w)
+    if not w.nonnegative:
         raise NotStochasticError("weight function takes a negative value")
     for b, s in zip(family.blocks, totals):
-        if s != scale:
-            total = format_rational(Fraction(s, scale))
+        if s != w.scale:
+            total = format_rational(Fraction(s, w.scale))
             raise NotStochasticError(f"block {b.index} sums to {total}")
-    return numerators, scale
+    return w.numerators, w.scale
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from typing import Any, Mapping
 
 from .errors import InputError, UnknownElementError
 from .family import SetFamily, WeightFunction, build_family, format_rational
+from .family import _format_ratio
 
 # ASCII digits only: ``int`` would also read other scripts' digits and "_"
 _LABEL_RE = re.compile(r"[+-]?[0-9]+")
@@ -72,8 +73,9 @@ def parse_rational(value: object) -> Fraction:
 
 
 def format_weights(w: WeightFunction) -> str:
-    """Render weights as ``{g=v, ...}`` in label order."""
-    inside = ", ".join(f"{g}={format_rational(v)}" for g, v in w.items())
+    """Render weights as ``{g=v, ...}`` in label order, each value from
+    :meth:`WeightFunction.sort_key` as :func:`format_rational` renders it."""
+    inside = ", ".join(f"{g}={_format_ratio(p, q)}" for g, p, q in w.sort_key())
     return "{" + inside + "}"
 
 
@@ -140,11 +142,6 @@ def _parse_weights(raw: dict) -> dict[int, Fraction]:
     return values
 
 
-def _weight_function(values: dict[int, Fraction]) -> WeightFunction:
-    """The function of parsed ``values``, zeros dropped, with no second check."""
-    return WeightFunction._trusted({g: v for g, v in values.items() if v})
-
-
 def parse_instance(text: str) -> Instance:
     """Parse a JSON instance document into a family and optional weights."""
     doc = _parse_object(text, "instance")
@@ -173,7 +170,7 @@ def parse_instance(text: str) -> Instance:
         for label in values:
             if label not in family.gamma:
                 raise UnknownElementError(f"weight for unknown element {label}")
-        weights = _weight_function(values)
+        weights = WeightFunction(values)
 
     feasible: bool | None = None
     if "feasible" in doc and doc["feasible"] is not None:
@@ -215,7 +212,7 @@ def parse_weights_document(text: str) -> WeightFunction:
     for label in values:
         if label < 0:
             raise InputError(f"weight label {label} is negative")
-    return _weight_function(values)
+    return WeightFunction(values)
 
 
 def load_weights_document(path: str) -> WeightFunction:

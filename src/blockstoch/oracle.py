@@ -35,11 +35,14 @@ Ranks, the circuit a dependent column closes and the solution of the
 all-ones system are unique, so the kernel and its pivot choice change
 no vertex and no decomposition.
 
-:func:`decompose` and its vertex walk (:func:`_vertex_within`) keep
-the point as integer numerators over one common denominator and move it
-with one :func:`_step`.  The walk steps along integer circuits from one
+:func:`decompose` and its vertex walk (:func:`_vertex_within`) take
+the point's own integer numerators over its scale and move them with
+one :func:`_step`.  The walk steps along integer circuits from one
 kernel kept for the whole walk, which gives up the columns each step
-zeroes.  Each peel steps away from the vertex reached.
+zeroes.  Each peel steps away from the vertex reached.  Every point
+made here is handed over as integer numerators: a cover-search vertex
+over 2 (1 when H is bipartite), a pivot-search vertex over its all-ones
+coefficient and each decomposition term over the walk's scale.
 """
 
 from __future__ import annotations
@@ -68,13 +71,7 @@ from .family import (
     max_multiplicity,
     require_stochastic,
 )
-from .family import (
-    _block_sums,
-    _combination,
-    _common_denominator,
-    _from_numerators,
-    _numerators,
-)
+from .family import _block_sums, _combination
 from .graphs import _FrameForest, block_multigraph, two_color
 
 DEFAULT_BUDGET = 1 << 20
@@ -248,13 +245,15 @@ class _CoverSearch:
                 self.halves[family.gamma[g][0]].append(g)
         self.full = sum(1 << k for k in self.edges)
         self.odd = two_color(self.edges) is None
+        # the vertices' least common scale: 2 when odd cycles at 1/2 may occur
+        self.scale = 2 if self.odd else 1
         self.budget = budget
         self.nodes = 0
         self.found: list[WeightFunction] = []
 
     def vertices(self) -> tuple[WeightFunction, ...]:
         covered = 0
-        chosen: list[tuple[int, tuple[int, ...], Fraction]] = []
+        chosen: list[tuple[int, tuple[int, ...], int]] = []
         stack = [self._pieces(0)]
         while stack:
             piece = next(stack[-1], None)
@@ -267,24 +266,23 @@ class _CoverSearch:
             chosen.append(piece)
             covered |= piece[0]
             if covered == self.full:
-                self.found.append(
-                    WeightFunction._trusted({g: v for _, gs, v in chosen for g in gs})
-                )
+                values = {g: n for _, gs, n in chosen for g in gs}
+                self.found.append(WeightFunction._trusted(values, self.scale))
                 covered &= ~chosen.pop()[0]
             else:
                 stack.append(self._pieces(covered))
-        return tuple(sorted(self.found, key=lambda w: w.sort_key()))
+        return tuple(sorted(self.found, key=WeightFunction.sort_key))
 
     def _pieces(self, covered: int):
-        """Every piece through the lowest uncovered block: (block mask, elements, value)."""
+        """Every piece through the lowest uncovered block: (block mask, elements, numerator)."""
         free = self.full & ~covered
         b = (free & -free).bit_length() - 1
         bit = 1 << b
         for g in self.halves[b]:
-            yield bit, (g,), ONE
+            yield bit, (g,), self.scale
         for g, q in self.edges[b]:
             if not covered >> q & 1:
-                yield bit | 1 << q, (g,), ONE
+                yield bit | 1 << q, (g,), self.scale
         if self.odd:
             yield from self._odd_cycles(b, covered)
 
@@ -298,7 +296,7 @@ class _CoverSearch:
             for g, v in steps:
                 if v == b:
                     if len(path) % 2 == 0 and len(path) >= 2 and path[0] < g:
-                        yield blocked & ~covered, (*path, g), HALF
+                        yield blocked & ~covered, (*path, g), 1
                 elif not blocked >> v & 1:
                     self.nodes = _tick(self.nodes, self.budget, self.found)
                     path.append(g)
@@ -327,9 +325,8 @@ def basis_vertices(
     the chosen columns span it, and the point they give is a vertex
     exactly when every chosen column's coefficient has the sign opposite
     to the all-ones coefficient's.  That is checked on integers, so only
-    vertices are built as ``Fraction``s, and since each support is
-    reached once, no point is built twice and no set of found points is
-    kept.
+    vertices are built, and since each support is reached once, no point
+    is built twice and no set of found points is kept.
     Each state taken off the stack, one pivot, is a search node, and
     past ``budget`` of them :func:`_tick` raises
     ``InstanceTooLargeError``.  The result is sorted.  Works for any
@@ -361,10 +358,9 @@ def basis_vertices(
         # with the sign opposite to e's
         e = residual.pop(ones)
         if len(residual) == len(chosen) and all(a * e < 0 for a in residual.values()):
-            found.append(
-                _from_numerators({columns[~c]: -a for c, a in residual.items()}, e)
-            )
-    return tuple(sorted(found, key=lambda w: w.sort_key()))
+            values = {columns[~c]: -a for c, a in residual.items()}
+            found.append(WeightFunction._trusted(values, e))
+    return tuple(sorted(found, key=WeightFunction.sort_key))
 
 
 def _branches(
@@ -585,7 +581,7 @@ def decompose(family: SetFamily, w: WeightFunction) -> Decomposition:
     for _ in range(len(family.ground) + 2):
         vertex, vscale = _vertex_within(family, current, scale)
         if len(vertex) == len(current):
-            terms.append((coef, _from_numerators(current, scale)))
+            terms.append((coef, WeightFunction._trusted(current, scale)))
             break
         away = {g: n * vscale - vertex.get(g, 0) * scale for g, n in current.items()}
         if min(away.values()) >= 0:
@@ -595,7 +591,7 @@ def decompose(family: SetFamily, w: WeightFunction) -> Decomposition:
         d = math.gcd(scale, *current.values())
         current = {g: n // d for g, n in current.items()}
         scale //= d
-        terms.append((coef * Fraction(p, p + q), _from_numerators(vertex, vscale)))
+        terms.append((coef * Fraction(p, p + q), WeightFunction._trusted(vertex, vscale)))
         coef = coef * Fraction(q, p + q)
     else:
         raise DepthExceededError("vertex peeling did not terminate")
@@ -692,10 +688,9 @@ def cross_validate(
 def sup_block_norm(family: SetFamily, w: WeightFunction) -> Fraction:
     """The largest sum of absolute values over a block, over all blocks;
     support labels outside the ground set lie in no block."""
-    scale = _common_denominator(w)
     gamma = family.gamma
-    numerators = {g: abs(n) for g, n in _numerators(w, scale).items() if g in gamma}
-    return Fraction(max(_block_sums(numerators, gamma).values(), default=0), scale)
+    numerators = {g: abs(n) for g, n in w.numerators.items() if g in gamma}
+    return Fraction(max(_block_sums(numerators, gamma).values(), default=0), w.scale)
 
 
 def support_width(family: SetFamily, w: WeightFunction) -> int:

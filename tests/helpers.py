@@ -625,7 +625,7 @@ def subset_vertices(family: SetFamily) -> tuple[WeightFunction, ...]:
         x = sparse_solve_all_ones(column_rows([ends[i] for i in combo]), r)
         if x is not None and all(v >= 0 for v in x):
             found.add(tuple((columns[i], v) for i, v in zip(combo, x) if v != 0))
-    vertices = (WeightFunction._trusted(dict(items)) for items in found)
+    vertices = (WeightFunction(dict(items)) for items in found)
     return tuple(sorted(vertices, key=lambda w: w.sort_key()))
 
 
@@ -685,7 +685,7 @@ def walk_vertices(family: SetFamily) -> tuple[WeightFunction, ...]:
         covered.append(covered[-1] | masks[i])
         residuals.append(residual)
         i += 1
-    vertices = (WeightFunction._trusted(dict(items)) for items in found)
+    vertices = (WeightFunction(dict(items)) for items in found)
     return tuple(sorted(vertices, key=lambda w: w.sort_key()))
 
 

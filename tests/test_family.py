@@ -1,14 +1,20 @@
 """Tests for family construction, weights, and membership predicates."""
 
+import copy
+import math
+import pickle
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
 from blockstoch.errors import (
+    ConditionsViolatedError,
     DuplicateBlockError,
     EmptyBlockError,
     EmptyFamilyError,
+    EvenCyclePresentError,
     InputError,
     NotACoverError,
     NotStochasticError,
@@ -27,17 +33,29 @@ from blockstoch.family import (
     max_multiplicity,
     multiplicity,
     normalize,
+    format_rational,
     require_stochastic,
     saturate,
 )
-from blockstoch.family import _common_denominator, _numerators
+from blockstoch.family import _combination
 from blockstoch.cli import gen_random
+from blockstoch.extremality import (
+    classify_extreme,
+    construct_cycle_attachment,
+    construct_tree_propagation,
+    construct_two_coloring,
+)
+from blockstoch.instance_io import format_weights
+from blockstoch.oracle import decompose, enumerate_vertices, is_vertex
 
 from helpers import (
+    KAPPA3_BLOCKS,
     count_calls,
     fraction_classify_membership,
     fraction_combination,
     fraction_counting_masses,
+    kappa2_sweep,
+    kappa3_sweep,
 )
 
 F = Fraction
@@ -145,6 +163,117 @@ class TestWeightFunction:
             WeightFunction({"one": F(1)})
         with pytest.raises(InputError):
             WeightFunction({1: 0.5})
+
+
+class TestStoredForm:
+    """A point is stored once, as integer numerators over their least
+    common denominator; ``__init__`` and ``_trusted`` reach the same form."""
+
+    def test_two_fields(self):
+        assert WeightFunction.__slots__ == ("numerators", "scale")
+
+    def test_trusted_reduces_and_orders(self):
+        w = WeightFunction._trusted({5: -6, 2: 0, 1: -4, 3: 2}, -8)
+        assert list(w.numerators.items()) == [(1, 2), (3, -1), (5, 3)]
+        assert w.scale == 4
+        assert w.items() == ((1, HALF), (3, F(-1, 4)), (5, F(3, 4)))
+        empty = WeightFunction._trusted({1: 0}, 6)
+        assert (empty.numerators, empty.scale) == ({}, 1)
+
+    def test_init_and_trusted_agree(self):
+        rng = random.Random(37)
+        for _ in range(300):
+            labels = rng.sample(range(20), rng.randint(0, 8))
+            values = {g: F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 12))) for g in labels}
+            a = WeightFunction(values)
+            scale = math.lcm(*(v.denominator for v in values.values()))
+            k = rng.choice((1, 2, 5, -3))
+            b = WeightFunction._trusted(
+                {g: int(v * scale) * k for g, v in values.items()}, scale * k
+            )
+            assert a == b and hash(a) == hash(b)
+            assert list(a.numerators.items()) == list(b.numerators.items())
+            assert a.scale == b.scale
+            assert list(a.numerators) == sorted(g for g, v in values.items() if v)
+            assert a.scale == math.lcm(*(v.denominator for v in values.values() if v))
+
+    def test_fields_are_read_only(self):
+        fam = build_family([[1, 2], [2, 3], [1, 3]])
+        w = WeightFunction(dict.fromkeys((1, 2, 3), HALF))
+        points = {w}
+        with pytest.raises(TypeError):
+            w.numerators[1] = 2
+        with pytest.raises(TypeError):
+            require_stochastic(fam, w)[0][1] = 2
+        with pytest.raises(AttributeError):
+            w.scale = 4
+        with pytest.raises(AttributeError):
+            w.numerators = {1: 1}
+        assert w in points and w == WeightFunction(dict.fromkeys((1, 2, 3), HALF))
+        assert copy.copy(w) == w and pickle.loads(pickle.dumps(w)) == w
+
+    def test_key_and_text_match_fractions(self):
+        def fraction_key(w):
+            return tuple((g, v.numerator, v.denominator) for g, v in w.items())
+
+        def fraction_text(w):
+            return "{" + ", ".join(f"{g}={format_rational(v)}" for g, v in w.items()) + "}"
+
+        checked = 0
+        for fam in chain(kappa2_sweep(), kappa3_sweep()):
+            vertices = enumerate_vertices(fam)
+            if not vertices:
+                continue
+            points = list(vertices)
+            if len(vertices) > 1:
+                mean = _combination((F(1, len(vertices)), v) for v in vertices)
+                points += [mean, *(v for _, v in decompose(fam, mean).terms)]
+            for w in points:
+                assert w.sort_key() == fraction_key(w)
+                assert format_weights(w) == fraction_text(w)
+                checked += 1
+        assert checked > 1000
+
+
+class TestDoorsKeepTheirInput:
+    """``require_stochastic`` hands each door the point's own numerators,
+    so no door may change them."""
+
+    # a cycle attachment, a tree propagation, a two-coloring, an extreme
+    # point, then an unsupported point with two decomposition peels
+    CASES = [
+        (
+            [[1, 2], [2, 3], [1, 3, 4], [4, 5]],
+            {1: F(1, 4), 2: F(3, 4), 3: F(1, 4), 4: HALF, 5: HALF},
+        ),
+        (
+            [[1, 2], [2, 3, 4], [4, 5], [3, 6]],
+            {1: F(2, 3), 2: F(1, 3), 3: F(1, 4), 4: F(5, 12), 5: F(7, 12), 6: F(3, 4)},
+        ),
+        ([[i, i % 12 + 1] for i in range(1, 13)], dict.fromkeys(range(1, 13), HALF)),
+        ([[1, 2], [2, 3], [3, 1]], dict.fromkeys((1, 2, 3), HALF)),
+        (KAPPA3_BLOCKS, dict.fromkeys(range(1, 10), F(1, 3))),
+    ]
+
+    def test_every_door(self):
+        for blocks, values in self.CASES:
+            fam, w = build_family(blocks), WeightFunction(values)
+            doors = [
+                lambda: classify_extreme(fam, w),
+                lambda: decompose(fam, w),
+                lambda: is_vertex(fam, w),
+                lambda: counting_identity(fam, w),
+                lambda: construct_two_coloring(fam, w, w.support),
+                lambda: construct_tree_propagation(fam, w),
+                lambda: construct_cycle_attachment(fam, w),
+            ]
+            for door in doors:
+                before = (list(w.numerators.items()), w.scale)
+                try:
+                    door()
+                except (ConditionsViolatedError, EvenCyclePresentError):
+                    pass
+                assert (list(w.numerators.items()), w.scale) == before
 
 
 class TestArithmeticMatchesFractionReference:
@@ -306,9 +435,9 @@ class TestIntegerMembershipMatchesFractionOracle:
             assert all(type(s) is Fraction for _, s in got.block_sums)
             message = _stochastic_message(expected)
             if message is None:
-                scale = _common_denominator(w)
+                scale = math.lcm(*(v.denominator for _, v in w.items()))
                 read = require_stochastic(fam, w)
-                assert read == (_numerators(w, scale), scale)
+                assert read == ({g: v * scale for g, v in w.items()}, scale)
                 assert list(read[0]) == list(w.support)
                 identity = counting_identity(fam, w)
                 masses = fraction_counting_masses(fam, w)

@@ -19,7 +19,6 @@ from blockstoch.errors import (
 from blockstoch.extremality import Verdict, Witness
 from blockstoch.family import (
     WeightFunction,
-    _from_numerators,
     build_family,
     max_multiplicity,
 )
@@ -696,7 +695,7 @@ def recorded_decompose(monkeypatch, fam, w):
 
     def recording_walk(family, start, scale):
         vertex, vscale = walk(family, start, scale)
-        vertices.append(_from_numerators(vertex, vscale))
+        vertices.append(WeightFunction._trusted(vertex, vscale))
         return vertex, vscale
 
     with monkeypatch.context() as patch:
