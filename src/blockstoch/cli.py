@@ -23,10 +23,10 @@ from .family import (
     SetFamily,
     WeightFunction,
     _combination,
+    _counting_identity,
     build_family,
     check_injectivity,
     classify_membership,
-    counting_identity,
     fresh_prefix,
     max_multiplicity,
 )
@@ -98,7 +98,7 @@ def _print_membership(family: SetFamily, w: WeightFunction) -> None:
     print(f"exact cover: {'yes' if report.exact_cover else 'no'}")
     print(f"packing: {'yes' if report.packing else 'no'}")
     if report.stochastic:
-        identity = counting_identity(family, w)
+        identity = _counting_identity(family, w.numerators, w.scale)
         print(
             "counting identity: "
             f"{identity.block_count} block(s) == weighted mass "

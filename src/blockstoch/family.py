@@ -270,7 +270,7 @@ class WeightFunction:
         if scale < 0:
             d = -d
         w = object.__new__(cls)
-        reduced = {g: numerators[g] // d for g in sorted(numerators) if numerators[g]}
+        reduced = {g: n // d for g in sorted(numerators) if (n := numerators[g])}
         object.__setattr__(w, "numerators", MappingProxyType(reduced))
         object.__setattr__(w, "scale", scale // d)
         return w
@@ -464,7 +464,13 @@ def counting_identity(family: SetFamily, w: WeightFunction) -> CountingIdentity:
     multiplicity-weighted total mass, which is at most the maximal
     multiplicity times the plain total mass.
     """
-    numerators, scale = require_stochastic(family, w)
+    return _counting_identity(family, *require_stochastic(family, w))
+
+
+def _counting_identity(
+    family: SetFamily, numerators: Mapping[int, int], scale: int
+) -> CountingIdentity:
+    """:func:`counting_identity` on a stochastic point's ``numerators`` over ``scale``."""
     lhs = len(family.blocks)
     mass = sum(multiplicity(family, g) * n for g, n in numerators.items())
     rhs = Fraction(mass, scale)

@@ -15,14 +15,15 @@ When every multiplicity is at most two, the family is also a multigraph
 H on its blocks: an element in two blocks is an edge, an element in one
 block a half-edge, and primitive cycles are the cycles of H of length at
 least three.  Every reader of H takes it as :func:`block_multigraph`
-gives it, the edges at each block keyed by block index.  The census
-lists them one biconnected component at a time, each from its least
-element: a descending union-find marks the elements whose ends larger
-ones already join, and Johnson's blocked search from each marked element
-lists the cycles it is least in, already canonical, so that the census
-sorts the vertex tuples of each length once.  The census's first cycle
-of each parity, the classifier's canonical cycles, is the least cycle of
-H (:func:`_least_cycle`), found alone by a branch and bound over each
+gives it, the edges at each block keyed by block index, or None when an
+element lies in three or more blocks.  The census lists the cycles one
+biconnected component at a time, each from its least element: a
+descending union-find marks the elements whose ends larger ones already
+join, and Johnson's blocked search from each marked element lists the
+cycles it is least in, already canonical, so that the census sorts the
+vertex tuples of each length once.  The census's first cycle of each
+parity, the classifier's canonical cycles, is the least cycle of H
+(:func:`_least_cycle`), found alone by a branch and bound over each
 cycle's least element whose cuts are walk lengths of both parities.
 Questions that need only bipartiteness (:func:`bipartition`, the vertex
 search, the odd least-cycle search) are answered by one BFS two-coloring
@@ -51,7 +52,7 @@ from .errors import (
     NotSimpleError,
     UnknownElementError,
 )
-from .family import SetFamily, max_multiplicity
+from .family import SetFamily
 
 
 @dataclass(frozen=True)
@@ -356,7 +357,7 @@ def _census(
     of H when each of the graph's elements lies in at most two blocks
     (:func:`_multigraph_cycles`), else those the primitive walks close
     (:func:`_walk_cycles`)."""
-    edges = _multigraph_edges(graph, family)
+    edges = block_multigraph(family, graph.vertices)
     if edges is not None:
         cycles = _multigraph_cycles(edges, biconnected_components(edges), want)
     else:
@@ -463,16 +464,6 @@ def _cycles_from(
                     waiting.setdefault(w, set()).add(v)
 
 
-def _multigraph_edges(
-    graph: AssociatedGraph, family: SetFamily
-) -> dict[int, list[tuple[int, int]]] | None:
-    """H on the graph's vertices when each lies in at most two blocks, so
-    that its primitive cycles are the cycles of H; otherwise None."""
-    if any(len(family.gamma[g]) > 2 for g in graph.vertices):
-        return None
-    return block_multigraph(family, graph.vertices)
-
-
 def _parity_classes(parity: str) -> tuple[int, ...]:
     """The vertex counts modulo two that ``parity`` admits."""
     if parity not in ("any", "odd", "even"):
@@ -521,7 +512,7 @@ def shortest_primitive_cycle(
       three vertices for "odd" and "any", four for "even".
     """
     want = _parity_classes(parity)
-    edges = _multigraph_edges(graph, family)
+    edges = block_multigraph(family, graph.vertices)
     if edges is None:
         cycle = _shortest_cycle(graph, family, want)
     else:
@@ -795,9 +786,8 @@ def bipartition(family: SetFamily) -> Bipartition | None:
     no odd primitive cycle; returns None otherwise.  Deterministic: the
     smallest block index of every component of H goes to the plus side.
     """
-    if max_multiplicity(family) > 2:
-        return None
-    color = two_color(block_multigraph(family))
+    edges = block_multigraph(family)
+    color = None if edges is None else two_color(edges)
     if color is None:
         return None
     plus = tuple(k for k, c in color.items() if c == 0)
@@ -807,8 +797,10 @@ def bipartition(family: SetFamily) -> Bipartition | None:
 
 def block_multigraph(
     family: SetFamily, elements: Iterable[int] | None = None
-) -> dict[int, list[tuple[int, int]]]:
-    """The block multigraph H of a family whose multiplicities are at most two.
+) -> dict[int, list[tuple[int, int]]] | None:
+    """The block multigraph H of a family, or None when an element taken
+    lies in three or more blocks: the κ ≤ 2 test that the census, the
+    cycle search, :func:`bipartition` and the vertex search dispatch on.
 
     Nodes are the block indices, in the family's ascending order.
     Returns, for each block index, the ``(element, other index)`` pairs
@@ -820,10 +812,12 @@ def block_multigraph(
     edges: dict[int, list[tuple[int, int]]] = {b.index: [] for b in family.blocks}
     for g in family.ground if elements is None else sorted(elements):
         ends = family.gamma[g]
-        if len(ends) > 1:
+        if len(ends) == 2:
             p, q = ends
             edges[p].append((g, q))
             edges[q].append((g, p))
+        elif len(ends) > 2:
+            return None
     return edges
 
 

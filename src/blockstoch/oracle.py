@@ -41,8 +41,8 @@ one :func:`_step`.  The walk steps along integer circuits from one
 kernel kept for the whole walk, which gives up the columns each step
 zeroes.  Each peel steps away from the vertex reached.  Every point
 made here is handed over as integer numerators: a cover-search vertex
-over 2 (1 when H is bipartite), a pivot-search vertex over its all-ones
-coefficient and each decomposition term over the walk's scale.
+over 2, a pivot-search vertex over its all-ones coefficient and each
+decomposition term over the walk's scale.
 """
 
 from __future__ import annotations
@@ -207,17 +207,17 @@ def enumerate_vertices(
     """
     if budget < 1:
         raise InputError("budget must be at least 1")
-    if max_multiplicity(family) <= 2:
-        return _CoverSearch(family, budget).vertices()
-    return basis_vertices(family, budget=budget)
+    if (edges := block_multigraph(family)) is None:
+        return basis_vertices(family, budget=budget)
+    return _CoverSearch(family, edges, budget).vertices()
 
 
 class _CoverSearch:
     """Vertex enumeration on the block multigraph H of a family with κ ≤ 2.
 
-    H is the one built by :func:`graphs.block_multigraph`: the blocks
-    are its nodes, keyed by index, and an element in two blocks is an
-    edge; an element in one block is a half-edge, read off
+    H is ``edges``, as :func:`graphs.block_multigraph` builds it: the
+    blocks are its nodes, keyed by index, and an element in two blocks
+    is an edge; an element in one block is a half-edge, read off
     ``family.gamma`` here.  At a vertex the support columns are
     independent and every block sums to one with positive values.  A
     support component with k blocks therefore has at most k elements:
@@ -227,7 +227,8 @@ class _CoverSearch:
     its far end to 0, so a component with such a block is one edge or
     one half-edge.  Every other component is an odd cycle (length at
     least three) at 1/2.  Conversely every exact cover of the blocks by
-    such pieces is a vertex.
+    such pieces is a vertex, handed over as numerators over 2: 2 on an
+    edge or a half-edge, 1 on a cycle element.
 
     The search takes the lowest uncovered block and tries every piece
     through it over uncovered blocks, so each cover is reached once;
@@ -237,16 +238,14 @@ class _CoverSearch:
     so long rings do not reach the interpreter's recursion limit.
     """
 
-    def __init__(self, family: SetFamily, budget: int):
-        self.edges = block_multigraph(family)
+    def __init__(self, family: SetFamily, edges: dict[int, list[tuple[int, int]]], budget: int):
+        self.edges = edges
         self.halves: dict[int, list[int]] = {k: [] for k in self.edges}
         for g in family.ground:
             if len(family.gamma[g]) == 1:
                 self.halves[family.gamma[g][0]].append(g)
         self.full = sum(1 << k for k in self.edges)
         self.odd = two_color(self.edges) is None
-        # the vertices' least common scale: 2 when odd cycles at 1/2 may occur
-        self.scale = 2 if self.odd else 1
         self.budget = budget
         self.nodes = 0
         self.found: list[WeightFunction] = []
@@ -267,7 +266,7 @@ class _CoverSearch:
             covered |= piece[0]
             if covered == self.full:
                 values = {g: n for _, gs, n in chosen for g in gs}
-                self.found.append(WeightFunction._trusted(values, self.scale))
+                self.found.append(WeightFunction._trusted(values, 2))
                 covered &= ~chosen.pop()[0]
             else:
                 stack.append(self._pieces(covered))
@@ -279,10 +278,10 @@ class _CoverSearch:
         b = (free & -free).bit_length() - 1
         bit = 1 << b
         for g in self.halves[b]:
-            yield bit, (g,), self.scale
+            yield bit, (g,), 2
         for g, q in self.edges[b]:
             if not covered >> q & 1:
-                yield bit | 1 << q, (g,), self.scale
+                yield bit | 1 << q, (g,), 2
         if self.odd:
             yield from self._odd_cycles(b, covered)
 

@@ -6,11 +6,11 @@ import sys
 
 import pytest
 
-from blockstoch import demos, extremality, graphs
+from blockstoch import demos, extremality, family, graphs
 from blockstoch.cli import main
 from blockstoch.family import build_family, max_multiplicity
 
-from helpers import KAPPA3_BLOCKS, diamond_chain_blocks, odd_ring_chain
+from helpers import KAPPA3_BLOCKS, count_calls, diamond_chain_blocks, odd_ring_chain
 
 TRIANGLE = {
     "blocks": [[2, 3], [1, 3], [1, 2]],
@@ -74,6 +74,15 @@ class TestCheck:
         assert "blocks: 3" in out
         assert "ground elements: 3" in out
         assert "stochastic: yes" in out
+
+    def test_sums_a_stochastic_point_once(self, tmp_path, capsys, monkeypatch):
+        # the counting identity takes the numerators classify_membership read
+        calls = count_calls(monkeypatch, family, "_read", "_block_sums")
+        code = main(["check", write(tmp_path, TRIANGLE)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "counting identity: 3 block(s) == weighted mass 3 <= bound 3\n" in out
+        assert calls == {"_read": 1, "_block_sums": 1}
 
     def test_instance_without_weights(self, tmp_path, capsys):
         doc = {"blocks": [[1, 2], [2, 3]]}

@@ -1,5 +1,6 @@
 """Tests for the co-membership graph and primitive path machinery."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -36,9 +37,10 @@ from blockstoch.graphs import (
     unique_primitive_paths,
     validate_path,
 )
-from blockstoch.oracle import _CoverSearch, enumerate_vertices
+from blockstoch.oracle import _CoverSearch, basis_vertices, enumerate_vertices
 
 from helpers import (
+    KAPPA3_BLOCKS,
     count_calls,
     cycle_family,
     diamond_chain_blocks,
@@ -581,12 +583,12 @@ class TestBlockMultigraph:
         assert block_multigraph(fam) == {
             1: [(2, 3), (3, 2)], 2: [(3, 1), (4, 3)], 3: [(2, 1), (4, 2)]
         }
-        assert _CoverSearch(fam, 1).halves == {1: [1], 2: [], 3: [5]}
+        assert _CoverSearch(fam, block_multigraph(fam), 1).halves == {1: [1], 2: [], 3: [5]}
 
     def test_parallel_edges_stay_separate(self):
         fam = build_family([[1, 2, 3], [2, 3, 4]])
         assert block_multigraph(fam) == {1: [(2, 2), (3, 2)], 2: [(2, 1), (3, 1)]}
-        assert _CoverSearch(fam, 1).halves == {1: [1], 2: [4]}
+        assert _CoverSearch(fam, block_multigraph(fam), 1).halves == {1: [1], 2: [4]}
 
     def test_two_color_puts_each_component_root_at_zero(self):
         fam = build_family([[1, 2], [2, 3], [4, 5], [5, 6], [6, 7]])
@@ -594,6 +596,34 @@ class TestBlockMultigraph:
 
     def test_two_color_refuses_odd_ring(self):
         assert two_color(block_multigraph(cycle_family(5))) is None
+
+    def test_no_multigraph_once_an_element_lies_in_three_blocks(self):
+        assert block_multigraph(build_family(KAPPA3_BLOCKS)) is None
+        # a pentagon whose blocks 1, 3 and 5 also share element 6
+        fam = build_family([[1, 2, 6], [2, 3], [3, 4, 6], [4, 5], [5, 1, 6]])
+        assert block_multigraph(fam, [1, 2, 3, 4, 5]) == block_multigraph(cycle_family(5))
+        assert block_multigraph(fam, [1, 2, 3, 4, 5, 6]) is None
+        assert block_multigraph(fam) is None
+
+    def test_every_reader_takes_the_general_path_on_kappa3(self):
+        # no H: the vertices are the pivot search's, there is no
+        # bipartition, and both cycle queries give the primitive walks'
+        # census; the totals are pinned so the sweep cannot shrink
+        totals = Counter()
+        for fam in kappa3_sweep():
+            assert block_multigraph(fam) is None
+            assert bipartition(fam) is None
+            vertices = enumerate_vertices(fam)
+            assert vertices == basis_vertices(fam), fam.blocks
+            totals["vertices"] += len(vertices)
+            graph = build_graph(fam)
+            for parity in ("any", "odd", "even"):
+                census = walk_census(graph, fam, parity)
+                assert find_primitive_cycles(graph, fam, parity) == census, fam.blocks
+                first = census[0] if census else None
+                assert shortest_primitive_cycle(graph, fam, parity) == first, fam.blocks
+                totals[parity] += len(census)
+        assert totals == {"vertices": 126, "any": 703, "odd": 391, "even": 312}
 
 
 class TestLongFamilies:
